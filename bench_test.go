@@ -277,28 +277,15 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectClassify measures loop detection plus classification.
-func BenchmarkDetectClassify(b *testing.B) {
-	op, dep, cl := benchRunSetup(b)
-	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
-		Duration: 5 * time.Minute, Seed: 7})
-	tl := trace.Extract(res.Log)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Analyze(tl)
-	}
-}
-
-// BenchmarkStreamDetect measures incremental loop detection: every
-// timeline step pushed through a fresh stream detector plus the flush
-// that finalizes forms — the work `-follow` and the fused campaign
-// detect stage add on top of extraction.
+// BenchmarkStreamDetect measures loop detection: every timeline step
+// pushed through a fresh stream detector plus the flush that finalizes
+// forms — the work core.Analyze, `-follow` and every campaign run add
+// on top of extraction.
 func BenchmarkStreamDetect(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
 	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
 		Duration: 5 * time.Minute, Seed: 7})
 	tl := trace.Extract(res.Log)
-	want := len(core.DetectAll(tl))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -306,9 +293,7 @@ func BenchmarkStreamDetect(b *testing.B) {
 		for _, s := range tl.Steps {
 			sd.Push(s)
 		}
-		if got := len(sd.Flush(tl.Duration)); got != want {
-			b.Fatalf("stream found %d loops, batch %d", got, want)
-		}
+		sd.Flush(tl.Duration)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/mssn/loopscope"
 )
 
 // Regenerate the experiment-output goldens with:
@@ -79,7 +81,9 @@ func TestBadFlag(t *testing.T) {
 
 // TestMetricsSnapshotParity: -metrics writes a snapshot file and the
 // experiment output on stdout stays byte-identical to an unobserved
-// run — the CLI-level form of the observation-only guarantee.
+// run — the CLI-level form of the observation-only guarantee. Every run
+// tees the stream detector, so even this clean study's snapshot counts
+// each loop its records hold as one detect.stream.closed.
 func TestMetricsSnapshotParity(t *testing.T) {
 	var plainOut, plainErr bytes.Buffer
 	args := append(append([]string{}, goldenArgs...), "-exp", "fig6")
@@ -87,9 +91,11 @@ func TestMetricsSnapshotParity(t *testing.T) {
 		t.Fatalf("plain exit %d, stderr: %s", code, plainErr.String())
 	}
 
-	snap := filepath.Join(t.TempDir(), "metrics.json")
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "metrics.json")
+	sunk := filepath.Join(dir, "records.jsonl")
 	var obsOut, obsErr bytes.Buffer
-	args = append(append([]string{}, goldenArgs...), "-exp", "fig6", "-metrics", snap)
+	args = append(append([]string{}, goldenArgs...), "-exp", "fig6", "-metrics", snap, "-sink", sunk)
 	if code := run(args, &obsOut, &obsErr); code != 0 {
 		t.Fatalf("-metrics exit %d, stderr: %s", code, obsErr.String())
 	}
@@ -124,6 +130,22 @@ func TestMetricsSnapshotParity(t *testing.T) {
 	if counters["uesim.runs"] != counters["campaign.runs"] {
 		t.Errorf("uesim.runs = %d, campaign.runs = %d; retry-free study should match",
 			counters["uesim.runs"], counters["campaign.runs"])
+	}
+	lines, err := os.ReadFile(sunk)
+	if err != nil {
+		t.Fatalf("record sink not written: %v", err)
+	}
+	loops := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(lines), []byte("\n")) {
+		rec, err := loopscope.DecodeStudyRecord(line)
+		if err != nil {
+			t.Fatalf("undecodable sunk record: %v", err)
+		}
+		loops += len(rec.Analysis.Loops)
+	}
+	if loops == 0 || counters["detect.stream.closed"] != int64(loops) {
+		t.Errorf("detect.stream.closed = %d, want the study's %d loops",
+			counters["detect.stream.closed"], loops)
 	}
 	spans := false
 	for _, h := range doc.Histograms {

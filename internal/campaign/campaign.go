@@ -469,117 +469,107 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 		Seed:     seed,
 		Metrics:  opts.Metrics,
 	}
-	var log *sig.Log
-	var tb *trace.Builder
-	var sd *core.StreamDetector
+	// Every run has one shape: a producer feeds runSink, which folds the
+	// events into a timeline builder teed into the loop detector, so
+	// extraction and detection run inside the producer's span and the
+	// extract/detect spans time only Finish and FinishAnalysis (see
+	// docs/OBSERVABILITY.md). The unbounded horizon finds every loop.
+	tb := trace.NewBuilder()
+	sd := core.NewStreamDetector(core.StreamConfig{Metrics: opts.Metrics})
+	tb.TeeSteps(sd.Push)
+	sink := &runSink{tb: tb}
 	var abort error
-	if opts.FaultRates != nil {
-		// Stream the run end-to-end: the simulator emits into a pipe,
-		// the injector corrupts records in flight, and lenient parsing
-		// consumes the other end — the capture text is never
-		// materialized. A simulator panic is ferried back and re-raised
-		// here so the failure-record machinery above still sees it; a
-		// context abort is ferried the same way and the pipe is closed
-		// with its error so the parser unblocks.
-		// The simulate and parse spans overlap by construction: the
-		// emitter blocks on the pipe while the parser drains it, so
-		// each span measures its stage's wall-clock window, not
-		// exclusive CPU time (see docs/OBSERVABILITY.md).
-		inj := faults.New(seed+2, *opts.FaultRates).WithCollector(opts.Metrics)
-		pr, pw := io.Pipe()
-		panicked := make(chan any, 1)
-		aborted := make(chan error, 1)
-		go func() {
-			defer close(panicked)
-			defer func() {
-				if p := recover(); p != nil {
-					panicked <- p
-					pw.CloseWithError(io.ErrUnexpectedEOF) // unblock the parser
-				}
-			}()
-			endSim := startStage(opts.Metrics, obs.StageSimulate)
-			em := sig.NewEmitter(pw)
-			if err := uesim.RunToContext(ctx, cfg, em); err != nil {
-				aborted <- err
-				pw.CloseWithError(err)
-				return
-			}
-			endSim()
-			pw.CloseWithError(em.Close())
-		}()
-		// The parser tees every kept event into a trace.Builder as it is
-		// parsed, so extraction runs fused with the parse stage and the
-		// StageExtract span below only measures Finish (see
-		// docs/OBSERVABILITY.md). The builder in turn tees every timeline
-		// step into a StreamDetector, so loop detection also runs during
-		// the parse pass; the StageDetect span below measures only the
-		// flush that finalizes forms. The unbounded horizon keeps the
-		// record provably identical to core.Analyze (see core.StreamDetector).
-		tb = trace.NewBuilder()
-		sd = core.NewStreamDetector(core.StreamConfig{Metrics: opts.Metrics})
-		tb.TeeSteps(sd.Push)
-		endParse := startStage(opts.Metrics, obs.StageParse)
-		salvaged, sal, err := sig.ParseLenientObservedTee(inj.Reader(pr), opts.Metrics, tb)
-		endParse()
-		if p, ok := <-panicked; ok {
-			panic(p)
-		}
-		select {
-		case abort = <-aborted:
-		default:
-			if err != nil {
-				panic(err) // pipe error without a writer panic; recovered above
-			}
-		}
-		log = salvaged
-		rec.Salvage = normalizeSalvage(sal)
-	} else {
+	if opts.FaultRates == nil {
 		endSim := startStage(opts.Metrics, obs.StageSimulate)
-		collected := &sig.Log{Events: make([]sig.Event, 0, 4096)}
-		abort = uesim.RunToContext(ctx, cfg, collected)
+		abort = uesim.RunToContext(ctx, cfg, sink)
 		endSim()
-		log = collected
+	} else {
+		inj := faults.New(seed+2, *opts.FaultRates).WithCollector(opts.Metrics)
+		rec.Salvage, abort = runText(ctx, cfg, inj, sink, opts.Metrics)
 	}
 	if abort != nil {
 		rec.Err = abort.Error()
 		rec.FailKind = failKindFor(abort, parent, opts.RunTimeout > 0)
-		rec.Timeline = nil
-		rec.Analysis = core.Analysis{}
-		rec.Speeds = nil
-		rec.MeasCount = 0
-		rec.Salvage = nil
 		return rec
 	}
 	endExtract := startStage(opts.Metrics, obs.StageExtract)
-	var tl *trace.Timeline
-	if tb != nil {
-		tl = tb.Finish()
-	} else {
-		tl = trace.FromLog(log)
-	}
+	tl := tb.Finish()
 	endExtract()
 	rec.Timeline = tl
 	endDetect := startStage(opts.Metrics, obs.StageDetect)
-	if sd != nil {
-		// Streamed path: detection already ran alongside the parse; the
-		// flush finalizes open-loop forms and re-attaches the records to
-		// the finished timeline, byte-identical to core.Analyze(tl).
-		rec.Analysis = sd.FinishAnalysis(tl)
-	} else {
-		rec.Analysis = core.Analyze(tl)
-	}
+	rec.Analysis = sd.FinishAnalysis(tl)
 	endDetect()
 	endAnalyze := startStage(opts.Metrics, obs.StageAnalyze)
-	for _, e := range log.Events {
-		if mr, ok := e.Msg.(rrc.MeasReport); ok {
-			rec.MeasCount += len(mr.Entries)
-		}
-	}
+	rec.MeasCount = sink.meas
 	if opts.KeepSpeeds {
 		rec.Speeds = throughput.Generate(tl, op, seed+1)
 	}
 	endAnalyze()
 	return rec
+}
+
+// runSink is where every run's events land, whichever producer runs: it
+// counts measurement entries for Record.MeasCount and folds each event
+// into the timeline builder.
+type runSink struct {
+	tb   *trace.Builder
+	meas int
+}
+
+// Append implements sig.Sink.
+func (s *runSink) Append(at time.Duration, m rrc.Message) {
+	if mr, ok := m.(rrc.MeasReport); ok {
+		s.meas += len(mr.Entries)
+	}
+	s.tb.Append(at, m)
+}
+
+// runText is the producer of a faulted run. The simulator emits into a
+// pipe, the injector corrupts records in flight, and lenient parsing
+// delivers the kept events to sink, so the capture text is never
+// materialized. A simulator panic is ferried back and re-raised here,
+// so runOnce's failure-record machinery still sees it; a context abort
+// is returned, after closing the pipe with its error so the parser
+// unblocks. The simulate and parse spans overlap by construction: the
+// emitter blocks on the pipe while the parser drains it.
+func runText(ctx context.Context, cfg uesim.Config, inj *faults.Injector, sink sig.Sink,
+	c obs.Collector) (*sig.Salvage, error) {
+	pr, pw := io.Pipe()
+	panicked := make(chan any, 1)
+	aborted := make(chan error, 1)
+	go func() {
+		defer close(panicked)
+		defer func() {
+			if p := recover(); p != nil {
+				panicked <- p
+				pw.CloseWithError(io.ErrUnexpectedEOF) // unblock the parser
+			}
+		}()
+		endSim := startStage(c, obs.StageSimulate)
+		em := sig.NewEmitter(pw)
+		if err := uesim.RunToContext(ctx, cfg, em); err != nil {
+			aborted <- err
+			pw.CloseWithError(err)
+			return
+		}
+		endSim()
+		pw.CloseWithError(em.Close())
+	}()
+	endParse := startStage(c, obs.StageParse)
+	sal, err := sig.ParseLenientTo(inj.Reader(pr), c, sink)
+	endParse()
+	if p, ok := <-panicked; ok {
+		panic(p)
+	}
+	select {
+	case abort := <-aborted:
+		return nil, abort
+	default:
+		if err != nil {
+			panic(err) // pipe error without a writer panic; recovered in runOnce
+		}
+	}
+	return normalizeSalvage(sal), nil
 }
 
 // normalizeSalvage flattens each quarantine cause to a plain

@@ -543,29 +543,41 @@ func TestRunAreaWithFaultInjection(t *testing.T) {
 	}
 }
 
-// TestFusedDetectionMatchesBatch: faulted runs detect loops during the
-// parse pass via the teed stream detector; every record's analysis must
-// be exactly what the batch pipeline computes on the same timeline.
+// TestFusedDetectionMatchesBatch: every run detects loops while its
+// producer (the simulator, or the lenient parser on a faulted run)
+// feeds the teed stream detector; each record's analysis must be
+// exactly what core.Analyze computes on the finished timeline.
 func TestFusedDetectionMatchesBatch(t *testing.T) {
 	op := policy.OPA()
 	spec := deploy.AreasFor("OPA")[0]
-	opts := smallOpts()
-	opts.RunScale = 0.25
 	rates := faults.Profile(0.05)
-	opts.FaultRates = &rates
-	res := RunArea(op, spec, opts)
-	checked := 0
-	for _, rec := range res.Records {
-		if rec.Err != "" || rec.Timeline == nil {
-			continue
-		}
-		if !reflect.DeepEqual(rec.Analysis, core.Analyze(rec.Timeline)) {
-			t.Fatalf("loc %d run %d: streamed analysis diverges from core.Analyze",
-				rec.LocIndex, rec.RunIndex)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no completed records to check")
+	for _, tc := range []struct {
+		name  string
+		rates *faults.Rates
+	}{
+		{"clean", nil},
+		{"faulted", &rates},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOpts()
+			opts.RunScale = 0.25
+			opts.FaultRates = tc.rates
+			res := RunArea(op, spec, opts)
+			checked, loops := 0, 0
+			for _, rec := range res.Records {
+				if rec.Err != "" || rec.Timeline == nil {
+					continue
+				}
+				if !reflect.DeepEqual(rec.Analysis, core.Analyze(rec.Timeline)) {
+					t.Fatalf("loc %d run %d: streamed analysis diverges from core.Analyze",
+						rec.LocIndex, rec.RunIndex)
+				}
+				checked++
+				loops += len(rec.Analysis.Loops)
+			}
+			if checked == 0 || loops == 0 {
+				t.Fatalf("checked %d completed records holding %d loops, want both > 0", checked, loops)
+			}
+		})
 	}
 }

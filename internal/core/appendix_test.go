@@ -25,23 +25,130 @@ func meas(refStr string, role rrc.MeasRole, rsrp units.DBm, rsrq units.DB) rrc.M
 		Meas: measpkg.Measurement{RSRPDBm: rsrp, RSRQDB: rsrq}}
 }
 
-// classifyLog runs the full pipeline over a log.
+// classifyLog runs the full pipeline over a log and returns the first
+// loop with the sub-type Analyze assigned it.
 func classifyLog(t *testing.T, l *sig.Log) (Subtype, *Loop) {
 	t.Helper()
 	tl := trace.Extract(l)
-	loop, ok := Detect(tl)
-	if !ok {
+	loop, sub := Analyze(tl).Primary()
+	if loop == nil {
 		for i, s := range tl.Steps {
 			t.Logf("step %d @%v: %v (%v)", i, s.At, s.Set, s.Evidence.Kind)
 		}
 		t.Fatal("no loop detected")
 	}
-	return Classify(loop), loop
+	return sub, loop
+}
+
+// appendixLogs maps each Appendix C figure to the log reconstructing
+// it, so the stream-parity fixtures replay the same instances.
+var appendixLogs = map[string]func() *sig.Log{
+	"fig27-s1e1": fig27Log,
+	"fig28-s1e2": fig28Log,
+	"fig29-s1e3": fig29Log,
+	"fig30-n1e1": fig30Log,
+	"fig31-n1e2": fig31Log,
+	"fig32-n2e1": fig32Log,
+	"fig33-n2e2": fig33Log,
 }
 
 // TestAppendixFig27S1E1 — the S1E1 instance: SCell 309@387410 is never
 // present in any measurement report; all serving cells are released.
 func TestAppendixFig27S1E1(t *testing.T) {
+	sub, loop := classifyLog(t, fig27Log())
+	if sub != S1E1 {
+		t.Fatalf("classified %v, want S1E1", sub)
+	}
+	off, _ := loop.OffTransition()
+	if len(off.Evidence.UnmeasuredSCells) != 1 || off.Evidence.UnmeasuredSCells[0] != ref("309@387410") {
+		t.Errorf("bad apple = %v, want 309@387410", off.Evidence.UnmeasuredSCells)
+	}
+}
+
+// TestAppendixFig28S1E2 — the S1E2 instance: 390@387410 reports
+// −108.5 dBm / −25.5 dB, no command follows, everything is released.
+func TestAppendixFig28S1E2(t *testing.T) {
+	sub, loop := classifyLog(t, fig28Log())
+	if sub != S1E2 {
+		t.Fatalf("classified %v, want S1E2", sub)
+	}
+	off, _ := loop.OffTransition()
+	if len(off.Evidence.PoorSCells) != 1 || off.Evidence.PoorSCells[0] != ref("390@387410") {
+		t.Errorf("bad apple = %v, want 390@387410", off.Evidence.PoorSCells)
+	}
+	if off.Evidence.WorstSCellRSRP != -108.5 {
+		t.Errorf("worst SCell RSRP = %v", off.Evidence.WorstSCellRSRP)
+	}
+}
+
+// TestAppendixFig29S1E3 — the S1E3 instance: the command to change
+// 273@387410 into 371@387410 fails and every serving cell is released.
+func TestAppendixFig29S1E3(t *testing.T) {
+	sub, loop := classifyLog(t, fig29Log())
+	if sub != S1E3 {
+		t.Fatalf("classified %v, want S1E3", sub)
+	}
+	off, _ := loop.OffTransition()
+	mod := off.Evidence.PendingMod
+	if mod == nil || mod.Released != ref("273@387410") || mod.Added != ref("371@387410") {
+		t.Errorf("modification = %+v", mod)
+	}
+}
+
+// TestAppendixFig30N1E1 — the N1E1 instance: RLF while on 191@66936
+// releases 4G and 5G; re-establishment lands on 238@5815, a 5G report
+// redirects back to 238@5145 which re-adds the SCG.
+func TestAppendixFig30N1E1(t *testing.T) {
+	sub, _ := classifyLog(t, fig30Log())
+	if sub != N1E1 {
+		t.Fatalf("classified %v, want N1E1", sub)
+	}
+}
+
+// TestAppendixFig31N1E2 — the N1E2 instance: a handover toward 97@5145
+// fails to complete; the UE re-establishes with handoverFailure and
+// wanders across PCells before returning.
+func TestAppendixFig31N1E2(t *testing.T) {
+	sub, _ := classifyLog(t, fig31Log())
+	if sub != N1E2 {
+		t.Fatalf("classified %v, want N1E2", sub)
+	}
+}
+
+// TestAppendixFig32N2E1 — the N2E1 instance: 380@5815 is preferred on
+// RSRQ, but any 5G report bounces the PCell back to 380@5145; the SCG
+// is lost on each swing.
+func TestAppendixFig32N2E1(t *testing.T) {
+	sub, loop := classifyLog(t, fig32Log())
+	if sub != N2E1 {
+		t.Fatalf("classified %v, want N2E1", sub)
+	}
+	if loop.Form != FormPersistent {
+		t.Errorf("form = %v", loop.Form)
+	}
+}
+
+// TestAppendixFig33N2E2 — the N2E2 instance: an SCG change fails with
+// randomAccessProblem, the SCG is released, and recovery waits ~30 s
+// for OPV's configuration push.
+func TestAppendixFig33N2E2(t *testing.T) {
+	sub, loop := classifyLog(t, fig33Log())
+	if sub != N2E2 {
+		t.Fatalf("classified %v, want N2E2", sub)
+	}
+	// The OFF period spans the ~30 s configuration wait.
+	cycles := loop.Cycles()
+	if len(cycles) == 0 || cycles[0].Off < 29*time.Second {
+		t.Errorf("OFF = %v, want ≥ 30 s-ish (OPV recovery delay)", cycles[0].Off)
+	}
+	off, _ := loop.OffTransition()
+	if off.Evidence.SCGFailure != rrc.SCGFailureRandomAccess {
+		t.Errorf("SCG failure cause = %v", off.Evidence.SCGFailure)
+	}
+}
+
+// fig27Log reconstructs the Figure 27 instance.
+func fig27Log() *sig.Log {
 	l := &sig.Log{}
 	base := 0
 	for c := 0; c < 2; c++ {
@@ -72,19 +179,11 @@ func TestAppendixFig27S1E1(t *testing.T) {
 		l.Append(at(base+9739), rrc.Release{Rat: band.RATNR})
 		base += 20000
 	}
-	sub, loop := classifyLog(t, l)
-	if sub != S1E1 {
-		t.Fatalf("classified %v, want S1E1", sub)
-	}
-	off, _ := loop.OffTransition()
-	if len(off.Evidence.UnmeasuredSCells) != 1 || off.Evidence.UnmeasuredSCells[0] != ref("309@387410") {
-		t.Errorf("bad apple = %v, want 309@387410", off.Evidence.UnmeasuredSCells)
-	}
+	return l
 }
 
-// TestAppendixFig28S1E2 — the S1E2 instance: 390@387410 reports
-// −108.5 dBm / −25.5 dB, no command follows, everything is released.
-func TestAppendixFig28S1E2(t *testing.T) {
+// fig28Log reconstructs the Figure 28 instance.
+func fig28Log() *sig.Log {
 	l := &sig.Log{}
 	base := 0
 	for c := 0; c < 2; c++ {
@@ -112,22 +211,11 @@ func TestAppendixFig28S1E2(t *testing.T) {
 		l.Append(at(base+10067), rrc.Release{Rat: band.RATNR})
 		base += 21000
 	}
-	sub, loop := classifyLog(t, l)
-	if sub != S1E2 {
-		t.Fatalf("classified %v, want S1E2", sub)
-	}
-	off, _ := loop.OffTransition()
-	if len(off.Evidence.PoorSCells) != 1 || off.Evidence.PoorSCells[0] != ref("390@387410") {
-		t.Errorf("bad apple = %v, want 390@387410", off.Evidence.PoorSCells)
-	}
-	if off.Evidence.WorstSCellRSRP != -108.5 {
-		t.Errorf("worst SCell RSRP = %v", off.Evidence.WorstSCellRSRP)
-	}
+	return l
 }
 
-// TestAppendixFig29S1E3 — the S1E3 instance: the command to change
-// 273@387410 into 371@387410 fails and every serving cell is released.
-func TestAppendixFig29S1E3(t *testing.T) {
+// fig29Log reconstructs the Figure 29 instance.
+func fig29Log() *sig.Log {
 	l := &sig.Log{}
 	base := 0
 	for c := 0; c < 2; c++ {
@@ -157,21 +245,11 @@ func TestAppendixFig29S1E3(t *testing.T) {
 		l.Append(at(base+12558), rrc.Exception{MMState: "DEREGISTERED", Substate: "NO_CELL_AVAILABLE"})
 		base += 24000
 	}
-	sub, loop := classifyLog(t, l)
-	if sub != S1E3 {
-		t.Fatalf("classified %v, want S1E3", sub)
-	}
-	off, _ := loop.OffTransition()
-	mod := off.Evidence.PendingMod
-	if mod == nil || mod.Released != ref("273@387410") || mod.Added != ref("371@387410") {
-		t.Errorf("modification = %+v", mod)
-	}
+	return l
 }
 
-// TestAppendixFig30N1E1 — the N1E1 instance: RLF while on 191@66936
-// releases 4G and 5G; re-establishment lands on 238@5815, a 5G report
-// redirects back to 238@5145 which re-adds the SCG.
-func TestAppendixFig30N1E1(t *testing.T) {
+// fig30Log reconstructs the Figure 30 instance.
+func fig30Log() *sig.Log {
 	l := &sig.Log{}
 	sp := ref("66@632736")
 	mob1 := ref("191@66936")
@@ -204,16 +282,11 @@ func TestAppendixFig30N1E1(t *testing.T) {
 		l.Append(at(base+27696), rrc.ReconfigComplete{Rat: band.RATLTE})
 		base += 28000
 	}
-	sub, _ := classifyLog(t, l)
-	if sub != N1E1 {
-		t.Fatalf("classified %v, want N1E1", sub)
-	}
+	return l
 }
 
-// TestAppendixFig31N1E2 — the N1E2 instance: a handover toward 97@5145
-// fails to complete; the UE re-establishes with handoverFailure and
-// wanders across PCells before returning.
-func TestAppendixFig31N1E2(t *testing.T) {
+// fig31Log reconstructs the Figure 31 instance.
+func fig31Log() *sig.Log {
 	l := &sig.Log{}
 	sp := ref("62@174770")
 	sp2 := ref("53@632736")
@@ -247,16 +320,11 @@ func TestAppendixFig31N1E2(t *testing.T) {
 		l.Append(at(base+73010), rrc.ReconfigComplete{Rat: band.RATLTE})
 		base += 74000
 	}
-	sub, _ := classifyLog(t, l)
-	if sub != N1E2 {
-		t.Fatalf("classified %v, want N1E2", sub)
-	}
+	return l
 }
 
-// TestAppendixFig32N2E1 — the N2E1 instance: 380@5815 is preferred on
-// RSRQ, but any 5G report bounces the PCell back to 380@5145; the SCG
-// is lost on each swing.
-func TestAppendixFig32N2E1(t *testing.T) {
+// fig32Log reconstructs the Figure 32 instance.
+func fig32Log() *sig.Log {
 	l := &sig.Log{}
 	sp := ref("53@632736")
 	mob5145 := ref("380@5145")
@@ -281,19 +349,11 @@ func TestAppendixFig32N2E1(t *testing.T) {
 		l.Append(at(base+16407), rrc.ReconfigComplete{Rat: band.RATLTE})
 		base += 17000
 	}
-	sub, loop := classifyLog(t, l)
-	if sub != N2E1 {
-		t.Fatalf("classified %v, want N2E1", sub)
-	}
-	if loop.Form != FormPersistent {
-		t.Errorf("form = %v", loop.Form)
-	}
+	return l
 }
 
-// TestAppendixFig33N2E2 — the N2E2 instance: an SCG change fails with
-// randomAccessProblem, the SCG is released, and recovery waits ~30 s
-// for OPV's configuration push.
-func TestAppendixFig33N2E2(t *testing.T) {
+// fig33Log reconstructs the Figure 33 instance.
+func fig33Log() *sig.Log {
 	l := &sig.Log{}
 	sp188 := ref("188@648672")
 	sp393 := ref("393@648672")
@@ -330,17 +390,5 @@ func TestAppendixFig33N2E2(t *testing.T) {
 		l.Append(at(base+54459), rrc.ReconfigComplete{Rat: band.RATLTE})
 		base += 55000
 	}
-	sub, loop := classifyLog(t, l)
-	if sub != N2E2 {
-		t.Fatalf("classified %v, want N2E2", sub)
-	}
-	// The OFF period spans the ~30 s configuration wait.
-	cycles := loop.Cycles()
-	if len(cycles) == 0 || cycles[0].Off < 29*time.Second {
-		t.Errorf("OFF = %v, want ≥ 30 s-ish (OPV recovery delay)", cycles[0].Off)
-	}
-	off, _ := loop.OffTransition()
-	if off.Evidence.SCGFailure != rrc.SCGFailureRandomAccess {
-		t.Errorf("SCG failure cause = %v", off.Evidence.SCGFailure)
-	}
+	return l
 }

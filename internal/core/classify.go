@@ -185,14 +185,14 @@ type Analysis struct {
 	Subtypes []Subtype
 }
 
-// Analyze detects and classifies all loops in a timeline.
+// Analyze detects and classifies all loops in a finished timeline by
+// pushing its steps through an unbounded StreamDetector.
 func Analyze(tl *trace.Timeline) Analysis {
-	loops := DetectAll(tl)
-	a := Analysis{Loops: loops, Subtypes: make([]Subtype, len(loops))}
-	for i, l := range loops {
-		a.Subtypes[i] = Classify(l)
+	d := NewStreamDetector(StreamConfig{})
+	for _, s := range tl.Steps {
+		d.Push(s)
 	}
-	return a
+	return d.FinishAnalysis(tl)
 }
 
 // HasLoop reports whether any loop was found.

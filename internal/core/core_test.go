@@ -52,8 +52,8 @@ func s1e3Timeline(cycles int) *trace.Timeline {
 
 func TestDetectPersistentLoop(t *testing.T) {
 	tl := s1e3Timeline(3)
-	loop, ok := Detect(tl)
-	if !ok {
+	loop, _ := Analyze(tl).Primary()
+	if loop == nil {
 		t.Fatal("no loop detected")
 	}
 	if loop.CycleLen != 4 {
@@ -77,14 +77,14 @@ func TestDetectNoLoop(t *testing.T) {
 		AddSCells: []rrc.SCellEntry{{Index: 1, Cell: ref("273@398410")}}})
 	l.Append(at(1010), rrc.ReconfigComplete{Rat: band.RATNR})
 	tl := trace.Extract(l)
-	if _, ok := Detect(tl); ok {
+	if Analyze(tl).HasLoop() {
 		t.Error("stable run misdetected as loop")
 	}
 }
 
 func TestDetectRequiresTwoReps(t *testing.T) {
 	tl := s1e3Timeline(1)
-	if _, ok := Detect(tl); ok {
+	if Analyze(tl).HasLoop() {
 		t.Error("single ON-OFF swing is not a loop")
 	}
 }
@@ -101,8 +101,8 @@ func TestDetectSemiPersistent(t *testing.T) {
 		{Cell: ref("104@501390"), Role: rrc.RolePCell, Meas: measpkg.Measurement{RSRPDBm: -80, RSRQDB: -10.5}},
 	}})
 	tl := trace.Extract(l)
-	loop, ok := Detect(tl)
-	if !ok {
+	loop, _ := Analyze(tl).Primary()
+	if loop == nil {
 		t.Fatal("no loop detected")
 	}
 	if loop.Form != FormSemiPersistent {
@@ -115,7 +115,10 @@ func TestDetectSemiPersistent(t *testing.T) {
 
 func TestCycleMetrics(t *testing.T) {
 	tl := s1e3Timeline(3)
-	loop, _ := Detect(tl)
+	loop, _ := Analyze(tl).Primary()
+	if loop == nil {
+		t.Fatal("no loop detected")
+	}
 	cycles := loop.Cycles()
 	if len(cycles) != 3 {
 		t.Fatalf("cycles = %d", len(cycles))
@@ -139,9 +142,12 @@ func TestCycleMetrics(t *testing.T) {
 
 func TestClassifyS1E3(t *testing.T) {
 	tl := s1e3Timeline(2)
-	loop, _ := Detect(tl)
-	if got := Classify(loop); got != S1E3 {
-		t.Errorf("Classify = %v, want S1E3", got)
+	loop, got := Analyze(tl).Primary()
+	if loop == nil {
+		t.Fatal("no loop detected")
+	}
+	if got != S1E3 {
+		t.Errorf("sub-type = %v, want S1E3", got)
 	}
 	off, _ := loop.OffTransition()
 	if off.Evidence.PendingMod == nil || !off.Evidence.PendingMod.IntraChannel() {
@@ -195,13 +201,13 @@ func TestClassifyNSATypes(t *testing.T) {
 	}
 	for trigger, want := range cases {
 		tl := nsaTimeline(trigger, 3)
-		loop, ok := Detect(tl)
-		if !ok {
+		loop, got := Analyze(tl).Primary()
+		if loop == nil {
 			t.Errorf("%s: no loop detected", trigger)
 			continue
 		}
-		if got := Classify(loop); got != want {
-			t.Errorf("%s: Classify = %v, want %v", trigger, got, want)
+		if got != want {
+			t.Errorf("%s: sub-type = %v, want %v", trigger, got, want)
 		}
 		if want.Type() == TypeN1 && loop.Form != FormPersistent {
 			t.Errorf("%s: form = %v", trigger, loop.Form)
@@ -209,44 +215,49 @@ func TestClassifyNSATypes(t *testing.T) {
 	}
 }
 
-func TestClassifyS1E1AndS1E2(t *testing.T) {
-	build := func(poor bool) *trace.Timeline {
-		l := &sig.Log{}
-		base := 0
-		for i := 0; i < 2; i++ {
-			pcell := ref("540@501390")
-			bad := ref("309@387410")
-			l.Append(at(base+100), rrc.SetupComplete{Rat: band.RATNR, Cell: pcell})
-			l.Append(at(base+1000), rrc.Reconfig{Rat: band.RATNR, Serving: pcell,
-				AddSCells: []rrc.SCellEntry{{Index: 1, Cell: bad}}})
-			l.Append(at(base+1010), rrc.ReconfigComplete{Rat: band.RATNR})
-			entries := []rrc.MeasEntry{
-				{Cell: pcell, Role: rrc.RolePCell, Meas: measpkg.Measurement{RSRPDBm: -80, RSRQDB: -10.5}},
-			}
-			if poor {
-				entries = append(entries, rrc.MeasEntry{Cell: bad, Role: rrc.RoleSCell,
-					Meas: measpkg.Measurement{RSRPDBm: -108.5, RSRQDB: -25.5}})
-			}
-			for j := 0; j < 4; j++ {
-				l.Append(at(base+2000+j*500), rrc.MeasReport{Rat: band.RATNR, Entries: entries})
-			}
-			l.Append(at(base+7000), rrc.Release{Rat: band.RATNR})
-			base += 17000
+// s1e12Timeline builds two SA cycles whose SCell is added and then
+// everything released with no failure on record. With poor unset the
+// SCell never appears in a measurement report (S1E1); with poor set it
+// is reported at a bad-apple level (S1E2).
+func s1e12Timeline(poor bool) *trace.Timeline {
+	l := &sig.Log{}
+	base := 0
+	for i := 0; i < 2; i++ {
+		pcell := ref("540@501390")
+		bad := ref("309@387410")
+		l.Append(at(base+100), rrc.SetupComplete{Rat: band.RATNR, Cell: pcell})
+		l.Append(at(base+1000), rrc.Reconfig{Rat: band.RATNR, Serving: pcell,
+			AddSCells: []rrc.SCellEntry{{Index: 1, Cell: bad}}})
+		l.Append(at(base+1010), rrc.ReconfigComplete{Rat: band.RATNR})
+		entries := []rrc.MeasEntry{
+			{Cell: pcell, Role: rrc.RolePCell, Meas: measpkg.Measurement{RSRPDBm: -80, RSRQDB: -10.5}},
 		}
-		return trace.Extract(l)
+		if poor {
+			entries = append(entries, rrc.MeasEntry{Cell: bad, Role: rrc.RoleSCell,
+				Meas: measpkg.Measurement{RSRPDBm: -108.5, RSRQDB: -25.5}})
+		}
+		for j := 0; j < 4; j++ {
+			l.Append(at(base+2000+j*500), rrc.MeasReport{Rat: band.RATNR, Entries: entries})
+		}
+		l.Append(at(base+7000), rrc.Release{Rat: band.RATNR})
+		base += 17000
 	}
-	loop, ok := Detect(build(false))
-	if !ok {
+	return trace.Extract(l)
+}
+
+func TestClassifyS1E1AndS1E2(t *testing.T) {
+	loop, got := Analyze(s1e12Timeline(false)).Primary()
+	if loop == nil {
 		t.Fatal("S1E1 scenario: no loop")
 	}
-	if got := Classify(loop); got != S1E1 {
+	if got != S1E1 {
 		t.Errorf("unmeasured scenario = %v, want S1E1", got)
 	}
-	loop, ok = Detect(build(true))
-	if !ok {
+	loop, got = Analyze(s1e12Timeline(true)).Primary()
+	if loop == nil {
 		t.Fatal("S1E2 scenario: no loop")
 	}
-	if got := Classify(loop); got != S1E2 {
+	if got != S1E2 {
 		t.Errorf("poor scenario = %v, want S1E2", got)
 	}
 }
@@ -405,16 +416,17 @@ func TestModelString(t *testing.T) {
 }
 
 func TestLoopFingerprint(t *testing.T) {
-	tlA := s1e3Timeline(3)
-	loopA, _ := Detect(tlA)
-	tlB := s1e3Timeline(5) // same cycle, different repetition count
-	loopB, _ := Detect(tlB)
+	loopA, _ := Analyze(s1e3Timeline(3)).Primary()
+	// Same cycle, different repetition count.
+	loopB, _ := Analyze(s1e3Timeline(5)).Primary()
+	// A different cycle (other PCell).
+	loopC, _ := Analyze(nsaTimeline("scgfail", 3)).Primary()
+	if loopA == nil || loopB == nil || loopC == nil {
+		t.Fatal("fixture produced no loop")
+	}
 	if loopA.Fingerprint() != loopB.Fingerprint() {
 		t.Error("same cycle must share a fingerprint regardless of reps")
 	}
-	// A different cycle (other PCell) must differ.
-	other := nsaTimeline("scgfail", 3)
-	loopC, _ := Detect(other)
 	if loopC.Fingerprint() == loopA.Fingerprint() {
 		t.Error("distinct cycles share a fingerprint")
 	}
@@ -467,7 +479,7 @@ func TestCyclesTruncatedDurationClamp(t *testing.T) {
 	idle := cell.Idle()
 	// Last repetition starts at 2s, but the recorded duration is 1.5s.
 	tl := setTimeline([]cell.Set{on, idle, on, idle}, 1500)
-	loops := DetectAll(tl)
+	loops := Analyze(tl).Loops
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}
@@ -496,7 +508,7 @@ func TestDetectAllFindsLoopInsideRejectedWindow(t *testing.T) {
 	// length, but the (onA, idle) loop starting inside that first
 	// examined window must still be detected.
 	tl := setTimeline([]cell.Set{onX, onA, idle, onA, idle, onA, idle}, 7000)
-	loops := DetectAll(tl)
+	loops := Analyze(tl).Loops
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}

@@ -118,78 +118,6 @@ func rotationLess(keys []string, a, b int) bool {
 // count as a loop ("repeatedly observed twice or more", §4.1).
 const MinReps = 2
 
-// Detect finds the first ON-OFF loop in a timeline, if any.
-func Detect(tl *trace.Timeline) (*Loop, bool) {
-	loops := DetectAll(tl)
-	if len(loops) == 0 {
-		return nil, false
-	}
-	return loops[0], true
-}
-
-// DetectAll finds every non-overlapping ON-OFF loop, scanning left to
-// right; a semi-persistent loop may be followed by another loop.
-func DetectAll(tl *trace.Timeline) []*Loop { return DetectAllHorizon(tl, 0) }
-
-// DetectAllHorizon is DetectAll with the cycle length capped at horizon
-// steps; 0 means uncapped. It is the batch reference for a bounded
-// StreamDetector: a detector with Horizon H produces exactly the loops
-// of DetectAllHorizon(tl, H) on the complete timeline.
-func DetectAllHorizon(tl *trace.Timeline, horizon int) []*Loop {
-	keys := tl.Keys()
-	n := len(keys)
-	var loops []*Loop
-	for k := 0; k < n; {
-		l := detectAt(tl, keys, k, horizon)
-		if l == nil {
-			k++
-			continue
-		}
-		loops = append(loops, l)
-		k = l.End
-	}
-	return loops
-}
-
-// detectAt looks for a loop whose first cycle starts at step k. Per
-// Figure 4 the cycle must start with a 5G-ON set and contain a 5G-OFF
-// set; the shortest repeating cycle wins.
-func detectAt(tl *trace.Timeline, keys []string, k, maxL int) *Loop {
-	n := len(keys)
-	if !tl.Steps[k].Set.Uses5G() {
-		return nil
-	}
-	for L := 2; k+MinReps*L <= n && (maxL == 0 || L <= maxL); L++ {
-		// The cycle must end with 5G OFF so that each repetition is an
-		// ON→OFF→ON swing.
-		if tl.Steps[k+L-1].Set.Uses5G() {
-			continue
-		}
-		// Count how far the cyclic repetition extends.
-		match := k
-		for match < n && keys[match] == keys[k+(match-k)%L] {
-			match++
-		}
-		reps := (match - k) / L
-		if reps < MinReps {
-			continue
-		}
-		form := FormSemiPersistent
-		if match == n {
-			form = FormPersistent
-		}
-		return &Loop{
-			Start:    k,
-			CycleLen: L,
-			Reps:     reps,
-			End:      match,
-			Form:     form,
-			Timeline: tl,
-		}
-	}
-	return nil
-}
-
 // CycleMetrics quantifies one repetition of a loop (§4.3, Fig. 10).
 type CycleMetrics struct {
 	Start time.Duration // cycle start (5G ON)
@@ -241,7 +169,7 @@ func (l *Loop) Cycles() []CycleMetrics {
 
 // OffTransition returns the step inside the first cycle where 5G turns
 // off, which carries the trigger evidence the classifier reads. The
-// boolean is false for malformed loops (never happens for Detect
+// boolean is false for malformed loops (never happens for Analyze
 // output).
 func (l *Loop) OffTransition() (trace.Step, bool) {
 	for i := l.Start; i < l.Start+l.CycleLen && i < len(l.Timeline.Steps); i++ {

@@ -63,11 +63,11 @@ func TestDetectionInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%5) + 1 // 1..5 cycles
 		tl := trace.Extract(randomSALog(rng, n, tail))
-		loop, found := Detect(tl)
+		loop, _ := Analyze(tl).Primary()
 		if n == 1 {
-			return !found
+			return loop == nil
 		}
-		if !found {
+		if loop == nil {
 			return false
 		}
 		if loop.End > len(tl.Steps) || loop.Start < 0 || loop.CycleLen < 2 {
@@ -117,11 +117,10 @@ func TestClassificationTotal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%4) + 2
 		tl := trace.Extract(randomSALog(rng, n, false))
-		loop, found := Detect(tl)
-		if !found {
+		loop, sub := Analyze(tl).Primary()
+		if loop == nil {
 			return false
 		}
-		sub := Classify(loop)
 		return sub == S1E3 // these generated logs are all modification failures
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -144,8 +143,8 @@ func TestOffRatioBounds(t *testing.T) {
 	}
 }
 
-// TestDetectAllNonOverlapping: loops returned by DetectAll never
-// overlap and appear in order.
+// TestDetectAllNonOverlapping: loops returned by Analyze never overlap
+// and appear in order.
 func TestDetectAllNonOverlapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	// Two distinct loops separated by a divergent segment.
@@ -158,7 +157,7 @@ func TestDetectAllNonOverlapping(t *testing.T) {
 		base += 12000
 	}
 	tl := trace.Extract(l)
-	loops := DetectAll(tl)
+	loops := Analyze(tl).Loops
 	prevEnd := 0
 	for _, lp := range loops {
 		if lp.Start < prevEnd {
@@ -174,8 +173,8 @@ func TestDetectStableUnderPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bare := randomSALog(rng, 3, false)
 	tlBare := trace.Extract(bare)
-	loopBare, ok := Detect(tlBare)
-	if !ok {
+	loopBare, _ := Analyze(tlBare).Primary()
+	if loopBare == nil {
 		t.Fatal("bare log must loop")
 	}
 	// The generator's random prefix flag exercises this, but assert it
@@ -187,8 +186,8 @@ func TestDetectStableUnderPrefix(t *testing.T) {
 	for _, e := range bare.Events {
 		withPrefix.Append(e.At+6*time.Second, e.Msg)
 	}
-	loopPref, ok := Detect(trace.Extract(withPrefix))
-	if !ok {
+	loopPref, _ := Analyze(trace.Extract(withPrefix)).Primary()
+	if loopPref == nil {
 		t.Fatal("prefixed log must loop")
 	}
 	a, b := loopBare.CycleKeys(), loopPref.CycleKeys()

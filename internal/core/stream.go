@@ -12,9 +12,8 @@ import (
 type StreamConfig struct {
 	// Horizon bounds the cycle length (in steps) the detector considers.
 	// With Horizon H > 0 the detector retains a bounded window — at most
-	// 2H+2 steps beyond the resolved prefix — and is exactly equivalent
-	// to DetectAllHorizon(tl, H) on the complete input. Horizon 0 means
-	// unbounded: output is exactly DetectAll, but an undecided candidate
+	// 2H+2 steps beyond the resolved prefix. Horizon 0 means unbounded,
+	// as Analyze and the campaign run it, but an undecided candidate
 	// keeps its suffix retained until Flush.
 	Horizon int
 	// OnEvent, when set, receives loop lifecycle events as they are
@@ -24,9 +23,12 @@ type StreamConfig struct {
 	// II-SP, at Flush for II-P). The callback runs synchronously inside
 	// Push/Flush.
 	OnEvent func(StreamEvent)
-	// Metrics receives the per-window observation counters
+	// Metrics receives the detector's observation counters
 	// (detect.stream.*, see docs/OBSERVABILITY.md); nil disables them.
-	// Like every obs hook, metrics never change detection output.
+	// The per-step counts accumulate in the detector and reach the
+	// collector once, at Flush; loop lifecycle counts are recorded as
+	// loops are decided. Like every obs hook, metrics never change
+	// detection output.
 	Metrics obs.Collector
 }
 
@@ -73,12 +75,12 @@ type StreamEvent struct {
 	Loop StreamLoop
 }
 
-// StreamLoop is a self-contained detected-loop record: the same
-// structure DetectAll reports, but carrying its cycle keys, per-cycle
-// metrics, fingerprint and sub-type by value so it can outlive the
-// detector's bounded window. Indices are absolute step indices into the
-// full timeline, so Attach on the complete timeline reconstructs the
-// identical *Loop.
+// StreamLoop is a self-contained detected-loop record: the structure of
+// a *Loop, but carrying its cycle keys, per-cycle metrics, fingerprint
+// and sub-type by value so it can outlive the detector's bounded
+// window. Indices are absolute step indices into the full timeline, so
+// FinishAnalysis rebinds each record to the complete timeline as a
+// *Loop.
 type StreamLoop struct {
 	Start       int
 	CycleLen    int
@@ -89,34 +91,6 @@ type StreamLoop struct {
 	Cycles      []CycleMetrics
 	Fingerprint string
 	Subtype     Subtype
-}
-
-// Attach rebinds the record to the complete timeline it was detected
-// in, yielding the *Loop DetectAll would have produced.
-func (sl StreamLoop) Attach(tl *trace.Timeline) *Loop {
-	return &Loop{
-		Start:    sl.Start,
-		CycleLen: sl.CycleLen,
-		Reps:     sl.Reps,
-		End:      sl.End,
-		Form:     sl.Form,
-		Timeline: tl,
-	}
-}
-
-// AttachAnalysis converts a flushed detector's records into the
-// Analysis that Analyze(tl) produces on the same complete timeline —
-// loops re-attached and re-classified against the full step sequence.
-func AttachAnalysis(loops []StreamLoop, tl *trace.Timeline) Analysis {
-	var ls []*Loop
-	for _, sl := range loops {
-		ls = append(ls, sl.Attach(tl))
-	}
-	a := Analysis{Loops: ls, Subtypes: make([]Subtype, len(ls))}
-	for i, l := range ls {
-		a.Subtypes[i] = Classify(l)
-	}
-	return a
 }
 
 // openLoop is the detector's state for a confirmed, not-yet-closed loop.
@@ -150,20 +124,22 @@ const (
 	resolveNoLoop                   // every admissible cycle length is ruled out
 )
 
-// StreamDetector is the incremental counterpart of DetectAll: it
-// consumes timeline steps one at a time (typically via
-// trace.Builder.TeeSteps) and decides loops as soon as the stream
-// determines them — a loop is confirmed the moment its second
-// repetition completes, extended per repetition, and closed as II-SP at
-// the first breaking step or as II-P at Flush.
+// StreamDetector is loopscope's loop detector (Fig. 4): it consumes
+// timeline steps one at a time (typically via trace.Builder.TeeSteps)
+// and decides loops as soon as the stream determines them — a loop is
+// confirmed the moment its second repetition completes, extended per
+// repetition, and closed as II-SP at the first breaking step or as II-P
+// at Flush. Analyze is the same detector driven over a finished
+// timeline.
 //
 // Equivalence: on any complete input with non-decreasing step times and
 // a flush duration not before the last step (exactly what trace.Builder
-// guarantees), the closed records equal DetectAll's loops — same
-// starts, cycle lengths, repetition counts, ends, forms, fingerprints,
-// per-cycle metrics and sub-types. With Horizon H > 0 the reference is
-// DetectAllHorizon(tl, H) and the retained window is bounded by 2H+2
-// steps. FuzzStreamDetectParity and the golden-replay tests pin both.
+// guarantees), the closed records equal those of the batch scanner kept
+// as the test oracle in oracle_test.go — same starts, cycle lengths,
+// repetition counts, ends, forms, fingerprints, per-cycle metrics and
+// sub-types — at the same horizon, and with Horizon H > 0 the retained
+// window is bounded by 2H+2 steps. FuzzStreamDetectParity and the
+// golden-replay tests pin both.
 //
 // The loop structure itself (starts, lengths, repetitions, forms)
 // depends only on the cell-set key sequence and holds for arbitrary
@@ -176,11 +152,12 @@ type StreamDetector struct {
 	cfg StreamConfig
 
 	// win/keys/on hold the retained steps; win[0] is absolute index base.
-	win  []trace.Step
-	keys []string
-	on   []bool
-	base int
-	n    int // total steps pushed
+	win     []trace.Step
+	keys    []string
+	on      []bool
+	base    int
+	n       int // total steps pushed
+	evicted int // total steps dropped from the window
 
 	// scan is the absolute index currently examined as a loop start;
 	// minL is the smallest not-yet-rejected cycle length there, and
@@ -194,8 +171,6 @@ type StreamDetector struct {
 
 	flushed  bool
 	duration time.Duration
-
-	confirmed, closed, evicted int64
 }
 
 // NewStreamDetector returns an empty detector.
@@ -213,9 +188,6 @@ func (d *StreamDetector) Push(s trace.Step) {
 	d.keys = append(d.keys, s.Set.Key())
 	d.on = append(d.on, s.Set.Uses5G())
 	d.n++
-	if c := d.cfg.Metrics; c != nil {
-		c.Add("detect.stream.steps", 1)
-	}
 	d.advance()
 	d.evict()
 }
@@ -238,6 +210,12 @@ func (d *StreamDetector) Flush(duration time.Duration) []StreamLoop {
 	d.duration = duration
 	d.advance()
 	if c := d.cfg.Metrics; c != nil {
+		if d.n > 0 {
+			c.Add("detect.stream.steps", int64(d.n))
+		}
+		if d.evicted > 0 {
+			c.Add("detect.stream.evicted", int64(d.evicted))
+		}
 		c.Set("detect.stream.window", int64(len(d.win)))
 		c.Set("detect.stream.open", 0)
 	}
@@ -249,9 +227,23 @@ func (d *StreamDetector) Flush(duration time.Duration) []StreamLoop {
 func (d *StreamDetector) Loops() []StreamLoop { return d.loops }
 
 // FinishAnalysis flushes at the timeline's duration and returns the
-// Analysis that Analyze(tl) computes on the same complete timeline.
+// closed loops bound to tl, the complete timeline they were detected
+// in, with the sub-types classified at confirmation.
 func (d *StreamDetector) FinishAnalysis(tl *trace.Timeline) Analysis {
-	return AttachAnalysis(d.Flush(tl.Duration), tl)
+	loops := d.Flush(tl.Duration)
+	a := Analysis{Subtypes: make([]Subtype, len(loops))}
+	for i, sl := range loops {
+		a.Loops = append(a.Loops, &Loop{
+			Start:    sl.Start,
+			CycleLen: sl.CycleLen,
+			Reps:     sl.Reps,
+			End:      sl.End,
+			Form:     sl.Form,
+			Timeline: tl,
+		})
+		a.Subtypes[i] = sl.Subtype
+	}
+	return a
 }
 
 // Steps returns how many steps have been pushed.
@@ -307,9 +299,9 @@ func (d *StreamDetector) stepScan() {
 }
 
 // resolve examines candidate cycle lengths at the scan position in
-// ascending order — the shortest repeating cycle wins, exactly as
-// detectAt — rejecting each as soon as the retained steps contradict
-// it and accepting the first whose second repetition fully matches.
+// ascending order — the shortest repeating cycle wins — rejecting each
+// as soon as the retained steps contradict it and accepting the first
+// whose second repetition fully matches.
 func (d *StreamDetector) resolve() resolution {
 	k := d.scan
 	for {
@@ -385,7 +377,6 @@ func (d *StreamDetector) accept(k, L int) {
 	window = append(window, d.win[k-d.base:k+L-d.base]...)
 	o.subtype = classifyWindow(window, hasPre, L)
 	d.open = o
-	d.confirmed++
 	if c := d.cfg.Metrics; c != nil {
 		c.Add("detect.stream.confirmed", 1)
 		c.Set("detect.stream.open", 1)
@@ -419,7 +410,7 @@ func (d *StreamDetector) extend() bool {
 }
 
 // close finalizes the open loop with the given form and End index,
-// records it, and resumes scanning at End (DetectAll's k = l.End).
+// records it, and resumes scanning at End, so loops never overlap.
 func (d *StreamDetector) close(form Form, end int) {
 	o := d.open
 	reps := (end - o.start) / o.cycleLen
@@ -455,7 +446,6 @@ func (d *StreamDetector) close(form Form, end int) {
 	d.scan = end
 	d.minL = MinReps
 	d.checked = 0
-	d.closed++
 	if c := d.cfg.Metrics; c != nil {
 		c.Add("detect.stream.closed", 1)
 		c.Set("detect.stream.open", 0)
@@ -522,9 +512,9 @@ func (d *StreamDetector) meterStep(end time.Duration) {
 	}
 }
 
-// classifyWindow runs the batch classifier over the copied evidence
-// window (the step before the loop, when one exists, plus the first
-// cycle) — the only steps Classify and PreOffState ever read.
+// classifyWindow runs Classify over the copied evidence window (the
+// step before the loop, when one exists, plus the first cycle) — the
+// only steps Classify and PreOffState ever read.
 func classifyWindow(steps []trace.Step, hasPre bool, cycleLen int) Subtype {
 	start := 0
 	if hasPre {
@@ -559,19 +549,11 @@ func (d *StreamDetector) evict() {
 	if drop <= 0 {
 		return
 	}
-	d.evicted += int64(drop)
-	d.win = d.win[drop:]
-	d.keys = d.keys[drop:]
-	d.on = d.on[drop:]
+	n := len(d.win) - drop
+	copy(d.win, d.win[drop:])
+	copy(d.keys, d.keys[drop:])
+	copy(d.on, d.on[drop:])
+	d.win, d.keys, d.on = d.win[:n], d.keys[:n], d.on[:n]
 	d.base = keep
-	if len(d.win)*4 < cap(d.win) {
-		// Re-pack so the backing arrays shrink with the window.
-		d.win = append(make([]trace.Step, 0, len(d.win)), d.win...)
-		d.keys = append(make([]string, 0, len(d.keys)), d.keys...)
-		d.on = append(make([]bool, 0, len(d.on)), d.on...)
-	}
-	if c := d.cfg.Metrics; c != nil {
-		c.Add("detect.stream.evicted", int64(drop))
-		c.Set("detect.stream.window", int64(len(d.win)))
-	}
+	d.evicted += drop
 }

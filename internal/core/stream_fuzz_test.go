@@ -65,8 +65,9 @@ func fuzzTimeline(data []byte) *trace.Timeline {
 // StreamDetector's equivalence claim: on any structurally valid
 // timeline, the incremental detector's output — loops, forms, cycle
 // keys, per-cycle metrics, fingerprints, sub-types — is byte-identical
-// to DetectAllHorizon on the complete input, at the fuzzed horizon and
-// unbounded, while the retained window honours its 2H+2 bound.
+// to the oracle's DetectAllHorizon on the complete input, at the fuzzed
+// horizon and unbounded, while the retained window honours its 2H+2
+// bound.
 func FuzzStreamDetectParity(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{2, 0, 2, 0, 2, 0}, uint8(0))                   // minimal II-P loop
@@ -80,7 +81,7 @@ func FuzzStreamDetectParity(f *testing.F) {
 		}
 		horizon := int(h % 10) // 0 = unbounded, else 1..9
 		tl := fuzzTimeline(data)
-		batch := batchAnalysisHorizon(tl, horizon)
+		batch := oracleAnalysis(tl, horizon)
 		sd := NewStreamDetector(StreamConfig{Horizon: horizon})
 		for _, s := range tl.Steps {
 			sd.Push(s)
@@ -91,9 +92,9 @@ func FuzzStreamDetectParity(f *testing.F) {
 			}
 		}
 		recs := sd.Flush(tl.Duration)
-		got := AttachAnalysis(recs, tl)
+		got := sd.FinishAnalysis(tl)
 		if want, have := renderAnalysis(batch), renderAnalysis(got); want != have {
-			t.Fatalf("horizon %d: stream diverges from batch\nbatch:\n%s\nstream:\n%s",
+			t.Fatalf("horizon %d: stream diverges from the oracle\noracle:\n%s\nstream:\n%s",
 				horizon, want, have)
 		}
 		for i, sl := range recs {
@@ -102,14 +103,14 @@ func FuzzStreamDetectParity(f *testing.F) {
 				!reflect.DeepEqual(sl.Cycles, l.Cycles()) ||
 				sl.Fingerprint != l.Fingerprint() ||
 				sl.Subtype != batch.Subtypes[i] {
-				t.Fatalf("loop %d: record %+v diverges from batch loop (keys=%q cycles=%v fp=%s sub=%v)",
+				t.Fatalf("loop %d: record %+v diverges from the oracle loop (keys=%q cycles=%v fp=%s sub=%v)",
 					i, sl, l.CycleKeys(), l.Cycles(), l.Fingerprint(), batch.Subtypes[i])
 			}
 		}
-		// Unbounded horizon must additionally equal plain Analyze.
+		// Unbounded, Analyze must equal the oracle as well.
 		if horizon == 0 {
-			if !reflect.DeepEqual(got, Analyze(tl)) {
-				t.Fatal("unbounded stream diverges from Analyze")
+			if !reflect.DeepEqual(Analyze(tl), batch) {
+				t.Fatal("Analyze diverges from the oracle")
 			}
 		}
 	})
@@ -119,11 +120,11 @@ func FuzzStreamDetectParity(f *testing.F) {
 // the fuzzer starts from looping inputs rather than discovering them.
 func TestFuzzSeedsProduceLoops(t *testing.T) {
 	tl := fuzzTimeline([]byte{2, 0, 2, 0, 2, 0})
-	if loops := DetectAll(tl); len(loops) != 1 {
+	if loops := Analyze(tl).Loops; len(loops) != 1 {
 		t.Fatalf("seed timeline: %d loops, want 1", len(loops))
 	}
 	tl = fuzzTimeline([]byte{2, 0, 2, 0, 2, 0, 4, 0, 4, 0, 4, 1})
-	loops := DetectAll(tl)
+	loops := Analyze(tl).Loops
 	if len(loops) != 2 {
 		t.Fatalf("two-loop seed: %d loops, want 2", len(loops))
 	}

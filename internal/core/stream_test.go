@@ -31,17 +31,6 @@ func renderAnalysis(a Analysis) string {
 	return sb.String()
 }
 
-// batchAnalysisHorizon is the reference the stream detector must match:
-// DetectAllHorizon plus the same classification pass Analyze runs.
-func batchAnalysisHorizon(tl *trace.Timeline, horizon int) Analysis {
-	loops := DetectAllHorizon(tl, horizon)
-	a := Analysis{Loops: loops, Subtypes: make([]Subtype, len(loops))}
-	for i, l := range loops {
-		a.Subtypes[i] = Classify(l)
-	}
-	return a
-}
-
 // streamReplay pushes every step of tl through a fresh detector and
 // flushes at the timeline duration.
 func streamReplay(tl *trace.Timeline, cfg StreamConfig) ([]StreamLoop, *StreamDetector) {
@@ -53,20 +42,20 @@ func streamReplay(tl *trace.Timeline, cfg StreamConfig) ([]StreamLoop, *StreamDe
 }
 
 // assertStreamParity replays tl through the detector at the given
-// horizon and requires byte-identical output against the batch path.
+// horizon and requires byte-identical output against the oracle.
 func assertStreamParity(t *testing.T, tl *trace.Timeline, horizon int) {
 	t.Helper()
-	batch := batchAnalysisHorizon(tl, horizon)
+	batch := oracleAnalysis(tl, horizon)
 	recs, sd := streamReplay(tl, StreamConfig{Horizon: horizon})
-	got := AttachAnalysis(recs, tl)
+	got := sd.FinishAnalysis(tl)
 	if want, have := renderAnalysis(batch), renderAnalysis(got); want != have {
-		t.Fatalf("horizon %d: stream output diverges from batch\nbatch:\n%s\nstream:\n%s",
+		t.Fatalf("horizon %d: stream output diverges from the oracle\noracle:\n%s\nstream:\n%s",
 			horizon, want, have)
 	}
 	if !reflect.DeepEqual(got, batch) {
-		t.Fatalf("horizon %d: AttachAnalysis not deep-equal to batch analysis", horizon)
+		t.Fatalf("horizon %d: FinishAnalysis not deep-equal to the oracle analysis", horizon)
 	}
-	// The self-contained records must carry the same values the batch
+	// The self-contained records must carry the same values the oracle
 	// loops compute lazily from the full timeline.
 	for i, sl := range recs {
 		l := batch.Loops[i]
@@ -91,19 +80,25 @@ func assertStreamParity(t *testing.T, tl *trace.Timeline, horizon int) {
 var parityHorizons = []int{0, 1, 2, 3, 4, 8}
 
 // TestStreamMatchesBatchOnFixtures replays every synthetic fixture
-// timeline through the stream detector at several horizons and demands
-// exact equivalence with DetectAllHorizon.
+// timeline — the unit-test builds and the Appendix C reconstructions —
+// through the stream detector at several horizons and demands exact
+// equivalence with the oracle's DetectAllHorizon.
 func TestStreamMatchesBatchOnFixtures(t *testing.T) {
 	fixtures := map[string]*trace.Timeline{
 		"empty":     {Duration: at(1000)},
 		"s1e3x1":    s1e3Timeline(1),
 		"s1e3x2":    s1e3Timeline(2),
 		"s1e3x5":    s1e3Timeline(5),
+		"s1e1":      s1e12Timeline(false),
+		"s1e2":      s1e12Timeline(true),
 		"nsa-rlf":   nsaTimeline("rlf", 3),
 		"nsa-hof":   nsaTimeline("hof", 3),
 		"nsa-ho":    nsaTimeline("handover", 4),
 		"nsa-scgf":  nsaTimeline("scgfail", 2),
 		"two-loops": twoLoopTimeline(),
+	}
+	for name, build := range appendixLogs {
+		fixtures[name] = trace.Extract(build())
 	}
 	for name, tl := range fixtures {
 		t.Run(name, func(t *testing.T) {
@@ -116,8 +111,8 @@ func TestStreamMatchesBatchOnFixtures(t *testing.T) {
 
 // TestStreamGoldenReplay replays every committed golden capture —
 // including the corrupt ones, salvaged leniently like a live tail —
-// through the stream detector and requires byte-identical analysis
-// output against DetectAll/Analyze on the complete timeline.
+// through Analyze and the stream detector and requires byte-identical
+// analysis output against the oracle on the complete timeline.
 func TestStreamGoldenReplay(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "sig", "testdata", "*.log"))
 	if err != nil || len(paths) == 0 {
@@ -135,20 +130,15 @@ func TestStreamGoldenReplay(t *testing.T) {
 				t.Fatalf("ParseLenient: %v", err)
 			}
 			tl := trace.FromLog(log)
-			if got, want := renderAnalysis(AttachAnalysis(streamLoops(tl, 0), tl)),
-				renderAnalysis(Analyze(tl)); got != want {
-				t.Fatalf("stream replay diverges from Analyze\nbatch:\n%s\nstream:\n%s", want, got)
+			if got, want := renderAnalysis(Analyze(tl)),
+				renderAnalysis(oracleAnalysis(tl, 0)); got != want {
+				t.Fatalf("Analyze diverges from the oracle\noracle:\n%s\nAnalyze:\n%s", want, got)
 			}
 			for _, h := range parityHorizons {
 				assertStreamParity(t, tl, h)
 			}
 		})
 	}
-}
-
-func streamLoops(tl *trace.Timeline, horizon int) []StreamLoop {
-	recs, _ := streamReplay(tl, StreamConfig{Horizon: horizon})
-	return recs
 }
 
 // twoLoopTimeline builds a capture whose first loop closes II-SP
@@ -236,7 +226,8 @@ func TestStreamEventCadence(t *testing.T) {
 
 // TestStreamBoundedWindow verifies the memory contract: with Horizon H
 // the retained window never exceeds 2H+2 steps, even on adversarial
-// never-repeating input, and output still equals DetectAllHorizon.
+// never-repeating input, and output still equals the oracle's
+// DetectAllHorizon.
 func TestStreamBoundedWindow(t *testing.T) {
 	const H = 4
 	const n = 400
@@ -259,9 +250,8 @@ func TestStreamBoundedWindow(t *testing.T) {
 			t.Fatalf("retained %d steps after step %d, bound is %d", r, sd.Steps(), 2*H+2)
 		}
 	}
-	recs := sd.Flush(tl.Duration)
-	if !reflect.DeepEqual(AttachAnalysis(recs, tl), batchAnalysisHorizon(tl, H)) {
-		t.Error("bounded stream diverges from DetectAllHorizon")
+	if !reflect.DeepEqual(sd.FinishAnalysis(tl), oracleAnalysis(tl, H)) {
+		t.Error("bounded stream diverges from the oracle's DetectAllHorizon")
 	}
 	if got := reg.Counter("detect.stream.evicted").Value(); got == 0 {
 		t.Error("bounded run evicted no steps")
@@ -322,7 +312,7 @@ func TestStreamFlushContract(t *testing.T) {
 
 // TestStreamViaBuilderTee runs the fused path — sig events through
 // trace.Builder with the detector teed — and requires the same analysis
-// as the batch pipeline over the finished timeline.
+// as the oracle over the finished timeline.
 func TestStreamViaBuilderTee(t *testing.T) {
 	log := &sig.Log{}
 	base := 0
@@ -337,9 +327,9 @@ func TestStreamViaBuilderTee(t *testing.T) {
 	}
 	tl := tb.Finish()
 	got := sd.FinishAnalysis(tl)
-	want := Analyze(tl)
+	want := oracleAnalysis(tl, 0)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("teed stream analysis diverges from batch\nbatch:\n%s\nstream:\n%s",
+		t.Fatalf("teed stream analysis diverges from the oracle\noracle:\n%s\nstream:\n%s",
 			renderAnalysis(want), renderAnalysis(got))
 	}
 	if len(want.Loops) == 0 {

@@ -141,12 +141,12 @@ func Fig3(c *Context) *Result {
 		r.addf("t=%7s  %s%s", durS(s.At), desc, cause)
 		count++
 	}
-	if loop, ok := core.Detect(tl); ok {
+	if loop, sub := core.Analyze(tl).Primary(); loop != nil {
 		r.addf("loop: cycle of %d sets, %d repetitions, %v, classified %v",
-			loop.CycleLen, loop.Reps, loop.Form, core.Classify(loop))
+			loop.CycleLen, loop.Reps, loop.Form, sub)
 		r.set("cycle_len", float64(loop.CycleLen))
 		r.set("reps", float64(loop.Reps))
-		if core.Classify(loop) == core.S1E3 {
+		if sub == core.S1E3 {
 			r.set("is_s1e3", 1)
 		}
 	}

@@ -107,7 +107,7 @@ func eventsEquivalent(a, b *Log) bool {
 // and fails the test on any divergence in events, salvage or error.
 func requireByteRefParity(t *testing.T, input string, lenient bool) {
 	t.Helper()
-	gotLog, gotSal, gotErr := parse(strings.NewReader(input), lenient, nil, nil)
+	gotLog, gotSal, gotErr := parseLog(strings.NewReader(input), lenient, nil)
 	refLog, refSal, refErr := refParse(strings.NewReader(input), lenient, nil)
 	if (gotErr == nil) != (refErr == nil) {
 		t.Fatalf("error presence diverges: byte=%v reference=%v", gotErr, refErr)
@@ -262,7 +262,7 @@ func TestObservedCounterParityByteVsReference(t *testing.T) {
 	}
 	corrupted := faults.New(7, faults.Profile(0.10)).Corrupt(string(clean))
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
-	if _, _, err := parse(strings.NewReader(corrupted), true, regA, nil); err != nil {
+	if _, _, err := parseLog(strings.NewReader(corrupted), true, regA); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := refParse(strings.NewReader(corrupted), true, regB); err != nil {
@@ -278,22 +278,34 @@ func TestObservedCounterParityByteVsReference(t *testing.T) {
 	}
 }
 
-// TestTeeSeesExactlyKeptEvents: the ParseLenientObservedTee sink
-// receives the same events, in the same order, as the returned Log.
+// TestTeeSeesExactlyKeptEvents: ParseLenientTo delivers to its sink the
+// same events, in the same order, and reports the same Salvage —
+// EventsKept included — as ParseLenientObserved returns.
 func TestTeeSeesExactlyKeptEvents(t *testing.T) {
 	clean, err := os.ReadFile(filepath.Join("testdata", "s1e3_capture.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	corrupted := faults.New(3, faults.Profile(0.10)).Corrupt(string(clean))
-	var teed Log
-	log, _, err := ParseLenientObservedTee(strings.NewReader(corrupted), nil, &teed)
+	var sunk Log
+	sal, err := ParseLenientTo(strings.NewReader(corrupted), nil, &sunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(log.Events, teed.Events) {
-		t.Fatalf("tee saw %d events, log kept %d (or order/content differs)",
-			teed.Len(), log.Len())
+	log, want, err := ParseLenientObserved(strings.NewReader(corrupted), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(log.Events, sunk.Events) {
+		t.Fatalf("sink saw %d events, ParseLenientObserved kept %d (or order/content differs)",
+			sunk.Len(), log.Len())
+	}
+	if !reflect.DeepEqual(sal, want) {
+		t.Fatalf("salvage diverges:\n  sink: %+v\n   log: %+v", sal, want)
+	}
+	if sal.EventsKept != sunk.Len() || sal.Clean() {
+		t.Fatalf("EventsKept = %d for %d sunk events (clean=%v); the fixture must keep events and salvage",
+			sal.EventsKept, sunk.Len(), sal.Clean())
 	}
 }
 
@@ -372,7 +384,7 @@ func TestParseSteadyStateAllocsPerLine(t *testing.T) {
 	rd := bytes.NewReader(data)
 	allocs := testing.AllocsPerRun(20, func() {
 		rd.Reset(data)
-		if _, _, err := parse(rd, true, nil, nil); err != nil {
+		if _, _, err := parseLog(rd, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

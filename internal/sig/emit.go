@@ -15,9 +15,9 @@ import (
 
 // Sink consumes capture events one at a time. *Log collects them in
 // memory; *Emitter renders them straight into an io.Writer so a run
-// never has to materialize its full capture. The simulator writes to a
-// Sink, which is what lets the same run engine feed both the in-memory
-// and the streaming pipelines.
+// never has to materialize its full capture. The simulator and
+// ParseLenientTo both write to a Sink, which is what lets one run
+// pipeline take its events from either.
 type Sink interface {
 	Append(at time.Duration, m rrc.Message)
 }

@@ -51,7 +51,8 @@ const maxSalvageErrors = 64
 // Salvage reports what lenient parsing kept and what it had to discard
 // from a damaged capture.
 type Salvage struct {
-	// EventsKept is the number of events recovered into the Log.
+	// EventsKept is the number of events recovered into the Log (or
+	// delivered to the sink, for ParseLenientTo).
 	EventsKept int
 	// RecordsDropped counts recognized records whose details failed to
 	// build a message and were quarantined.
@@ -93,7 +94,7 @@ func (s *Salvage) Summary() string {
 // captures interleave unrelated records); malformed details of a
 // recognized message are an error.
 func Parse(r io.Reader) (*Log, error) {
-	log, _, err := parse(r, false, nil, nil)
+	log, _, err := parseLog(r, false, nil)
 	return log, err
 }
 
@@ -103,7 +104,7 @@ func Parse(r io.Reader) (*Log, error) {
 // hot loop never consults the collector, so observability costs nothing
 // until the final flush.
 func ParseObserved(r io.Reader, c obs.Collector) (*Log, error) {
-	log, _, err := parse(r, false, c, nil)
+	log, _, err := parseLog(r, false, c)
 	return log, err
 }
 
@@ -116,7 +117,7 @@ func ParseString(s string) (*Log, error) { return Parse(strings.NewReader(s)) }
 // next header. The error is non-nil only when the reader itself fails;
 // arbitrary text content never errors.
 func ParseLenient(r io.Reader) (*Log, *Salvage, error) {
-	return parse(r, true, nil, nil)
+	return parseLog(r, true, nil)
 }
 
 // ParseLenientString is ParseLenient over a string.
@@ -128,36 +129,45 @@ func ParseLenientString(s string) (*Log, *Salvage, error) {
 // into c when the parse completes; a nil collector makes it exactly
 // ParseLenient.
 func ParseLenientObserved(r io.Reader, c obs.Collector) (*Log, *Salvage, error) {
-	return parse(r, true, c, nil)
+	return parseLog(r, true, c)
 }
 
-// ParseLenientObservedTee is ParseLenientObserved with every recovered
-// event additionally delivered to tee, in capture order, the moment it
-// is parsed. This is the incremental-extraction hook: a campaign run
-// hands trace.NewBuilder() here and the timeline is built during the
-// parse pass instead of by re-walking the materialized log afterwards.
-// tee sees exactly the events that end up in the returned Log.
-func ParseLenientObservedTee(r io.Reader, c obs.Collector, tee Sink) (*Log, *Salvage, error) {
-	return parse(r, true, c, tee)
+// ParseLenientTo is ParseLenientObserved delivering every recovered
+// event to sink, in capture order, the moment it is parsed, instead of
+// collecting a Log. This is the incremental-extraction hook: a campaign
+// run hands it a sink over trace.NewBuilder() and the timeline is built
+// during the parse pass. sink sees exactly the events ParseLenient
+// would keep, and Salvage.EventsKept counts them.
+func ParseLenientTo(r io.Reader, c obs.Collector, sink Sink) (*Salvage, error) {
+	return parse(r, true, c, sink)
+}
+
+// parseLog is parse collecting into a fresh Log.
+func parseLog(r io.Reader, lenient bool, c obs.Collector) (*Log, *Salvage, error) {
+	log := &Log{Events: make([]Event, 0, 256)}
+	sal, err := parse(r, lenient, c, log)
+	if err != nil {
+		return nil, nil, err
+	}
+	return log, sal, nil
 }
 
 // parse is the shared strict/lenient parsing loop over a pooled []byte
-// parser. Counters accumulate in locals and flush into c once at the
-// end, keeping the per-line path free of interface calls; a parse
-// aborted by an error flushes nothing.
+// parser, delivering each kept event to sink. Counters accumulate in
+// locals and flush into c once at the end, keeping the per-line path
+// free of interface calls; a parse aborted by an error flushes nothing.
 //
 // The per-line path performs no allocations: lines are zero-copy views
 // from the lineScanner, the current record accumulates in the parser's
 // reused arena, and repeated tokens (cell-identity lines, measConfig
 // bodies, roles, causes, MM states) resolve through interning tables.
 // What remains is the per-event cost of the result itself — interface
-// boxing in Log.Append and message-internal slices.
+// boxing of each message and message-internal slices.
 //
 //loopvet:hot
-func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage, error) {
+func parse(r io.Reader, lenient bool, c obs.Collector, sink Sink) (*Salvage, error) {
 	p := acquireParser(r)
 	defer p.release()
-	log := &Log{Events: make([]Event, 0, 256)}
 	sal := &Salvage{}
 	var (
 		lineNum   int
@@ -178,10 +188,8 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 			sal.note(pe)
 			return nil
 		}
-		log.Append(p.cur.at, msg)
-		if tee != nil {
-			tee.Append(p.cur.at, msg)
-		}
+		sink.Append(p.cur.at, msg)
+		sal.EventsKept++
 		p.hasCur = false
 		return nil
 	}
@@ -191,14 +199,14 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 			break
 		}
 		if err != nil {
-			return nil, nil, err // reader failure, not capture damage
+			return nil, err // reader failure, not capture damage
 		}
 		lineNum++
 		if tooLong {
 			oversized++
 			pe := oversizedError(lineNum, line)
 			if !lenient {
-				return nil, nil, pe
+				return nil, pe
 			}
 			// An oversized indented line claims to belong to the
 			// current record: its content is untrustworthy, so the
@@ -232,14 +240,13 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 			continue // foreign record; tolerate
 		}
 		if err := flush(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		p.startEvent(line, hdr, lineNum)
 	}
 	if err := flush(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sal.EventsKept = log.Len()
 	if c != nil {
 		c.Add("sig.lines.read", int64(lineNum))
 		c.Add("sig.lines.oversized", int64(oversized))
@@ -248,7 +255,7 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 		c.Add("sig.events.kept", int64(sal.EventsKept))
 		c.Observe("sig.events.count", float64(sal.EventsKept))
 	}
-	return log, sal, nil
+	return sal, nil
 }
 
 // quarantineError materializes a ParseError for a record whose details

@@ -261,13 +261,14 @@ type extractor struct {
 func Extract(log *sig.Log) *Timeline { return FromLog(log) }
 
 // Builder folds capture events into a timeline incrementally, one event
-// per Append. It implements sig.Sink, so a streaming parser can feed
-// extraction directly — no materialized event log between the two
-// stages. The clock-resync behavior is exactly FromLog's: when an
-// event's timestamp regresses (a logger restart reset the clock, or a
-// jump moved it backwards), the stream is re-anchored at the latest
-// observed time and subsequent offsets stay monotonic. Clean captures
-// are untouched — the resync offset stays zero.
+// per Append. It implements sig.Sink, so the simulator or a streaming
+// parser can feed extraction directly — no materialized event log
+// between the two stages. The clock-resync behavior is exactly
+// FromLog's: when an event's timestamp regresses (a logger restart
+// reset the clock, or a jump moved it backwards), the stream is
+// re-anchored at the latest observed time and subsequent offsets stay
+// monotonic. Clean captures are untouched — the resync offset stays
+// zero.
 //
 // A Builder must not be reused after Finish.
 type Builder struct {
@@ -291,9 +292,9 @@ func NewBuilder() *Builder {
 
 // TeeSteps registers fn to receive every timeline step the builder
 // appends, at the moment it is appended — the hook that lets an
-// incremental consumer (core.StreamDetector) ride the fused
-// parse/extract pass. Steps already in the timeline (always at least
-// the initial IDLE step) are replayed to fn immediately, so a tee
+// incremental consumer (core.StreamDetector) ride the pass that feeds
+// the builder. Steps already in the timeline (always at least the
+// initial IDLE step) are replayed to fn immediately, so a tee
 // registered after NewBuilder still sees the complete sequence. One tee
 // at a time: registering again replaces the previous one; nil removes
 // it.
@@ -321,13 +322,16 @@ func (b *Builder) Append(at time.Duration, m rrc.Message) {
 }
 
 // Finish seals the timeline: observation ends at the last event time
-// (never before the last step).
+// (never before the last step). The returned Timeline is detached from
+// the Builder, so holding it keeps neither the folding state nor a
+// teed consumer alive.
 func (b *Builder) Finish() *Timeline {
-	b.ex.tl.Duration = b.last
-	if last := b.ex.tl.Steps[len(b.ex.tl.Steps)-1].At; b.ex.tl.Duration < last {
-		b.ex.tl.Duration = last
+	tl := b.ex.tl
+	tl.Duration = b.last
+	if last := tl.Steps[len(tl.Steps)-1].At; tl.Duration < last {
+		tl.Duration = last
 	}
-	return &b.ex.tl
+	return &tl
 }
 
 // FromLog folds a signaling log into a timeline, tolerating the clock

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -603,4 +604,48 @@ func TestBuilderTeeSteps(t *testing.T) {
 	if calls != 1 { // only the replayed initial IDLE step
 		t.Errorf("detached tee called %d times, want 1", calls)
 	}
+}
+
+// stepCollector is a teed consumer big enough (and pointer-carrying)
+// to get its own allocation, so its finalizer reliably runs once it is
+// unreachable.
+type stepCollector struct{ seen []Step }
+
+func (c *stepCollector) push(s Step) { c.seen = append(c.seen, s) }
+
+// finishTeed folds log through a Builder with a consumer teed in and
+// returns only the finished timeline; freed closes once the garbage
+// collector has reclaimed the consumer.
+func finishTeed(log *sig.Log, freed chan struct{}) *Timeline {
+	c := &stepCollector{}
+	runtime.SetFinalizer(c, func(*stepCollector) { close(freed) })
+	b := NewBuilder()
+	b.TeeSteps(c.push)
+	for _, e := range log.Events {
+		b.Append(e.At, e.Msg)
+	}
+	return b.Finish()
+}
+
+// TestFinishDetachesTimeline: a finished Timeline must not keep its
+// Builder reachable. A campaign record holds its timeline for the whole
+// study, so a timeline pointing into the builder would pin the folding
+// maps and, through TeeSteps, the teed consumer (a stream detector and
+// its window) for every run.
+func TestFinishDetachesTimeline(t *testing.T) {
+	freed := make(chan struct{})
+	tl := finishTeed(s1e3Log(2), freed)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if len(tl.Steps) == 0 {
+				t.Error("finished timeline has no steps")
+			}
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(tl)
+	t.Fatal("the teed consumer is still reachable through the finished timeline")
 }

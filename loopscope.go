@@ -209,13 +209,14 @@ func ParseLogLenientObserved(r io.Reader, c MetricsCollector) (*Log, *Salvage, e
 	return sig.ParseLenientObserved(r, c)
 }
 
-// ParseLogLenientObservedTee is ParseLogLenientObserved with every kept
-// event also delivered to tee as it is parsed. With a TimelineBuilder
-// as the tee, parsing and timeline extraction run as one fused pass;
-// add TimelineBuilder.TeeSteps into a StreamLoopDetector and loop
-// detection joins the same pass — the full live-analysis pipeline.
-func ParseLogLenientObservedTee(r io.Reader, c MetricsCollector, tee LogSink) (*Log, *Salvage, error) {
-	return sig.ParseLenientObservedTee(r, c, tee)
+// ParseLogLenientTo is ParseLogLenientObserved delivering every kept
+// event to sink as it is parsed instead of collecting a Log. With a
+// TimelineBuilder as the sink, parsing and timeline extraction run as
+// one fused pass; add TimelineBuilder.TeeSteps into a
+// StreamLoopDetector and loop detection joins the same pass — the full
+// live-analysis pipeline.
+func ParseLogLenientTo(r io.Reader, c MetricsCollector, sink LogSink) (*Salvage, error) {
+	return sig.ParseLenientTo(r, c, sink)
 }
 
 // NewTimelineBuilder returns a TimelineBuilder whose timeline starts,
@@ -224,17 +225,10 @@ func NewTimelineBuilder() *TimelineBuilder { return trace.NewBuilder() }
 
 // NewStreamLoopDetector returns an incremental loop detector; feed it
 // timeline steps via TimelineBuilder.TeeSteps (or Push directly) and
-// finish with Flush. See core.StreamDetector for the equivalence
-// contract with DetectLoops.
+// finish with Flush. DetectLoops and Analyze run the same detector over
+// a finished timeline.
 func NewStreamLoopDetector(cfg StreamDetectorConfig) *StreamLoopDetector {
 	return core.NewStreamDetector(cfg)
-}
-
-// DetectLoopsHorizon is DetectLoops with the cycle length capped at
-// horizon steps (0 = uncapped) — the batch reference for a bounded
-// StreamLoopDetector.
-func DetectLoopsHorizon(tl *Timeline, horizon int) []*Loop {
-	return core.DetectAllHorizon(tl, horizon)
 }
 
 // Capture fault injection (testing analysis pipelines against the
@@ -264,7 +258,7 @@ func FaultProfile(rate float64) FaultRates { return faults.Profile(rate) }
 func ExtractTimeline(l *Log) *Timeline { return trace.Extract(l) }
 
 // DetectLoops finds every ON-OFF loop in a timeline (Fig. 4).
-func DetectLoops(tl *Timeline) []*Loop { return core.DetectAll(tl) }
+func DetectLoops(tl *Timeline) []*Loop { return core.Analyze(tl).Loops }
 
 // ClassifyLoop determines a loop's sub-type (Figs. 13–15).
 func ClassifyLoop(l *Loop) Subtype { return core.Classify(l) }
