@@ -8,15 +8,15 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
-PIPELINE_BENCH = ^Benchmark(Emit|StringParse|StreamParse|StreamParseObserved|ParseReuse|StringCorruptParse|StreamCorruptParse|StreamDetect)$$
+PIPELINE_BENCH = ^Benchmark(Emit|StreamParse|StreamParseObserved|ParseReuse|StreamCorruptParse|StreamDetect)$$
 
 # Parse benchmarks whose allocs/op regressions fail bench-compare at ANY
 # growth: these parse one fixed capture, so their allocation count is
 # exactly reproducible and pins its figure with no tolerance window to
-# hide in. The corrupt-parse benchmarks stay on the normal tolerance —
-# they draw a fresh fault seed per iteration, so their allocs/op moves
-# by a count or two with b.N.
-STRICT_ALLOC_BENCH = ^Benchmark(StringParse|StreamParse|StreamParseObserved|ParseReuse)$$
+# hide in. The corrupt-parse benchmark stays on the normal tolerance —
+# it draws a fresh fault seed per iteration, so its allocs/op moves by
+# a count or two with b.N.
+STRICT_ALLOC_BENCH = ^Benchmark(StreamParse|StreamParseObserved|ParseReuse)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test bench-module crash-resume fuzz bench bench-baseline bench-compare clean
 

@@ -110,9 +110,8 @@ func BenchmarkSimulateRun(b *testing.B) {
 // BenchmarkEmitParse measures the signaling-log text round trip.
 func BenchmarkEmitParse(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
-	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
-		Duration: 5 * time.Minute, Seed: 7})
-	text := res.Log.String()
+	text := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
+		Duration: 5 * time.Minute, Seed: 7}).String()
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -127,7 +126,7 @@ func benchLog(b *testing.B) *sig.Log {
 	b.Helper()
 	op, dep, cl := benchRunSetup(b)
 	return uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
-		Duration: 5 * time.Minute, Seed: 7}).Log
+		Duration: 5 * time.Minute, Seed: 7})
 }
 
 // BenchmarkEmit measures event-at-a-time rendering of a full capture.
@@ -137,20 +136,6 @@ func BenchmarkEmit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := log.WriteTo(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStringParse is the pre-streaming pipeline shape: materialize
-// the capture text, then re-parse it. The baseline BenchmarkStreamParse
-// is measured against.
-func BenchmarkStringParse(b *testing.B) {
-	log := benchLog(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sig.ParseString(log.String()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,21 +211,6 @@ func BenchmarkParseReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkStringCorruptParse: the pre-streaming fault path — emit to a
-// string, corrupt the whole string, lenient-reparse.
-func BenchmarkStringCorruptParse(b *testing.B) {
-	log := benchLog(b)
-	rates := faults.Profile(0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inj := faults.New(int64(i), rates)
-		if _, _, err := sig.ParseLenientString(inj.Corrupt(log.String())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStreamCorruptParse: the streamed fault path campaign.runOnce
 // uses — corruption happens in flight between emitter and parser.
 func BenchmarkStreamCorruptParse(b *testing.B) {
@@ -260,7 +230,7 @@ func BenchmarkStreamCorruptParse(b *testing.B) {
 			}
 			pw.CloseWithError(em.Close())
 		}()
-		if _, _, err := sig.ParseLenient(inj.Reader(pr)); err != nil {
+		if _, _, err := sig.ParseLenientObserved(inj.Reader(pr), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,11 +239,11 @@ func BenchmarkStreamCorruptParse(b *testing.B) {
 // BenchmarkExtract measures CS-timeline extraction from a parsed log.
 func BenchmarkExtract(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
-	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
+	log := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
 		Duration: 5 * time.Minute, Seed: 7})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trace.Extract(res.Log)
+		trace.Extract(log)
 	}
 }
 
@@ -283,9 +253,8 @@ func BenchmarkExtract(b *testing.B) {
 // on top of extraction.
 func BenchmarkStreamDetect(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
-	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
-		Duration: 5 * time.Minute, Seed: 7})
-	tl := trace.Extract(res.Log)
+	tl := trace.Extract(uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
+		Duration: 5 * time.Minute, Seed: 7}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -300,9 +269,8 @@ func BenchmarkStreamDetect(b *testing.B) {
 // BenchmarkThroughput measures the speed-series generator.
 func BenchmarkThroughput(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
-	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
-		Duration: 5 * time.Minute, Seed: 7})
-	tl := trace.Extract(res.Log)
+	tl := trace.Extract(uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
+		Duration: 5 * time.Minute, Seed: 7}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		throughput.Generate(tl, op, int64(i))
@@ -345,10 +313,10 @@ func BenchmarkPublicAPI(b *testing.B) {
 	op := loopscope.OperatorByName("OPT")
 	dep := loopscope.BuildDeployment(op, loopscope.Areas()[0], 43)
 	for i := 0; i < b.N; i++ {
-		res := loopscope.SimulateRun(loopscope.RunConfig{
+		capture := loopscope.SimulateRun(loopscope.RunConfig{
 			Op: op, Field: dep.Field, Cluster: dep.Clusters[0],
 			Duration: time.Minute, Seed: int64(i)})
-		parsed, err := loopscope.ParseLogString(res.Log.String())
+		parsed, err := loopscope.ParseLog(strings.NewReader(capture.String()), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

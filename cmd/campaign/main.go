@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := loopscope.StudyOptions{Seed: *seed, RunScale: *scale, Duration: *duration,
-		Workers: *workers, Checkpoint: *ckpt, Resume: *resume}
+		Workers: *workers, Checkpoint: *ckpt}
 	var reg *obs.Registry
 	if *metrics != "" || *debug != "" {
 		reg = obs.NewRegistry()
@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	st, code := buildStudy(ctx, stderr, opts, *sink, *ckpt)
+	st, code := buildStudy(ctx, stderr, opts, *sink, *resume)
 	if code != 0 {
 		return code
 	}
@@ -145,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // buildStudy executes (or resumes) the study under ctx, wiring the
 // optional JSONL record sink, and maps engine errors to exit codes.
 func buildStudy(ctx context.Context, stderr io.Writer, opts loopscope.StudyOptions,
-	sinkPath, ckpt string) (*loopscope.Study, int) {
+	sinkPath string, resume bool) (*loopscope.Study, int) {
 
 	closeSink := func() error { return nil }
 	if sinkPath != "" {
@@ -159,14 +159,14 @@ func buildStudy(ctx context.Context, stderr io.Writer, opts loopscope.StudyOptio
 	}
 	var st *loopscope.Study
 	var err error
-	if opts.Resume {
+	if resume {
 		var sal *loopscope.CheckpointSalvage
-		st, sal, err = loopscope.ResumeStudy(ctx, opts, ckpt)
+		st, sal, err = loopscope.ResumeStudy(ctx, opts, opts.Checkpoint)
 		if sal != nil && !sal.Clean() {
 			fmt.Fprintln(stderr, "campaign: checkpoint journal salvaged:", sal.Summary())
 		}
 	} else {
-		st, err = loopscope.RunStudyContext(ctx, opts)
+		st, err = loopscope.RunStudy(ctx, opts)
 	}
 	if cerr := closeSink(); cerr != nil && err == nil {
 		err = cerr
@@ -174,8 +174,8 @@ func buildStudy(ctx context.Context, stderr io.Writer, opts loopscope.StudyOptio
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintln(stderr, "campaign: interrupted:", err)
-			if ckpt != "" {
-				fmt.Fprintln(stderr, "campaign: completed runs are journaled in", ckpt,
+			if opts.Checkpoint != "" {
+				fmt.Fprintln(stderr, "campaign: completed runs are journaled in", opts.Checkpoint,
 					"— re-run with -resume to continue")
 			}
 			return nil, exitInterrupted

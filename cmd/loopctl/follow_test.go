@@ -26,6 +26,34 @@ func decodeFollowEvents(t *testing.T, out *bytes.Buffer) []jsonFollowEvent {
 	return events
 }
 
+// TestFollowRejectsBadTuningFlags: a -poll that is not positive would
+// spin without ever reaching -idle-exit, and a negative -idle-exit or
+// -horizon would read as unbounded. Each is a usage error, reported at
+// once instead of a follower that never returns.
+func TestFollowRejectsBadTuningFlags(t *testing.T) {
+	path := capturePath(t)
+	for _, flags := range [][]string{
+		{"-poll", "0", "-idle-exit", "300ms"},
+		{"-poll", "-10ms", "-idle-exit", "300ms"},
+		{"-idle-exit", "-1s"},
+		{"-horizon", "-1", "-idle-exit", "300ms"},
+	} {
+		args := append(append([]string{"-follow", "-json"}, flags...), "analyze", path)
+		var out, errOut bytes.Buffer
+		done := make(chan int, 1)
+		go func() { done <- run(args, strings.NewReader(""), &out, &errOut) }()
+		select {
+		case code := <-done:
+			if code != 2 || errOut.Len() == 0 || out.Len() != 0 {
+				t.Errorf("run(%q) = %d, stdout %q, stderr %q; want exit 2 with a usage message",
+					args, code, out.String(), errOut.String())
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run(%q) still running after 5s; want an immediate usage error", args)
+		}
+	}
+}
+
 // TestFollowGrowingCapture is the live-detection e2e: a capture file is
 // written in two halves while -follow tails it, and the loop must be
 // flagged exactly once, matching what batch analysis finds on the

@@ -77,10 +77,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.BoolVar(&a.followOn, "follow", false, "with analyze: tail the capture as it grows and emit a loop record per lifecycle event (always lenient)")
 	fs.DurationVar(&a.poll, "poll", 200*time.Millisecond, "with -follow: how often to re-check the capture file for growth")
 	fs.DurationVar(&a.idleExit, "idle-exit", 0, "with -follow: stop once the capture has not grown for this long (0 = follow until interrupted)")
-	fs.IntVar(&a.horizon, "horizon", 0, "with -follow: bound detection to cycles of at most this many steps, capping memory (0 = unbounded)")
+	fs.IntVar(&a.horizon, "horizon", 0, "with -follow: bound detection to cycles of at most this many steps; this caps the detector's window only, the timeline still keeps every step (0 = unbounded)")
 	debug := fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address while the command runs")
 	fs.Usage = func() { a.usage() }
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if msg := a.flagError(); msg != "" {
+		fmt.Fprintln(stderr, "loopctl:", msg)
 		return 2
 	}
 	rest := fs.Args()
@@ -139,6 +143,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// flagError reports the first -follow tuning flag whose value has no
+// meaning: a poll interval that is not positive would spin without ever
+// reaching -idle-exit, and a negative -idle-exit or -horizon would read
+// as "unbounded".
+func (a *app) flagError() string {
+	switch {
+	case a.poll <= 0:
+		return fmt.Sprintf("-poll %v: must be positive", a.poll)
+	case a.idleExit < 0:
+		return fmt.Sprintf("-idle-exit %v: must not be negative", a.idleExit)
+	case a.horizon < 0:
+		return fmt.Sprintf("-horizon %d: must not be negative", a.horizon)
+	}
+	return ""
+}
+
 func (a *app) usage() {
 	fmt.Fprintf(a.stderr, `loopctl — 5G ON-OFF loop analyzer
 
@@ -186,7 +206,7 @@ func (a *app) export(path string) error {
 	dep := loopscope.BuildDeployment(op, loopscope.Areas()[0], 43)
 	cl := bestLoopSite(dep)
 	endSim := a.span(obs.StageSimulate)
-	res := loopscope.SimulateRun(loopscope.RunConfig{
+	log := loopscope.SimulateRun(loopscope.RunConfig{
 		Op: op, Field: dep.Field, Cluster: cl,
 		Duration: 5 * time.Minute, Seed: 7,
 		Metrics: a.collector(),
@@ -196,15 +216,15 @@ func (a *app) export(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := res.Log.WriteTo(f); err != nil {
+	if _, err := log.WriteTo(f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(a.stdout, "wrote %s (%d events over %s)\n", path, res.Log.Len(),
-		res.Log.Duration().Round(time.Second))
+	fmt.Fprintf(a.stdout, "wrote %s (%d events over %s)\n", path, log.Len(),
+		log.Duration().Round(time.Second))
 	return nil
 }
 
@@ -227,7 +247,7 @@ func (a *app) analyze(path string) error {
 	}
 	if a.lenient {
 		endParse := a.span(obs.StageParse)
-		log, sal, err := loopscope.ParseLogLenientObserved(r, a.collector())
+		log, sal, err := loopscope.ParseLogLenient(r, a.collector())
 		endParse()
 		if err != nil {
 			return err
@@ -236,7 +256,7 @@ func (a *app) analyze(path string) error {
 		return nil
 	}
 	endParse := a.span(obs.StageParse)
-	log, err := loopscope.ParseLogObserved(r, a.collector())
+	log, err := loopscope.ParseLog(r, a.collector())
 	endParse()
 	if err != nil {
 		return err
@@ -254,14 +274,14 @@ func (a *app) demo() error {
 	// Pick the location whose archetype loops most reliably.
 	cl := bestLoopSite(dep)
 	endSim := a.span(obs.StageSimulate)
-	res := loopscope.SimulateRun(loopscope.RunConfig{
+	log := loopscope.SimulateRun(loopscope.RunConfig{
 		Op: op, Field: dep.Field, Cluster: cl,
 		Duration: 3 * time.Minute, Seed: 7,
 		Metrics: a.collector(),
 	})
 	endSim()
 	fmt.Fprintf(a.stdout, "simulated 3-minute run at %v (%s, %s)\n\n", cl.Loc, op.Name, op.Mode)
-	a.report(res.Log)
+	a.report(log)
 	return nil
 }
 

@@ -2,15 +2,16 @@ package loopscope_test
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/mssn/loopscope"
 )
 
-// ExampleParseLogString demonstrates the analysis pipeline over a
+// ExampleParseLog demonstrates the analysis pipeline over a
 // minimal hand-written capture: two identical ON→OFF cycles caused by a
 // failing intra-channel SCell modification classify as a persistent
 // S1E3 loop.
-func ExampleParseLogString() {
+func ExampleParseLog() {
 	capture := `00:00:00.210 NR5G RRC OTA Packet -- UL_DCCH / RRCSetupComplete
   Physical Cell ID = 393, Freq = 521310
 00:00:03.200 NR5G RRC OTA Packet -- DL_DCCH / RRCReconfiguration
@@ -38,11 +39,11 @@ func ExampleParseLogString() {
 00:00:21.200 SYS -- EXCEPTION
   MM5G State = DEREGISTERED, Substate = NO_CELL_AVAILABLE
 `
-	log, err := loopscope.ParseLogString(capture)
+	log, err := loopscope.ParseLog(strings.NewReader(capture), nil)
 	if err != nil {
 		panic(err)
 	}
-	analysis := loopscope.AnalyzeLog(log)
+	analysis := loopscope.Analyze(loopscope.ExtractTimeline(log))
 	loop, subtype := analysis.Primary()
 	fmt.Println("subtype:", subtype)
 	fmt.Println("type:", subtype.Type())

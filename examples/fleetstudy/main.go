@@ -54,11 +54,11 @@ func main() {
 			loops := 0
 			var cellsUsed int
 			for r := 0; r < runs; r++ {
-				res := loopscope.SimulateRun(loopscope.RunConfig{
+				capture := loopscope.SimulateRun(loopscope.RunConfig{
 					Op: op, Field: dep.Field, Cluster: cluster, Device: dev,
 					Duration: 4 * time.Minute, Seed: int64(100*r + len(dev.Name)),
 				})
-				tl := loopscope.ExtractTimeline(res.Log)
+				tl := loopscope.ExtractTimeline(capture)
 				if loopscope.Analyze(tl).HasLoop() {
 					loops++
 				}

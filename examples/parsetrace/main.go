@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"github.com/mssn/loopscope"
@@ -72,7 +73,7 @@ const capture = `00:00:01.635 NR5G RRC OTA Packet -- BCCH_BCH / MIB
 `
 
 func main() {
-	parsed, err := loopscope.ParseLogString(capture)
+	parsed, err := loopscope.ParseLog(strings.NewReader(capture), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,11 +46,11 @@ func main() {
 			p := site.Loc.Add(float64(dx)*50, float64(dy)*50)
 			loops := 0
 			for r := 0; r < runs; r++ {
-				res := loopscope.SimulateRun(loopscope.RunConfig{
+				capture := loopscope.SimulateRun(loopscope.RunConfig{
 					Op: op, Field: dep.Field, Cluster: site, Loc: p,
 					Duration: 3 * time.Minute, Seed: int64(gi*97 + r),
 				})
-				a := loopscope.AnalyzeLog(res.Log)
+				a := loopscope.Analyze(loopscope.ExtractTimeline(capture))
 				if _, st := a.Primary(); st == loopscope.S1E3 {
 					loops++
 				}
@@ -84,11 +84,11 @@ func main() {
 		pred := model.Predict([]loopscope.Combo{{PCellGapDB: 12, SCellGapDB: gap}})
 		loops := 0
 		for r := 0; r < runs; r++ {
-			res := loopscope.SimulateRun(loopscope.RunConfig{
+			capture := loopscope.SimulateRun(loopscope.RunConfig{
 				Op: op, Field: dep.Field, Cluster: cl,
 				Duration: 3 * time.Minute, Seed: int64(9000 + i*31 + r),
 			})
-			if _, st := loopscope.AnalyzeLog(res.Log).Primary(); st == loopscope.S1E3 {
+			if _, st := loopscope.Analyze(loopscope.ExtractTimeline(capture)).Primary(); st == loopscope.S1E3 {
 				loops++
 			}
 		}

@@ -31,14 +31,14 @@ func main() {
 
 	// 2. Simulate a stationary bulk-download run. The result is an
 	// NSG-style signaling log.
-	res := loopscope.SimulateRun(loopscope.RunConfig{
+	capture := loopscope.SimulateRun(loopscope.RunConfig{
 		Op: op, Field: dep.Field, Cluster: cluster,
 		Duration: loopscope.DefaultRunDuration, Seed: 7,
 	})
 
 	// 3. The analysis pipeline never touches simulator internals: it
 	// re-parses the textual log, exactly like the real methodology.
-	parsed, err := loopscope.ParseLogString(res.Log.String())
+	parsed, err := loopscope.ParseLog(strings.NewReader(capture.String()), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func main() {
 	// One 10-minute walk at 1 m/s across the site.
 	start := site.Loc.Add(-300, 0)
 	end := site.Loc.Add(300, 0)
-	res := loopscope.SimulateRun(loopscope.RunConfig{
+	capture := loopscope.SimulateRun(loopscope.RunConfig{
 		Op: op, Field: dep.Field, Cluster: site,
 		Loc:          start,
 		Path:         []loopscope.Point{end},
@@ -49,7 +49,7 @@ func main() {
 		Duration:     10 * time.Minute,
 		Seed:         11,
 	})
-	tl := loopscope.ExtractTimeline(res.Log)
+	tl := loopscope.ExtractTimeline(capture)
 
 	// Report each 5G release with the walker's position and the local
 	// gap between the two co-channel cells at that moment.

@@ -2,7 +2,7 @@
 // stationary runs across the 11 test areas exactly the way §4.1
 // describes — multiple locations per area, repeated 5-minute bulk
 // download runs per location — and keeps per-run records (CS timeline,
-// loop analysis, throughput series) that the experiment generators
+// loop analysis, measurement counts) that the experiment generators
 // aggregate into the paper's tables and figures.
 package campaign
 
@@ -23,7 +23,6 @@ import (
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/rrc"
 	"github.com/mssn/loopscope/internal/sig"
-	"github.com/mssn/loopscope/internal/throughput"
 	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 )
@@ -49,42 +48,22 @@ type Options struct {
 	RunScale float64
 	// Device is the test phone (default OnePlus 12R).
 	Device *device.Profile
-	// KeepSpeeds records the per-second throughput series (needed for
-	// Fig. 1b/11; off by default to keep memory flat).
-	KeepSpeeds bool
 	// FaultRates, when non-nil, routes every run's capture through a
 	// seeded faults.Injector and the salvage pipeline: the emitted log
-	// is corrupted, re-parsed with sig.ParseLenient and analyzed from
+	// is corrupted, re-parsed with sig.ParseLenientTo and analyzed from
 	// whatever survived, mirroring how real damaged captures are
 	// ingested. Each record carries its Salvage report.
 	FaultRates *faults.Rates
-	// MaxRetries bounds the retries of a failed run (default
-	// DefaultMaxRetries; negative disables retries).
-	MaxRetries int
 	// Workers bounds the RunArea worker pool; 0 means one worker per
 	// CPU. Record order and content are identical at any worker count.
 	Workers int
-	// RunTimeout, when positive, bounds each run attempt's wall-clock
-	// time: an attempt that exceeds it aborts between events and
-	// produces a FailDeadline record (final — deadlines are not
-	// retried). Whether a given run hits the deadline depends on the
-	// machine, so studies that must stay byte-deterministic leave it
-	// zero.
-	RunTimeout time.Duration
-	// RetryBackoff, when positive, is the base delay slept before each
-	// panic retry, doubling per attempt (backoff, 2·backoff, ...). The
-	// sleep is context-aware: cancellation interrupts it.
-	RetryBackoff time.Duration
 	// Checkpoint, when non-empty, is the path of the durable run
 	// journal (see internal/checkpoint and docs/RESILIENCE.md): every
 	// completed run appends one checksummed entry keyed by its
-	// deterministic identity, and a later RunContext with Resume set
-	// replays the journal to skip finished runs.
+	// deterministic identity, and Resume replays the journal to skip
+	// finished runs. RunContext refuses a journal that already holds
+	// entries, so two studies cannot silently interleave into one file.
 	Checkpoint string
-	// Resume permits RunContext to replay an existing non-empty
-	// journal at Checkpoint. Without it a pre-populated journal is an
-	// error, so two studies cannot silently interleave into one file.
-	Resume bool
 	// Sink, when non-nil, additionally receives every completed record
 	// in deterministic order as the study executes (see Sink).
 	Sink Sink
@@ -117,11 +96,6 @@ func (o Options) withDefaults() Options {
 	if o.Device == nil {
 		o.Device = device.OnePlus12R()
 	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = DefaultMaxRetries
-	} else if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
 	return o
 }
 
@@ -137,7 +111,6 @@ type Record struct {
 
 	Timeline  *trace.Timeline
 	Analysis  core.Analysis
-	Speeds    []throughput.Sample
 	MeasCount int // individual RSRP/RSRQ values reported (Table 3)
 
 	// Salvage reports what lenient parsing recovered when the run's
@@ -148,8 +121,8 @@ type Record struct {
 	// is only set for panics.
 	Err   string
 	Stack string
-	// FailKind classifies the failure carried by Err (panic, deadline
-	// or cancellation); FailNone for successful runs.
+	// FailKind classifies the failure carried by Err (panic or
+	// cancellation); FailNone for successful runs.
 	FailKind FailureKind
 	// Attempts is how many executions this record took (1 for a clean
 	// first run; retries increment it).
@@ -157,9 +130,8 @@ type Record struct {
 }
 
 // FailureKind is the closed taxonomy of run failures. Only panics are
-// retried; a deadline is a final outcome (the run is deterministic, so
-// retrying would burn the same wall-clock again), and a cancelled run
-// belongs to a study that is shutting down.
+// retried; a cancelled run belongs to a study that is shutting down.
+// Journals and sinks only ever hold FailNone and FailPanic records.
 type FailureKind uint8
 
 const (
@@ -167,10 +139,7 @@ const (
 	FailNone FailureKind = iota
 	// FailPanic marks a run that panicked; Stack holds the trace.
 	FailPanic
-	// FailDeadline marks a run that exceeded Options.RunTimeout while
-	// the study itself was still live; a deadline inherited from the
-	// study context is classified FailCancelled instead.
-	FailDeadline
+	_ // 2 marked the retired per-run deadline; journals keep the numbering
 	// FailCancelled marks a run aborted by study cancellation; such
 	// records are never checkpointed or delivered to sinks, so a
 	// resumed study re-executes them.
@@ -184,8 +153,6 @@ func (k FailureKind) String() string {
 		return "none"
 	case FailPanic:
 		return "panic"
-	case FailDeadline:
-		return "deadline"
 	case FailCancelled:
 		return "cancelled"
 	default:
@@ -286,16 +253,6 @@ func Run(opts Options) *Study {
 	return st
 }
 
-// RunOperator executes the study for a single operator. See Run for
-// the error contract.
-func RunOperator(op *policy.Operator, opts Options) *Study {
-	st, err := RunOperatorContext(context.Background(), op, opts)
-	if err != nil {
-		panic(fmt.Sprintf("campaign.RunOperator: %v (use RunOperatorContext to handle engine errors)", err))
-	}
-	return st
-}
-
 // RunArea executes all runs of one area. Runs are independent (each
 // derives its own seed), so they execute on a bounded worker pool; the
 // record order — and therefore every downstream aggregate — is
@@ -304,23 +261,15 @@ func RunOperator(op *policy.Operator, opts Options) *Study {
 func RunArea(op *policy.Operator, spec deploy.AreaSpec, opts Options) *AreaResult {
 	opts.Checkpoint, opts.Sink = "", nil
 	r := &runner{opts: opts.withDefaults()}
-	return r.runArea(context.Background(), op, spec, true)
-}
-
-// ExecuteRun performs a single run under a background context; see
-// ExecuteRunContext.
-func ExecuteRun(op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
-	locIdx, runIdx int, opts Options) *Record {
-	return ExecuteRunContext(context.Background(), op, dep, cl, locIdx, runIdx, opts)
+	return r.runArea(context.Background(), op, spec)
 }
 
 // ExecuteRunContext performs a single run and post-processes it
 // through the full analysis pipeline. A run that panics does not tear
 // down the study: the panic is captured into a failure Record (with
-// error and stack), and the run is retried — after a context-aware
-// backoff — up to Options.MaxRetries times with a perturbed seed
-// before the failure sticks. Deadline and cancellation failures are
-// final and never retried; cancellation during a retry backoff also
+// error and stack), and the run is retried up to DefaultMaxRetries
+// times with a perturbed seed before the failure sticks. Cancellation
+// is final and never retried; a study cancelled before a retry also
 // yields a cancelled record (not the interim panic), because an
 // uninterrupted study would have retried and the panic must not be
 // checkpointed as final.
@@ -331,22 +280,15 @@ func ExecuteRunContext(ctx context.Context, op *policy.Operator, dep *deploy.Dep
 		ctx = context.Background()
 	}
 	rec := runOnce(ctx, op, dep, cl, locIdx, runIdx, 0, opts)
-	for attempt := 1; rec.FailKind == FailPanic && attempt <= opts.MaxRetries; attempt++ {
-		if !sleepBackoff(ctx, opts.RetryBackoff, attempt) {
-			// Cancelled while backing off. The interim panic record must
-			// not stand: it would be checkpointed as a final failure,
-			// while an uninterrupted study would have retried (possibly
-			// succeeding) — resume(k) would diverge from the baseline.
-			// Demote it to a cancelled record, which the engine neither
-			// checkpoints nor delivers, so the resumed study re-runs it
-			// with the full retry budget.
-			cause := context.Cause(ctx)
-			if cause == nil {
-				cause = context.Canceled
-			}
-			rec.Err = cause.Error()
-			rec.Stack = ""
-			rec.FailKind = FailCancelled
+	for attempt := 1; rec.FailKind == FailPanic && attempt <= DefaultMaxRetries; attempt++ {
+		if err := context.Cause(ctx); err != nil {
+			// The interim panic record must not stand: it would be
+			// checkpointed as a final failure, while an uninterrupted
+			// study would have retried (possibly succeeding) — resume(k)
+			// would diverge from the baseline. Demote it to a cancelled
+			// record, which the engine neither checkpoints nor delivers,
+			// so the resumed study re-runs it with the full retry budget.
+			rec.Err, rec.Stack, rec.FailKind = err.Error(), "", FailCancelled
 			break
 		}
 		retry := runOnce(ctx, op, dep, cl, locIdx, runIdx, attempt, opts)
@@ -364,10 +306,6 @@ func ExecuteRunContext(ctx context.Context, op *policy.Operator, dep *deploy.Dep
 		if rec.Failed() {
 			c.Add("campaign.failures", 1)
 			c.Add("campaign.failures"+label, 1)
-		}
-		switch rec.FailKind {
-		case FailNone:
-		case FailPanic, FailDeadline, FailCancelled:
 			c.Add("campaign.failures."+rec.FailKind.String(), 1)
 			c.Add("campaign.failures."+rec.FailKind.String()+label, 1)
 		}
@@ -377,25 +315,6 @@ func ExecuteRunContext(ctx context.Context, op *policy.Operator, dep *deploy.Dep
 		}
 	}
 	return rec
-}
-
-// sleepBackoff waits out the retry backoff for the given attempt
-// (base·2^(attempt-1)), returning false if ctx was cancelled first.
-//
-//loopvet:detsafe retry pacing only: the timer decides when a failed run is retried, never what it produces — record bytes and delivery order stay seed-determined, and the crash-resume byte-identity tests gate that
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
-	if base <= 0 {
-		return true
-	}
-	d := base << (attempt - 1)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // metricLabel renders the per-operator/area counter suffix, e.g.
@@ -417,8 +336,8 @@ func startStage(c obs.Collector, s obs.Stage) func() {
 var testHookPanic func(area string, locIdx, runIdx, attempt int) bool
 
 // runOnce executes one attempt of a run under panic isolation and the
-// study context. A context abort (cancellation or per-run deadline)
-// surfaces as a typed failure record, not a panic.
+// study context. A context abort surfaces as a FailCancelled record,
+// not a panic.
 func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
 	locIdx, runIdx, attempt int, opts Options) (rec *Record) {
 	rec = &Record{
@@ -438,7 +357,6 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 			rec.FailKind = FailPanic
 			rec.Timeline = nil
 			rec.Analysis = core.Analysis{}
-			rec.Speeds = nil
 			rec.MeasCount = 0
 			rec.Salvage = nil
 			if c := opts.Metrics; c != nil {
@@ -449,12 +367,6 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 	}()
 	if testHookPanic != nil && testHookPanic(dep.Area.ID, locIdx, runIdx, attempt) {
 		panic("injected test failure")
-	}
-	parent := ctx
-	if opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.RunTimeout)
-		defer cancel()
 	}
 	// Retries perturb the seed so a deterministic crash input is not
 	// replayed verbatim.
@@ -489,7 +401,7 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 	}
 	if abort != nil {
 		rec.Err = abort.Error()
-		rec.FailKind = failKindFor(abort, parent, opts.RunTimeout > 0)
+		rec.FailKind = FailCancelled
 		return rec
 	}
 	endExtract := startStage(opts.Metrics, obs.StageExtract)
@@ -501,9 +413,6 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 	endDetect()
 	endAnalyze := startStage(opts.Metrics, obs.StageAnalyze)
 	rec.MeasCount = sink.meas
-	if opts.KeepSpeeds {
-		rec.Speeds = throughput.Generate(tl, op, seed+1)
-	}
 	endAnalyze()
 	return rec
 }
@@ -586,20 +495,6 @@ func normalizeSalvage(sal *sig.Salvage) *sig.Salvage {
 		pe.Err = errors.New(pe.Err.Error())
 	}
 	return sal
-}
-
-// failKindFor maps a context abort error to its failure kind. A
-// DeadlineExceeded is FailDeadline only when it came from the per-run
-// timeout: parent is the study context as runOnce received it (before
-// the RunTimeout wrap), and if parent is itself done the whole study
-// is shutting down — e.g. RunStudyContext under context.WithTimeout —
-// so the run is FailCancelled and a resumed study re-executes it
-// instead of replaying a bogus permanent failure.
-func failKindFor(err error, parent context.Context, perRunTimeout bool) FailureKind {
-	if perRunTimeout && parent.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-		return FailDeadline
-	}
-	return FailCancelled
 }
 
 // deployHash distinguishes run seeds across areas.

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"encoding/csv"
 	"math"
 	"reflect"
@@ -176,8 +177,8 @@ func TestExecuteRunDeterministic(t *testing.T) {
 	spec := deploy.AreasFor("OPA")[0]
 	opts := smallOpts()
 	dep := deploy.Build(op, spec, opts.Seed+1)
-	a := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, opts)
-	b := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, opts)
+	a := ExecuteRunContext(context.Background(), op, dep, dep.Clusters[0], 0, 0, opts)
+	b := ExecuteRunContext(context.Background(), op, dep, dep.Clusters[0], 0, 0, opts)
 	if len(a.Timeline.Steps) != len(b.Timeline.Steps) {
 		t.Fatal("non-deterministic run")
 	}
@@ -185,21 +186,6 @@ func TestExecuteRunDeterministic(t *testing.T) {
 		if !a.Timeline.Steps[i].Set.Equal(b.Timeline.Steps[i].Set) {
 			t.Fatal("non-deterministic timeline")
 		}
-	}
-}
-
-func TestKeepSpeeds(t *testing.T) {
-	op := policy.OPT()
-	spec := deploy.AreasFor("OPT")[1]
-	opts := smallOpts()
-	opts.KeepSpeeds = true
-	dep := deploy.Build(op, spec, opts.Seed+1)
-	rec := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, opts)
-	if len(rec.Speeds) == 0 {
-		t.Fatal("speeds not kept")
-	}
-	if got := len(rec.Speeds); got != int(opts.Duration/time.Second) {
-		t.Errorf("speed samples = %d", got)
 	}
 }
 
@@ -380,7 +366,7 @@ func TestRunRetryRecovers(t *testing.T) {
 
 	op := policy.OPT()
 	dep := deploy.Build(op, deploy.AreasFor("OPT")[1], 43)
-	rec := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, Options{Seed: 42, Duration: 30 * time.Second})
+	rec := ExecuteRunContext(context.Background(), op, dep, dep.Clusters[0], 0, 0, Options{Seed: 42, Duration: 30 * time.Second})
 	if rec.Failed() {
 		t.Fatalf("retry should have recovered: %s", rec.Err)
 	}

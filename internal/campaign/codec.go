@@ -12,7 +12,6 @@ import (
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/rrc"
 	"github.com/mssn/loopscope/internal/sig"
-	"github.com/mssn/loopscope/internal/throughput"
 	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/units"
 )
@@ -29,22 +28,21 @@ import (
 // the crashtest golden suite).
 
 type recordWire struct {
-	Op        string              `json:"op"`
-	Area      string              `json:"area"`
-	City      string              `json:"city"`
-	LocIndex  int                 `json:"loc"`
-	RunIndex  int                 `json:"run"`
-	Device    string              `json:"device"`
-	Arch      deploy.Archetype    `json:"arch"`
-	Timeline  *timelineWire       `json:"timeline"`
-	Analysis  analysisWire        `json:"analysis"`
-	Speeds    []throughput.Sample `json:"speeds"`
-	MeasCount int                 `json:"meas_count"`
-	Salvage   *salvageWire        `json:"salvage"`
-	Err       string              `json:"err"`
-	Stack     string              `json:"stack"`
-	FailKind  FailureKind         `json:"fail_kind"`
-	Attempts  int                 `json:"attempts"`
+	Op        string           `json:"op"`
+	Area      string           `json:"area"`
+	City      string           `json:"city"`
+	LocIndex  int              `json:"loc"`
+	RunIndex  int              `json:"run"`
+	Device    string           `json:"device"`
+	Arch      deploy.Archetype `json:"arch"`
+	Timeline  *timelineWire    `json:"timeline"`
+	Analysis  analysisWire     `json:"analysis"`
+	MeasCount int              `json:"meas_count"`
+	Salvage   *salvageWire     `json:"salvage"`
+	Err       string           `json:"err"`
+	Stack     string           `json:"stack"`
+	FailKind  FailureKind      `json:"fail_kind"`
+	Attempts  int              `json:"attempts"`
 }
 
 type timelineWire struct {
@@ -116,7 +114,6 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 		RunIndex:  rec.RunIndex,
 		Device:    rec.Device,
 		Arch:      rec.Arch,
-		Speeds:    rec.Speeds,
 		MeasCount: rec.MeasCount,
 		Err:       rec.Err,
 		Stack:     rec.Stack,
@@ -158,11 +155,18 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 }
 
 // DecodeRecord is EncodeRecord's inverse; the decoded record is
-// reflect.DeepEqual to the encoded one.
+// reflect.DeepEqual to the encoded one. Journals and sinks only ever
+// hold completed or panicked runs, so any other failure kind is an
+// error. Members this version no longer has (the "speeds" of older
+// records) are ignored.
 func DecodeRecord(data []byte) (*Record, error) {
 	var w recordWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("campaign: decoding record: %w", err)
+	}
+	if w.FailKind != FailNone && w.FailKind != FailPanic {
+		return nil, fmt.Errorf("campaign: decoding record: fail_kind %d (%v): journals and sinks hold only completed or panicked runs",
+			uint8(w.FailKind), w.FailKind)
 	}
 	rec := &Record{
 		Op:        w.Op,
@@ -172,7 +176,6 @@ func DecodeRecord(data []byte) (*Record, error) {
 		RunIndex:  w.RunIndex,
 		Device:    w.Device,
 		Arch:      w.Arch,
-		Speeds:    w.Speeds,
 		MeasCount: w.MeasCount,
 		Err:       w.Err,
 		Stack:     w.Stack,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"github.com/mssn/loopscope/internal/faults"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/sig"
-	"github.com/mssn/loopscope/internal/throughput"
 	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/units"
 )
@@ -36,12 +36,11 @@ func roundTrip(t *testing.T, rec *Record) *Record {
 }
 
 // TestCodecRealRecords round-trips every record of a faulted area run —
-// salvage reports, loops, speeds, timelines with the +Inf sentinel all
+// salvage reports, loops and timelines with the +Inf sentinel all
 // appear organically.
 func TestCodecRealRecords(t *testing.T) {
 	rates := faults.Profile(0.08)
-	opts := Options{Seed: 42, Duration: 240 * time.Second, RunScale: 0.5,
-		KeepSpeeds: true, FaultRates: &rates}
+	opts := Options{Seed: 42, Duration: 240 * time.Second, RunScale: 0.5, FaultRates: &rates}
 	spec := areaSpec(t, "A1")
 	res := RunArea(policy.OPT(), spec, opts)
 	if len(res.Records) == 0 {
@@ -98,17 +97,12 @@ func TestCodecSyntheticEdgeCases(t *testing.T) {
 			Err: "injected test failure", Stack: "goroutine 1 [running]:\n...",
 			FailKind: FailPanic, Attempts: 2,
 		},
-		{ // deadline record
-			Op: "OPA", Area: "A5", Err: "context deadline exceeded",
-			FailKind: FailDeadline, Attempts: 1,
-		},
 		{ // loop + empty-non-nil Subtypes + aliased timeline + salvage
 			Op: "OPT", Area: "A1", Timeline: tl,
 			Analysis: core.Analysis{
 				Loops:    []*core.Loop{{Start: 0, CycleLen: 2, Reps: 3, End: 6, Form: core.Form(1), Timeline: tl}},
 				Subtypes: []core.Subtype{core.Subtype(2)},
 			},
-			Speeds:    []throughput.Sample{{At: 0, Mbps: 231.25}, {At: time.Second, Mbps: 0.0625}},
 			MeasCount: 17,
 			Salvage: &sig.Salvage{EventsKept: 100, RecordsDropped: 2, LinesSkipped: 5,
 				Errors: []*sig.ParseError{{Line: 3, Text: "garbled", Err: errors.New("missing mandatory field")}}},
@@ -122,18 +116,35 @@ func TestCodecSyntheticEdgeCases(t *testing.T) {
 	}
 	for i, rec := range recs {
 		got := roundTrip(t, rec)
-		if i == 2 && got.Analysis.Loops[0].Timeline != got.Timeline {
+		if i == 1 && got.Analysis.Loops[0].Timeline != got.Timeline {
 			t.Fatal("decoded loop must alias the decoded timeline pointer")
 		}
 	}
 	// Distinctions that DeepEqual already proved, spelled out: nil vs
 	// empty slices survive the trip.
-	got := roundTrip(t, recs[3])
+	got := roundTrip(t, recs[2])
 	if got.Analysis.Loops != nil {
 		t.Fatal("nil Loops became non-nil")
 	}
 	if got.Analysis.Subtypes == nil {
 		t.Fatal("empty Subtypes became nil")
+	}
+}
+
+// TestDecodeRecordRejectsUnjournaledKinds: journals and sinks only
+// hold completed or panicked runs. A record of any other kind (a
+// cancelled run, the retired deadline kind, an unknown value) is
+// rejected, not replayed: a cancelled record would stop sink delivery
+// while the study reports success.
+func TestDecodeRecordRejectsUnjournaledKinds(t *testing.T) {
+	for _, k := range []FailureKind{2, FailCancelled, 9} {
+		b, err := EncodeRecord(&Record{Op: "OPT", Area: "A1", Err: "aborted", FailKind: k, Attempts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeRecord(b); err == nil || !strings.Contains(err.Error(), "fail_kind") {
+			t.Errorf("kind %v: DecodeRecord err = %v, want a fail_kind error", k, err)
+		}
 	}
 }
 

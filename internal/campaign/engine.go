@@ -26,26 +26,22 @@ const metaKey = "meta/options"
 // header, so a journal can never be resumed under options that would
 // produce different records.
 type optsFingerprint struct {
-	Seed       int64         `json:"seed"`
-	Duration   time.Duration `json:"duration"`
-	RunScale   float64       `json:"run_scale"`
-	Device     string        `json:"device"`
-	KeepSpeeds bool          `json:"keep_speeds"`
-	Faults     *faults.Rates `json:"faults"`
-	MaxRetries int           `json:"max_retries"`
+	Seed     int64         `json:"seed"`
+	Duration time.Duration `json:"duration"`
+	RunScale float64       `json:"run_scale"`
+	Device   string        `json:"device"`
+	Faults   *faults.Rates `json:"faults"`
 }
 
 // fingerprint derives the journal header from withDefaults-applied
 // options.
 func fingerprint(opts Options) optsFingerprint {
 	return optsFingerprint{
-		Seed:       opts.Seed,
-		Duration:   opts.Duration,
-		RunScale:   opts.RunScale,
-		Device:     opts.Device.Name,
-		KeepSpeeds: opts.KeepSpeeds,
-		Faults:     opts.FaultRates,
-		MaxRetries: opts.MaxRetries,
+		Seed:     opts.Seed,
+		Duration: opts.Duration,
+		RunScale: opts.RunScale,
+		Device:   opts.Device.Name,
+		Faults:   opts.FaultRates,
 	}
 }
 
@@ -114,9 +110,9 @@ func (r *runner) err(ctx context.Context) error {
 }
 
 // openJournal opens and replays the checkpoint journal when one is
-// configured, enforcing the Resume contract and the options
-// fingerprint.
-func (r *runner) openJournal() (*checkpoint.Salvage, error) {
+// configured. A journal that already holds entries is replayed only
+// when resume is set, and only under a matching options fingerprint.
+func (r *runner) openJournal(resume bool) (*checkpoint.Salvage, error) {
 	if r.opts.Checkpoint == "" {
 		return nil, nil
 	}
@@ -136,18 +132,23 @@ func (r *runner) openJournal() (*checkpoint.Salvage, error) {
 		r.jr = jr
 		return sal, nil
 	}
-	if !r.opts.Resume {
-		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s already holds %d entries; set Options.Resume (flag -resume) to continue it, or remove the file",
+	if !resume {
+		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s already holds %d entries; continue it with Resume (flag -resume), or remove the file",
 			r.opts.Checkpoint, len(entries)))
 	}
 	if entries[0].Key != metaKey {
 		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s has no options header; refusing to resume", r.opts.Checkpoint))
 	}
-	var have optsFingerprint
+	// Older headers also carry keep_speeds, which changed no field a
+	// record still has, and max_retries, which must be the fixed budget.
+	var have struct {
+		optsFingerprint
+		MaxRetries *int `json:"max_retries,omitempty"`
+	}
 	if err := json.Unmarshal(entries[0].Payload, &have); err != nil {
 		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s: bad options header: %w", r.opts.Checkpoint, err))
 	}
-	if hb, _ := json.Marshal(have); string(hb) != mustJSON(fp) {
+	if mustJSON(have.optsFingerprint) != mustJSON(fp) || (have.MaxRetries != nil && *have.MaxRetries != DefaultMaxRetries) {
 		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s was written by a different study (journal %s, resume %s)",
 			r.opts.Checkpoint, mustJSON(have), mustJSON(fp)))
 	}
@@ -278,9 +279,8 @@ func (r *runner) beginArea(spec deploy.AreaSpec, dep *deploy.Deployment) {
 }
 
 // runArea executes all runs of one area on the worker pool; see
-// RunArea for the ordering contract. With retain false the records are
-// streamed to the sinks and released instead of materialized.
-func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.AreaSpec, retain bool) *AreaResult {
+// RunArea for the ordering contract.
+func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.AreaSpec) *AreaResult {
 	opts := r.opts
 	dep := deploy.Build(op, spec, opts.Seed+1)
 	res := &AreaResult{Spec: spec, Dep: dep}
@@ -296,9 +296,7 @@ func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.A
 			jobs = append(jobs, job{li, ri, len(jobs)})
 		}
 	}
-	if retain {
-		res.Records = make([]*Record, len(jobs))
-	}
+	res.Records = make([]*Record, len(jobs))
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -319,9 +317,7 @@ func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.A
 			for j := range ch {
 				key := runKey(op.Name, spec.ID, j.li, j.ri, opts.Seed)
 				rec := r.executeJob(ctx, op, dep, dep.Clusters[j.li], j.li, j.ri, key)
-				if retain {
-					res.Records[j.slot] = rec
-				}
+				res.Records[j.slot] = rec
 				r.complete(d, j.slot, key, rec)
 			}
 		}()
@@ -336,15 +332,13 @@ dispatch:
 	}
 	close(ch)
 	wg.Wait()
-	if retain {
-		// Undispatched jobs form a suffix of nil slots; trim them so a
-		// cancelled study still satisfies the non-nil record invariant.
-		k := len(res.Records)
-		for k > 0 && res.Records[k-1] == nil {
-			k--
-		}
-		res.Records = res.Records[:k]
+	// Undispatched jobs form a suffix of nil slots; trim them so a
+	// cancelled study still satisfies the non-nil record invariant.
+	k := len(res.Records)
+	for k > 0 && res.Records[k-1] == nil {
+		k--
 	}
+	res.Records = res.Records[:k]
 	return res
 }
 
@@ -362,10 +356,10 @@ func (r *runner) executeJob(ctx context.Context, op *policy.Operator, dep *deplo
 	return ExecuteRunContext(ctx, op, dep, cl, locIdx, runIdx, r.opts)
 }
 
-// runStudy drives the whole study through a runner: journal replay,
-// area execution, sink delivery.
+// runStudy drives the whole study through a runner: journal replay
+// (only when resume is set), area execution, sink delivery.
 func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
-	retain bool, extra Sink) (st *Study, sal *checkpoint.Salvage, rerr error) {
+	resume bool) (st *Study, sal *checkpoint.Salvage, rerr error) {
 	opts = opts.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
@@ -374,10 +368,7 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 	if opts.Sink != nil {
 		r.sinks = append(r.sinks, opts.Sink)
 	}
-	if extra != nil && extra != opts.Sink {
-		r.sinks = append(r.sinks, extra)
-	}
-	sal, err := r.openJournal()
+	sal, err := r.openJournal(resume)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -400,7 +391,7 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 			break
 		}
 		op := policy.ByName(spec.Operator)
-		st.Areas = append(st.Areas, r.runArea(cctx, op, spec, retain))
+		st.Areas = append(st.Areas, r.runArea(cctx, op, spec))
 	}
 	if r.jr != nil {
 		if err := r.jr.Sync(); err != nil && r.err(cctx) == nil {
@@ -411,18 +402,18 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 }
 
 // RunContext executes the full study under ctx, honouring the
-// checkpoint, sink, timeout and crash-point options. On cancellation
-// it drains gracefully — in-flight runs abort between events, finished
-// work stays checkpointed — and returns the partial study together
-// with the cancellation cause.
+// checkpoint, sink and crash-point options. On cancellation it drains
+// gracefully — in-flight runs abort between events, finished work
+// stays checkpointed — and returns the partial study together with the
+// cancellation cause.
 func RunContext(ctx context.Context, opts Options) (*Study, error) {
-	st, _, err := runStudy(ctx, opts, deploy.Areas(), true, nil)
+	st, _, err := runStudy(ctx, opts, deploy.Areas(), false)
 	return st, err
 }
 
 // RunOperatorContext is RunContext over a single operator's areas.
 func RunOperatorContext(ctx context.Context, op *policy.Operator, opts Options) (*Study, error) {
-	st, _, err := runStudy(ctx, opts, deploy.AreasFor(op.Name), true, nil)
+	st, _, err := runStudy(ctx, opts, deploy.AreasFor(op.Name), false)
 	return st, err
 }
 
@@ -434,22 +425,11 @@ func RunOperatorContext(ctx context.Context, op *policy.Operator, opts Options) 
 // same options at any worker count.
 func Resume(ctx context.Context, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
 	opts.Checkpoint = path
-	opts.Resume = true
-	return runStudy(ctx, opts, deploy.Areas(), true, nil)
+	return runStudy(ctx, opts, deploy.Areas(), true)
 }
 
 // ResumeOperator is Resume over a single operator's areas.
 func ResumeOperator(ctx context.Context, op *policy.Operator, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
 	opts.Checkpoint = path
-	opts.Resume = true
-	return runStudy(ctx, opts, deploy.AreasFor(op.Name), true, nil)
-}
-
-// RunSink streams the study into sink without materializing records:
-// each record is released once delivered, so memory stays flat no
-// matter the study size. The returned study carries the area specs and
-// deployments but no records.
-func RunSink(ctx context.Context, opts Options, sink Sink) (*Study, error) {
-	st, _, err := runStudy(ctx, opts, deploy.Areas(), false, sink)
-	return st, err
+	return runStudy(ctx, opts, deploy.AreasFor(op.Name), true)
 }

@@ -3,10 +3,12 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,16 +23,41 @@ func tinyOpts() Options {
 	return Options{Seed: 42, Duration: 120 * time.Second, RunScale: MinRunScale}
 }
 
+// runOPT is RunOperatorContext over OPT's areas under a background
+// context, failing the test on an engine error.
+func runOPT(t *testing.T, opts Options) *Study {
+	t.Helper()
+	st, err := RunOperatorContext(context.Background(), policy.OPT(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestRunContextMatchesRun(t *testing.T) {
 	opts := tinyOpts()
-	want := RunOperator(policy.OPT(), opts)
-	got, err := RunOperatorContext(context.Background(), policy.OPT(), opts)
+	want := Run(opts)
+	got, err := RunContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want.Areas, got.Areas) {
-		t.Fatal("RunOperatorContext diverged from RunOperator")
+		t.Fatal("RunContext diverged from Run")
 	}
+}
+
+// collectSink reassembles the delivered record stream into areas.
+type collectSink struct{ areas []*AreaResult }
+
+func (s *collectSink) BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error {
+	s.areas = append(s.areas, &AreaResult{Spec: spec, Dep: dep})
+	return nil
+}
+
+func (s *collectSink) Record(rec *Record) error {
+	a := s.areas[len(s.areas)-1]
+	a.Records = append(a.Records, rec)
+	return nil
 }
 
 // TestStudySinkEquivalence: the record stream reassembles into exactly
@@ -39,18 +66,14 @@ func TestStudySinkEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := tinyOpts()
 		opts.Workers = workers
-		want := RunOperator(policy.OPT(), opts)
-		ss := NewStudySink()
-		opts.Sink = ss
-		got, err := RunOperatorContext(context.Background(), policy.OPT(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed := ss.Study(opts)
-		if !reflect.DeepEqual(want.Areas, streamed.Areas) {
+		want := runOPT(t, opts)
+		cs := &collectSink{}
+		opts.Sink = cs
+		got := runOPT(t, opts)
+		if !reflect.DeepEqual(want.Areas, cs.areas) {
 			t.Fatalf("workers=%d: streamed study diverged from materialized study", workers)
 		}
-		if !reflect.DeepEqual(got.Areas, streamed.Areas) {
+		if !reflect.DeepEqual(got.Areas, cs.areas) {
 			t.Fatalf("workers=%d: sink saw different records than the returned study", workers)
 		}
 	}
@@ -78,32 +101,12 @@ func TestJSONLSinkDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestRunSinkStreamsWithoutRetaining: RunSink's stream reassembles the
-// full study while the returned skeleton holds no records.
-func TestRunSinkStreamsWithoutRetaining(t *testing.T) {
-	opts := tinyOpts()
-	want := RunOperator(policy.OPT(), opts)
-	ss := NewStudySink()
-	skel, _, err := runStudy(context.Background(), opts, deploy.AreasFor("OPT"), false, ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range skel.Areas {
-		if len(a.Records) != 0 {
-			t.Fatal("RunSink retained records")
-		}
-	}
-	if !reflect.DeepEqual(want.Areas, ss.Study(opts).Areas) {
-		t.Fatal("streamed-only study diverged")
-	}
-}
-
 // TestResumeFromCrash: a study killed by the fault point after k
 // checkpoint appends resumes to records deep-equal to an uninterrupted
 // run's, and the journal skips exactly the completed runs.
 func TestResumeFromCrash(t *testing.T) {
 	opts := tinyOpts()
-	want := RunOperator(policy.OPT(), opts)
+	want := runOPT(t, opts)
 	total := len(want.Records(""))
 	if total < 3 {
 		t.Fatalf("fixture too small: %d runs", total)
@@ -148,19 +151,121 @@ func resumeOperator(t *testing.T, opts Options, path string) (*Study, *checkpoin
 	return ResumeOperator(context.Background(), policy.OPT(), opts, path)
 }
 
-// TestResumeRequiresFlag: an existing journal without Resume is an
-// error, so two studies cannot interleave into one file.
-func TestResumeRequiresFlag(t *testing.T) {
-	opts := tinyOpts()
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-	opts.Checkpoint = path
-	opts.CrashAfter = 1
+// crashedJournal runs OPT's study under opts until the fault point has
+// appended k records and returns the journal's path.
+func crashedJournal(t *testing.T, opts Options, k int) string {
+	t.Helper()
+	opts.Checkpoint = filepath.Join(t.TempDir(), "study.ckpt")
+	opts.CrashAfter = k
 	if _, err := RunOperatorContext(context.Background(), policy.OPT(), opts); !errors.Is(err, ErrInjectedCrash) {
 		t.Fatalf("setup: %v", err)
 	}
-	opts.CrashAfter = 0
+	return opts.Checkpoint
+}
+
+// TestResumeRequiresFlag: an existing journal is an error outside
+// Resume, so two studies cannot interleave into one file.
+func TestResumeRequiresFlag(t *testing.T) {
+	opts := tinyOpts()
+	opts.Checkpoint = crashedJournal(t, opts, 1)
 	if _, err := RunOperatorContext(context.Background(), policy.OPT(), opts); err == nil {
 		t.Fatal("reusing a populated journal without Resume must fail")
+	}
+}
+
+// rewriteJournal replaces every entry's payload with edit's result,
+// with valid checksums, so a test can plant what another writer would
+// have journaled.
+func rewriteJournal(t *testing.T, path string, edit func(key, payload string) string) {
+	t.Helper()
+	jr, entries, _, err := checkpoint.Open(path)
+	if err == nil {
+		err = errors.Join(jr.Close(), os.Remove(path))
+	}
+	if err == nil {
+		jr, _, _, err = checkpoint.Open(path)
+	}
+	for _, e := range entries {
+		if err == nil {
+			err = jr.Append(e.Key, json.RawMessage(edit(e.Key, string(e.Payload))))
+		}
+	}
+	if err == nil {
+		err = jr.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeAcceptsOlderJournal: a journal written before the
+// keep_speeds and max_retries header members and the records' speeds
+// member were retired still resumes, to the uninterrupted study. A
+// header whose max_retries differs from the fixed budget was written
+// by a different study and is refused.
+func TestResumeAcceptsOlderJournal(t *testing.T) {
+	opts := tinyOpts()
+	want := runOPT(t, opts)
+	older := func(maxRetries string) func(key, payload string) string {
+		return func(key, payload string) string {
+			was := payload
+			if key == metaKey {
+				payload = strings.Replace(payload, `,"faults":`, `,"keep_speeds":false,"faults":`, 1)
+				payload = strings.TrimSuffix(payload, "}") + `,"max_retries":` + maxRetries + "}"
+			} else {
+				payload = strings.Replace(payload, `,"meas_count":`, `,"speeds":null,"meas_count":`, 1)
+			}
+			if payload == was {
+				t.Fatalf("entry %s: no older member planted in %s", key, was)
+			}
+			return payload
+		}
+	}
+	path := crashedJournal(t, opts, 2)
+	rewriteJournal(t, path, older("1"))
+	reg := obs.NewRegistry()
+	resumeOpts := opts
+	resumeOpts.Metrics = reg
+	st, _, err := resumeOperator(t, resumeOpts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("campaign.runs.resumed").Value(); got != 2 {
+		t.Fatalf("resumed = %d, want the 2 journaled runs replayed", got)
+	}
+	if !reflect.DeepEqual(want.Areas, st.Areas) {
+		t.Fatal("resuming an older journal diverged from the uninterrupted study")
+	}
+
+	path = crashedJournal(t, opts, 2)
+	rewriteJournal(t, path, older("3"))
+	if _, _, err := resumeOperator(t, opts, path); err == nil || !strings.Contains(err.Error(), "different study") {
+		t.Fatalf("err = %v, want a foreign-study error for max_retries 3", err)
+	}
+}
+
+// TestResumeRejectsCancelledRecord: a checksum-valid journal entry that
+// holds a cancelled run is an error naming its key. Replaying it would
+// stop sink delivery at that record while the study reported success.
+func TestResumeRejectsCancelledRecord(t *testing.T) {
+	opts := tinyOpts()
+	path := crashedJournal(t, opts, 2)
+	var bad string
+	rewriteJournal(t, path, func(key, payload string) string {
+		if key == metaKey || bad != "" {
+			return payload
+		}
+		bad = key
+		return strings.Replace(payload, `"fail_kind":0`, `"fail_kind":3`, 1)
+	})
+	var sunk bytes.Buffer
+	opts.Sink = NewJSONLSink(&sunk)
+	_, _, err := resumeOperator(t, opts, path)
+	if err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "fail_kind") {
+		t.Fatalf("err = %v, want a fail_kind error naming entry %q", err, bad)
+	}
+	if sunk.Len() != 0 {
+		t.Fatalf("sink received %d bytes from a rejected journal", sunk.Len())
 	}
 }
 
@@ -168,16 +273,9 @@ func TestResumeRequiresFlag(t *testing.T) {
 // against resuming under different study options.
 func TestResumeRejectsForeignJournal(t *testing.T) {
 	opts := tinyOpts()
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-	opts.Checkpoint = path
-	opts.CrashAfter = 1
-	if _, err := RunOperatorContext(context.Background(), policy.OPT(), opts); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("setup: %v", err)
-	}
-	other := opts
-	other.Seed = 43
-	other.CrashAfter = 0
-	if _, _, err := resumeOperator(t, other, path); err == nil {
+	path := crashedJournal(t, opts, 1)
+	opts.Seed = 43
+	if _, _, err := resumeOperator(t, opts, path); err == nil {
 		t.Fatal("resuming under a different seed must fail the fingerprint check")
 	}
 }
@@ -187,14 +285,8 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 // still deep-equal to an uninterrupted one.
 func TestResumeSalvagesDamagedJournal(t *testing.T) {
 	opts := tinyOpts()
-	want := RunOperator(policy.OPT(), opts)
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-	crash := opts
-	crash.Checkpoint = path
-	crash.CrashAfter = 3
-	if _, err := RunOperatorContext(context.Background(), policy.OPT(), crash); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("setup: %v", err)
-	}
+	want := runOPT(t, opts)
+	path := crashedJournal(t, opts, 3)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +331,7 @@ func TestCancelDrainsGracefully(t *testing.T) {
 // converges on the uninterrupted study.
 func TestStudyDeadlineResumesByteIdentical(t *testing.T) {
 	opts := tinyOpts()
-	want := RunOperator(policy.OPT(), opts)
+	want := runOPT(t, opts)
 	path := filepath.Join(t.TempDir(), "study.ckpt")
 	interrupted := opts
 	interrupted.Checkpoint = path
@@ -257,34 +349,6 @@ func TestStudyDeadlineResumesByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Areas, st.Areas) {
 		t.Fatal("resume after a study-wide deadline diverged from the uninterrupted study")
-	}
-}
-
-// TestDeadlineRecord: an immediately-expiring per-run deadline yields
-// a typed, final failure record and per-kind counters.
-func TestDeadlineRecord(t *testing.T) {
-	opts := tinyOpts()
-	opts.RunTimeout = time.Nanosecond
-	reg := obs.NewRegistry()
-	opts.Metrics = reg
-	opts = opts.withDefaults()
-	spec := areaSpec(t, "A1")
-	dep := deploy.Build(policy.OPT(), spec, opts.Seed+1)
-	rec := ExecuteRunContext(context.Background(), policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
-	if rec.FailKind != FailDeadline || !rec.Failed() {
-		t.Fatalf("FailKind = %v, Err = %q; want deadline failure", rec.FailKind, rec.Err)
-	}
-	if rec.Attempts != 1 {
-		t.Fatalf("deadline was retried: Attempts = %d", rec.Attempts)
-	}
-	if rec.Stack != "" || rec.Timeline != nil || rec.Salvage != nil {
-		t.Fatal("deadline record must carry no stack/timeline/salvage")
-	}
-	if got := reg.Counter("campaign.failures.deadline").Value(); got != 1 {
-		t.Fatalf("campaign.failures.deadline = %d, want 1", got)
-	}
-	if got := reg.Counter("campaign.failures").Value(); got != 1 {
-		t.Fatalf("campaign.failures = %d, want 1", got)
 	}
 }
 
@@ -308,67 +372,43 @@ func TestCancelledRecordKind(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffIsContextAware: cancellation during the backoff
-// sleep stops retrying and yields a cancelled record — not the interim
-// panic, which would be checkpointed as final although an
-// uninterrupted study would have retried it.
-func TestRetryBackoffIsContextAware(t *testing.T) {
-	opts := tinyOpts()
-	opts.RetryBackoff = time.Hour
-	opts = opts.withDefaults()
+// TestRetryIsContextAware: a study cancelled before a panicked run's
+// retry yields a cancelled record — not the interim panic, which would
+// be checkpointed as final although an uninterrupted study would have
+// retried it.
+func TestRetryIsContextAware(t *testing.T) {
+	opts := tinyOpts().withDefaults()
 	spec := areaSpec(t, "A1")
 	dep := deploy.Build(policy.OPT(), spec, opts.Seed+1)
-	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool { return true }
-	defer func() { testHookPanic = nil }()
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
-	start := time.Now()
-	rec := ExecuteRunContext(ctx, policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("backoff ignored cancellation (%v)", elapsed)
+	defer cancel()
+	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool {
+		cancel()
+		return true
 	}
+	defer func() { testHookPanic = nil }()
+	rec := ExecuteRunContext(ctx, policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
 	if rec.FailKind != FailCancelled || rec.Attempts != 1 {
 		t.Fatalf("rec = kind %v attempts %d; want a cancelled record so resume re-runs with the full retry budget",
 			rec.FailKind, rec.Attempts)
 	}
 	if rec.Stack != "" {
-		t.Fatal("cancelled-backoff record must not carry the interim panic stack")
+		t.Fatal("cancelled record must not carry the interim panic stack")
 	}
 }
 
-// TestStudyDeadlineIsCancelled: expiry of the *study* context — even
-// though it surfaces as context.DeadlineExceeded — must classify as
-// FailCancelled, not FailDeadline: such runs have no durable result
-// and a resumed study re-executes them. FailDeadline is reserved for
-// the per-run RunTimeout firing while the study is live.
+// TestStudyDeadlineIsCancelled: expiry of the study context — even
+// though it surfaces as context.DeadlineExceeded — classifies as
+// FailCancelled: such runs have no durable result and a resumed study
+// re-executes them.
 func TestStudyDeadlineIsCancelled(t *testing.T) {
 	opts := tinyOpts().withDefaults()
 	spec := areaSpec(t, "A1")
 	dep := deploy.Build(policy.OPT(), spec, opts.Seed+1)
-	for _, runTimeout := range []time.Duration{0, time.Hour} {
-		opts.RunTimeout = runTimeout
-		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		rec := ExecuteRunContext(ctx, policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
-		cancel()
-		if rec.FailKind != FailCancelled {
-			t.Fatalf("RunTimeout=%v: FailKind = %v, want FailCancelled for a study-wide deadline",
-				runTimeout, rec.FailKind)
-		}
-	}
-}
-
-// TestRetryBackoffSleeps: with a tiny backoff the retry path still
-// works and the retried record reports its attempts.
-func TestRetryBackoffSleeps(t *testing.T) {
-	opts := tinyOpts()
-	opts.RetryBackoff = time.Millisecond
-	opts = opts.withDefaults()
-	spec := areaSpec(t, "A1")
-	dep := deploy.Build(policy.OPT(), spec, opts.Seed+1)
-	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool { return attempt == 0 }
-	defer func() { testHookPanic = nil }()
-	rec := ExecuteRunContext(context.Background(), policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
-	if rec.Failed() || rec.Attempts != 2 {
-		t.Fatalf("retry with backoff broke: failed=%v attempts=%d", rec.Failed(), rec.Attempts)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	rec := ExecuteRunContext(ctx, policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
+	if rec.FailKind != FailCancelled {
+		t.Fatalf("FailKind = %v, want FailCancelled for a study-wide deadline", rec.FailKind)
 	}
 }

@@ -157,7 +157,7 @@ func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 		}
 		var s1e3, s1, targetUsed int
 		for ri := 0; ri < runsPerPoint; ri++ {
-			res := uesim.Run(uesim.Config{
+			log := uesim.Run(uesim.Config{
 				Op:       op,
 				Field:    d.Field,
 				Cluster:  cl,
@@ -166,7 +166,7 @@ func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 				Duration: opts.Duration,
 				Seed:     opts.Seed*99991 + int64(gi)*613 + int64(ri)*31 + 7,
 			})
-			tl := trace.Extract(res.Log)
+			tl := trace.Extract(log)
 			a := core.Analyze(tl)
 			if a.HasLoop() {
 				_, st := a.Primary()

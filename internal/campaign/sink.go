@@ -26,35 +26,6 @@ type Sink interface {
 	Record(rec *Record) error
 }
 
-// StudySink materializes the classic in-memory Study from the record
-// stream; it is the adapter proving that streaming loses nothing.
-// RunContext uses one internally, so Run's result is by construction
-// identical to what any other Sink observes.
-type StudySink struct {
-	areas []*AreaResult
-}
-
-// NewStudySink returns an empty in-memory sink.
-func NewStudySink() *StudySink { return &StudySink{} }
-
-// BeginArea implements Sink.
-func (s *StudySink) BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error {
-	s.areas = append(s.areas, &AreaResult{Spec: spec, Dep: dep})
-	return nil
-}
-
-// Record implements Sink.
-func (s *StudySink) Record(rec *Record) error {
-	a := s.areas[len(s.areas)-1]
-	a.Records = append(a.Records, rec)
-	return nil
-}
-
-// Study assembles the accumulated areas into a Study.
-func (s *StudySink) Study(opts Options) *Study {
-	return &Study{Opts: opts.withDefaults(), Areas: s.areas}
-}
-
 // JSONLSink streams each record as one line of codec JSON (see
 // EncodeRecord and docs/FORMAT.md, "Checkpoint artifacts"). Lines are
 // written with a single Write call per record and no userspace

@@ -125,9 +125,9 @@ func TestStreamGoldenReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			log, _, err := sig.ParseLenient(f)
+			log, _, err := sig.ParseLenientObserved(f, nil)
 			if err != nil {
-				t.Fatalf("ParseLenient: %v", err)
+				t.Fatalf("lenient parse: %v", err)
 			}
 			tl := trace.FromLog(log)
 			if got, want := renderAnalysis(Analyze(tl)),

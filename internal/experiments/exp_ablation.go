@@ -55,13 +55,13 @@ func StickinessAblation(c *Context) *Result {
 	const runs = 12
 	arm := func(disable bool) (persistent, semi, none int) {
 		for i := 0; i < runs; i++ {
-			res := uesim.Run(uesim.Config{
+			log := uesim.Run(uesim.Config{
 				Op: op, Field: field, Cluster: cl,
 				Duration:            4 * time.Minute,
 				Seed:                c.Opts.Seed*23 + int64(i),
 				NoCampingStickiness: disable,
 			})
-			a := core.Analyze(trace.Extract(res.Log))
+			a := core.Analyze(trace.Extract(log))
 			if !a.HasLoop() {
 				none++
 				continue

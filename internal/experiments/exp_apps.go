@@ -35,12 +35,12 @@ func AppsExperiment(c *Context) *Result {
 			// The RRC session is identical across workloads — all of
 			// them demand continuous transfer — so the same seeds
 			// reproduce the same loops.
-			res := uesim.Run(uesim.Config{
+			log := uesim.Run(uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl,
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*17 + int64(i),
 			})
-			tl := trace.Extract(res.Log)
+			tl := trace.Extract(log)
 			if core.Analyze(tl).HasLoop() {
 				loops++
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 
 	"github.com/mssn/loopscope/internal/band"
@@ -73,7 +74,7 @@ func Fig12(c *Context) *Result {
 					opts := c.Opts
 					opts.Device = dev
 					opts.Seed = c.Opts.Seed + int64(si*1000+ri*17+len(dev.Name))
-					rec := campaign.ExecuteRun(op, s.area.Dep, s.area.Dep.Clusters[s.loc],
+					rec := campaign.ExecuteRunContext(context.Background(), op, s.area.Dep, s.area.Dep.Clusters[s.loc],
 						s.loc, ri, opts)
 					if rec.HasLoop() {
 						hits++

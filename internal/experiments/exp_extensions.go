@@ -42,12 +42,12 @@ func F12Regression(c *Context) *Result {
 	runs := 8
 	arm := func(op *policy.Operator) (loops int) {
 		for i := 0; i < runs; i++ {
-			res := uesim.Run(uesim.Config{
+			log := uesim.Run(uesim.Config{
 				Op: op, Field: field, Cluster: cl,
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*51 + int64(i),
 			})
-			a := core.Analyze(trace.Extract(res.Log))
+			a := core.Analyze(trace.Extract(log))
 			if a.HasLoop() {
 				loops++
 			}
@@ -86,7 +86,7 @@ func WalkExperiment(c *Context) *Result {
 	for run := 0; run < 3; run++ {
 		start := cl.Loc.Add(-300, 0)
 		end := cl.Loc.Add(300, 0)
-		res := uesim.Run(uesim.Config{
+		log := uesim.Run(uesim.Config{
 			Op: op, Field: dep.Field, Cluster: cl,
 			Loc:          start,
 			Path:         []geo.Point{end},
@@ -94,7 +94,7 @@ func WalkExperiment(c *Context) *Result {
 			Duration:     walkDur,
 			Seed:         c.Opts.Seed*77 + 3 + int64(run),
 		})
-		tl := trace.Extract(res.Log)
+		tl := trace.Extract(log)
 		segDur := walkDur / time.Duration(segs)
 		for _, s := range tl.Steps {
 			if s.Evidence.Kind == trace.CauseNone {

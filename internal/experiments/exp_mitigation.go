@@ -23,13 +23,13 @@ func MitigationStudy(c *Context) *Result {
 	measure := func(op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
 		fixes uesim.Fixes, want func(core.Subtype) bool) (loops int, offSeconds float64) {
 		for i := 0; i < runs; i++ {
-			res := uesim.Run(uesim.Config{
+			log := uesim.Run(uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl,
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*91 + int64(i),
 				Fixes:    fixes,
 			})
-			a := core.Analyze(trace.Extract(res.Log))
+			a := core.Analyze(trace.Extract(log))
 			for li, loop := range a.Loops {
 				if !want(a.Subtypes[li]) {
 					continue

@@ -162,12 +162,12 @@ func usageTransect(c *Context) (pgaps, usages []float64) {
 		p := geoLerp(cl.Loc, dir, t)
 		used := 0
 		for ri := 0; ri < runs; ri++ {
-			res := uesim.Run(uesim.Config{
+			log := uesim.Run(uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl, Loc: p,
 				Duration: 90 * time.Second,
 				Seed:     c.Opts.Seed*271 + int64(i)*37 + int64(ri),
 			})
-			tl := trace.Extract(res.Log)
+			tl := trace.Extract(log)
 			for _, s := range tl.Steps {
 				if s.Set.MCG != nil {
 					if s.Set.MCG.Primary.PCI == targetPCI {

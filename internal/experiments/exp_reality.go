@@ -180,9 +180,9 @@ func Fig10(c *Context) *Result {
 	return r
 }
 
-// speedStudy runs a throughput-enabled subset of each operator's study
-// records to measure per-cycle ON/OFF speeds (Fig. 11 needs speeds,
-// which the main study skips for memory).
+// speedStudy regenerates the speed series of each looping study record
+// from its timeline to measure per-cycle ON/OFF speeds (Fig. 11 needs
+// speeds, which study records do not carry).
 func speedStudy(c *Context, op string) []throughput.CycleSpeed {
 	st := c.Study()
 	var out []throughput.CycleSpeed

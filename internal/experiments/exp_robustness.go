@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"time"
 
 	"github.com/mssn/loopscope/internal/campaign"
@@ -31,7 +32,7 @@ var robustnessRates = []struct {
 // Robustness measures how loop detection degrades as captures rot:
 // clean runs define the ground truth (loop / no loop per run), then the
 // same captures are corrupted at increasing fault rates, salvaged with
-// sig.ParseLenient and re-analyzed. Recall and precision against the
+// lenient parsing and re-analyzed. Recall and precision against the
 // clean verdicts quantify graceful degradation on the paper's detection
 // task.
 func Robustness(c *Context) *Result {
@@ -76,12 +77,12 @@ func Robustness(c *Context) *Result {
 	for ci, cl := range clusters {
 		for ri := 0; ri < 2; ri++ {
 			seed := c.Opts.Seed + int64(ci)*101 + int64(ri)*13 + 7
-			res := uesim.Run(uesim.Config{
+			log := uesim.Run(uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl,
 				Duration: duration, Seed: seed,
 			})
-			truth := core.Analyze(trace.FromLog(res.Log)).HasLoop()
-			runs = append(runs, run{text: res.Log.String(), truth: truth, seed: seed})
+			truth := core.Analyze(trace.FromLog(log)).HasLoop()
+			runs = append(runs, run{text: log.String(), truth: truth, seed: seed})
 		}
 	}
 	truthPos := 0
@@ -98,7 +99,7 @@ func Robustness(c *Context) *Result {
 		keptEvents, totalEvents := 0, 0
 		for _, ru := range runs {
 			inj := faults.New(ru.seed*31+int64(rr.rate*1000), faults.Profile(rr.rate))
-			log, sal, err := sig.ParseLenientString(inj.Corrupt(ru.text))
+			log, sal, err := sig.ParseLenientObserved(strings.NewReader(inj.Corrupt(ru.text)), nil)
 			if err != nil {
 				continue // unreachable for string input
 			}

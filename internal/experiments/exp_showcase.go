@@ -21,14 +21,14 @@ import (
 func showcaseRun(c *Context) (*trace.Timeline, []throughput.Sample, *deploy.Deployment, *deploy.Cluster) {
 	_, dep, cl := c.Dense()
 	op := policy.OPT()
-	res := uesim.Run(uesim.Config{
+	log := uesim.Run(uesim.Config{
 		Op:       op,
 		Field:    dep.Field,
 		Cluster:  cl,
 		Duration: 420 * time.Second,
 		Seed:     c.Opts.Seed*31 + 5,
 	})
-	tl := trace.Extract(res.Log)
+	tl := trace.Extract(log)
 	speeds := throughput.Generate(tl, op, c.Opts.Seed*31+6)
 	return tl, speeds, dep, cl
 }

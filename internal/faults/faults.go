@@ -5,7 +5,7 @@
 // foreign diagnostic records, garbles numeric fields and resets its
 // clock after a restart. The injector models each of those artifacts as
 // an independent fault with its own rate, so the salvage pipeline
-// (sig.ParseLenient → trace.FromLog → campaign failure records) can be
+// (sig.ParseLenientTo → trace.Builder → campaign records) can be
 // exercised and measured under controlled, reproducible damage.
 //
 // All corruption is a pure function of (seed, rates, input): the same

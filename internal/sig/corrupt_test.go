@@ -78,7 +78,7 @@ func TestCorruptedGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			log, sal, err := ParseLenientString(string(data))
+			log, sal, err := ParseLenientObserved(strings.NewReader(string(data)), nil)
 			if err != nil {
 				t.Fatalf("lenient parse must not error on corruption: %v", err)
 			}
@@ -114,7 +114,7 @@ func TestLenientRecoveryAt5Pct(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		corrupted := faults.New(seed, faults.Uniform(0.05)).Corrupt(string(clean))
-		_, sal, err := ParseLenientString(corrupted)
+		_, sal, err := ParseLenientObserved(strings.NewReader(corrupted), nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -130,11 +130,11 @@ func TestLenientRecoveryAt5Pct(t *testing.T) {
 // all-clean report.
 func TestLenientMatchesStrictOnCleanInput(t *testing.T) {
 	text := sampleLog().String()
-	strict, err := ParseString(text)
+	strict, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenient, sal, err := ParseLenientString(text)
+	lenient, sal, err := ParseLenientObserved(strings.NewReader(text), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestLenientQuarantinesMalformedRecord(t *testing.T) {
 		"  sCellToAddModList {sCellIndex one, physCellId 273, absoluteFrequencySSB 387410}\n" +
 		"00:00:03.000 NR5G RRC OTA Packet -- DL_CCCH / RRCSetup\n" +
 		"  Physical Cell ID = 393, Freq = 521310\n"
-	log, sal, err := ParseLenientString(text)
+	log, sal, err := ParseLenientObserved(strings.NewReader(text), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestOversizedLine(t *testing.T) {
 		"00:00:02.000 NR5G RRC OTA Packet -- DL_CCCH / RRCSetup\n" +
 		"  Physical Cell ID = 393, Freq = 521310\n"
 
-	_, err := ParseString(text)
+	_, err := Parse(strings.NewReader(text))
 	pe, ok := err.(*ParseError)
 	if !ok {
 		t.Fatalf("strict parse error = %v (%T), want *ParseError", err, err)
@@ -198,7 +198,7 @@ func TestOversizedLine(t *testing.T) {
 		t.Errorf("ParseError = line %d, err %v; want line 3, ErrLineTooLong", pe.Line, pe.Err)
 	}
 
-	log, sal, err := ParseLenientString(text)
+	log, sal, err := ParseLenientObserved(strings.NewReader(text), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestOversizedLine(t *testing.T) {
 		"  " + huge + "\n" +
 		"00:00:02.000 NR5G RRC OTA Packet -- DL_CCCH / RRCSetup\n" +
 		"  Physical Cell ID = 393, Freq = 521310\n"
-	log2, sal2, err := ParseLenientString(text2)
+	log2, sal2, err := ParseLenientObserved(strings.NewReader(text2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +238,14 @@ func FuzzParseLenient(f *testing.F) {
 	f.Add("00:00:01.000 NR5G RRC OTA Packet -- DL_DCCH / RRCReconfiguration\n  Physical Cell ID = bogus\n")
 	f.Add("garbage\n\n  indented orphan\n99:99:99.999 nonsense")
 	f.Fuzz(func(t *testing.T, input string) {
-		log, sal, err := ParseLenientString(input)
+		log, sal, err := ParseLenientObserved(strings.NewReader(input), nil)
 		if err != nil {
 			t.Fatalf("lenient parse errored on string input: %v", err)
 		}
 		if sal.EventsKept != log.Len() {
 			t.Fatalf("EventsKept %d != log length %d", sal.EventsKept, log.Len())
 		}
-		if strict, err := ParseString(input); err == nil && sal.EventsKept > strict.Len() {
+		if strict, err := Parse(strings.NewReader(input)); err == nil && sal.EventsKept > strict.Len() {
 			t.Fatalf("lenient kept %d events, strict parse only %d", sal.EventsKept, strict.Len())
 		}
 	})

@@ -41,7 +41,7 @@ const maxLineBytes = 4 * 1024 * 1024
 
 // ErrLineTooLong marks a line exceeding maxLineBytes. Strict Parse
 // wraps it in a ParseError carrying the line number and a prefix of the
-// offender; ParseLenient skips the line and resyncs.
+// offender; lenient parsing skips the line and resyncs.
 var ErrLineTooLong = errors.New("line exceeds 4 MiB limit")
 
 // maxSalvageErrors bounds the detail kept per salvage report; the
@@ -108,26 +108,12 @@ func ParseObserved(r io.Reader, c obs.Collector) (*Log, error) {
 	return log, err
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*Log, error) { return Parse(strings.NewReader(s)) }
-
-// ParseLenient reads a possibly corrupted NSG-style log, quarantining
-// malformed records instead of aborting: a record whose details fail to
-// build is dropped into the Salvage report and parsing resyncs at the
-// next header. The error is non-nil only when the reader itself fails;
-// arbitrary text content never errors.
-func ParseLenient(r io.Reader) (*Log, *Salvage, error) {
-	return parseLog(r, true, nil)
-}
-
-// ParseLenientString is ParseLenient over a string.
-func ParseLenientString(s string) (*Log, *Salvage, error) {
-	return ParseLenient(strings.NewReader(s))
-}
-
-// ParseLenientObserved is ParseLenient with parsing counters flushed
-// into c when the parse completes; a nil collector makes it exactly
-// ParseLenient.
+// ParseLenientObserved reads a possibly corrupted NSG-style log,
+// quarantining malformed records instead of aborting: a record whose
+// details fail to build is dropped into the Salvage report and parsing
+// resyncs at the next header. The error is non-nil only when the reader
+// itself fails; arbitrary text content never errors. Parsing counters
+// flush into c when the parse completes; c may be nil.
 func ParseLenientObserved(r io.Reader, c obs.Collector) (*Log, *Salvage, error) {
 	return parseLog(r, true, c)
 }
@@ -136,8 +122,8 @@ func ParseLenientObserved(r io.Reader, c obs.Collector) (*Log, *Salvage, error) 
 // event to sink, in capture order, the moment it is parsed, instead of
 // collecting a Log. This is the incremental-extraction hook: a campaign
 // run hands it a sink over trace.NewBuilder() and the timeline is built
-// during the parse pass. sink sees exactly the events ParseLenient
-// would keep, and Salvage.EventsKept counts them.
+// during the parse pass. sink sees exactly the events
+// ParseLenientObserved would keep, and Salvage.EventsKept counts them.
 func ParseLenientTo(r io.Reader, c obs.Collector, sink Sink) (*Salvage, error) {
 	return parse(r, true, c, sink)
 }

@@ -39,9 +39,9 @@ func corruptStreamed(t *testing.T, seed int64, rates faults.Rates, text string) 
 }
 
 // TestStreamParityGoldens locks byte- and result-parity between the
-// string pipeline (Corrupt → ParseLenientString) and the streaming one
-// (Injector.Reader → ParseLenient) over every golden capture in
-// testdata, for each corruption profile.
+// string pipeline (Corrupt → lenient parse of the string) and the
+// streaming one (Injector.Reader → lenient parse of the stream) over
+// every golden capture in testdata, for each corruption profile.
 func TestStreamParityGoldens(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.log"))
 	if err != nil || len(files) == 0 {
@@ -61,12 +61,12 @@ func TestStreamParityGoldens(t *testing.T) {
 					t.Fatalf("streamed corruption diverges from Corrupt: %d vs %d bytes", len(got), len(want))
 				}
 
-				logA, salA, err := ParseLenientString(want)
+				logA, salA, err := ParseLenientObserved(strings.NewReader(want), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				logB, salB, err := ParseLenient(
-					faults.New(p.seed, p.rates).Reader(strings.NewReader(text)))
+				logB, salB, err := ParseLenientObserved(
+					faults.New(p.seed, p.rates).Reader(strings.NewReader(text)), nil)
 				if err != nil {
 					t.Fatalf("streamed lenient parse errored: %v", err)
 				}
@@ -85,20 +85,20 @@ func TestStreamParityGoldens(t *testing.T) {
 // TestStreamedEmitCorruptParseParity covers the full production shape:
 // events emitted one at a time through an Emitter into a pipe, corrupted
 // in flight, and parsed concurrently — against the materialized
-// String() → Corrupt → ParseLenientString path.
+// String() → Corrupt → lenient parse of the string.
 func TestStreamedEmitCorruptParseParity(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "s1e3_capture.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := ParseString(string(data))
+	src, err := Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range streamProfiles {
 		t.Run(p.name, func(t *testing.T) {
-			logA, salA, err := ParseLenientString(
-				faults.New(p.seed, p.rates).Corrupt(src.String()))
+			logA, salA, err := ParseLenientObserved(strings.NewReader(
+				faults.New(p.seed, p.rates).Corrupt(src.String())), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestStreamedEmitCorruptParseParity(t *testing.T) {
 				}
 				pw.CloseWithError(em.Close())
 			}()
-			logB, salB, err := ParseLenient(faults.New(p.seed, p.rates).Reader(pr))
+			logB, salB, err := ParseLenientObserved(faults.New(p.seed, p.rates).Reader(pr), nil)
 			if err != nil {
 				t.Fatalf("piped parse errored: %v", err)
 			}
@@ -233,11 +233,11 @@ func FuzzStreamParity(f *testing.F) {
 		if got := buf.String(); got != want {
 			t.Fatalf("streamed corruption diverges from Corrupt:\n got %q\nwant %q", got, want)
 		}
-		logA, salA, err := ParseLenientString(want)
+		logA, salA, err := ParseLenientObserved(strings.NewReader(want), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		logB, salB, err := ParseLenient(faults.New(seed, rates).Reader(strings.NewReader(input)))
+		logB, salB, err := ParseLenientObserved(faults.New(seed, rates).Reader(strings.NewReader(input)), nil)
 		if err != nil {
 			t.Fatalf("streamed lenient parse errored: %v", err)
 		}

@@ -33,9 +33,11 @@ func ctxCfg(t *testing.T) Config {
 	return Config{Op: d.Op, Field: d.Field, Cluster: cl, Duration: time.Minute, Seed: 7}
 }
 
-func TestRunToContextBackgroundMatchesRunTo(t *testing.T) {
+// TestRunToContextBackgroundMatchesRun: under a context that never
+// cancels, the streaming form emits exactly the log Run collects.
+func TestRunToContextBackgroundMatchesRun(t *testing.T) {
 	cfg := ctxCfg(t)
-	want := Run(cfg).Log
+	want := Run(cfg)
 	got := &sig.Log{}
 	if err := RunToContext(context.Background(), cfg, got); err != nil {
 		t.Fatal(err)
@@ -77,7 +79,7 @@ func TestRunToContextCancelledUpfront(t *testing.T) {
 
 func TestRunToContextMidRunCancelEmitsStrictPrefix(t *testing.T) {
 	cfg := ctxCfg(t)
-	full := Run(cfg).Log
+	full := Run(cfg)
 	if len(full.Events) < 20 {
 		t.Fatalf("fixture too small: %d events", len(full.Events))
 	}

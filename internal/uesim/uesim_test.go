@@ -56,8 +56,8 @@ func findCluster(t *testing.T, op *policy.Operator, areaID string, arch deploy.A
 // emit → parse → extract → analyze, exactly like the real methodology.
 func analyzeRun(t *testing.T, cfg Config) (core.Analysis, *trace.Timeline) {
 	t.Helper()
-	res := Run(cfg)
-	parsed, err := sig.ParseString(res.Log.String())
+	log := Run(cfg)
+	parsed, err := sig.Parse(strings.NewReader(log.String()))
 	if err != nil {
 		t.Fatalf("run log does not re-parse: %v", err)
 	}
@@ -183,11 +183,11 @@ func TestRunLogReparses(t *testing.T) {
 	for _, op := range policy.All() {
 		area := deploy.AreasFor(op.Name)[0]
 		d := deploy.Build(op, area, 3)
-		res := Run(Config{Op: op, Field: d.Field, Cluster: d.Clusters[0], Duration: time.Minute, Seed: 5})
-		if res.Log.Len() == 0 {
+		log := Run(Config{Op: op, Field: d.Field, Cluster: d.Clusters[0], Duration: time.Minute, Seed: 5})
+		if log.Len() == 0 {
 			t.Fatalf("%s: empty log", op.Name)
 		}
-		if _, err := sig.ParseString(res.Log.String()); err != nil {
+		if _, err := sig.Parse(strings.NewReader(log.String())); err != nil {
 			t.Errorf("%s: log does not re-parse: %v", op.Name, err)
 		}
 	}
@@ -197,13 +197,13 @@ func TestRunDeterministic(t *testing.T) {
 	op := policy.OPT()
 	d := deploy.Build(op, deploy.AreasFor("OPT")[0], 9)
 	cfg := Config{Op: op, Field: d.Field, Cluster: d.Clusters[0], Duration: time.Minute, Seed: 77}
-	a := Run(cfg).Log.String()
-	b := Run(cfg).Log.String()
+	a := Run(cfg).String()
+	b := Run(cfg).String()
 	if a != b {
 		t.Error("same seed should give identical logs")
 	}
 	cfg.Seed = 78
-	if c := Run(cfg).Log.String(); c == a {
+	if c := Run(cfg).String(); c == a {
 		t.Error("different seeds should differ")
 	}
 }
@@ -235,8 +235,8 @@ func TestDeviceServingCellsDiffer(t *testing.T) {
 	// uses four (PCell + three SCells); early models use one.
 	d, cl := findCluster(t, policy.OPT(), "A1", deploy.ArchClean)
 	run := func(dev *device.Profile) *trace.Timeline {
-		res := Run(Config{Op: d.Op, Field: d.Field, Cluster: cl, Device: dev, Duration: 30 * time.Second, Seed: 11})
-		return trace.Extract(res.Log)
+		log := Run(Config{Op: d.Op, Field: d.Field, Cluster: cl, Device: dev, Duration: 30 * time.Second, Seed: 11})
+		return trace.Extract(log)
 	}
 	maxCells := func(tl *trace.Timeline) int {
 		max := 0
@@ -261,15 +261,15 @@ func TestDeviceServingCellsDiffer(t *testing.T) {
 func TestOnePlus10ProLTEOnlyOnOPA(t *testing.T) {
 	op := policy.OPA()
 	d := deploy.Build(op, deploy.AreasFor("OPA")[0], 4)
-	res := Run(Config{Op: op, Field: d.Field, Cluster: d.Clusters[0],
+	log := Run(Config{Op: op, Field: d.Field, Cluster: d.Clusters[0],
 		Device: device.OnePlus10Pro(), Duration: 2 * time.Minute, Seed: 3})
-	tl := trace.Extract(res.Log)
+	tl := trace.Extract(log)
 	for _, s := range tl.Steps {
 		if s.Set.Uses5G() {
 			t.Fatal("OnePlus 10 Pro must stay 4G-only on OPA")
 		}
 	}
-	if strings.Contains(res.Log.String(), "spCellConfig") {
+	if strings.Contains(log.String(), "spCellConfig") {
 		t.Error("no SCG should ever be configured")
 	}
 }
@@ -313,8 +313,8 @@ func TestOffDurationsByOperator(t *testing.T) {
 func TestMeasurableFloorRespected(t *testing.T) {
 	// No measurement report may contain an entry below the floor.
 	d, cl := findCluster(t, policy.OPT(), "A1", deploy.ArchS1E1)
-	res := Run(Config{Op: d.Op, Field: d.Field, Cluster: cl, Duration: time.Minute, Seed: 21})
-	parsed, err := sig.ParseString(res.Log.String())
+	log := Run(Config{Op: d.Op, Field: d.Field, Cluster: cl, Duration: time.Minute, Seed: 21})
+	parsed, err := sig.Parse(strings.NewReader(log.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestWalkingRunChangesBehaviour(t *testing.T) {
 	if r0 == 0 {
 		t.Skip("site did not loop under these seeds")
 	}
-	res := Run(Config{
+	log := Run(Config{
 		Op: d.Op, Field: d.Field, Cluster: cl,
 		Loc:          cl.Loc.Add(-250, 0),
 		Path:         []geo.Point{cl.Loc.Add(250, 0)},
@@ -347,7 +347,7 @@ func TestWalkingRunChangesBehaviour(t *testing.T) {
 		Duration:     5 * time.Minute,
 		Seed:         3000,
 	})
-	parsed, err := sig.ParseString(res.Log.String())
+	parsed, err := sig.Parse(strings.NewReader(log.String()))
 	if err != nil {
 		t.Fatalf("mobile log does not re-parse: %v", err)
 	}
@@ -356,7 +356,7 @@ func TestWalkingRunChangesBehaviour(t *testing.T) {
 		t.Fatal("mobile run produced no activity")
 	}
 	// Determinism holds for mobile runs too.
-	res2 := Run(Config{
+	log2 := Run(Config{
 		Op: d.Op, Field: d.Field, Cluster: cl,
 		Loc:          cl.Loc.Add(-250, 0),
 		Path:         []geo.Point{cl.Loc.Add(250, 0)},
@@ -364,7 +364,7 @@ func TestWalkingRunChangesBehaviour(t *testing.T) {
 		Duration:     5 * time.Minute,
 		Seed:         3000,
 	})
-	if res.Log.String() != res2.Log.String() {
+	if log.String() != log2.String() {
 		t.Error("mobile runs with the same seed must be identical")
 	}
 }

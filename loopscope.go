@@ -8,10 +8,10 @@
 // The library has three layers:
 //
 //   - Analysis: parse an NSG-style signaling log (ParseLog), fold it
-//     into a serving-cell-set timeline (ExtractTimeline), detect ON-OFF
-//     loops (DetectLoops), classify their causes (ClassifyLoop) and
-//     compute per-cycle impact metrics. This layer works on any capture
-//     in the supported text format.
+//     into a serving-cell-set timeline (ExtractTimeline), then detect
+//     ON-OFF loops, classify their causes and compute per-cycle impact
+//     metrics (Analyze). This layer works on any capture in the
+//     supported text format.
 //
 //   - Simulation: a full RRC-procedure-level simulator of 5G SA and 5G
 //     NSA radio access (SimulateRun, RunStudy) over a synthetic radio
@@ -130,8 +130,6 @@ type (
 	Cluster = deploy.Cluster
 	// RunConfig configures one simulated run.
 	RunConfig = uesim.Config
-	// RunResult is a simulated run's signaling capture.
-	RunResult = uesim.Result
 	// Point is a position in an area's local metric frame (meters).
 	Point = geo.Point
 	// StudyOptions scales a measurement study.
@@ -162,11 +160,9 @@ const (
 	FeatureWorstRSRP = core.FeatureWorstRSRP
 )
 
-// ParseLog reads an NSG-style signaling log.
-func ParseLog(r io.Reader) (*Log, error) { return sig.Parse(r) }
-
-// ParseLogString reads an NSG-style signaling log from a string.
-func ParseLogString(s string) (*Log, error) { return sig.ParseString(s) }
+// ParseLog reads an NSG-style signaling log. Parsing counters flush
+// into c when the parse completes; a nil c collects nothing.
+func ParseLog(r io.Reader, c MetricsCollector) (*Log, error) { return sig.ParseObserved(r, c) }
 
 // Salvage reports what lenient parsing kept and discarded from a
 // damaged capture.
@@ -175,13 +171,16 @@ type Salvage = sig.Salvage
 // ParseLogLenient reads a possibly corrupted NSG-style log in salvage
 // mode: malformed records are quarantined into the Salvage report and
 // parsing resyncs at the next header instead of aborting. The error is
-// non-nil only when the reader itself fails.
-func ParseLogLenient(r io.Reader) (*Log, *Salvage, error) { return sig.ParseLenient(r) }
+// non-nil only when the reader itself fails. Parsing counters flush
+// into c as in ParseLog.
+func ParseLogLenient(r io.Reader, c MetricsCollector) (*Log, *Salvage, error) {
+	return sig.ParseLenientObserved(r, c)
+}
 
 // Observability. A MetricsRegistry collects counters, gauges,
 // fixed-bucket histograms and per-run stage spans from the pipeline
-// (set StudyOptions.Metrics, RunConfig.Metrics, or use the Observed
-// parse variants) and snapshots to stable, timestamp-free JSON.
+// (set StudyOptions.Metrics or RunConfig.Metrics, or pass it to the
+// parse functions) and snapshots to stable, timestamp-free JSON.
 // Metrics are pure observation: every study record and experiment
 // output is byte-identical with the collector enabled or disabled.
 type (
@@ -197,19 +196,7 @@ type (
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// ParseLogObserved is ParseLog with parsing counters flushed into c
-// when the parse completes; a nil collector makes it exactly ParseLog.
-func ParseLogObserved(r io.Reader, c MetricsCollector) (*Log, error) {
-	return sig.ParseObserved(r, c)
-}
-
-// ParseLogLenientObserved is ParseLogLenient with parsing counters
-// flushed into c when the parse completes.
-func ParseLogLenientObserved(r io.Reader, c MetricsCollector) (*Log, *Salvage, error) {
-	return sig.ParseLenientObserved(r, c)
-}
-
-// ParseLogLenientTo is ParseLogLenientObserved delivering every kept
+// ParseLogLenientTo is ParseLogLenient delivering every kept
 // event to sink as it is parsed instead of collecting a Log. With a
 // TimelineBuilder as the sink, parsing and timeline extraction run as
 // one fused pass; add TimelineBuilder.TeeSteps into a
@@ -225,8 +212,8 @@ func NewTimelineBuilder() *TimelineBuilder { return trace.NewBuilder() }
 
 // NewStreamLoopDetector returns an incremental loop detector; feed it
 // timeline steps via TimelineBuilder.TeeSteps (or Push directly) and
-// finish with Flush. DetectLoops and Analyze run the same detector over
-// a finished timeline.
+// finish with Flush. Analyze runs the same detector over a finished
+// timeline.
 func NewStreamLoopDetector(cfg StreamDetectorConfig) *StreamLoopDetector {
 	return core.NewStreamDetector(cfg)
 }
@@ -257,18 +244,9 @@ func FaultProfile(rate float64) FaultRates { return faults.Profile(rate) }
 // (Appendix B methodology).
 func ExtractTimeline(l *Log) *Timeline { return trace.Extract(l) }
 
-// DetectLoops finds every ON-OFF loop in a timeline (Fig. 4).
-func DetectLoops(tl *Timeline) []*Loop { return core.Analyze(tl).Loops }
-
-// ClassifyLoop determines a loop's sub-type (Figs. 13–15).
-func ClassifyLoop(l *Loop) Subtype { return core.Classify(l) }
-
-// Analyze runs detection and classification together.
+// Analyze finds every ON-OFF loop in a timeline (Fig. 4) and
+// classifies each one's sub-type (Figs. 13–15).
 func Analyze(tl *Timeline) Analysis { return core.Analyze(tl) }
-
-// AnalyzeLog parses nothing — it chains extraction and analysis for a
-// log already in hand.
-func AnalyzeLog(l *Log) Analysis { return core.Analyze(trace.Extract(l)) }
 
 // Operators returns the three operator profiles of the study.
 func Operators() []*Operator { return policy.All() }
@@ -294,24 +272,13 @@ func BuildDeployment(op *Operator, area AreaSpec, seed int64) *Deployment {
 }
 
 // SimulateRun executes one stationary run and returns its signaling
-// capture; analyze it with AnalyzeLog.
-func SimulateRun(cfg RunConfig) *RunResult { return uesim.Run(cfg) }
-
-// SimulateRunTo executes one stationary run, delivering each signaling
-// event to the sink as it happens instead of collecting a Log. With a
-// NewLogEmitter sink this streams the capture text end-to-end. The
-// returned error reports an aborted run, whose partial capture must be
-// discarded; it is always nil today (the run is not cancellable from
-// this facade) but callers should propagate it.
-func SimulateRunTo(cfg RunConfig, sink LogSink) error { return uesim.RunTo(cfg, sink) }
+// capture; analyze it with Analyze(ExtractTimeline(log)).
+func SimulateRun(cfg RunConfig) *Log { return uesim.Run(cfg) }
 
 // NewLogEmitter returns a LogSink that renders events to w in capture
 // format. Call Close when done to flush and recycle its buffers; the
 // first write error sticks and is returned from Close.
 func NewLogEmitter(w io.Writer) *LogEmitter { return sig.NewEmitter(w) }
-
-// RunStudy executes the full measurement study across all areas.
-func RunStudy(opts StudyOptions) *Study { return campaign.Run(opts) }
 
 // Study resilience (see docs/RESILIENCE.md). A study can stream its
 // records into a StudySink as it executes, journal every completed run
@@ -331,11 +298,11 @@ type (
 // closed; the caller owns its lifecycle.
 func NewJSONLStudySink(w io.Writer) StudySink { return campaign.NewJSONLSink(w) }
 
-// RunStudyContext is RunStudy under a context, honouring the
-// checkpoint, sink and per-run timeout options. On cancellation it
+// RunStudy executes the full measurement study across all areas under
+// ctx, honouring the checkpoint and sink options. On cancellation it
 // drains gracefully — in-flight runs abort, finished work stays
 // checkpointed — and returns the partial study with the cause.
-func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
+func RunStudy(ctx context.Context, opts StudyOptions) (*Study, error) {
 	return campaign.RunContext(ctx, opts)
 }
 
@@ -388,19 +355,6 @@ func FitModel(samples []TrainingSample, feature FeatureKind) *Model {
 	return core.Fit(samples, feature)
 }
 
-// Experiment regenerates one of the paper's tables or figures by ID
-// (e.g. "fig6", "table5"); see ExperimentIDs for the catalogue. The
-// options scale the underlying study; the zero value reproduces the
-// full-size experiment.
-func Experiment(id string, opts StudyOptions) ([]string, map[string]float64, bool) {
-	g, ok := experiments.ByID(id)
-	if !ok {
-		return nil, nil, false
-	}
-	res := g.Run(experiments.NewContext(opts))
-	return res.Lines, res.Values, true
-}
-
 // ExperimentResult is one regenerated table or figure.
 type ExperimentResult struct {
 	ID     string
@@ -409,27 +363,13 @@ type ExperimentResult struct {
 	Values map[string]float64
 }
 
-// Experiments regenerates several tables/figures sharing one underlying
-// study dataset (much cheaper than repeated Experiment calls). Unknown
-// IDs are skipped. Passing nil runs everything in presentation order.
+// Experiments regenerates the paper's tables and figures by ID (e.g.
+// "fig6", "table5"; see ExperimentIDs for the catalogue), all sharing
+// one underlying study dataset. Unknown IDs are skipped; nil runs
+// everything in presentation order. The options scale the study; the
+// zero value reproduces the full-size experiments.
 func Experiments(ids []string, opts StudyOptions) []ExperimentResult {
-	ctx := experiments.NewContext(opts)
-	var gens []experiments.Generator
-	if ids == nil {
-		gens = experiments.All()
-	} else {
-		for _, id := range ids {
-			if g, ok := experiments.ByID(id); ok {
-				gens = append(gens, g)
-			}
-		}
-	}
-	out := make([]ExperimentResult, 0, len(gens))
-	for _, g := range gens {
-		res := g.Run(ctx)
-		out = append(out, ExperimentResult{ID: g.ID, Title: g.Title, Lines: res.Lines, Values: res.Values})
-	}
-	return out
+	return runExperiments(ids, experiments.NewContext(opts))
 }
 
 // ExperimentsWithStudy is Experiments over an already-materialized
@@ -437,7 +377,12 @@ func Experiments(ids []string, opts StudyOptions) []ExperimentResult {
 // tables and figures render without re-running it. Output is identical
 // to Experiments with the study's options.
 func ExperimentsWithStudy(ids []string, st *Study) []ExperimentResult {
-	ctx := experiments.NewContextWithStudy(st)
+	return runExperiments(ids, experiments.NewContextWithStudy(st))
+}
+
+// runExperiments renders the generators ids selects (all for nil) over
+// one shared context.
+func runExperiments(ids []string, ctx *experiments.Context) []ExperimentResult {
 	var gens []experiments.Generator
 	if ids == nil {
 		gens = experiments.All()

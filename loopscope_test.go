@@ -1,6 +1,7 @@
 package loopscope_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -32,15 +33,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Skip("no s1e3 cluster at this seed")
 	}
 
-	res := loopscope.SimulateRun(loopscope.RunConfig{
+	text := loopscope.SimulateRun(loopscope.RunConfig{
 		Op: op, Field: dep.Field, Cluster: cluster,
 		Duration: 4 * time.Minute, Seed: 7,
-	})
-	text := res.Log.String()
+	}).String()
 	if !strings.Contains(text, "RRC OTA Packet") {
 		t.Error("log text missing NSG framing")
 	}
-	parsed, err := loopscope.ParseLogString(text)
+	parsed, err := loopscope.ParseLog(strings.NewReader(text), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if loop.Form != loopscope.FormPersistent && loop.Form != loopscope.FormSemiPersistent {
 		t.Errorf("form = %v", loop.Form)
-	}
-	if len(loopscope.DetectLoops(tl)) == 0 {
-		t.Error("DetectLoops disagrees with Analyze")
-	}
-	if got := loopscope.ClassifyLoop(loop); got != sub {
-		t.Errorf("ClassifyLoop = %v", got)
 	}
 
 	speeds := loopscope.GenerateThroughput(tl, op, 9)
@@ -102,22 +96,21 @@ func TestFacadeExperiments(t *testing.T) {
 		t.Fatalf("experiment catalogue = %d entries", len(ids))
 	}
 	opts := loopscope.StudyOptions{Seed: 1, Duration: 90 * time.Second, RunScale: 0.25}
-	lines, values, ok := loopscope.Experiment("table4", opts)
-	if !ok || len(lines) == 0 || values["models"] != 6 {
-		t.Errorf("table4 = %v %v %v", ok, lines, values)
-	}
-	if _, _, ok := loopscope.Experiment("nope", opts); ok {
-		t.Error("unknown experiment should fail")
-	}
-	batch := loopscope.Experiments([]string{"table4", "fig13"}, opts)
+	batch := loopscope.Experiments([]string{"table4", "nope", "fig13"}, opts)
 	if len(batch) != 2 || batch[0].ID != "table4" || batch[1].ID != "fig13" {
-		t.Errorf("batch = %+v", batch)
+		t.Fatalf("batch = %+v, want table4 and fig13 with the unknown ID skipped", batch)
+	}
+	if len(batch[0].Lines) == 0 || batch[0].Values["models"] != 6 {
+		t.Errorf("table4 = %v %v", batch[0].Lines, batch[0].Values)
 	}
 }
 
 func TestFacadeCSVExport(t *testing.T) {
 	opts := loopscope.StudyOptions{Seed: 5, Duration: 90 * time.Second, RunScale: 0.2}
-	st := loopscope.RunStudy(opts)
+	st, err := loopscope.RunStudy(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var runs strings.Builder
 	if err := loopscope.ExportStudyCSV(st, &runs, nil, nil); err != nil {
 		t.Fatal(err)
@@ -139,18 +132,21 @@ func TestFacadeCoverageSweep(t *testing.T) {
 	if p.Dist(loopscope.At(0, 0)) != 5 {
 		t.Error("At/Point")
 	}
-	log, err := loopscope.ParseLogString("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n  Physical Cell ID = 1, Freq = 2\n")
+	reg := loopscope.NewMetricsRegistry()
+	log, err := loopscope.ParseLog(strings.NewReader("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n  Physical Cell ID = 1, Freq = 2\n"), reg)
 	if err != nil || log.Len() != 1 {
-		t.Fatalf("ParseLogString: %v %d", err, log.Len())
+		t.Fatalf("ParseLog: %v %d", err, log.Len())
 	}
-	if a := loopscope.AnalyzeLog(log); a.HasLoop() {
+	if reg.Counter("sig.events.kept").Value() != 1 {
+		t.Error("ParseLog did not flush its counters into the collector")
+	}
+	if a := loopscope.Analyze(loopscope.ExtractTimeline(log)); a.HasLoop() {
 		t.Error("one message is not a loop")
 	}
 	if loopscope.DefaultRunDuration != 5*time.Minute {
 		t.Error("run duration constant")
 	}
-	// ParseLog via io.Reader path.
-	log2, err := loopscope.ParseLog(strings.NewReader(""))
+	log2, err := loopscope.ParseLog(strings.NewReader(""), nil)
 	if err != nil || log2.Len() != 0 {
 		t.Errorf("ParseLog empty: %v %d", err, log2.Len())
 	}
