@@ -1,12 +1,13 @@
 // Command loopvet runs the repo's custom static-analysis suite — the
-// determinism, layering, exhaustive, floatcmp, unitcheck, rngflow,
-// ctxflow, lockcheck and hotalloc analyzers — over the module. It is
-// the machine check behind the invariants the compiler cannot see:
-// bit-reproducible replay from a seed, the §4 log-only methodology
-// boundary, exhaustive handling of the §5 cause taxonomy, the
-// typed-unit discipline of internal/units, rand-derived data never
-// escaping through unordered containers, context propagation,
-// annotated mutex discipline, and allocation-free hot paths.
+// determinism, errflow, layering, exhaustive, floatcmp, unitcheck,
+// rngflow, ctxflow, lockcheck and hotalloc analyzers — over the
+// module. It is the machine check behind the invariants the compiler
+// cannot see: bit-reproducible replay from a seed, no silently dropped
+// errors, the §4 log-only methodology boundary, exhaustive handling of
+// the §5 cause taxonomy, the typed-unit discipline of internal/units,
+// rand-derived data never escaping through unordered containers,
+// context propagation, annotated mutex discipline, and allocation-free
+// hot paths.
 //
 // Usage:
 //
@@ -18,11 +19,11 @@
 //	go run ./cmd/loopvet -skip hotalloc ./...  run all but a subset
 //
 // -only and -skip take comma-separated analyzer names from the usage
-// listing; naming an unknown analyzer is a usage error. An analyzer
-// kept by the selection still pulls in its fact-producing dependencies
-// (ctxflow runs ctxlaunch) even when they are not named. With -json
-// the findings mode emits an object {"analyzers": [...], "findings":
-// [...]} so CI can see which analyzers actually gated the run.
+// listing; naming an unknown analyzer, or a selection that leaves no
+// analyzer to run, is a usage error. Exactly the selected analyzers
+// run. With -json the findings mode emits an object {"analyzers":
+// [...], "findings": [...]} so CI can see which analyzers actually
+// gated the run.
 //
 // -stats appends a per-analyzer cost table — wall time summed over
 // every package pass plus surviving finding counts, with a "callgraph"
@@ -31,7 +32,8 @@
 // implies -stats, turns the table into a gate: if any single entry
 // exceeds the duration (e.g. -budget 30s), the run exits 1 even when
 // the tree is clean, so an analyzer that quietly grows quadratic cost
-// fails CI instead of taxing every developer.
+// fails CI instead of taxing every developer. A negative -budget is a
+// usage error.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error. Findings
 // can be waived in source with
@@ -86,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *budget < 0 {
+		fmt.Fprintf(stderr, "loopvet: -budget %s is negative\n", *budget)
+		return 2
+	}
 	root, modPath, err := findModule()
 	if err != nil {
 		fmt.Fprintln(stderr, "loopvet:", err)
@@ -96,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "loopvet:", err)
 		return 2
 	}
-	res, err := driver.RunDetail(driver.Options{
+	res, err := driver.Run(driver.Options{
 		ModulePath: modPath,
 		ModuleRoot: root,
 		Patterns:   fs.Args(),
@@ -190,11 +196,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // selectAnalyzers applies the -only and -skip selections to the suite.
-// Names must match suite analyzers exactly; an unknown name is a usage
-// error (a typo silently running the full suite — or none of it —
-// would defeat the point of the gate). Fact-producing dependencies of
-// a kept analyzer are pulled back in by the driver's Requires closure
-// even when the selection does not name them.
+// Names must match suite analyzers exactly; an unknown name, or a
+// selection that leaves nothing to run, is a usage error (a typo
+// silently running the full suite — or none of it — would defeat the
+// point of the gate).
 func selectAnalyzers(suite []*analysis.Analyzer, only, skip string) ([]*analysis.Analyzer, error) {
 	known := map[string]bool{}
 	for _, a := range suite {
@@ -234,6 +239,9 @@ func selectAnalyzers(suite []*analysis.Analyzer, only, skip string) ([]*analysis
 			continue
 		}
 		out = append(out, a)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-only %q -skip %q selects no analyzer (see loopvet -h for the list)", only, skip)
 	}
 	return out, nil
 }

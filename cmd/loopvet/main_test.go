@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/mssn/loopscope/internal/lint/checkers"
 )
 
 // chdir moves the test into dir and restores the working directory at
@@ -142,16 +144,32 @@ func TestRunSkip(t *testing.T) {
 	}
 }
 
-// TestRunUnknownAnalyzer checks that a typo in a selection flag is a
-// usage error, not a silently mis-scoped run.
+// TestRunUnknownAnalyzer checks that a typo in a selection flag, or a
+// selection that leaves nothing to run, is a usage error, not a
+// silently mis-scoped (or empty, and so always passing) run.
 func TestRunUnknownAnalyzer(t *testing.T) {
-	for _, flag := range []string{"-only", "-skip"} {
+	var all []string
+	for _, a := range checkers.Suite("") {
+		all = append(all, a.Name)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-only", "nosuch"}, `unknown analyzer "nosuch"`},
+		{[]string{"-skip", "nosuch"}, `unknown analyzer "nosuch"`},
+		{[]string{"-only", ","}, "selects no analyzer"},
+		{[]string{"-json", "-only", ","}, "selects no analyzer"},
+		{[]string{"-only", " "}, "selects no analyzer"},
+		{[]string{"-skip", strings.Join(all, ",")}, "selects no analyzer"},
+	} {
 		var out, errOut bytes.Buffer
-		if code := run([]string{flag, "nosuch", "./..."}, &out, &errOut); code != 2 {
-			t.Fatalf("%s nosuch: exit code = %d, want 2", flag, code)
+		if code := run(append(tc.args, "./..."), &out, &errOut); code != 2 {
+			t.Errorf("%q: exit code = %d, want 2; stdout: %s", tc.args, code, out.String())
+			continue
 		}
-		if !strings.Contains(errOut.String(), `unknown analyzer "nosuch"`) {
-			t.Errorf("%s nosuch: stderr %q is missing the unknown-analyzer error", flag, errOut.String())
+		if !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("%q: stderr %q is missing %q", tc.args, errOut.String(), tc.want)
 		}
 	}
 }
@@ -249,29 +267,25 @@ func TestRunStats(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
 		t.Fatalf("output is not a JSON report object: %v\n%s", err, out.String())
 	}
-	rows := map[string]int{}
+	// The rows are exactly the callgraph pseudo-entry followed by the
+	// selected analyzers: nothing runs that the selection did not name.
+	var rows []string
+	total := 0
 	for _, s := range report.Stats {
 		if s.WallMS < 0 {
 			t.Errorf("stat %s has negative wall time %f", s.Analyzer, s.WallMS)
 		}
-		rows[s.Analyzer] = s.Findings
-	}
-	if _, ok := rows["callgraph"]; !ok {
-		t.Errorf("stats are missing the callgraph pseudo-entry: %v", rows)
-	}
-	total := 0
-	for _, s := range report.Stats {
+		rows = append(rows, s.Analyzer)
 		total += s.Findings
+	}
+	if want := append([]string{"callgraph"}, report.Analyzers...); strings.Join(rows, ",") != strings.Join(want, ",") {
+		t.Errorf("stats rows = %v, want %v", rows, want)
+	}
+	if len(report.Analyzers) != len(checkers.Suite("")) {
+		t.Errorf("report names %d analyzers, want the %d of the suite", len(report.Analyzers), len(checkers.Suite("")))
 	}
 	if total != len(report.Findings) {
 		t.Errorf("stats count %d findings, report has %d", total, len(report.Findings))
-	}
-	// Every selected analyzer has a row; the Requires closure may add
-	// fact-producer rows (unitdecl, ctxlaunch) on top.
-	for _, name := range report.Analyzers {
-		if _, ok := rows[name]; !ok {
-			t.Errorf("stats are missing a row for %s: %v", name, rows)
-		}
 	}
 
 	// Text mode renders the same rows as a table.
@@ -309,13 +323,23 @@ func TestRunBudget(t *testing.T) {
 	}
 }
 
-// TestRunBadFlag checks the usage-error exit code.
+// TestRunBadFlag checks the usage-error exit code, including a
+// negative -budget, which would otherwise drop the time gate silently.
 func TestRunBadFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "usage: loopvet") {
-		t.Errorf("stderr is missing usage text: %s", errOut.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-no-such-flag"}, "usage: loopvet"},
+		{[]string{"-budget", "-1s", "./internal/meas"}, "-budget -1s is negative"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, &out, &errOut); code != 2 {
+			t.Errorf("%q: exit code = %d, want 2; stdout: %s", tc.args, code, out.String())
+			continue
+		}
+		if !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("%q: stderr %q is missing %q", tc.args, errOut.String(), tc.want)
+		}
 	}
 }

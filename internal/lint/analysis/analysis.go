@@ -5,7 +5,10 @@
 // The x/tools module is deliberately not vendored — the repo builds
 // with the standard library alone — so loopvet's analyzers are written
 // against this package instead. The surface is kept close enough to
-// the upstream API that porting to x/tools later is mechanical.
+// the upstream API that porting to x/tools later is mechanical. One
+// deliberate difference: there are no facts. Everything an analyzer
+// knows about other packages comes from go/types or from the
+// module-wide CallGraph every Pass carries.
 package analysis
 
 import (
@@ -23,33 +26,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects the package and reports findings via pass.Reportf.
 	Run func(*Pass) error
-
-	// Requires lists analyzers that must have run — over this package
-	// and over every module-local dependency — before this one, so
-	// their exported facts are visible through ImportObjectFact. The
-	// driver expands the closure and rejects cycles.
-	Requires []*Analyzer
-	// FactTypes declares the fact types this analyzer may export, as
-	// typed nil pointers (e.g. (*UnitFact)(nil)). Exporting an
-	// undeclared fact type panics: fact flow must be auditable from
-	// the analyzer declarations alone.
-	FactTypes []Fact
-}
-
-// A Fact is a unit of information derived while analyzing one package
-// and importable by analyses of packages that depend on it — the
-// cross-package channel of the framework, mirroring x/tools
-// analysis.Fact. Facts are keyed by the types.Object they describe;
-// because the loader caches type-checked packages, an object seen
-// through an import is identical to the one seen while analyzing its
-// declaring package, so plain object identity is the key.
-//
-// Implementations must be pointer types; ImportObjectFact copies the
-// stored value through the pointer.
-type Fact interface {
-	// AFact is a marker method tying the implementation to this
-	// interface at compile time.
-	AFact()
 }
 
 // Pass carries one type-checked package through an Analyzer.
@@ -67,18 +43,12 @@ type Pass struct {
 	Report func(Diagnostic)
 
 	// CallGraph is the module-wide call graph over every package of
-	// this run, shared by all passes. Interprocedural analyzers read
-	// per-function summaries off it (see BottomUp); intra-procedural
-	// analyzers ignore it. Nil when the host runs without one.
+	// this run — the requested packages and their module-local
+	// dependencies — shared by all passes. It is the framework's one
+	// cross-package channel: analyzers read per-function summaries off
+	// it (see BottomUp) or index declarations across its Sources.
+	// Never nil.
 	CallGraph *CallGraph
-
-	// ExportObjectFact associates fact with obj for downstream
-	// analyzers (same package or importers). Wired by the driver; nil
-	// when the host runs a single analyzer without fact support.
-	ExportObjectFact func(obj types.Object, fact Fact)
-	// ImportObjectFact copies into fact the fact of fact's type
-	// previously exported for obj, reporting whether one existed.
-	ImportObjectFact func(obj types.Object, fact Fact) bool
 }
 
 // Reportf reports a finding at pos.

@@ -105,7 +105,8 @@ type CGNode struct {
 // with BuildCallGraph; it is immutable afterwards and safe to share
 // across passes (but not to mutate concurrently).
 type CallGraph struct {
-	nodes map[*types.Func]*CGNode
+	sources []CGSource
+	nodes   map[*types.Func]*CGNode
 	// order preserves deterministic build order (package, file, decl).
 	order []*CGNode
 	// named are the module's package-level concrete named types, in
@@ -124,6 +125,7 @@ type CallGraph struct {
 // a types.Object seen from two packages is one identity.
 func BuildCallGraph(sources []CGSource) *CallGraph {
 	g := &CallGraph{
+		sources:   sources,
 		nodes:     map[*types.Func]*CGNode{},
 		addrTaken: map[string][]*types.Func{},
 		implCache: map[*types.Func][]*types.Func{},
@@ -178,6 +180,11 @@ func (g *CallGraph) Node(fn *types.Func) *CGNode { return g.nodes[fn] }
 
 // Nodes returns every node in deterministic build order.
 func (g *CallGraph) Nodes() []*CGNode { return g.order }
+
+// Sources returns the packages the graph was built over, in build
+// order, so an analyzer can index declarations (annotations, types)
+// module-wide once per graph instead of once per package pass.
+func (g *CallGraph) Sources() []CGSource { return g.sources }
 
 // collectNamed records a package-level concrete named type as an
 // interface-dispatch candidate.

@@ -7,104 +7,45 @@ import (
 	"github.com/mssn/loopscope/internal/lint/analysis"
 )
 
-// CtxLauncherFact marks a function that launches concurrent work under
-// a context it receives: it has a context.Context parameter and either
-// starts a goroutine itself or hands its context to another launcher.
-// Exported by the ctxlaunch analyzer and imported by ctxflow, so a
-// call like work.Run(context.Background()) can be diagnosed as
-// detaching a whole goroutine tree from the caller's cancellation
-// scope — across package boundaries.
-type CtxLauncherFact struct{}
-
-// AFact marks CtxLauncherFact as an analysis.Fact.
-func (*CtxLauncherFact) AFact() {}
-
-// CtxLaunch returns the fact-exporting analyzer behind ctxflow's
-// launcher knowledge. It reports no diagnostics.
-func CtxLaunch() *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "ctxlaunch",
-		Doc: "export a CtxLauncherFact for every function that receives a context.Context " +
-			"and launches goroutines under it (directly or through another launcher), so " +
-			"ctxflow can explain what a re-rooted context actually detaches",
-		FactTypes: []analysis.Fact{(*CtxLauncherFact)(nil)},
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		type cand struct {
-			fn  *ast.FuncDecl
-			obj types.Object
-		}
-		var cands []cand
-		launched := map[types.Object]bool{}
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj := pass.Info.Defs[fn.Name]
-				if obj == nil || len(ctxParams(pass, fn)) == 0 {
-					continue
-				}
-				cands = append(cands, cand{fn, obj})
-			}
-		}
-		// Fixpoint within the package: a function that passes its ctx to
-		// a launcher is itself a launcher, and call graphs are not in
-		// declaration order. Cross-package callees resolve immediately
-		// through their imported facts.
-		for changed := true; changed; {
-			changed = false
-			for _, c := range cands {
-				if launched[c.obj] {
-					continue
-				}
-				if launchesUnderCtx(pass, c.fn, launched) {
-					launched[c.obj] = true
-					changed = true
-				}
-			}
-		}
-		for obj := range launched {
-			pass.ExportObjectFact(obj, &CtxLauncherFact{})
-		}
-		return nil
-	}
-	return a
-}
-
-// launchesUnderCtx reports whether fn starts a goroutine or forwards a
-// context of its own to a known launcher.
-func launchesUnderCtx(pass *analysis.Pass, fn *ast.FuncDecl, launched map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if found {
+// ctxLaunchers computes the launcher summary over the call graph: a
+// function is a launcher when it receives a context.Context and either
+// starts a goroutine itself or hands a context to another launcher.
+// ctxflow uses it to explain what a re-rooted context actually
+// detaches — across package boundaries, through forwarding chains of
+// any depth.
+func ctxLaunchers(g *analysis.CallGraph) map[*types.Func]bool {
+	return analysis.BottomUp(g, func(n *analysis.CGNode, get func(*types.Func) (bool, bool)) bool {
+		if n.Decl.Body == nil || len(ctxParams(n.Info, n.Decl)) == 0 {
 			return false
 		}
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			found = true
-			return false
-		case *ast.CallExpr:
-			callee := calleeObject(pass, n)
-			if callee == nil {
-				return true
+		found := false
+		ast.Inspect(n.Decl.Body, func(c ast.Node) bool {
+			if found {
+				return false
 			}
-			isLauncher := launched[callee] ||
-				pass.ImportObjectFact(callee, &CtxLauncherFact{})
-			if !isLauncher {
-				return true
-			}
-			for _, arg := range n.Args {
-				if isContextExpr(pass, arg) {
-					found = true
-					return false
+			switch c := c.(type) {
+			case *ast.GoStmt:
+				found = true
+				return false
+			case *ast.CallExpr:
+				callee, ok := calleeObject(n.Info, c).(*types.Func)
+				if !ok {
+					return true
+				}
+				if launcher, _ := get(callee); !launcher {
+					return true
+				}
+				for _, arg := range c.Args {
+					if isContextExpr(n.Info, arg) {
+						found = true
+						return false
+					}
 				}
 			}
-		}
-		return true
+			return true
+		})
+		return found
 	})
-	return found
 }
 
 // CtxFlow returns the context-propagation analyzer. A function that
@@ -127,18 +68,19 @@ func launchesUnderCtx(pass *analysis.Pass, fn *ast.FuncDecl, launched map[types.
 //
 // Package main is exempt: main owns the root of the context tree, so
 // creating one there is the point.
-func CtxFlow(launch *analysis.Analyzer) *analysis.Analyzer {
+func CtxFlow() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "ctxflow",
 		Doc: "enforce context propagation: no context.Background()/TODO() re-roots in " +
 			"functions that receive a ctx (nil-defaulting excepted), no blocking loops " +
 			"that ignore ctx.Done(), no context.Context struct fields",
-		Requires: []*analysis.Analyzer{launch},
 	}
+	launchers := perGraph(ctxLaunchers)
 	a.Run = func(pass *analysis.Pass) error {
 		if pass.Pkg.Name() == "main" {
 			return nil
 		}
+		launched := launchers(pass.CallGraph)
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
@@ -148,11 +90,11 @@ func CtxFlow(launch *analysis.Analyzer) *analysis.Analyzer {
 					if d.Body == nil {
 						continue
 					}
-					params := ctxParams(pass, d)
+					params := ctxParams(pass.Info, d)
 					if len(params) == 0 {
 						continue
 					}
-					checkReroot(pass, d, params)
+					checkReroot(pass, d, params, launched)
 					checkBlockingLoops(pass, d)
 				}
 			}
@@ -163,11 +105,11 @@ func CtxFlow(launch *analysis.Analyzer) *analysis.Analyzer {
 }
 
 // ctxParams returns the objects of fn's context.Context parameters.
-func ctxParams(pass *analysis.Pass, fn *ast.FuncDecl) []types.Object {
+func ctxParams(info *types.Info, fn *ast.FuncDecl) []types.Object {
 	var out []types.Object
 	for _, field := range fn.Type.Params.List {
 		for _, name := range field.Names {
-			obj := pass.Info.Defs[name]
+			obj := info.Defs[name]
 			if obj != nil && isContextType(obj.Type()) {
 				out = append(out, obj)
 			}
@@ -186,19 +128,19 @@ func isContextType(t types.Type) bool {
 }
 
 // isContextExpr reports whether e's static type is context.Context.
-func isContextExpr(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
+func isContextExpr(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	return ok && tv.Type != nil && isContextType(tv.Type)
 }
 
 // calleeObject resolves the called function's object for plain and
 // selector calls.
-func calleeObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
+func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		return pass.Info.Uses[fun]
+		return info.Uses[fun]
 	case *ast.SelectorExpr:
-		return pass.Info.Uses[fun.Sel]
+		return info.Uses[fun.Sel]
 	}
 	return nil
 }
@@ -206,7 +148,7 @@ func calleeObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 // isCtxRoot reports whether call is context.Background() or
 // context.TODO(), returning the function name.
 func isCtxRoot(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	fn, ok := calleeObject(pass, call).(*types.Func)
+	fn, ok := calleeObject(pass.Info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return "", false
 	}
@@ -218,7 +160,7 @@ func isCtxRoot(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 
 // checkReroot flags context.Background()/TODO() calls in a function
 // that already receives a context, except the nil-defaulting idiom.
-func checkReroot(pass *analysis.Pass, fn *ast.FuncDecl, params []types.Object) {
+func checkReroot(pass *analysis.Pass, fn *ast.FuncDecl, params []types.Object, launched map[*types.Func]bool) {
 	allowed := nilGuardRoots(pass, fn, params)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -229,7 +171,7 @@ func checkReroot(pass *analysis.Pass, fn *ast.FuncDecl, params []types.Object) {
 		if !ok || allowed[call] {
 			return true
 		}
-		if launcher := launcherTakingArg(pass, fn, call); launcher != "" {
+		if launcher := launcherTakingArg(pass, fn, call, launched); launcher != "" {
 			pass.Reportf(call.Pos(),
 				"context.%s() handed to %s detaches its goroutines from %s's own context; propagate the ctx parameter instead",
 				name, launcher, fn.Name.Name)
@@ -304,9 +246,9 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// launcherTakingArg returns the printable name of the launcher-fact
-// callee receiving call as a direct argument, or "".
-func launcherTakingArg(pass *analysis.Pass, fn *ast.FuncDecl, root *ast.CallExpr) string {
+// launcherTakingArg returns the printable name of the launcher callee
+// receiving call as a direct argument, or "".
+func launcherTakingArg(pass *analysis.Pass, fn *ast.FuncDecl, root *ast.CallExpr, launched map[*types.Func]bool) string {
 	name := ""
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -322,8 +264,7 @@ func launcherTakingArg(pass *analysis.Pass, fn *ast.FuncDecl, root *ast.CallExpr
 		if !isArg {
 			return true
 		}
-		callee := calleeObject(pass, call)
-		if callee != nil && pass.ImportObjectFact(callee, &CtxLauncherFact{}) {
+		if callee, ok := calleeObject(pass.Info, call).(*types.Func); ok && launched[callee] {
 			name = callee.Name()
 			if callee.Pkg() != nil && callee.Pkg() != pass.Pkg {
 				name = callee.Pkg().Name() + "." + name
@@ -361,7 +302,7 @@ func checkBlockingLoops(pass *analysis.Pass, fn *ast.FuncDecl) {
 							blocks = true
 						}
 					case *ast.SelectorExpr:
-						if (n.Sel.Name == "Done" || n.Sel.Name == "Err") && isContextExpr(pass, n.X) {
+						if (n.Sel.Name == "Done" || n.Sel.Name == "Err") && isContextExpr(pass.Info, n.X) {
 							observes = true
 						}
 					}
@@ -379,7 +320,7 @@ func checkBlockingLoops(pass *analysis.Pass, fn *ast.FuncDecl) {
 
 // isTimeSleep reports whether call is time.Sleep.
 func isTimeSleep(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn, ok := calleeObject(pass, call).(*types.Func)
+	fn, ok := calleeObject(pass.Info, call).(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep"
 }
 

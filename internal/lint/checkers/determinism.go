@@ -38,19 +38,6 @@ var seededRandFuncs = map[string]bool{
 	"NewZipf":   true,
 }
 
-// DetTaintFact marks a function that may transitively reach a
-// non-deterministic source: a wall-clock read, a machine-clock timer,
-// or the process-global math/rand source. Exported by the determinism
-// analyzer for every tainted module-local function so the taint is
-// auditable per package (`loopvet -json`), and as a fallback channel
-// for hosts without a call graph.
-type DetTaintFact struct {
-	Wall, Timer, Rand bool
-}
-
-// AFact marks DetTaintFact as an analysis.Fact.
-func (*DetTaintFact) AFact() {}
-
 // detSrc is one taint bit of a function summary: whether the function
 // may reach the sink, through which next module-local hop (nil when it
 // calls the sink itself), and which stdlib function the chain ends in.
@@ -130,17 +117,9 @@ func Determinism(scope []string) *analysis.Analyzer {
 			"chain (interprocedural taint over the call graph, cleared per function by " +
 			"//loopvet:detsafe <reason>); every source of randomness must be " +
 			"constructed from an explicit seed parameter (DESIGN.md §Determinism)",
-		FactTypes: []analysis.Fact{(*DetTaintFact)(nil)},
 	}
-	var (
-		sumGraph *analysis.CallGraph
-		sums     map[*types.Func]detSummary
-	)
+	taint := perGraph(solveDetTaint)
 	a.Run = func(pass *analysis.Pass) error {
-		if pass.CallGraph != nil && pass.CallGraph != sumGraph {
-			sumGraph = pass.CallGraph
-			sums = solveDetTaint(pass.CallGraph)
-		}
 		// Directive hygiene is checked everywhere, scoped or not: a
 		// reasonless //loopvet:detsafe must not silently clear taint.
 		for _, f := range pass.Files {
@@ -152,20 +131,6 @@ func Determinism(scope []string) *analysis.Analyzer {
 				if dir, found := detsafeDirective(fd); found && dir == "" {
 					pass.Reportf(fd.Pos(),
 						"//loopvet:detsafe needs a reason: say why this function's clock/rand use cannot change study output")
-				}
-			}
-		}
-		// Export taint facts for this package's functions.
-		if pass.ExportObjectFact != nil && pass.CallGraph != nil {
-			for _, n := range pass.CallGraph.Nodes() {
-				if n.Path != pass.Path {
-					continue
-				}
-				s := sums[n.Func]
-				if s.wall.on || s.timer.on || s.grand.on {
-					pass.ExportObjectFact(n.Func, &DetTaintFact{
-						Wall: s.wall.on, Timer: s.timer.on, Rand: s.grand.on,
-					})
 				}
 			}
 		}
@@ -187,7 +152,7 @@ func Determinism(scope []string) *analysis.Analyzer {
 				return true
 			})
 		}
-		checkDeepTaint(pass, scope, sums)
+		checkDeepTaint(pass, scope, taint(pass.CallGraph))
 		return nil
 	}
 	return a
@@ -198,9 +163,6 @@ func Determinism(scope []string) *analysis.Analyzer {
 // scope. In-scope callees are skipped: their own sink sites are
 // flagged directly, so the finding lands where the fix belongs.
 func checkDeepTaint(pass *analysis.Pass, scope []string, sums map[*types.Func]detSummary) {
-	if pass.CallGraph == nil || sums == nil {
-		return
-	}
 	type siteKind struct {
 		pos  token.Pos
 		kind detKind

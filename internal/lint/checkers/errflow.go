@@ -10,19 +10,6 @@ import (
 	"github.com/mssn/loopscope/internal/lint/analysis"
 )
 
-// AlwaysNilErrFact marks a function whose error result is provably nil
-// on every return path — directly (`return nil`) or by forwarding a
-// callee that is itself always-nil. errflow exports it for every such
-// module-local function and uses it to suppress discard findings:
-// ignoring an error that cannot be non-nil is not a bug. The summary
-// is computed bottom-up over the module call graph (so it crosses
-// package boundaries through arbitrarily deep forwarding chains) and
-// re-exported per package through the fact store for auditability.
-type AlwaysNilErrFact struct{}
-
-// AFact marks AlwaysNilErrFact as an analysis.Fact.
-func (*AlwaysNilErrFact) AFact() {}
-
 // ErrFlow returns the errflow analyzer: no error may be silently
 // dropped anywhere in the module. Four rules, in the order they catch
 // things in practice:
@@ -39,8 +26,10 @@ func (*AlwaysNilErrFact) AFact() {}
 //  4. wrap discipline — fmt.Errorf formatting an error operand with
 //     %v/%s instead of %w, which severs the errors.Is/As chain.
 //
-// Calls whose callee provably always returns nil (AlwaysNilErrFact)
-// are exempt from rules 1–3. Justified discards take a
+// Calls whose callee provably always returns nil are exempt from
+// rules 1–3: the summary is computed bottom-up over the module call
+// graph, so it crosses package boundaries through arbitrarily deep
+// forwarding chains. Justified discards take a
 // //lint:ignore loopvet/errflow waiver with a reason.
 func ErrFlow() *analysis.Analyzer {
 	a := &analysis.Analyzer{
@@ -49,25 +38,10 @@ func ErrFlow() *analysis.Analyzer {
 			"calls, errors captured but never checked on any CFG path, and fmt.Errorf " +
 			"wrapping an error with %v/%s instead of %w; suppressed when the callee " +
 			"provably always returns nil (bottom-up call-graph summary)",
-		FactTypes: []analysis.Fact{(*AlwaysNilErrFact)(nil)},
 	}
-	var (
-		sumGraph  *analysis.CallGraph
-		alwaysNil map[*types.Func]bool
-	)
+	alwaysNil := perGraph(solveAlwaysNil)
 	a.Run = func(pass *analysis.Pass) error {
-		if pass.CallGraph != nil && pass.CallGraph != sumGraph {
-			sumGraph = pass.CallGraph
-			alwaysNil = solveAlwaysNil(pass.CallGraph)
-		}
-		ef := &errFlowPass{pass: pass, alwaysNil: alwaysNil}
-		if pass.ExportObjectFact != nil && pass.CallGraph != nil {
-			for _, n := range pass.CallGraph.Nodes() {
-				if n.Path == pass.Path && alwaysNil[n.Func] {
-					pass.ExportObjectFact(n.Func, &AlwaysNilErrFact{})
-				}
-			}
-		}
+		ef := &errFlowPass{pass: pass, alwaysNil: alwaysNil(pass.CallGraph)}
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -162,25 +136,9 @@ func unparenExpr(e ast.Expr) ast.Expr {
 }
 
 // moduleLocal reports whether fn is declared in this run's module (it
-// has a call-graph node), falling back to the fact store for hosts
-// without a graph.
+// has a call-graph node).
 func (ef *errFlowPass) moduleLocal(fn *types.Func) bool {
-	if ef.pass.CallGraph != nil {
-		return ef.pass.CallGraph.Node(fn) != nil
-	}
-	return fn.Pkg() == ef.pass.Pkg
-}
-
-// calleeAlwaysNil reports whether fn's error result is provably nil,
-// via the global summary or an imported fact.
-func (ef *errFlowPass) calleeAlwaysNil(fn *types.Func) bool {
-	if ef.alwaysNil[fn] {
-		return true
-	}
-	if ef.pass.ImportObjectFact != nil {
-		return ef.pass.ImportObjectFact(fn, &AlwaysNilErrFact{})
-	}
-	return false
+	return ef.pass.CallGraph.Node(fn) != nil
 }
 
 // funcLabelShort renders fn as pkg.Name or pkg.Recv.Name for messages.
@@ -212,7 +170,7 @@ func (ef *errFlowPass) checkBareCall(call *ast.CallExpr, prefix string) {
 	if !ok || len(errorResultIndexes(sig)) == 0 {
 		return
 	}
-	if !ef.moduleLocal(fn) || ef.calleeAlwaysNil(fn) {
+	if !ef.moduleLocal(fn) || ef.alwaysNil[fn] {
 		return
 	}
 	ef.pass.Reportf(call.Pos(),
@@ -256,7 +214,7 @@ func (ef *errFlowPass) checkBlankAssign(as *ast.AssignStmt) {
 			errBlank = true
 		}
 	}
-	if !errBlank || ef.calleeAlwaysNil(fn) {
+	if !errBlank || ef.alwaysNil[fn] {
 		return
 	}
 	// `_ = f()` (everything thrown away) is an explicit dodge for any
@@ -286,7 +244,7 @@ func (ef *errFlowPass) checkNeverRead(body *ast.BlockStmt) {
 				continue
 			}
 			fn := staticCallee(info, call)
-			if fn != nil && ef.calleeAlwaysNil(fn) {
+			if fn != nil && ef.alwaysNil[fn] {
 				continue
 			}
 			sig, ok := info.Types[call.Fun].Type.Underlying().(*types.Signature)

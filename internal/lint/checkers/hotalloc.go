@@ -171,7 +171,7 @@ func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, loopDepth int, noCap 
 			}
 		}
 	}
-	if fn, ok := calleeObject(pass, call).(*types.Func); ok &&
+	if fn, ok := calleeObject(pass.Info, call).(*types.Func); ok &&
 		fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
 		(fn.Name() == "Sprintf" || fn.Name() == "Sprint" || fn.Name() == "Sprintln") {
 		pass.Reportf(call.Pos(),

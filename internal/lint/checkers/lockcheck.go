@@ -1,36 +1,36 @@
 package checkers
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
 	"github.com/mssn/loopscope/internal/lint/analysis"
 )
 
-// GuardFact records that a struct field carries a `guarded by: <mu>`
-// annotation: every access must happen while the named sibling mutex
-// is held. Exported for the field's object so accesses from importing
-// packages are checked too.
-type GuardFact struct {
-	// Mutex is the name of the guarding mutex field on the same struct.
-	Mutex string
-}
-
-// AFact marks GuardFact as an analysis.Fact.
-func (*GuardFact) AFact() {}
-
-// LockFact records a method's declared lock protocol: Requires lists
+// lockProto is a method's declared lock protocol: Requires lists
 // mutexes of the receiver the caller must already hold, Locks lists
 // mutexes the method acquires itself (so calling it with one held is a
 // self-deadlock).
-type LockFact struct {
+type lockProto struct {
 	Requires []string
 	Locks    []string
 }
 
-// AFact marks LockFact as an analysis.Fact.
-func (*LockFact) AFact() {}
+// lockIndex holds every lock annotation of the packages a call graph
+// was built over, so a contract declared in one package is checked at
+// call sites in its importers.
+type lockIndex struct {
+	// guards maps a `guarded by:` field to the name of its mutex.
+	guards map[types.Object]string
+	// protos maps a `requires:`/`locks:` method to its protocol.
+	protos map[types.Object]lockProto
+	// malformed holds the annotation errors of each package, by import
+	// path; only that package's own pass reports them.
+	malformed map[string][]analysis.Diagnostic
+}
 
 // LockCheck returns the annotation-driven mutex-discipline analyzer.
 // The annotations are the contract:
@@ -70,10 +70,13 @@ func LockCheck() *analysis.Analyzer {
 		Doc: "enforce `guarded by:` / `requires:` / `locks:` mutex annotations: guarded " +
 			"fields and requires-methods only on paths where the mutex may be held, no " +
 			"calls into locks-methods while already holding",
-		FactTypes: []analysis.Fact{(*GuardFact)(nil), (*LockFact)(nil)},
 	}
+	index := perGraph(indexLockAnnotations)
 	a.Run = func(pass *analysis.Pass) error {
-		collectLockAnnotations(pass)
+		idx := index(pass.CallGraph)
+		for _, d := range idx.malformed[pass.Path] {
+			pass.Reportf(d.Pos, "%s", d.Message)
+		}
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
@@ -81,18 +84,12 @@ func LockCheck() *analysis.Analyzer {
 					continue
 				}
 				entry := map[string]bool{}
-				if obj := pass.Info.Defs[fn.Name]; obj != nil {
-					var fact LockFact
-					if pass.ImportObjectFact(obj, &fact) && len(fact.Requires) > 0 {
-						recv := receiverName(fn)
-						for _, mu := range fact.Requires {
-							if recv != "" {
-								entry[recv+"."+mu] = true
-							}
-						}
+				if recv := receiverName(fn); recv != "" {
+					for _, mu := range idx.protos[pass.Info.Defs[fn.Name]].Requires {
+						entry[recv+"."+mu] = true
 					}
 				}
-				checkLockBody(pass, fn.Body, entry)
+				checkLockBody(pass, idx, fn.Body, entry)
 			}
 		}
 		return nil
@@ -100,30 +97,41 @@ func LockCheck() *analysis.Analyzer {
 	return a
 }
 
-// collectLockAnnotations parses and validates the annotations in this
-// package and exports the facts: GuardFact per guarded field, LockFact
-// per annotated method.
-func collectLockAnnotations(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
+// indexLockAnnotations parses and validates the annotations of every
+// package the graph was built over.
+func indexLockAnnotations(g *analysis.CallGraph) *lockIndex {
+	idx := &lockIndex{
+		guards:    map[types.Object]string{},
+		protos:    map[types.Object]lockProto{},
+		malformed: map[string][]analysis.Diagnostic{},
+	}
+	for _, src := range g.Sources() {
+		report := func(pos token.Pos, format string, args ...any) {
+			idx.malformed[src.Path] = append(idx.malformed[src.Path],
+				analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+		}
+		for _, f := range src.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						idx.guardedFields(src.Info, report, ts.Name.Name, st)
 					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					collectGuardedFields(pass, ts.Name.Name, st)
+				case *ast.FuncDecl:
+					idx.methodAnnotations(src.Info, report, d)
 				}
-			case *ast.FuncDecl:
-				collectMethodAnnotations(pass, d)
 			}
 		}
 	}
+	return idx
 }
 
 // annotationValue extracts the value of a `<key>: <names>` annotation
@@ -157,13 +165,12 @@ func annotationValue(groups []*ast.CommentGroup, key string) string {
 	return ""
 }
 
-// collectGuardedFields exports a GuardFact for every `guarded by:`
-// field of st, validating that the named mutex is a sibling field of a
-// sync mutex type.
-func collectGuardedFields(pass *analysis.Pass, structName string, st *ast.StructType) {
+// guardedFields indexes every `guarded by:` field of st, validating
+// that the named mutex is a sibling field of a sync mutex type.
+func (idx *lockIndex) guardedFields(info *types.Info, report func(token.Pos, string, ...any), structName string, st *ast.StructType) {
 	mutexes := map[string]bool{}
 	for _, field := range st.Fields.List {
-		tv, ok := pass.Info.Types[field.Type]
+		tv, ok := info.Types[field.Type]
 		if !ok || !isMutexType(tv.Type) {
 			continue
 		}
@@ -177,53 +184,53 @@ func collectGuardedFields(pass *analysis.Pass, structName string, st *ast.Struct
 			continue
 		}
 		if !mutexes[mu] {
-			pass.Reportf(field.Pos(),
+			report(field.Pos(),
 				"guarded by: %s names no sync.Mutex/RWMutex field of struct %s", mu, structName)
 			continue
 		}
 		for _, name := range field.Names {
-			if obj := pass.Info.Defs[name]; obj != nil {
-				pass.ExportObjectFact(obj, &GuardFact{Mutex: mu})
+			if obj := info.Defs[name]; obj != nil {
+				idx.guards[obj] = mu
 			}
 		}
 	}
 }
 
-// collectMethodAnnotations exports a LockFact for a method carrying
+// methodAnnotations indexes the protocol of a method carrying
 // `requires:` / `locks:` doc lines, validating the mutex names against
 // the receiver's struct fields.
-func collectMethodAnnotations(pass *analysis.Pass, fn *ast.FuncDecl) {
+func (idx *lockIndex) methodAnnotations(info *types.Info, report func(token.Pos, string, ...any), fn *ast.FuncDecl) {
 	requires := annotationValue([]*ast.CommentGroup{fn.Doc}, "requires")
 	locks := annotationValue([]*ast.CommentGroup{fn.Doc}, "locks")
 	if requires == "" && locks == "" {
 		return
 	}
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		pass.Reportf(fn.Pos(),
+		report(fn.Pos(),
 			"requires:/locks: annotation on %s, which is not a method; lock protocol annotations describe a receiver's mutexes", fn.Name.Name)
 		return
 	}
-	fields := receiverMutexes(pass, fn)
-	fact := LockFact{}
+	fields := receiverMutexes(info, fn)
+	proto := lockProto{}
 	for _, mu := range splitNames(requires) {
 		if !fields[mu] {
-			pass.Reportf(fn.Pos(), "requires: %s names no sync.Mutex/RWMutex field of %s's receiver", mu, fn.Name.Name)
+			report(fn.Pos(), "requires: %s names no sync.Mutex/RWMutex field of %s's receiver", mu, fn.Name.Name)
 			continue
 		}
-		fact.Requires = append(fact.Requires, mu)
+		proto.Requires = append(proto.Requires, mu)
 	}
 	for _, mu := range splitNames(locks) {
 		if !fields[mu] {
-			pass.Reportf(fn.Pos(), "locks: %s names no sync.Mutex/RWMutex field of %s's receiver", mu, fn.Name.Name)
+			report(fn.Pos(), "locks: %s names no sync.Mutex/RWMutex field of %s's receiver", mu, fn.Name.Name)
 			continue
 		}
-		fact.Locks = append(fact.Locks, mu)
+		proto.Locks = append(proto.Locks, mu)
 	}
-	if len(fact.Requires) == 0 && len(fact.Locks) == 0 {
+	if len(proto.Requires) == 0 && len(proto.Locks) == 0 {
 		return
 	}
-	if obj := pass.Info.Defs[fn.Name]; obj != nil {
-		pass.ExportObjectFact(obj, &fact)
+	if obj := info.Defs[fn.Name]; obj != nil {
+		idx.protos[obj] = proto
 	}
 }
 
@@ -243,9 +250,9 @@ func splitNames(s string) []string {
 
 // receiverMutexes returns the mutex-typed field names of fn's receiver
 // struct.
-func receiverMutexes(pass *analysis.Pass, fn *ast.FuncDecl) map[string]bool {
+func receiverMutexes(info *types.Info, fn *ast.FuncDecl) map[string]bool {
 	out := map[string]bool{}
-	tv, ok := pass.Info.Types[fn.Recv.List[0].Type]
+	tv, ok := info.Types[fn.Recv.List[0].Type]
 	if !ok {
 		return out
 	}
@@ -296,7 +303,7 @@ func isMutexType(t types.Type) bool {
 // checking accesses and calls against the in-flight sets. Function
 // literals encountered on the way are queued and analyzed with an
 // empty entry set.
-func checkLockBody(pass *analysis.Pass, body *ast.BlockStmt, entry map[string]bool) {
+func checkLockBody(pass *analysis.Pass, idx *lockIndex, body *ast.BlockStmt, entry map[string]bool) {
 	g := analysis.NewCFG(body)
 	transfer := func(b *analysis.Block, in map[string]bool) map[string]bool {
 		for _, node := range b.Nodes {
@@ -314,12 +321,12 @@ func checkLockBody(pass *analysis.Pass, body *ast.BlockStmt, entry map[string]bo
 			// The checker applies each lock op to both sets as the walk
 			// meets it, so checks later in the node see the updated state.
 			lits = applyLockOps(pass, node, mayState, &lockChecker{
-				pass: pass, may: mayState, must: mustState, lits: lits,
+				pass: pass, idx: idx, may: mayState, must: mustState, lits: lits,
 			})
 		}
 	}
 	for _, lit := range lits {
-		checkLockBody(pass, lit.Body, map[string]bool{})
+		checkLockBody(pass, idx, lit.Body, map[string]bool{})
 	}
 }
 
@@ -336,6 +343,7 @@ func copyKeys(s map[string]bool) map[string]bool {
 // lockChecker carries the in-flight states of one block replay.
 type lockChecker struct {
 	pass *analysis.Pass
+	idx  *lockIndex
 	may  map[string]bool
 	must map[string]bool
 	lits []*ast.FuncLit
@@ -419,17 +427,17 @@ func (ck *lockChecker) checkFieldAccess(sel *ast.SelectorExpr) {
 	if obj == nil {
 		return
 	}
-	var guard GuardFact
-	if !ck.pass.ImportObjectFact(obj, &guard) {
+	mu, ok := ck.idx.guards[obj]
+	if !ok {
 		return
 	}
-	key := types.ExprString(sel.X) + "." + guard.Mutex
+	key := types.ExprString(sel.X) + "." + mu
 	if ck.may[key] {
 		return
 	}
 	ck.pass.Reportf(sel.Pos(),
 		"%s is guarded by %s, which is not held here on any path; hold %s.%s (or call through a requires-annotated method)",
-		types.ExprString(sel), guard.Mutex, types.ExprString(sel.X), guard.Mutex)
+		types.ExprString(sel), mu, types.ExprString(sel.X), mu)
 }
 
 // checkCall flags calls that break a callee's declared lock protocol:
@@ -444,19 +452,19 @@ func (ck *lockChecker) checkCall(call *ast.CallExpr) {
 	if obj == nil {
 		return
 	}
-	var fact LockFact
-	if !ck.pass.ImportObjectFact(obj, &fact) {
+	proto, ok := ck.idx.protos[obj]
+	if !ok {
 		return
 	}
 	recv := types.ExprString(sel.X)
-	for _, mu := range fact.Requires {
+	for _, mu := range proto.Requires {
 		key := recv + "." + mu
 		if !ck.may[key] {
 			ck.pass.Reportf(call.Pos(),
 				"%s requires %s.%s held, and it is not held here on any path", sel.Sel.Name, recv, mu)
 		}
 	}
-	for _, mu := range fact.Locks {
+	for _, mu := range proto.Locks {
 		key := recv + "." + mu
 		if ck.must[key] {
 			ck.pass.Reportf(call.Pos(),

@@ -116,9 +116,6 @@ var ApprovedFloatCmp = []string{
 }
 
 // Suite returns the production loopvet analyzer set for the module.
-// unitdecl and ctxlaunch are pulled in through unitcheck's and
-// ctxflow's Requires edges, so the driver runs them first and their
-// facts are in place.
 func Suite(modulePath string) []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Determinism(DeterminismScope),
@@ -126,10 +123,26 @@ func Suite(modulePath string) []*analysis.Analyzer {
 		Layering(modulePath, LayeringRules, LayeringExempt),
 		Exhaustive(ClosedEnums),
 		Floatcmp(ApprovedFloatCmp),
-		UnitCheck(UnitDecl()),
+		UnitCheck(),
 		RngFlow(),
-		CtxFlow(CtxLaunch()),
+		CtxFlow(),
 		LockCheck(),
 		HotAlloc(),
+	}
+}
+
+// perGraph memoizes a module-wide summary on the call graph it was
+// computed from: every pass of one driver run shares a graph, so the
+// summary is built once per run, not once per package.
+func perGraph[T any](build func(*analysis.CallGraph) T) func(*analysis.CallGraph) T {
+	var (
+		last *analysis.CallGraph
+		val  T
+	)
+	return func(g *analysis.CallGraph) T {
+		if g != last {
+			last, val = g, build(g)
+		}
+		return val
 	}
 }

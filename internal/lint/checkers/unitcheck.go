@@ -8,55 +8,6 @@ import (
 	"github.com/mssn/loopscope/internal/lint/analysis"
 )
 
-// UnitFact marks a named numeric type as a physical-unit type (DBm,
-// DB, Millis, ...). It is exported by the unitdecl analyzer for every
-// such type declared in a package named "units" and imported by
-// unitcheck wherever the type is used — the fact channel is what makes
-// the check work across package boundaries.
-type UnitFact struct {
-	// Unit is the type name, doubling as the unit's display name.
-	Unit string
-}
-
-// AFact marks UnitFact as an analysis.Fact.
-func (*UnitFact) AFact() {}
-
-// UnitDecl returns the fact-exporting analyzer that declares which
-// named types are physical units: every defined type with a numeric
-// underlying type in a package named "units" (the real internal/units
-// and the fixture packages in testdata). It reports no diagnostics.
-func UnitDecl() *analysis.Analyzer {
-	a := &analysis.Analyzer{
-		Name: "unitdecl",
-		Doc: "export a UnitFact for every named numeric type declared in a package " +
-			"named units, so unitcheck can recognise unit-typed values across package boundaries",
-		FactTypes: []analysis.Fact{(*UnitFact)(nil)},
-	}
-	a.Run = func(pass *analysis.Pass) error {
-		if pass.Pkg.Name() != "units" {
-			return nil
-		}
-		scope := pass.Pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			basic, ok := named.Underlying().(*types.Basic)
-			if !ok || basic.Info()&types.IsNumeric == 0 {
-				continue
-			}
-			pass.ExportObjectFact(tn, &UnitFact{Unit: name})
-		}
-		return nil
-	}
-	return a
-}
-
 // UnitCheck returns the dataflow analyzer enforcing the typed-unit
 // regime established by internal/units. Go's nominal typing already
 // rejects direct dBm+dB arithmetic, so the remaining escape hatches
@@ -77,15 +28,16 @@ func UnitDecl() *analysis.Analyzer {
 //     constants in place (thresholds written at the call site) are
 //     exempt — their unit is the context's, by construction.
 //
-// decl must be the UnitDecl instance from the same suite; unitcheck
-// imports the facts it exports.
-func UnitCheck(decl *analysis.Analyzer) *analysis.Analyzer {
+// A unit type is a defined numeric type declared at package level in
+// a package named "units" (the real internal/units and the fixture
+// packages in testdata); the type's name doubles as the unit's. The
+// rule reads go/types alone, so it holds across package boundaries.
+func UnitCheck() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "unitcheck",
 		Doc: "flag conversions that mix or strip physical-unit types (DBm, DB, Millis, ...) " +
 			"and named untyped constants leaking into unit-typed positions; units change only " +
 			"through the explicit operations internal/units defines",
-		Requires: []*analysis.Analyzer{decl},
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		if pass.Pkg.Name() == "units" {
@@ -111,18 +63,21 @@ func UnitCheck(decl *analysis.Analyzer) *analysis.Analyzer {
 	return a
 }
 
-// unitOf resolves the unit name of a type, consulting the unitdecl
-// facts. Returns "" for non-unit types.
-func unitOf(pass *analysis.Pass, typ types.Type) string {
+// unitOf returns the unit name of a unit type, or "" for any other
+// type.
+func unitOf(typ types.Type) string {
 	named, ok := typ.(*types.Named)
 	if !ok {
 		return ""
 	}
-	var fact UnitFact
-	if pass.ImportObjectFact != nil && pass.ImportObjectFact(named.Obj(), &fact) {
-		return fact.Unit
+	tn := named.Obj()
+	if tn.Pkg() == nil || tn.Pkg().Name() != "units" || tn.Parent() != tn.Pkg().Scope() {
+		return ""
 	}
-	return ""
+	if basic, ok := named.Underlying().(*types.Basic); !ok || basic.Info()&types.IsNumeric == 0 {
+		return ""
+	}
+	return tn.Name()
 }
 
 // checkConversion flags T(x) when it crosses or strips a unit.
@@ -139,11 +94,11 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr) {
 	if !ok || argTV.Type == nil {
 		return
 	}
-	srcUnit := unitOf(pass, argTV.Type)
+	srcUnit := unitOf(argTV.Type)
 	if srcUnit == "" {
 		return // injections (float64 → unit) are the sanctioned entry
 	}
-	dstUnit := unitOf(pass, dst)
+	dstUnit := unitOf(dst)
 	if dstUnit == srcUnit {
 		return // no-op conversion, e.g. re-asserting the same unit
 	}
@@ -176,7 +131,7 @@ func checkConstLeak(pass *analysis.Pass, expr ast.Expr, ident *ast.Ident, report
 	if !ok || tv.Type == nil {
 		return
 	}
-	unit := unitOf(pass, tv.Type)
+	unit := unitOf(tv.Type)
 	if unit == "" {
 		return
 	}

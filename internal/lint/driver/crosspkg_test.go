@@ -17,7 +17,7 @@ import (
 // (injections, accessors, literals) staying silent.
 func TestUnitCheckSeeded(t *testing.T) {
 	linttest.RunModule(t, "unitmod.example", abs(t, filepath.Join("testdata", "unitmod")),
-		[]*analysis.Analyzer{checkers.UnitCheck(checkers.UnitDecl())})
+		[]*analysis.Analyzer{checkers.UnitCheck()})
 }
 
 // TestRngFlowSeeded checks the seeded nondeterministic sinks — a
@@ -29,20 +29,21 @@ func TestRngFlowSeeded(t *testing.T) {
 		[]*analysis.Analyzer{checkers.RngFlow()})
 }
 
-// TestFactsCrossPackage requests only the consumer package: the driver
-// must still expand unitcheck's Requires edge to unitdecl and run it
-// over the internal/units dependency first (topological order), or
-// unitcheck has no facts and reports nothing.
-func TestFactsCrossPackage(t *testing.T) {
-	findings, err := driver.Run(driver.Options{
+// TestUnitCheckCrossPackage requests only the consumer package: the
+// unit types live in the internal/units dependency, which no analyzer
+// runs over, so every finding proves unitcheck recognises them through
+// go/types across the package boundary.
+func TestUnitCheckCrossPackage(t *testing.T) {
+	res, err := driver.Run(driver.Options{
 		ModulePath: "unitmod.example",
 		ModuleRoot: abs(t, filepath.Join("testdata", "unitmod")),
 		Patterns:   []string{"internal/app"},
-		Analyzers:  []*analysis.Analyzer{checkers.UnitCheck(checkers.UnitDecl())},
+		Analyzers:  []*analysis.Analyzer{checkers.UnitCheck()},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := res.Findings
 	if len(findings) != 4 {
 		for _, f := range findings {
 			t.Logf("finding: %s", f)
@@ -59,12 +60,44 @@ func TestFactsCrossPackage(t *testing.T) {
 	}
 }
 
+// TestLockCheckCrossPackage requests only internal/client: the
+// guarded-by, requires and locks annotations it breaks are declared in
+// the internal/store dependency, so the three findings exist only if
+// the contracts are indexed from every package of the call graph.
+func TestLockCheckCrossPackage(t *testing.T) {
+	res, err := driver.Run(driver.Options{
+		ModulePath: "lockmod.example",
+		ModuleRoot: abs(t, filepath.Join("testdata", "lockmod")),
+		Patterns:   []string{"internal/client"},
+		Analyzers:  []*analysis.Analyzer{checkers.LockCheck()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"l.Total is guarded by Mu, which is not held here on any path",
+		"AddLocked requires l.Mu held, and it is not held here on any path",
+		"Add locks l.Mu, which is already held here on every path",
+	}
+	if len(res.Findings) != len(want) {
+		for _, f := range res.Findings {
+			t.Logf("finding: %s", f)
+		}
+		t.Fatalf("got %d findings, want %d (one per broken contract)", len(res.Findings), len(want))
+	}
+	for i, f := range res.Findings {
+		if f.Analyzer != "lockcheck" || f.File != "internal/client/client.go" || !strings.Contains(f.Message, want[i]) {
+			t.Errorf("finding %d = %s, want a lockcheck finding in internal/client/client.go matching %q", i, f, want[i])
+		}
+	}
+}
+
 // TestStaleWaivers checks both sides of the waiver-hygiene contract on
 // the stalemod fixture: a waiver that suppresses a real finding is
 // marked used, and one covering nothing becomes a loopvet/waiver
 // finding so dead suppressions rot out of the tree.
 func TestStaleWaivers(t *testing.T) {
-	res, err := driver.RunDetail(driver.Options{
+	res, err := driver.Run(driver.Options{
 		ModulePath: "stalemod.example",
 		ModuleRoot: abs(t, filepath.Join("testdata", "stalemod")),
 		Patterns:   []string{"./..."},

@@ -1,11 +1,10 @@
-// Package driver runs a loopvet analyzer suite over a module tree:
-// it expands the analyzers' Requires closure, enumerates packages,
-// loads the requested packages plus their module-local dependency
-// closure in topological order through internal/lint/load (so facts
-// exported while analyzing a dependency are importable downstream),
-// runs each analyzer, applies //lint:ignore waivers, and returns
-// findings in a stable order. cmd/loopvet and the negative-case tests
-// share it.
+// Package driver runs a loopvet analyzer suite over a module tree: it
+// enumerates packages, loads the requested packages plus their
+// module-local dependency closure through internal/lint/load, builds
+// one module-wide call graph over all of them (the analyzers' only
+// view of other packages), runs each analyzer over the requested
+// packages, applies //lint:ignore waivers, and returns findings in a
+// stable order. cmd/loopvet and the negative-case tests share it.
 package driver
 
 import (
@@ -67,7 +66,7 @@ type Options struct {
 // Stat is one analyzer's cost/yield line for a run: total wall time
 // across every package pass and the number of findings that survived
 // waivers. The pseudo-entry "callgraph" accounts for the module-wide
-// call graph build the interprocedural analyzers share.
+// call graph build every analyzer shares.
 type Stat struct {
 	Analyzer string  `json:"analyzer"`
 	WallMS   float64 `json:"wall_ms"`
@@ -82,27 +81,14 @@ type Result struct {
 	Stats    []Stat
 }
 
-// Run executes the suite and returns the surviving findings.
-func Run(opts Options) ([]Finding, error) {
-	res, err := RunDetail(opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings, nil
-}
-
-// RunDetail executes the suite and returns findings plus the waiver
-// inventory. Findings are reported only for the requested packages,
-// but the analyzers also run over every module-local dependency first
-// (in topological order, diagnostics discarded) so cross-package facts
-// exist even when a single package is requested.
-func RunDetail(opts Options) (*Result, error) {
-	analyzers, err := analysis.Closure(opts.Analyzers)
-	if err != nil {
-		return nil, err
-	}
+// Run executes the suite over the requested packages and returns the
+// surviving findings, the waiver inventory and per-analyzer stats. The
+// module-local dependencies of the requested packages are loaded into
+// the call graph, so cross-package checks see them even when a single
+// package is requested, but no analyzer runs over them.
+func Run(opts Options) (*Result, error) {
 	enabled := map[string]bool{}
-	for _, a := range analyzers {
+	for _, a := range opts.Analyzers {
 		enabled[a.Name] = true
 	}
 	requested, err := expand(opts)
@@ -140,12 +126,13 @@ func RunDetail(opts Options) (*Result, error) {
 	graphStart := time.Now()
 	graph := analysis.BuildCallGraph(sources)
 	wall := map[string]time.Duration{"callgraph": time.Since(graphStart)}
-	facts := analysis.NewFactStore()
 	res := &Result{}
-	for i, path := range order {
-		pkg := pkgs[i]
+	for _, pkg := range pkgs {
+		if !reqSet[pkg.ImportPath] {
+			continue
+		}
 		var diags []analysis.Diagnostic
-		for _, a := range analyzers {
+		for _, a := range opts.Analyzers {
 			pass := &analysis.Pass{
 				Analyzer:  a,
 				Fset:      loader.Fset,
@@ -156,17 +143,12 @@ func RunDetail(opts Options) (*Result, error) {
 				CallGraph: graph,
 				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 			}
-			facts.Bind(pass, a)
 			start := time.Now()
 			err := a.Run(pass)
 			wall[a.Name] += time.Since(start)
 			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", a.Name, path, err)
+				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
-		}
-		if !reqSet[path] {
-			// Dependency pass: it ran only to populate the fact store.
-			continue
 		}
 		waivers := collectWaivers(loader.Fset, pkg.Files)
 		for _, d := range diags {
@@ -244,7 +226,7 @@ func RunDetail(opts Options) (*Result, error) {
 		Analyzer: "callgraph",
 		WallMS:   float64(wall["callgraph"]) / float64(time.Millisecond),
 	})
-	for _, a := range analyzers {
+	for _, a := range opts.Analyzers {
 		res.Stats = append(res.Stats, Stat{
 			Analyzer: a.Name,
 			WallMS:   float64(wall[a.Name]) / float64(time.Millisecond),

@@ -22,7 +22,7 @@ func abs(t *testing.T, rel string) string {
 // module seeded with one regression per analyzer must fail loopvet
 // with exactly the expected findings.
 func TestSeededRegressions(t *testing.T) {
-	findings, err := driver.Run(driver.Options{
+	res, err := driver.Run(driver.Options{
 		ModulePath: "badmod.example",
 		ModuleRoot: abs(t, filepath.Join("testdata", "badmod")),
 		Patterns:   []string{"./..."},
@@ -31,6 +31,7 @@ func TestSeededRegressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := res.Findings
 	got := map[string]int{}
 	for _, f := range findings {
 		if filepath.IsAbs(f.File) {
@@ -62,7 +63,7 @@ func TestSeededRegressions(t *testing.T) {
 // suppresses its finding; a reasonless one is reported and suppresses
 // nothing.
 func TestWaivers(t *testing.T) {
-	findings, err := driver.Run(driver.Options{
+	res, err := driver.Run(driver.Options{
 		ModulePath: "waivermod.example",
 		ModuleRoot: abs(t, filepath.Join("testdata", "waivermod")),
 		Patterns:   []string{"./..."},
@@ -71,6 +72,7 @@ func TestWaivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := res.Findings
 	if len(findings) != 2 {
 		for _, f := range findings {
 			t.Logf("finding: %s", f)
@@ -103,7 +105,7 @@ func TestWaivers(t *testing.T) {
 // zero findings under the production suite.
 func TestRepoIsClean(t *testing.T) {
 	root := abs(t, filepath.Join("..", "..", ".."))
-	findings, err := driver.Run(driver.Options{
+	res, err := driver.Run(driver.Options{
 		ModulePath: "github.com/mssn/loopscope",
 		ModuleRoot: root,
 		Patterns:   []string{"./..."},
@@ -112,7 +114,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range findings {
+	for _, f := range res.Findings {
 		t.Errorf("unexpected finding: %s", f)
 	}
 }

@@ -85,3 +85,24 @@ func badFree() {} // want "requires:/locks: annotation on badFree, which is not 
 //
 // requires: gate
 func (s *Store) ghost() {} // want "requires: gate names no sync.Mutex/RWMutex field of ghost's receiver"
+
+// Ledger is the exported half of the cross-package fixture: its lock
+// contracts are declared here and kept or broken in internal/client.
+type Ledger struct {
+	Mu    sync.Mutex
+	Total int // guarded by: Mu
+}
+
+// AddLocked adds n to the total for a caller that already holds Mu.
+//
+// requires: Mu
+func (l *Ledger) AddLocked(n int) { l.Total += n }
+
+// Add takes Mu itself.
+//
+// locks: Mu
+func (l *Ledger) Add(n int) {
+	l.Mu.Lock()
+	defer l.Mu.Unlock()
+	l.AddLocked(n)
+}

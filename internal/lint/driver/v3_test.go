@@ -9,14 +9,14 @@ import (
 	"github.com/mssn/loopscope/internal/lint/linttest"
 )
 
-// TestCtxMod runs ctxflow (with its ctxlaunch fact dependency pulled in
-// through the Requires closure) over a module seeding every flagging
-// path: context struct fields, Background/TODO re-roots, fresh roots
-// handed to cross-package launchers, and blocking loops that never
-// observe ctx.Done. The cmd/ctxapp package proves the main exemption.
+// TestCtxMod runs ctxflow over a module seeding every flagging path:
+// context struct fields, Background/TODO re-roots, fresh roots handed
+// to cross-package launchers (found by the call-graph launcher
+// summary), and blocking loops that never observe ctx.Done. The
+// cmd/ctxapp package proves the main exemption.
 func TestCtxMod(t *testing.T) {
 	linttest.RunModule(t, "ctxmod.example", abs(t, filepath.Join("testdata", "ctxmod")),
-		[]*analysis.Analyzer{checkers.CtxFlow(checkers.CtxLaunch())})
+		[]*analysis.Analyzer{checkers.CtxFlow()})
 }
 
 // TestLockMod runs lockcheck over a module seeding unguarded reads (the

@@ -4,7 +4,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"io/fs"
 	"os"
@@ -33,30 +32,8 @@ var wantRE = regexp.MustCompile(`// want (.+)$`)
 // must match a want on its line, and every want must be hit.
 func Run(t *testing.T, srcRoot, importPath string, a *analysis.Analyzer) {
 	t.Helper()
-	loader := load.New("loopvet.test/unused", srcRoot+"/unused-module-root")
-	loader.ExtraRoots[""] = srcRoot
-	pkg, err := loader.Load(importPath)
-	if err != nil {
-		t.Fatalf("load %s: %v", importPath, err)
-	}
-
+	loader, pkg, diags := runPackage(t, srcRoot, importPath, a)
 	wants := collectWants(t, loader, pkg.Files)
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      loader.Fset,
-		Files:     pkg.Files,
-		Path:      pkg.ImportPath,
-		Pkg:       pkg.Types,
-		Info:      pkg.Info,
-		CallGraph: singleGraph(pkg),
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-
 	for _, d := range diags {
 		pos := loader.Fset.Position(d.Pos)
 		ok := false
@@ -89,26 +66,7 @@ func RunExpectNone(t *testing.T, srcRoot, importPath string, a *analysis.Analyze
 // exactly n diagnostics, ignoring any want comments.
 func RunExpectCount(t *testing.T, srcRoot, importPath string, a *analysis.Analyzer, n int) {
 	t.Helper()
-	loader := load.New("loopvet.test/unused", srcRoot+"/unused-module-root")
-	loader.ExtraRoots[""] = srcRoot
-	pkg, err := loader.Load(importPath)
-	if err != nil {
-		t.Fatalf("load %s: %v", importPath, err)
-	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      loader.Fset,
-		Files:     pkg.Files,
-		Path:      pkg.ImportPath,
-		Pkg:       pkg.Types,
-		Info:      pkg.Info,
-		CallGraph: singleGraph(pkg),
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
+	loader, _, diags := runPackage(t, srcRoot, importPath, a)
 	if len(diags) != n {
 		for _, d := range diags {
 			pos := loader.Fset.Position(d.Pos)
@@ -118,16 +76,39 @@ func RunExpectCount(t *testing.T, srcRoot, importPath string, a *analysis.Analyz
 	}
 }
 
-// singleGraph builds a call graph over just the fixture package, so
-// interprocedural analyzers see same-package chains even in the
-// single-package harness. Cross-package dispatch needs RunModule.
-func singleGraph(pkg *load.Package) *analysis.CallGraph {
-	return analysis.BuildCallGraph([]analysis.CGSource{{
+// runPackage loads importPath from the GOPATH-style srcRoot and runs a
+// over it. The pass's call graph covers just the fixture package, so
+// interprocedural analyzers see same-package chains; cross-package
+// checks need RunModule.
+func runPackage(t *testing.T, srcRoot, importPath string, a *analysis.Analyzer) (*load.Loader, *load.Package, []analysis.Diagnostic) {
+	t.Helper()
+	loader := load.New("loopvet.test/unused", srcRoot+"/unused-module-root")
+	loader.ExtraRoots[""] = srcRoot
+	pkg, err := loader.Load(importPath)
+	if err != nil {
+		t.Fatalf("load %s: %v", importPath, err)
+	}
+	graph := analysis.BuildCallGraph([]analysis.CGSource{{
 		Path:  pkg.ImportPath,
 		Files: pkg.Files,
 		Pkg:   pkg.Types,
 		Info:  pkg.Info,
 	}})
+	var diags []analysis.Diagnostic
+	pass := &analysis.Pass{
+		Analyzer:  a,
+		Fset:      loader.Fset,
+		Files:     pkg.Files,
+		Path:      pkg.ImportPath,
+		Pkg:       pkg.Types,
+		Info:      pkg.Info,
+		CallGraph: graph,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+	}
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	return loader, pkg, diags
 }
 
 func collectWants(t *testing.T, loader *load.Loader, files []*ast.File) []*want {
@@ -180,16 +161,16 @@ func splitQuoted(s string) []string {
 	return out
 }
 
-// RunModule runs analyzers through the full driver — Requires closure,
-// topological dependency order, shared fact store, waiver handling —
-// over a testdata module and checks the surviving findings against
-// `// want "regexp"` comments anywhere in the module's sources. This
-// is the harness for cross-package checks (unitcheck's facts flow from
-// the fixture units package into its importers) that the single-package
-// Run cannot exercise.
+// RunModule runs analyzers through the full driver — every package of
+// a testdata module, one module-wide call graph, waiver handling — and
+// checks the surviving findings against `// want "regexp"` comments
+// anywhere in the module's sources. This is the harness for
+// cross-package checks (a unit type, launcher, lock contract or
+// always-nil summary declared in one package and used in another) that
+// the single-package Run cannot exercise.
 func RunModule(t *testing.T, modulePath, moduleRoot string, analyzers []*analysis.Analyzer) {
 	t.Helper()
-	findings, err := driver.Run(driver.Options{
+	res, err := driver.Run(driver.Options{
 		ModulePath: modulePath,
 		ModuleRoot: moduleRoot,
 		Patterns:   []string{"./..."},
@@ -199,7 +180,7 @@ func RunModule(t *testing.T, modulePath, moduleRoot string, analyzers []*analysi
 		t.Fatalf("driver on %s: %v", modulePath, err)
 	}
 	wants := collectModuleWants(t, moduleRoot)
-	for _, f := range findings {
+	for _, f := range res.Findings {
 		ok := false
 		for _, w := range wants {
 			if w.file == f.File && w.line == f.Line && w.re.MatchString(f.Message) {
@@ -259,15 +240,4 @@ func collectModuleWants(t *testing.T, root string) []*want {
 		t.Fatal(err)
 	}
 	return wants
-}
-
-// Fprint is a debugging helper: it renders diagnostics the way
-// cmd/loopvet does, for golden comparisons.
-func Fprint(diags []analysis.Diagnostic, loader *load.Loader) string {
-	var b strings.Builder
-	for _, d := range diags {
-		pos := loader.Fset.Position(d.Pos)
-		fmt.Fprintf(&b, "%s:%d:%d: loopvet/%s: %s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
-	}
-	return b.String()
 }
