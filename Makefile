@@ -79,6 +79,9 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseLenient$$ -fuzztime=$(FUZZTIME) ./internal/sig
 	$(GO) test -run=NONE -fuzz=FuzzStreamParity$$ -fuzztime=$(FUZZTIME) ./internal/sig
 	$(GO) test -run=NONE -fuzz=FuzzParseBytes$$ -fuzztime=$(FUZZTIME) ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzAppendFloat1$$ -fuzztime=$(FUZZTIME) ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzInjectorParity$$ -fuzztime=$(FUZZTIME) ./internal/faults
+	$(GO) test -run=NONE -fuzz=FuzzHeaderTime$$ -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run=NONE -fuzz=FuzzStreamDetectParity$$ -fuzztime=$(FUZZTIME) ./internal/core
 
 # bench is the smoke run CI performs: every benchmark compiles and

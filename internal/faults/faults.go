@@ -128,13 +128,6 @@ var restartBanner = []string{
 	"diag port reopened, clock re-anchored",
 }
 
-// block is one event (header + indented details) or one foreign line.
-type block struct {
-	lines []string
-	at    time.Duration // header timestamp, valid when event
-	event bool
-}
-
 // Corrupt returns the text with the configured faults injected. The
 // input is treated as '\n'-separated lines; a trailing newline is
 // preserved. It is the streaming Reader drained into a string; the two
@@ -160,46 +153,92 @@ func (in *Injector) roll(p float64) bool {
 // a value.
 const garbleAlphabet = "xqz#?!0f"
 
-// garble scrambles one randomly chosen digit run of the line.
-func (in *Injector) garble(line string) string {
-	type run struct{ lo, hi int }
-	var runs []run
-	for i := 0; i < len(line); {
-		if line[i] < '0' || line[i] > '9' {
-			i++
-			continue
-		}
-		j := i
-		for j < len(line) && line[j] >= '0' && line[j] <= '9' {
-			j++
-		}
-		runs = append(runs, run{i, j})
-		i = j
+// garble scrambles, in place, one randomly chosen digit run of the line.
+//
+//loopvet:hot
+func (in *Injector) garble(line []byte) {
+	runs := 0
+	for lo, hi := digitRun(line, 0); lo < hi; lo, hi = digitRun(line, hi) {
+		runs++
 	}
-	if len(runs) == 0 {
-		return line
+	if runs == 0 {
+		return
 	}
-	r := runs[in.rng.Intn(len(runs))]
-	b := []byte(line)
-	for i := r.lo; i < r.hi; i++ {
-		b[i] = garbleAlphabet[in.rng.Intn(len(garbleAlphabet))]
+	lo, hi := digitRun(line, 0)
+	for k := in.rng.Intn(runs); k > 0; k-- {
+		lo, hi = digitRun(line, hi)
 	}
-	return string(b)
+	for i := lo; i < hi; i++ {
+		line[i] = garbleAlphabet[in.rng.Intn(len(garbleAlphabet))]
+	}
 }
 
-// setTime rewrites the block's header timestamp (clamped at zero).
-func (b *block) setTime(t time.Duration) {
-	if t < 0 {
-		t = 0
+// digitRun returns the first run of ASCII digits at or after i as
+// [lo, hi); lo == hi when there is none.
+//
+//loopvet:hot
+func digitRun(line []byte, i int) (lo, hi int) {
+	for i < len(line) && !isDigit(line[i]) {
+		i++
 	}
-	b.at = t
-	if sp := strings.IndexByte(b.lines[0], ' '); sp > 0 {
-		b.lines[0] = formatClock(t) + b.lines[0][sp:]
+	lo = i
+	for i < len(line) && isDigit(line[i]) {
+		i++
 	}
+	return lo, i
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // headerTime recognizes the "HH:MM:SS.mmm " prefix of an event header.
-func headerTime(line string) (time.Duration, bool) {
+// The canonical token the emitter writes is scanned in place. Any other
+// token on which fmt's %d could start — a digit, a sign, or a byte that
+// may open a space Sscanf skips — goes to headerTimeSlow, so the
+// verdict and the value are Sscanf's on every input; the rest cannot
+// be a header.
+//
+//loopvet:hot
+func headerTime(line []byte) (time.Duration, bool) {
+	if len(line) > 12 && line[2] == ':' && line[5] == ':' && line[8] == '.' && line[12] == ' ' {
+		h, okH := digits(line[0:2])
+		m, okM := digits(line[3:5])
+		s, okS := digits(line[6:8])
+		ms, okMS := digits(line[9:12])
+		if okH && okM && okS && okMS {
+			if m > 59 || s > 59 {
+				return 0, false
+			}
+			return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute +
+				time.Duration(s)*time.Second + time.Duration(ms)*time.Millisecond, true
+		}
+	}
+	if len(line) == 0 {
+		return 0, false
+	}
+	if c := line[0]; isDigit(c) || c == '+' || c == '-' || (c >= '\t' && c <= '\r') || c >= 0x80 {
+		return headerTimeSlow(line)
+	}
+	return 0, false
+}
+
+// digits parses a short all-digit field.
+//
+//loopvet:hot
+func digits(b []byte) (int, bool) {
+	v := 0
+	for _, c := range b {
+		if !isDigit(c) {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, true
+}
+
+// headerTimeSlow is the Sscanf header scan on a materialized copy of
+// the line.
+func headerTimeSlow(b []byte) (time.Duration, bool) {
+	line := string(b)
 	sp := strings.IndexByte(line, ' ')
 	if sp <= 0 || strings.HasPrefix(line, " ") {
 		return 0, false

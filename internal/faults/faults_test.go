@@ -125,14 +125,17 @@ func TestRestartResetsClock(t *testing.T) {
 func TestGarbleBreaksDigits(t *testing.T) {
 	in := New(11, Rates{})
 	line := "  Physical Cell ID = 393, Freq = 521310"
-	got := in.garble(line)
-	if got == line {
+	b := []byte(line)
+	in.garble(b)
+	if string(b) == line {
 		t.Fatal("garble should scramble one digit run")
 	}
-	if len(got) != len(line) {
+	if len(b) != len(line) {
 		t.Error("garble must preserve line length")
 	}
-	if in.garble("no digits here") != "no digits here" {
+	none := []byte("no digits here")
+	in.garble(none)
+	if string(none) != "no digits here" {
 		t.Error("garble without digit runs must be a no-op")
 	}
 }
@@ -140,7 +143,7 @@ func TestGarbleBreaksDigits(t *testing.T) {
 func lastHeaderTime(text string) time.Duration {
 	var last time.Duration
 	for _, l := range strings.Split(text, "\n") {
-		if at, ok := headerTime(l); ok {
+		if at, ok := headerTime([]byte(l)); ok {
 			last = at
 		}
 	}
@@ -149,7 +152,7 @@ func lastHeaderTime(text string) time.Duration {
 
 func firstHeaderTime(text string) time.Duration {
 	for _, l := range strings.Split(text, "\n") {
-		if at, ok := headerTime(l); ok {
+		if at, ok := headerTime([]byte(l)); ok {
 			return at
 		}
 	}

@@ -58,8 +58,10 @@ var corruptionTable = []struct {
 	},
 }
 
-// TestCorruptedGoldens parses each checked-in corrupted capture in
-// lenient mode and pins exactly what salvage recovers from it.
+// TestCorruptedGoldens regenerates each corrupted capture from the
+// clean reference and requires it to equal the checked-in golden byte
+// for byte — this is what pins the injector's output — then parses the
+// golden in lenient mode and pins exactly what salvage recovers from it.
 func TestCorruptedGoldens(t *testing.T) {
 	clean, err := os.ReadFile("testdata/s1e3_capture.log")
 	if err != nil {
@@ -68,8 +70,8 @@ func TestCorruptedGoldens(t *testing.T) {
 	for _, tc := range corruptionTable {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", tc.file)
+			out := faults.New(tc.seed, tc.rates).Corrupt(string(clean))
 			if *updateGoldens {
-				out := faults.New(tc.seed, tc.rates).Corrupt(string(clean))
 				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -77,6 +79,9 @@ func TestCorruptedGoldens(t *testing.T) {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if out != string(data) {
+				t.Fatalf("injector output (%d bytes) differs from %s (%d bytes)", len(out), tc.file, len(data))
 			}
 			log, sal, err := ParseLenientObserved(strings.NewReader(string(data)), nil)
 			if err != nil {

@@ -3,6 +3,7 @@ package sig
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -176,9 +177,37 @@ func appendPadded(b []byte, v int64, width int) []byte {
 	return strconv.AppendInt(b, v, 10)
 }
 
-// appendFloat1 renders a float the way fmt's %.1f does.
+// appendFloat1 renders a float the way fmt's %.1f does. strconv serves
+// a fixed 'f' precision through its arbitrary-precision decimal path;
+// for a normal float below 2^59 the same digits come from rounding
+// |v|·10 half-to-even on the binary mantissa, which is exact in a
+// uint64. Zero, subnormals, NaN, ±Inf and larger magnitudes keep
+// strconv.
+//
+//loopvet:hot
 func appendFloat1(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'f', 1, 64)
+	bits := math.Float64bits(v)
+	exp := int(bits>>52) & 0x7ff
+	if exp == 0 || exp >= 1023+59 {
+		return strconv.AppendFloat(b, v, 'f', 1, 64)
+	}
+	// |v| = mant·2^e with a 53-bit mant, so |v|·10 = x·2^e.
+	x := (bits&(1<<52-1) | 1<<52) * 10
+	var n uint64 // round-half-even(|v|·10)
+	if e := exp - 1075; e >= 0 {
+		n = x << e // e ≤ 6 below 2^59: exact, and n < 2^63
+	} else if s := -e; s < 58 {
+		n = x >> s
+		rem, half := x&(1<<s-1), uint64(1)<<(s-1)
+		if rem > half || rem == half && n&1 == 1 {
+			n++
+		}
+	} // else x < 2^57 ≤ 2^(s-1): below one half, n = 0
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, n/10, 10)
+	return append(b, '.', byte('0'+n%10))
 }
 
 // appendDetails renders the message-specific indented lines.
