@@ -97,9 +97,32 @@ func benchRunSetup(b *testing.B) (op *policy.Operator, dep *deploy.Deployment, c
 	return
 }
 
-// BenchmarkSimulateRun measures one full 5-minute stationary run.
+// BenchmarkSimulateRun measures one full 5-minute stationary SA run at
+// a looping site.
 func BenchmarkSimulateRun(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
+	benchSimulate(b, op, dep, cl)
+}
+
+// BenchmarkSimulateRunNSA is BenchmarkSimulateRun on the NSA engine: an
+// OPA handover ping-pong site (N2E1) that loops.
+func BenchmarkSimulateRunNSA(b *testing.B) {
+	op := policy.OPA()
+	dep := deploy.Build(op, deploy.AreasFor("OPA")[0], 43)
+	for _, cl := range dep.Clusters {
+		if cl.Arch == deploy.ArchN2E1 {
+			benchSimulate(b, op, dep, cl)
+			return
+		}
+	}
+	b.Fatal("no N2E1 cluster in the OPA deployment")
+}
+
+// benchSimulate runs one 5-minute stationary run per iteration, each
+// with its own seed.
+func benchSimulate(b *testing.B, op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster) {
+	b.Helper()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,

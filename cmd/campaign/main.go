@@ -37,6 +37,21 @@ import (
 	"github.com/mssn/loopscope/internal/report"
 )
 
+// flagError reports the first numeric flag whose value has no meaning:
+// a run that is not positive long observes nothing (and the study
+// options would read zero as the 5-minute default), and a negative pool
+// size would read as "one worker per CPU". A negative or NaN -scale is
+// not an error: the study clamps it to its smallest run scale.
+func flagError(duration time.Duration, workers int) string {
+	switch {
+	case duration <= 0:
+		return fmt.Sprintf("-duration %v: must be positive", duration)
+	case workers < 0:
+		return fmt.Sprintf("-workers %d: must not be negative", workers)
+	}
+	return ""
+}
+
 // exitInterrupted is the exit code of a run stopped by SIGINT/SIGTERM;
 // with -checkpoint the journal permits continuation via -resume.
 const exitInterrupted = 3
@@ -65,6 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		debug    = fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address while the study runs")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if msg := flagError(*duration, *workers); msg != "" {
+		fmt.Fprintln(stderr, "campaign:", msg)
 		return 2
 	}
 

@@ -72,10 +72,31 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestBadFlag: an unknown flag, and a numeric flag with no meaning, are
+// usage errors that run nothing. A duration that is not positive used
+// to run a study (zero silently meant 5 minutes, a negative one printed
+// 100% no-loop), and a negative worker count meant one per CPU.
 func TestBadFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-definitely-not-a-flag"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
+	for _, c := range []struct {
+		args []string
+		want string // in stderr
+	}{
+		{[]string{"-definitely-not-a-flag"}, "definitely-not-a-flag"},
+		{[]string{"-duration", "-5s"}, "-duration -5s"},
+		{[]string{"-duration", "0s"}, "-duration 0s"},
+		{[]string{"-workers", "-3"}, "-workers -3"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append(append(append([]string{}, goldenArgs...), "-exp", "fig6"), c.args...)
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: stderr %q does not mention %q", c.args, stderr.String(), c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: a usage error printed output:\n%s", c.args, stdout.String())
+		}
 	}
 }
 

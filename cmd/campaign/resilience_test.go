@@ -3,15 +3,19 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"github.com/mssn/loopscope"
+	"github.com/mssn/loopscope/internal/checkpoint"
 )
 
 // fig6Args returns the golden-pinned study flags plus extras.
@@ -69,6 +73,59 @@ func TestResumeWithoutCheckpointIsUsageError(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(fig6Args("-resume"), &stdout, &stderr); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
+	}
+}
+
+// TestResumeRejectsLoopOutsideTimeline: a journal whose lines all carry
+// valid checksums, but one of whose records places a loop far outside
+// its timeline, is refused on -resume with an error naming the entry.
+// It used to be replayed, and fig10's cycle statistics then indexed
+// past the timeline and panicked.
+func TestResumeRejectsLoopOutsideTimeline(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "study.ckpt")
+	args := append(append([]string{}, goldenArgs...), "-exp", "fig10", "-checkpoint", ckpt)
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	// Rewrite the journal through the checkpoint writer, so every line
+	// keeps a valid checksum, with the first loop's start moved to step
+	// 100000.
+	jr, entries, _, err := checkpoint.Open(ckpt)
+	if err == nil {
+		err = errors.Join(jr.Close(), os.Remove(ckpt))
+	}
+	if err == nil {
+		jr, _, _, err = checkpoint.Open(ckpt)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstLoop := regexp.MustCompile(`"loops":\[\{"start":\d+`)
+	edited := ""
+	for _, e := range entries {
+		p := e.Payload
+		if edited == "" && firstLoop.Match(p) {
+			edited = e.Key
+			p = firstLoop.ReplaceAll(p, []byte(`"loops":[{"start":100000`))
+		}
+		if err := jr.Append(e.Key, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if edited == "" {
+		t.Fatal("no journaled record has a loop; the fixture no longer exercises the check")
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(append(args, "-resume"), &stdout, &stderr); code != 1 {
+		t.Fatalf("resume exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, strconv.Quote(edited)) || !strings.Contains(msg, "start 100000") {
+		t.Errorf("refusal does not name entry %q and the bad loop: %s", edited, msg)
 	}
 }
 

@@ -157,8 +157,9 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 // DecodeRecord is EncodeRecord's inverse; the decoded record is
 // reflect.DeepEqual to the encoded one. Journals and sinks only ever
 // hold completed or panicked runs, so any other failure kind is an
-// error. Members this version no longer has (the "speeds" of older
-// records) are ignored.
+// error, and so is an analysis that does not fit its timeline (see
+// checkAnalysis). Members this version no longer has (the "speeds" of
+// older records) are ignored.
 func DecodeRecord(data []byte) (*Record, error) {
 	var w recordWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -167,6 +168,9 @@ func DecodeRecord(data []byte) (*Record, error) {
 	if w.FailKind != FailNone && w.FailKind != FailPanic {
 		return nil, fmt.Errorf("campaign: decoding record: fail_kind %d (%v): journals and sinks hold only completed or panicked runs",
 			uint8(w.FailKind), w.FailKind)
+	}
+	if err := checkAnalysis(&w); err != nil {
+		return nil, fmt.Errorf("campaign: decoding record: %w", err)
 	}
 	rec := &Record{
 		Op:        w.Op,
@@ -207,12 +211,47 @@ func DecodeRecord(data []byte) (*Record, error) {
 		if sw.Errors != nil {
 			sal.Errors = make([]*sig.ParseError, len(sw.Errors))
 			for i, pe := range sw.Errors {
+				if pe == nil {
+					return nil, fmt.Errorf("campaign: decoding record: salvage.errors[%d] is null", i)
+				}
 				sal.Errors[i] = &sig.ParseError{Line: pe.Line, Text: pe.Text, Err: errors.New(pe.Err)}
 			}
 		}
 		rec.Salvage = sal
 	}
 	return rec, nil
+}
+
+// checkAnalysis rejects loops the core.Loop accessors cannot index:
+// each loop must lie inside the record's timeline with at least one
+// whole cycle (0 ≤ Start ≤ End ≤ len(Steps), CycleLen ≥ 1 and
+// 1 ≤ Reps ≤ (len(Steps)−Start)/CycleLen), and the analysis must carry
+// one sub-type per loop. A journal line's checksum proves only that
+// some writer wrote it; a hand-edited journal, one from a buggy build
+// or a sink file read back is outside input and must fail here rather
+// than panic the experiments that read its loops.
+func checkAnalysis(w *recordWire) error {
+	steps := 0
+	if w.Timeline != nil {
+		steps = len(w.Timeline.Steps)
+	}
+	for i, l := range w.Analysis.Loops {
+		switch {
+		case l == nil:
+			return fmt.Errorf("analysis.loops[%d] is null", i)
+		case l.Start < 0 || l.Start > l.End || l.End > steps:
+			return fmt.Errorf("analysis.loops[%d]: start %d and end %d do not lie in the %d-step timeline", i, l.Start, l.End, steps)
+		case l.CycleLen < 1:
+			return fmt.Errorf("analysis.loops[%d]: cycle_len %d is not positive", i, l.CycleLen)
+		case l.Reps < 1 || l.Reps > (steps-l.Start)/l.CycleLen:
+			return fmt.Errorf("analysis.loops[%d]: %d repetitions of %d steps from step %d do not fit the %d-step timeline",
+				i, l.Reps, l.CycleLen, l.Start, steps)
+		}
+	}
+	if len(w.Analysis.Subtypes) != len(w.Analysis.Loops) {
+		return fmt.Errorf("analysis: %d subtypes for %d loops", len(w.Analysis.Subtypes), len(w.Analysis.Loops))
+	}
+	return nil
 }
 
 // encodeEvidence maps the +Inf sentinel to null.

@@ -70,9 +70,11 @@ func TestCodecRealRecords(t *testing.T) {
 	}
 }
 
-// TestCodecSyntheticEdgeCases pins the hazards the wire schema exists
-// for, independent of what the simulator happens to produce.
-func TestCodecSyntheticEdgeCases(t *testing.T) {
+// syntheticRecords returns records carrying the hazards the wire schema
+// exists for, independent of what the simulator happens to produce: a
+// failure record, a loop with salvage and sentinel evidence, and a
+// loop-free analysis with empty-non-nil Subtypes.
+func syntheticRecords() []*Record {
 	tl := &trace.Timeline{
 		Duration: 300 * time.Second,
 		Steps: []trace.Step{
@@ -91,7 +93,7 @@ func TestCodecSyntheticEdgeCases(t *testing.T) {
 				}},
 		},
 	}
-	recs := []*Record{
+	return []*Record{
 		{ // failure record: no timeline, zero analysis
 			Op: "OPT", Area: "A1", LocIndex: 1, RunIndex: 2, Device: "d",
 			Err: "injected test failure", Stack: "goroutine 1 [running]:\n...",
@@ -100,7 +102,7 @@ func TestCodecSyntheticEdgeCases(t *testing.T) {
 		{ // loop + empty-non-nil Subtypes + aliased timeline + salvage
 			Op: "OPT", Area: "A1", Timeline: tl,
 			Analysis: core.Analysis{
-				Loops:    []*core.Loop{{Start: 0, CycleLen: 2, Reps: 3, End: 6, Form: core.Form(1), Timeline: tl}},
+				Loops:    []*core.Loop{{Start: 0, CycleLen: 1, Reps: 2, End: 2, Form: core.Form(1), Timeline: tl}},
 				Subtypes: []core.Subtype{core.Subtype(2)},
 			},
 			MeasCount: 17,
@@ -114,6 +116,12 @@ func TestCodecSyntheticEdgeCases(t *testing.T) {
 			Attempts: 1,
 		},
 	}
+}
+
+// TestCodecSyntheticEdgeCases pins the hazards the wire schema exists
+// for, independent of what the simulator happens to produce.
+func TestCodecSyntheticEdgeCases(t *testing.T) {
+	recs := syntheticRecords()
 	for i, rec := range recs {
 		got := roundTrip(t, rec)
 		if i == 1 && got.Analysis.Loops[0].Timeline != got.Timeline {
@@ -146,6 +154,88 @@ func TestDecodeRecordRejectsUnjournaledKinds(t *testing.T) {
 			t.Errorf("kind %v: DecodeRecord err = %v, want a fail_kind error", k, err)
 		}
 	}
+}
+
+// TestDecodeRecordRejectsLoopsOutsideTimeline: a record whose loops do
+// not fit its timeline, or whose sub-types do not pair with its loops,
+// is rejected with an error naming the field, instead of being accepted
+// and panicking whatever reads the loop later.
+func TestDecodeRecordRejectsLoopsOutsideTimeline(t *testing.T) {
+	good := syntheticRecords()[1] // a 2-step timeline with one loop
+	for _, c := range []struct {
+		name string
+		edit func(l *core.Loop, a *core.Analysis)
+		want string
+	}{
+		{"start past the timeline", func(l *core.Loop, _ *core.Analysis) { l.Start, l.End = 100000, 100000 }, "start 100000"},
+		{"negative start", func(l *core.Loop, _ *core.Analysis) { l.Start = -1 }, "start -1"},
+		{"end before start", func(l *core.Loop, _ *core.Analysis) { l.Start, l.End = 1, 0 }, "end 0"},
+		{"zero cycle", func(l *core.Loop, _ *core.Analysis) { l.CycleLen = 0 }, "cycle_len 0"},
+		{"no repetition", func(l *core.Loop, _ *core.Analysis) { l.Reps = 0 }, "0 repetitions"},
+		{"too many repetitions", func(l *core.Loop, _ *core.Analysis) { l.Reps = 3 }, "3 repetitions"},
+		{"overflowing repetitions", func(l *core.Loop, _ *core.Analysis) { l.CycleLen, l.Reps = 1<<62, 4 }, "4 repetitions"},
+		{"missing subtype", func(_ *core.Loop, a *core.Analysis) { a.Subtypes = nil }, "0 subtypes for 1 loops"},
+	} {
+		rec := *good
+		loop := *good.Analysis.Loops[0]
+		rec.Analysis = core.Analysis{Loops: []*core.Loop{&loop}, Subtypes: good.Analysis.Subtypes}
+		c.edit(&loop, &rec.Analysis)
+		b, err := EncodeRecord(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeRecord(b); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: DecodeRecord err = %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+	for _, data := range []string{
+		`{"analysis":{"loops":[null],"subtypes":[0]}}`,
+		`{"salvage":{"errors":[null]}}`,
+	} {
+		if _, err := DecodeRecord([]byte(data)); err == nil || !strings.Contains(err.Error(), "is null") {
+			t.Errorf("%s: DecodeRecord err = %v, want a null-member error", data, err)
+		}
+	}
+}
+
+// FuzzDecodeRecord: decoding never panics, every accepted record
+// round-trips deep-equal through EncodeRecord, and every accessor the
+// experiments call on a loop runs on every accepted loop.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range syntheticRecords() {
+		b, err := EncodeRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"timeline":{"steps":[{"at":0},{"at":5}],"duration":9},` +
+		`"analysis":{"loops":[{"start":100000,"cycle_len":1,"reps":2,"end":2}],"subtypes":[0]}}`))
+	f.Add([]byte(`{"analysis":{"loops":[null],"subtypes":[0]}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeRecord(data)
+		if err != nil {
+			return
+		}
+		b, err := EncodeRecord(rec)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		again, err := DecodeRecord(b)
+		if err != nil {
+			t.Fatalf("re-encoded record is rejected: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(rec, again) {
+			t.Fatalf("record did not round-trip:\n first %+v\nsecond %+v", rec, again)
+		}
+		for _, l := range rec.Analysis.Loops {
+			l.Cycles()
+			l.CycleKeys()
+			l.Fingerprint()
+			l.OffTransition()
+			l.PreOffState()
+		}
+	})
 }
 
 // TestCodecRejectsForeignLoopTimeline: a loop that does not alias its

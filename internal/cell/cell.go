@@ -8,6 +8,7 @@ package cell
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -291,5 +292,44 @@ func (s Set) String() string {
 	return b.String()
 }
 
-// Equal reports whether two sets have identical membership and roles.
-func (s Set) Equal(o Set) bool { return s.Key() == o.Key() }
+// Equal reports whether two sets have identical membership and roles:
+// per group the same RAT, the same primary and the same SCells counted
+// with multiplicity in any order, and a nil group equal only to nil. It
+// is exactly s.Key() == o.Key(), without building either key.
+func (s Set) Equal(o Set) bool { return s.MCG.equal(o.MCG) && s.SCG.equal(o.SCG) }
+
+// equal is Set.Equal for one group.
+func (g *Group) equal(o *Group) bool {
+	if g == nil || o == nil {
+		return g == o
+	}
+	return g.RAT == o.RAT && g.Primary == o.Primary && sameMultiset(g.SCells, o.SCells)
+}
+
+// sameMultiset reports whether a and b hold the same refs with the same
+// multiplicities, in any order.
+func sameMultiset(a, b []Ref) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if slices.Equal(a, b) {
+		return true // the common case: same SCells in the same order
+	}
+	for _, r := range a {
+		if count(a, r) != count(b, r) {
+			return false
+		}
+	}
+	return true
+}
+
+// count returns how many times r occurs in refs.
+func count(refs []Ref, r Ref) int {
+	n := 0
+	for _, x := range refs {
+		if x == r {
+			n++
+		}
+	}
+	return n
+}

@@ -159,6 +159,69 @@ func TestSetKeyAndEqual(t *testing.T) {
 	}
 }
 
+// fuzzSet decodes bytes into a set drawn from a small alphabet, so that
+// generated sets often share cells: each group is nil or carries a raw
+// RAT byte (unknown RATs included), one of four primaries and up to
+// five SCells from four refs, duplicates allowed.
+func fuzzSet(data []byte) Set {
+	refs := [...]Ref{{273, 387410}, {371, 387410}, {273, 398410}, {393, 521310}}
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	group := func() *Group {
+		b := next()
+		if b%4 == 0 {
+			return nil
+		}
+		g := &Group{RAT: band.RAT(next() % 4), Primary: refs[b>>2%4]}
+		for n := int(b>>4) % 6; n > 0; n-- {
+			g.SCells = append(g.SCells, refs[next()%4])
+		}
+		return g
+	}
+	return Set{MCG: group(), SCG: group()}
+}
+
+// FuzzSetEqual pins Equal to the key comparison it replaced: two sets
+// are Equal exactly when their Keys match. The second set is either
+// decoded independently or a permuted copy of the first, so equal pairs
+// with reordered duplicate SCells come up as often as unequal ones.
+func FuzzSetEqual(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint8(0))
+	f.Add([]byte{0x21, 2, 1, 0, 0x11, 1, 3}, []byte{0x21, 2, 0, 1, 0x11, 1, 3}, uint8(0))
+	f.Add([]byte{0x35, 2, 1, 1, 2, 0}, []byte{0x35, 2, 2, 1, 1, 0}, uint8(1))
+	f.Add([]byte{0x21, 3, 1, 0x21, 1, 1}, []byte{0x21, 1, 1, 0x21, 3, 1}, uint8(2))
+	f.Fuzz(func(t *testing.T, da, db []byte, mode uint8) {
+		a := fuzzSet(da)
+		b := fuzzSet(db)
+		if mode%2 == 1 {
+			// A copy of a with each group's SCells rotated.
+			b = a.Clone()
+			for _, g := range []*Group{b.MCG, b.SCG} {
+				if g != nil && len(g.SCells) > 0 {
+					k := int(mode>>1) % len(g.SCells)
+					g.SCells = append(g.SCells[k:], g.SCells[:k]...)
+				}
+			}
+		}
+		want := a.Key() == b.Key()
+		if got := a.Equal(b); got != want {
+			t.Fatalf("Equal = %v, keys %q and %q say %v", got, a.Key(), b.Key(), want)
+		}
+		if got := b.Equal(a); got != want {
+			t.Fatalf("Equal is not symmetric for %q and %q", a.Key(), b.Key())
+		}
+		if !a.Equal(a) {
+			t.Fatalf("%q is not Equal to itself", a.Key())
+		}
+	})
+}
+
 func TestSetCellsAndContains(t *testing.T) {
 	s := Set{
 		MCG: NewGroup(band.RATLTE, MustRef("380@5145")),

@@ -140,6 +140,9 @@ func AreaByID(id string) (AreaSpec, bool) {
 }
 
 // Cluster is the calibrated local deployment at one test location.
+// Its cells have distinct Refs, so a cell's position in Cells identifies
+// it as well as its Ref does; the run engine keys its per-cell state by
+// that position.
 type Cluster struct {
 	Index int       // location index within the area
 	Loc   geo.Point // the test location

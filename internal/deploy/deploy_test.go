@@ -183,6 +183,31 @@ func TestClusterAccessors(t *testing.T) {
 	}
 }
 
+// TestClusterRefsDistinct checks the Cluster contract the run engine
+// relies on: no two cells of a cluster share a Ref, in any area at any
+// seed.
+func TestClusterRefsDistinct(t *testing.T) {
+	clusters := 0
+	for seed := int64(0); seed < 200; seed++ {
+		for _, area := range Areas() {
+			d := Build(policy.ByName(area.Operator), area, seed)
+			for _, cl := range d.Clusters {
+				clusters++
+				seen := make(map[cell.Ref]bool, len(cl.Cells))
+				for _, c := range cl.Cells {
+					if seen[c.Ref] {
+						t.Fatalf("seed %d %s location %d: two cells share Ref %v", seed, area.ID, cl.Index, c.Ref)
+					}
+					seen[c.Ref] = true
+				}
+			}
+		}
+	}
+	if clusters != 200*102 {
+		t.Errorf("checked %d clusters, want %d", clusters, 200*102)
+	}
+}
+
 func TestArchetypeString(t *testing.T) {
 	for a, want := range map[Archetype]string{
 		ArchClean: "clean", ArchBenignSwap: "benign-swap",

@@ -34,7 +34,7 @@ type Field struct {
 	// ShadowCorrLenM is the correlation length of shadowing.
 	ShadowCorrLenM units.Meters
 	// FadeSigmaDB is the standard deviation of the per-sample fast
-	// fading added by Sample.
+	// fading added by Fade.
 	FadeSigmaDB units.DB
 }
 
@@ -123,7 +123,7 @@ func rsrqFromRSRP(rsrp units.DBm, noise units.DB) units.DB {
 	if rsrp < -82 {
 		q -= 0.55 * (-82 - rsrp.Float())
 	}
-	return units.DB(math.Max(-30, math.Min(-5, q)))
+	return units.DB(max(-30, min(-5, q)))
 }
 
 // Median returns the deterministic local median measurement of c at p:
@@ -137,9 +137,19 @@ func (f *Field) Median(c *cell.Cell, p geo.Point) meas.Measurement {
 // Sample returns one faded observation of c at p. The rng carries the
 // run's temporal randomness; spatial structure stays deterministic.
 func (f *Field) Sample(c *cell.Cell, p geo.Point, rng *rand.Rand) meas.Measurement {
-	m := f.Median(c, p)
+	return f.Fade(c, f.Median(c, p), rng)
+}
+
+// Fade returns one faded observation of c around m, its local median
+// as returned by Median: fast fading on the RSRP, then the RSRQ
+// re-derived from the faded RSRP plus its own jitter. It draws exactly
+// two normals from rng, so a caller that keeps a median across samples
+// consumes the same stream and gets the same values as Sample.
+//
+//loopvet:hot
+func (f *Field) Fade(c *cell.Cell, m meas.Measurement, rng *rand.Rand) meas.Measurement {
 	m.RSRPDBm = m.RSRPDBm.Add(f.FadeSigmaDB.Scale(rng.NormFloat64()))
 	m.RSRQDB = rsrqFromRSRP(m.RSRPDBm, c.NoiseDB).Add(units.DB(rng.NormFloat64() * 0.8))
-	m.RSRQDB = units.DB(math.Max(-30, math.Min(-5, m.RSRQDB.Float())))
+	m.RSRQDB = units.DB(max(-30, min(-5, m.RSRQDB.Float())))
 	return m
 }

@@ -109,6 +109,27 @@ func TestSampleFadesAroundMedian(t *testing.T) {
 	}
 }
 
+// TestFadeDrawsTwoNormals pins the contract a caller that keeps
+// medians relies on: Fade around a kept median equals Sample, and each
+// call consumes exactly two normals of the RNG stream.
+func TestFadeDrawsTwoNormals(t *testing.T) {
+	c := testCell("273@387410", geo.P(0, 0), 40)
+	f := NewField(3)
+	p := geo.P(120, -40)
+	m := f.Median(c, p)
+	kept, fresh, ref := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		if got, want := f.Fade(c, m, kept), f.Sample(c, p, fresh); got != want {
+			t.Fatalf("sample %d: Fade around the kept median = %+v, Sample = %+v", i, got, want)
+		}
+		ref.NormFloat64()
+		ref.NormFloat64()
+	}
+	if kept.Int63() != ref.Int63() {
+		t.Error("Fade did not consume exactly two normals per call")
+	}
+}
+
 func TestRSRQShape(t *testing.T) {
 	// Good coverage ⇒ about −10.5 dB; the Fig. 28 bad apple at
 	// −108.5 dBm reports −25.5 dB.

@@ -32,14 +32,26 @@ type nsaEngine struct {
 	scgReadyAt time.Duration
 	needConfig bool
 
-	// failedPS records PSCell-change targets that already failed, used
-	// by the FastSCGRecovery mitigation.
-	failedPS map[cell.Ref]bool
+	// failedPS records, by slot, PSCell-change targets that already
+	// failed, used by the FastSCGRecovery mitigation.
+	failedPS []bool
+
+	// lte and nr list the slots of the cluster's LTE and NR cells, in
+	// cluster order.
+	lte, nr []int
 }
 
 // runNSA drives the NSA event loop.
 func (e *engine) runNSA() {
-	n := &nsaEngine{engine: e, failedPS: map[cell.Ref]bool{}}
+	n := &nsaEngine{engine: e, failedPS: make([]bool, len(e.cfg.Cluster.Cells))}
+	for i, c := range e.cfg.Cluster.Cells {
+		switch c.RAT {
+		case band.RATLTE:
+			n.lte = append(n.lte, i)
+		case band.RATNR:
+			n.nr = append(n.nr, i)
+		}
+	}
 	n.idleUntil = e.jitterDur(selectDelay, 200*time.Millisecond)
 	// The OnePlus 10 Pro uses 4G only on OPA (F5's exception): model it
 	// by never enabling NR; the run degenerates to a stable 4G session.
@@ -70,28 +82,6 @@ func (n *nsaEngine) step() {
 	}
 }
 
-// lteCells returns the cluster's LTE cells.
-func (n *nsaEngine) lteCells() []*cell.Cell {
-	var out []*cell.Cell
-	for _, c := range n.cfg.Cluster.Cells {
-		if c.RAT == band.RATLTE {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// nrCells returns the cluster's NR cells.
-func (n *nsaEngine) nrCells() []*cell.Cell {
-	var out []*cell.Cell
-	for _, c := range n.cfg.Cluster.Cells {
-		if c.RAT == band.RATNR {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // strongestLTE picks the LTE cell with the best priority-adjusted
 // sampled RSRP, skipping any in the exclusion list.
 func (n *nsaEngine) strongestLTE(exclude ...*cell.Cell) (*cell.Cell, meas.Measurement) {
@@ -99,13 +89,14 @@ func (n *nsaEngine) strongestLTE(exclude ...*cell.Cell) (*cell.Cell, meas.Measur
 	var bestM meas.Measurement
 	var bestScore units.DBm
 outer:
-	for _, c := range n.lteCells() {
+	for _, i := range n.lte {
+		c := n.cfg.Cluster.Cells[i]
 		for _, x := range exclude {
 			if x != nil && c.Ref == x.Ref {
 				continue outer
 			}
 		}
-		m := n.sample(c)
+		m := n.sample(i)
 		if !m.Measurable() {
 			continue
 		}
@@ -143,11 +134,11 @@ func (n *nsaEngine) establish() {
 // measConfig renders the operator's configured events.
 func (n *nsaEngine) measConfig() []rrc.MeasObject {
 	var nrChs, lteChs []int
-	for _, c := range n.nrCells() {
-		nrChs = appendUnique(nrChs, c.Channel)
+	for _, i := range n.nr {
+		nrChs = appendUnique(nrChs, n.cfg.Cluster.Cells[i].Channel)
 	}
-	for _, c := range n.lteCells() {
-		lteChs = appendUnique(lteChs, c.Channel)
+	for _, i := range n.lte {
+		lteChs = appendUnique(lteChs, n.cfg.Cluster.Cells[i].Channel)
 	}
 	return []rrc.MeasObject{
 		{Channels: nrChs, Event: n.cfg.Op.B1},
@@ -174,6 +165,8 @@ func (n *nsaEngine) nrMeasAllowed() bool {
 
 // reportAndDecide emits the periodic measurement report and runs the
 // network-side policy engine.
+//
+//loopvet:hot
 func (n *nsaEngine) reportAndDecide() {
 	// Fresh-configuration push when due (the "updated configuration
 	// information" of §5.3).
@@ -183,24 +176,19 @@ func (n *nsaEngine) reportAndDecide() {
 		n.needConfig = false
 	}
 
-	samples := map[cell.Ref]meas.Measurement{}
-	var entries []rrc.MeasEntry
-	add := func(c *cell.Cell, role rrc.MeasRole) {
-		m := n.sample(c)
-		samples[c.Ref] = m
-		if m.Measurable() {
-			entries = append(entries, rrc.MeasEntry{Cell: c.Ref, Role: role, Meas: m})
-		}
-	}
-	add(n.pcell, rrc.RolePCell)
-	for _, c := range n.lteCells() {
-		if c.Ref != n.pcell.Ref {
-			add(c, rrc.RoleCandidate)
+	cells := n.cfg.Cluster.Cells
+	clear(n.sampled) // a new report: nothing drawn yet
+	pc := n.slot(n.pcell)
+	n.measure(pc, rrc.RolePCell)
+	for _, i := range n.lte {
+		if cells[i].Ref != n.pcell.Ref {
+			n.measure(i, rrc.RoleCandidate)
 		}
 	}
 	sawNR := false
 	if n.nrMeasAllowed() {
-		for _, c := range n.nrCells() {
+		for _, i := range n.nr {
+			c := cells[i]
 			role := rrc.RoleCandidate
 			switch {
 			case n.psCell != nil && c.Ref == n.psCell.Ref:
@@ -208,31 +196,31 @@ func (n *nsaEngine) reportAndDecide() {
 			case n.scgSCell != nil && c.Ref == n.scgSCell.Ref:
 				role = rrc.RoleSCell
 			}
-			add(c, role)
-			if samples[c.Ref].Measurable() {
+			if n.measure(i, role).Measurable() {
 				sawNR = true
 			}
 		}
 	}
-	n.emit(rrc.MeasReport{Rat: band.RATLTE, Entries: entries})
+	n.sendReport(band.RATLTE)
 
 	// 1. Blind redirect (OPA's 5815 policy, F15): the moment any NR
 	// cell is reported, the PCell switches to the same-PCI cell on the
 	// redirect channel — without any measurement of the target.
 	if redirectCh, ok := n.cfg.Op.BlindRedirect[n.pcell.Channel]; ok && sawNR {
-		if target := n.samePCICell(redirectCh); target != nil {
+		if target := n.samePCICell(redirectCh); target >= 0 {
 			if n.cfg.Fixes.AlignHandoverPolicies && n.sample(target).RSRPDBm < -110 {
 				// Mitigated network: redirects are measurement-gated,
 				// so the UE is not thrown onto a failing cell (N1 fix).
 			} else {
-				n.executeHandover(target)
+				n.executeHandover(cells[target])
 				return
 			}
 		}
 	}
 
 	// 2. Radio link failure on the 4G PCell (N1E1).
-	if samples[n.pcell.Ref].RSRPDBm < rlfThreshRSRP {
+	pcM, _ := n.measured(pc)
+	if pcM.RSRPDBm < rlfThreshRSRP {
 		n.rlfStreak++
 	} else {
 		n.rlfStreak = 0
@@ -248,27 +236,30 @@ func (n *nsaEngine) reportAndDecide() {
 		// is offset-stronger (Fig. 32's asymmetric criteria). The
 		// AlignHandoverPolicies mitigation removes this inconsistent
 		// preference outright (N2E1 fix).
-		if prob := n.cellOnChannel(n.cfg.Op.ProblemChannel()); prob != nil {
-			if n.cfg.Op.HandoverA3.Entered(samples[n.pcell.Ref], samples[prob.Ref]) {
-				n.executeHandover(prob)
+		if prob := n.cellOnChannel(n.cfg.Op.ProblemChannel()); prob >= 0 {
+			probM, _ := n.measured(prob)
+			if n.cfg.Op.HandoverA3.Entered(pcM, probM) {
+				n.executeHandover(cells[prob])
 				return
 			}
 		}
 	} else if n.cfg.Op.DropSCGOnHandoverTo[n.pcell.Channel] {
 		// Leaving OPV's 5230 is RSRP-driven toward the mid-band cells.
 		a3 := meas.A3(meas.QuantityRSRP, 6)
-		var best *cell.Cell
-		for _, c := range n.lteCells() {
+		best := -1
+		var bestM meas.Measurement
+		for _, i := range n.lte {
+			c := cells[i]
 			if c.Ref == n.pcell.Ref || n.problemChannel(c.Channel) {
 				continue
 			}
-			if a3.Entered(samples[n.pcell.Ref], samples[c.Ref]) &&
-				(best == nil || samples[c.Ref].RSRPDBm > samples[best.Ref].RSRPDBm) {
-				best = c
+			m, _ := n.measured(i)
+			if a3.Entered(pcM, m) && (best < 0 || m.RSRPDBm > bestM.RSRPDBm) {
+				best, bestM = i, m
 			}
 		}
-		if best != nil {
-			n.executeHandover(best)
+		if best >= 0 {
+			n.executeHandover(cells[best])
 			return
 		}
 	}
@@ -278,13 +269,13 @@ func (n *nsaEngine) reportAndDecide() {
 	// deployed NR channel); other channels only serve as SCG SCells.
 	if n.psCell == nil && n.pcellAllows5G() && n.now >= n.scgReadyAt && !n.needConfig {
 		anchorCh := n.cfg.Op.NRChannels[0]
-		var best *cell.Cell
+		best := -1
 		var bestMedian units.DBm
-		for _, c := range n.nrCells() {
-			if c.Channel != anchorCh {
+		for _, i := range n.nr {
+			if cells[i].Channel != anchorCh {
 				continue
 			}
-			m, ok := samples[c.Ref]
+			m, ok := n.measured(i)
 			if !ok || !m.Measurable() {
 				continue
 			}
@@ -294,13 +285,13 @@ func (n *nsaEngine) reportAndDecide() {
 			// Among B1-qualified cells the network anchors on the one
 			// with the best long-term (median) strength, so the SCG
 			// re-forms identically cycle after cycle.
-			med := n.median(c).RSRPDBm
-			if best == nil || med > bestMedian {
-				best, bestMedian = c, med
+			med := n.median(i).RSRPDBm
+			if best < 0 || med > bestMedian {
+				best, bestMedian = i, med
 			}
 		}
-		if best != nil {
-			n.addSCG(best)
+		if best >= 0 {
+			n.addSCG(cells[best])
 			return
 		}
 	}
@@ -310,7 +301,7 @@ func (n *nsaEngine) reportAndDecide() {
 	// the A2 threshold is released outright — even though B1 will add
 	// it right back, because Θ_B1 < Θ_A2.
 	if lg := n.cfg.Op.LegacyA2B1; lg != nil && n.psCell != nil {
-		if m, ok := samples[n.psCell.Ref]; ok && m.RSRPDBm < lg.A2ThreshRSRPDBm {
+		if m, ok := n.measured(n.slot(n.psCell)); ok && m.RSRPDBm < lg.A2ThreshRSRPDBm {
 			n.emit(rrc.Reconfig{Rat: band.RATLTE, Serving: n.pcell.Ref, SCGRelease: true})
 			n.emit(rrc.ReconfigComplete{Rat: band.RATLTE})
 			n.psCell, n.scgSCell = nil, nil
@@ -323,25 +314,27 @@ func (n *nsaEngine) reportAndDecide() {
 
 	// 5. PSCell change within the SCG (the N2E2 trigger).
 	if n.psCell != nil {
-		var cand *cell.Cell
-		for _, c := range n.nrCells() {
+		psM, _ := n.measured(n.slot(n.psCell))
+		cand := -1
+		var candM meas.Measurement
+		for _, i := range n.nr {
+			c := cells[i]
 			if c.Channel != n.psCell.Channel || c.Ref == n.psCell.Ref {
 				continue
 			}
-			m, ok := samples[c.Ref]
+			m, ok := n.measured(i)
 			if !ok || !m.Measurable() {
 				continue
 			}
-			if n.cfg.Fixes.FastSCGRecovery && n.failedPS[c.Ref] {
+			if n.cfg.Fixes.FastSCGRecovery && n.failedPS[i] {
 				continue // do not retry a target that already failed
 			}
-			if n.cfg.Op.PSCellA3.Entered(samples[n.psCell.Ref], m) &&
-				(cand == nil || m.RSRPDBm > samples[cand.Ref].RSRPDBm) {
-				cand = c
+			if n.cfg.Op.PSCellA3.Entered(psM, m) && (cand < 0 || m.RSRPDBm > candM.RSRPDBm) {
+				cand, candM = i, m
 			}
 		}
-		if cand != nil {
-			n.changeSCG(cand)
+		if cand >= 0 {
+			n.changeSCG(cells[cand])
 		}
 	}
 }
@@ -354,26 +347,28 @@ func (n *nsaEngine) pcellAllows5G() bool {
 	return !n.cfg.Op.DisabledWith5G[n.pcell.Channel]
 }
 
-// samePCICell finds the cell with the PCell's PCI on another channel.
-func (n *nsaEngine) samePCICell(ch int) *cell.Cell {
-	for _, c := range n.lteCells() {
-		if c.Channel == ch && c.PCI == n.pcell.PCI {
-			return c
+// samePCICell returns the slot of the LTE cell with the PCell's PCI on
+// another channel, or -1.
+func (n *nsaEngine) samePCICell(ch int) int {
+	for _, i := range n.lte {
+		if c := n.cfg.Cluster.Cells[i]; c.Channel == ch && c.PCI == n.pcell.PCI {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// cellOnChannel returns the strongest-by-median LTE cell on a channel.
-func (n *nsaEngine) cellOnChannel(ch int) *cell.Cell {
-	var best *cell.Cell
+// cellOnChannel returns the slot of the strongest-by-median LTE cell on
+// a channel, or -1.
+func (n *nsaEngine) cellOnChannel(ch int) int {
+	best := -1
 	var bestRSRP units.DBm
-	for _, c := range n.lteCells() {
-		if c.Channel != ch {
+	for _, i := range n.lte {
+		if n.cfg.Cluster.Cells[i].Channel != ch {
 			continue
 		}
-		if m := n.median(c); best == nil || m.RSRPDBm > bestRSRP {
-			best, bestRSRP = c, m.RSRPDBm
+		if m := n.median(i); best < 0 || m.RSRPDBm > bestRSRP {
+			best, bestRSRP = i, m.RSRPDBm
 		}
 	}
 	return best
@@ -384,7 +379,7 @@ func (n *nsaEngine) cellOnChannel(ch int) *cell.Cell {
 // SCG because the mobility message carries no spCellConfig (N2E1 path),
 // scheduling a quick SCG re-addition where policy allows.
 func (n *nsaEngine) executeHandover(target *cell.Cell) {
-	tm := n.sample(target)
+	tm := n.sample(n.slot(target))
 	mob := target.Ref
 	if tm.RSRPDBm < hoFailRSRP {
 		// The command goes out but execution fails: the UE
@@ -433,8 +428,8 @@ func (n *nsaEngine) addSCG(ps *cell.Cell) {
 	psRef := ps.Ref
 	rc := rrc.Reconfig{Rat: band.RATLTE, Serving: n.pcell.Ref, SpCell: &psRef}
 	var partner *cell.Cell
-	for _, c := range n.nrCells() {
-		if c.PCI == ps.PCI && c.Channel != ps.Channel {
+	for _, i := range n.nr {
+		if c := n.cfg.Cluster.Cells[i]; c.PCI == ps.PCI && c.Channel != ps.Channel {
 			partner = c
 			break
 		}
@@ -455,13 +450,13 @@ func (n *nsaEngine) changeSCG(target *cell.Cell) {
 	tRef := target.Ref
 	n.emit(rrc.Reconfig{Rat: band.RATLTE, Serving: n.pcell.Ref, SpCell: &tRef})
 	n.emit(rrc.ReconfigComplete{Rat: band.RATLTE})
-	mOld := n.sample(n.psCell)
-	mNew := n.sample(target)
+	mOld := n.sample(n.slot(n.psCell))
+	mNew := n.sample(n.slot(target))
 	if mNew.RSRPDBm > mOld.RSRPDBm.Add(n.cfg.Op.PSCellA3.Offset) && mNew.RSRPDBm > scgExecFloor {
 		n.psCell, n.scgSCell = target, nil
 		return
 	}
-	n.failedPS[target.Ref] = true
+	n.failedPS[n.slot(target)] = true
 	n.emit(rrc.SCGFailureInfo{FailureType: rrc.SCGFailureRandomAccess})
 	n.emit(rrc.Reconfig{Rat: band.RATLTE, Serving: n.pcell.Ref, SCGRelease: true})
 	n.emit(rrc.ReconfigComplete{Rat: band.RATLTE})

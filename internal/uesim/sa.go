@@ -1,6 +1,8 @@
 package uesim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,29 +25,58 @@ type saEngine struct {
 	pcell     *cell.Cell
 	lastPCell *cell.Cell // most recently camped PCell (selection stickiness)
 	scells    []*cell.Cell
-	indexOf   map[cell.Ref]int // sCellIndex assignment
+	indexOf   []int // sCellIndex assignment by slot, 0 when unassigned
 	nextIdx   int
 
 	scellsAdded  bool
 	scellAddAt   time.Duration
 	nextReportAt time.Duration
 
-	missingStreak map[cell.Ref]int
-	poorStreak    map[cell.Ref]int
+	// Per-SCell report streaks by slot, reset on establishment.
+	missingStreak []int
+	poorStreak    []int
 
 	// failedCand records modification targets that already failed, used
 	// by the BlacklistFailedModTargets mitigation (network-side state,
 	// persists across re-establishments).
-	failedCand map[cell.Ref]bool
+	failedCand []bool
 	// a3Streak counts consecutive reports in which a candidate's A3
 	// condition held, for the time-to-trigger mitigation.
-	a3Streak map[cell.Ref]int
+	a3Streak []int
+
+	// anchors lists the anchor candidates in selection order, and
+	// isAnchor marks their slots. byChPCI orders every slot by
+	// (Channel, PCI), the order candidates are sampled and reported in;
+	// cands holds one report's candidate slots in that order.
+	anchors  []int
+	isAnchor []bool
+	byChPCI  []int
+	cands    []int
 }
 
 // runSA drives the SA event loop for the configured duration.
 func (e *engine) runSA() {
-	sa := &saEngine{engine: e, indexOf: map[cell.Ref]int{}, nextIdx: 1,
-		failedCand: map[cell.Ref]bool{}, a3Streak: map[cell.Ref]int{}}
+	n := len(e.cfg.Cluster.Cells)
+	sa := &saEngine{engine: e, nextIdx: 1,
+		indexOf: make([]int, n), missingStreak: make([]int, n), poorStreak: make([]int, n),
+		failedCand: make([]bool, n), a3Streak: make([]int, n),
+		isAnchor: make([]bool, n), byChPCI: make([]int, n), cands: make([]int, 0, n)}
+	// Which cells may anchor, and the order candidates are reported in,
+	// depend only on the cluster and the device.
+	sa.anchors = sa.anchorCandidates()
+	for _, i := range sa.anchors {
+		sa.isAnchor[i] = true
+	}
+	cells := e.cfg.Cluster.Cells
+	for i := range sa.byChPCI {
+		sa.byChPCI[i] = i
+	}
+	slices.SortFunc(sa.byChPCI, func(a, b int) int {
+		if c := cmp.Compare(cells[a].Channel, cells[b].Channel); c != 0 {
+			return c
+		}
+		return cmp.Compare(cells[a].PCI, cells[b].PCI)
+	})
 	sa.idleUntil = e.jitterDur(selectDelay, 200*time.Millisecond)
 	for e.now < e.cfg.Duration {
 		sa.step()
@@ -70,29 +101,29 @@ func (s *saEngine) step() {
 	}
 }
 
-// anchorCandidates lists the cells this device may anchor on (PCell):
-// NR cells on anchor-capable channels respecting the device's MIMO
-// constraint, with the device band preference applied.
-func (s *saEngine) anchorCandidates() []*cell.Cell {
-	var out []*cell.Cell
-	for _, c := range s.cfg.Cluster.Cells {
+// anchorCandidates lists the slots of the cells this device may anchor
+// on (PCell): NR cells on anchor-capable channels respecting the
+// device's MIMO constraint, with the device band preference applied.
+func (s *saEngine) anchorCandidates() []int {
+	var out []int
+	for i, c := range s.cfg.Cluster.Cells {
 		if c.RAT != band.RATNR || c.MIMOLayers < s.cfg.Device.MinMIMOLayers {
 			continue
 		}
 		switch c.Band() {
 		case "n41", "n71": // wide anchors
-			out = append(out, c)
+			out = append(out, i)
 		case "n25":
 			if c.Channel == 501390 { // not deployed; n25 never anchors here
-				out = append(out, c)
+				out = append(out, i)
 			}
 		}
 	}
 	if pref := s.cfg.Device.PreferredNRBand; pref != "" {
-		var preferred []*cell.Cell
-		for _, c := range out {
-			if c.Band() == pref {
-				preferred = append(preferred, c)
+		var preferred []int
+		for _, i := range out {
+			if s.cfg.Cluster.Cells[i].Band() == pref {
+				preferred = append(preferred, i)
 			}
 		}
 		if len(preferred) > 0 {
@@ -123,13 +154,13 @@ func (s *saEngine) establish() {
 	s.pcell = best
 	s.lastPCell = best
 	s.scells = nil
-	s.indexOf = map[cell.Ref]int{}
+	clear(s.indexOf)
 	s.nextIdx = 1
 	s.scellsAdded = false
 	s.scellAddAt = s.now + s.jitterDur(scellAddDelay, 300*time.Millisecond)
 	s.nextReportAt = s.now + reportPeriod
-	s.missingStreak = map[cell.Ref]int{}
-	s.poorStreak = map[cell.Ref]int{}
+	clear(s.missingStreak)
+	clear(s.poorStreak)
 	if !s.cfg.Device.SupportsNRCA {
 		s.scellsAdded = true // single-cell operation
 	}
@@ -143,8 +174,9 @@ func (s *saEngine) selectCell() (*cell.Cell, meas.Measurement) {
 	var best *cell.Cell
 	var bestM meas.Measurement
 	var bestScore units.DBm
-	for _, c := range s.anchorCandidates() {
-		m := s.sample(c)
+	for _, i := range s.anchors {
+		c := s.cfg.Cluster.Cells[i]
+		m := s.sample(i)
 		if m.RSRPDBm < s.cfg.Op.SelectThreshRSRPDBm {
 			continue
 		}
@@ -188,11 +220,11 @@ func (s *saEngine) partnerSCells() []*cell.Cell {
 		// The n71 anchor pairs with the strongest n41 cell only.
 		var best *cell.Cell
 		var bestRSRP units.DBm
-		for _, c := range s.cfg.Cluster.Cells {
+		for i, c := range s.cfg.Cluster.Cells {
 			if c.RAT != band.RATNR || c.Band() != "n41" {
 				continue
 			}
-			if m := s.median(c); best == nil || m.RSRPDBm > bestRSRP {
+			if m := s.median(i); best == nil || m.RSRPDBm > bestRSRP {
 				best, bestRSRP = c, m.RSRPDBm
 			}
 		}
@@ -235,7 +267,7 @@ func (s *saEngine) addSCells() {
 	rc := rrc.Reconfig{Rat: band.RATNR, Serving: s.pcell.Ref}
 	for _, c := range partners {
 		rc.AddSCells = append(rc.AddSCells, rrc.SCellEntry{Index: s.nextIdx, Cell: c.Ref})
-		s.indexOf[c.Ref] = s.nextIdx
+		s.indexOf[s.slot(c)] = s.nextIdx
 		s.nextIdx++
 		s.scells = append(s.scells, c)
 	}
@@ -264,62 +296,36 @@ func servingChannels(pcell *cell.Cell, scells []*cell.Cell) []int {
 
 // reportAndDecide samples the environment, emits the measurement report,
 // and runs the network-side decision logic (Fig. 14's four-step cycle).
+//
+//loopvet:hot
 func (s *saEngine) reportAndDecide() {
-	samples := map[cell.Ref]meas.Measurement{}
-	var entries []rrc.MeasEntry
-
-	addEntry := func(c *cell.Cell, role rrc.MeasRole) meas.Measurement {
-		m := s.sample(c)
-		samples[c.Ref] = m
-		if m.Measurable() {
-			entries = append(entries, rrc.MeasEntry{Cell: c.Ref, Role: role, Meas: m})
-		}
-		return m
-	}
-	addEntry(s.pcell, rrc.RolePCell)
+	cells := s.cfg.Cluster.Cells
+	clear(s.sampled) // a new report: nothing drawn yet
+	s.measure(s.slot(s.pcell), rrc.RolePCell)
 	for _, c := range s.scells {
-		addEntry(c, rrc.RoleSCell)
+		s.measure(s.slot(c), rrc.RoleSCell)
 	}
 	// Candidates: co-channel alternatives to serving SCells plus the
-	// other anchors. Kept as an ordered slice so the RNG consumption
-	// order (and thus the whole run) is deterministic.
-	var candidates []*cell.Cell
-	seen := map[cell.Ref]bool{}
-	addCand := func(c *cell.Cell) {
-		if !seen[c.Ref] && !s.serving(c.Ref) {
-			seen[c.Ref] = true
-			candidates = append(candidates, c)
+	// other anchors, reported in (Channel, PCI) order so the RNG
+	// consumption order (and thus the whole run) is deterministic.
+	s.cands = s.cands[:0]
+	for _, i := range s.byChPCI {
+		if c := cells[i]; !s.serving(c.Ref) && (s.isAnchor[i] || s.coChannelAlternative(c)) {
+			s.cands = append(s.cands, i)
+			s.measure(i, rrc.RoleCandidate)
 		}
 	}
-	for _, sc := range s.scells {
-		for _, c := range s.cfg.Cluster.CellsOnChannel(sc.Channel) {
-			if c.Ref != sc.Ref && c.MIMOLayers >= s.cfg.Device.MinMIMOLayers {
-				addCand(c)
-			}
-		}
-	}
-	for _, c := range s.anchorCandidates() {
-		addCand(c)
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Channel != candidates[j].Channel {
-			return candidates[i].Channel < candidates[j].Channel
-		}
-		return candidates[i].PCI < candidates[j].PCI
-	})
-	for _, c := range candidates {
-		addEntry(c, rrc.RoleCandidate)
-	}
-	s.emit(rrc.MeasReport{Rat: band.RATNR, Entries: entries})
+	s.sendReport(band.RATNR)
 
 	// 1. S1E1 path: a serving SCell missing from reports.
 	for _, sc := range s.scells {
-		if samples[sc.Ref].Measurable() {
-			s.missingStreak[sc.Ref] = 0
+		i := s.slot(sc)
+		if m, _ := s.measured(i); m.Measurable() {
+			s.missingStreak[i] = 0
 			continue
 		}
-		s.missingStreak[sc.Ref]++
-		if s.missingStreak[sc.Ref] >= missingReports {
+		s.missingStreak[i]++
+		if s.missingStreak[i] >= missingReports {
 			if s.cfg.Fixes.ReleaseOnlyBadApple {
 				s.releaseSCell(sc)
 				return
@@ -334,10 +340,11 @@ func (s *saEngine) reportAndDecide() {
 	// 2. S1E2 path: a serving SCell persistently reported very poor,
 	// with no corrective command in the network's logic.
 	for _, sc := range s.scells {
-		m, ok := samples[sc.Ref]
+		i := s.slot(sc)
+		m, ok := s.measured(i)
 		if ok && m.Measurable() && m.RSRQDB <= -23 {
-			s.poorStreak[sc.Ref]++
-			if s.poorStreak[sc.Ref] >= poorReports {
+			s.poorStreak[i]++
+			if s.poorStreak[i] >= poorReports {
 				if s.cfg.Fixes.ReleaseOnlyBadApple {
 					s.releaseSCell(sc)
 					return
@@ -347,52 +354,66 @@ func (s *saEngine) reportAndDecide() {
 				return
 			}
 		} else if ok {
-			s.poorStreak[sc.Ref] = 0
+			s.poorStreak[i] = 0
 		}
 	}
 	// 3. S1E3 path: A3 — a co-channel candidate looks offset-better
 	// than a serving SCell, so the network commands a modification.
 	for _, sc := range s.scells {
-		servM, ok := samples[sc.Ref]
+		servM, ok := s.measured(s.slot(sc))
 		if !ok || !servM.Measurable() {
 			continue
 		}
-		var bestCand *cell.Cell
+		best := -1
 		var bestM meas.Measurement
-		for _, c := range candidates {
-			if c.Channel != sc.Channel {
+		for _, i := range s.cands {
+			if cells[i].Channel != sc.Channel {
 				continue
 			}
-			if s.cfg.Fixes.BlacklistFailedModTargets && s.failedCand[c.Ref] {
+			if s.cfg.Fixes.BlacklistFailedModTargets && s.failedCand[i] {
 				continue
 			}
-			m, ok := samples[c.Ref]
+			m, ok := s.measured(i)
 			if !ok || !m.Measurable() {
 				continue
 			}
-			if bestCand == nil || m.RSRPDBm > bestM.RSRPDBm {
-				bestCand, bestM = c, m
+			if best < 0 || m.RSRPDBm > bestM.RSRPDBm {
+				best, bestM = i, m
 			}
 		}
-		if bestCand == nil || !s.cfg.Op.SCellA3.Entered(servM, bestM) {
-			if bestCand != nil {
-				s.a3Streak[bestCand.Ref] = 0
+		if best < 0 || !s.cfg.Op.SCellA3.Entered(servM, bestM) {
+			if best >= 0 {
+				s.a3Streak[best] = 0
 			}
 			continue
 		}
 		// Time-to-trigger (mitigation): the condition must persist for
 		// k consecutive reports, filtering out fading flukes.
 		if ttt := s.cfg.Fixes.A3TimeToTriggerReports; ttt > 0 {
-			s.a3Streak[bestCand.Ref]++
-			if s.a3Streak[bestCand.Ref] < ttt {
+			s.a3Streak[best]++
+			if s.a3Streak[best] < ttt {
 				continue
 			}
-			s.a3Streak[bestCand.Ref] = 0
+			s.a3Streak[best] = 0
 		}
-		if s.modifySCell(sc, bestCand) {
+		if s.modifySCell(sc, cells[best]) {
 			return // state changed (success or exception); re-evaluate next report
 		}
 	}
+}
+
+// coChannelAlternative reports whether c shares a channel with a
+// serving SCell and meets the device's MIMO constraint.
+func (s *saEngine) coChannelAlternative(c *cell.Cell) bool {
+	if c.MIMOLayers < s.cfg.Device.MinMIMOLayers {
+		return false
+	}
+	for _, sc := range s.scells {
+		if sc.Channel == c.Channel {
+			return true
+		}
+	}
+	return false
 }
 
 // serving reports whether a ref is the PCell or an SCell.
@@ -414,7 +435,8 @@ func (s *saEngine) serving(r cell.Ref) bool {
 // exception that releases every serving cell (S1E3, Fig. 26). It
 // returns true when the serving set changed.
 func (s *saEngine) modifySCell(old, new_ *cell.Cell) bool {
-	oldIdx := s.indexOf[old.Ref]
+	oldSlot, newSlot := s.slot(old), s.slot(new_)
+	oldIdx := s.indexOf[oldSlot]
 	newIdx := s.nextIdx
 	s.nextIdx++
 	s.emit(rrc.Reconfig{
@@ -428,25 +450,25 @@ func (s *saEngine) modifySCell(old, new_ *cell.Cell) bool {
 	// Execution: re-observe both cells at activation. On the fragile
 	// narrow channel the commanded advantage must still hold; on the
 	// robust wide channels only absolute weakness fails activation.
-	mOld := s.sample(old)
-	mNew := s.sample(new_)
+	mOld := s.sample(oldSlot)
+	mNew := s.sample(newSlot)
 	ok := mNew.RSRPDBm > modExecFloor
 	if new_.Channel == fragileChannel {
 		ok = ok && mNew.RSRPDBm > mOld.RSRPDBm.Add(fragileMarginDB)
 	}
 	if ok {
-		delete(s.indexOf, old.Ref)
-		s.indexOf[new_.Ref] = newIdx
+		s.indexOf[oldSlot] = 0
+		s.indexOf[newSlot] = newIdx
 		for i, c := range s.scells {
 			if c.Ref == old.Ref {
 				s.scells[i] = new_
 			}
 		}
-		delete(s.missingStreak, old.Ref)
-		delete(s.poorStreak, old.Ref)
+		s.missingStreak[oldSlot] = 0
+		s.poorStreak[oldSlot] = 0
 		return true
 	}
-	s.failedCand[new_.Ref] = true
+	s.failedCand[newSlot] = true
 	s.emit(rrc.Exception{MMState: "DEREGISTERED", Substate: "NO_CELL_AVAILABLE"})
 	s.goIdle(s.jitterDur(exceptionIdle, time.Second))
 	return true
@@ -455,8 +477,9 @@ func (s *saEngine) modifySCell(old, new_ *cell.Cell) bool {
 // releaseSCell drops a single SCell (the F9 mitigation): the connection
 // and the other serving cells survive.
 func (s *saEngine) releaseSCell(bad *cell.Cell) {
-	idx, ok := s.indexOf[bad.Ref]
-	if !ok {
+	slot := s.slot(bad)
+	idx := s.indexOf[slot]
+	if idx == 0 {
 		return
 	}
 	s.emit(rrc.Reconfig{
@@ -465,9 +488,9 @@ func (s *saEngine) releaseSCell(bad *cell.Cell) {
 		ReleaseSCells: []int{idx},
 	})
 	s.emit(rrc.ReconfigComplete{Rat: band.RATNR})
-	delete(s.indexOf, bad.Ref)
-	delete(s.missingStreak, bad.Ref)
-	delete(s.poorStreak, bad.Ref)
+	s.indexOf[slot] = 0
+	s.missingStreak[slot] = 0
+	s.poorStreak[slot] = 0
 	for i, c := range s.scells {
 		if c.Ref == bad.Ref {
 			s.scells = append(s.scells[:i], s.scells[i+1:]...)

@@ -68,7 +68,11 @@ type Config struct {
 	// Path, when non-empty, turns the run into a walking experiment
 	// (§7): the UE moves along the waypoints at WalkSpeedMps, starting
 	// from Loc (or the first waypoint when Loc is zero). Loops appear
-	// and disappear as the radio features change under the walker.
+	// and disappear as the radio features change under the walker, so a
+	// walking run evaluates every cell's median at the walker's position
+	// on each sample. A stationary run (empty Path) evaluates each
+	// cell's median once, at Loc, when it starts. Both draw the same
+	// fading from the run's RNG in the same order.
 	Path         []geo.Point
 	WalkSpeedMps float64 // default 1.4 m/s
 
@@ -167,12 +171,23 @@ func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(cfg.Cluster.Cells)
 	e := &engine{
-		cfg:  cfg,
-		ctx:  ctx,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		sink: sink,
-		last: -1,
+		cfg:     cfg,
+		ctx:     ctx,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		sink:    sink,
+		last:    -1,
+		samples: make([]meas.Measurement, n),
+		sampled: make([]bool, n),
+	}
+	if len(cfg.Path) == 0 {
+		// A stationary UE never moves, so no cell's median changes
+		// during the run.
+		e.medians = make([]meas.Measurement, n)
+		for i, c := range cfg.Cluster.Cells {
+			e.medians[i] = cfg.Field.Median(c, cfg.Loc)
+		}
 	}
 	defer func() {
 		p := recover()
@@ -213,7 +228,9 @@ func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 	return nil
 }
 
-// engine is the shared simulation state.
+// engine is the shared simulation state. Its per-cell tables are
+// indexed by a cell's slot, its position in Cluster.Cells; the cluster's
+// cells have distinct Refs, so a slot stands for one Ref.
 type engine struct {
 	cfg Config
 	// The engine is built inside RunToContext and discarded when it
@@ -227,6 +244,17 @@ type engine struct {
 	now     time.Duration
 	last    time.Duration // timestamp of the last emitted event, -1 when none
 	emitted int64         // events delivered to the sink
+
+	// medians holds each cell's median at the run location for a
+	// stationary run; nil for a walking run, whose medians move with
+	// the UE.
+	medians []meas.Measurement
+	// samples holds the draws of the report being assembled, and
+	// sampled marks the slots drawn so far; entries lists the
+	// measurable ones in report order.
+	samples []meas.Measurement
+	sampled []bool
+	entries []rrc.MeasEntry
 }
 
 // emit appends a message at the current simulated time and advances the
@@ -268,15 +296,66 @@ func (e *engine) pos() geo.Point {
 	return cur // path exhausted: the walker stands at the last waypoint
 }
 
-// sample draws one faded measurement of a cell at the UE position.
-func (e *engine) sample(c *cell.Cell) meas.Measurement {
-	return e.cfg.Field.Sample(c, e.pos(), e.rng)
+// slot returns c's position in Cluster.Cells.
+func (e *engine) slot(c *cell.Cell) int {
+	for i, cc := range e.cfg.Cluster.Cells {
+		if cc == c {
+			return i
+		}
+	}
+	panic("uesim: cell " + c.Ref.String() + " is not in the run's cluster")
 }
 
-// median returns the deterministic local median of a cell at the UE
+// sample draws one faded measurement of the cell in slot i at the UE
 // position.
-func (e *engine) median(c *cell.Cell) meas.Measurement {
-	return e.cfg.Field.Median(c, e.pos())
+//
+//loopvet:hot
+func (e *engine) sample(i int) meas.Measurement {
+	return e.cfg.Field.Fade(e.cfg.Cluster.Cells[i], e.median(i), e.rng)
+}
+
+// median returns the deterministic local median of the cell in slot i
+// at the UE position.
+//
+//loopvet:hot
+func (e *engine) median(i int) meas.Measurement {
+	if e.medians != nil {
+		return e.medians[i]
+	}
+	return e.cfg.Field.Median(e.cfg.Cluster.Cells[i], e.pos())
+}
+
+// measure samples the cell in slot i for the report being assembled
+// and lists it when measurable. A report's entries get a fresh slice,
+// sized for every cell of the cluster, at its first measurable cell (a
+// report that measures nothing carries nil entries); the slice is never
+// reused, because a sink such as sig.Log keeps it.
+func (e *engine) measure(i int, role rrc.MeasRole) meas.Measurement {
+	m := e.sample(i)
+	e.samples[i], e.sampled[i] = m, true
+	if m.Measurable() {
+		if e.entries == nil {
+			e.entries = make([]rrc.MeasEntry, 0, len(e.cfg.Cluster.Cells))
+		}
+		e.entries = append(e.entries, rrc.MeasEntry{Cell: e.cfg.Cluster.Cells[i].Ref, Role: role, Meas: m})
+	}
+	return m
+}
+
+// measured returns the current report's draw for slot i, or false
+// when the report did not sample that cell.
+func (e *engine) measured(i int) (meas.Measurement, bool) {
+	if !e.sampled[i] {
+		return meas.Measurement{}, false
+	}
+	return e.samples[i], true
+}
+
+// sendReport emits the assembled measurement report, handing its
+// entries over to the sink.
+func (e *engine) sendReport(rat band.RAT) {
+	e.emit(rrc.MeasReport{Rat: rat, Entries: e.entries})
+	e.entries = nil
 }
 
 // jitterDur perturbs a duration by ±spread.

@@ -1,6 +1,7 @@
 package uesim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -395,6 +396,46 @@ func TestWalkPositionInterpolation(t *testing.T) {
 	if e2.pos() != geo.P(7, 8) {
 		t.Error("stationary position drifted")
 	}
+}
+
+// TestStationaryMediansMatchWalk is the oracle for the stationary
+// run's median memo. A walk whose only waypoint is the cluster location
+// never leaves it, yet as a walking run it evaluates every cell's median
+// at that point on every sample; the stationary run, which evaluates
+// each median once when it starts, must match it event by event.
+func TestStationaryMediansMatchWalk(t *testing.T) {
+	for _, id := range []string{"A1", "A2", "A6", "A8", "A9", "A11"} {
+		area, _ := deploy.AreaByID(id)
+		op := policy.ByName(area.Operator)
+		d := deploy.Build(op, area, 7)
+		for i, cl := range d.Clusters {
+			for _, seed := range []int64{int64(i), int64(1000 + i)} {
+				cfg := Config{Op: op, Field: d.Field, Cluster: cl, Duration: 3 * time.Minute, Seed: seed}
+				stay := Run(cfg)
+				cfg.Path = []geo.Point{cl.Loc}
+				walk := Run(cfg)
+				if reflect.DeepEqual(stay.Events, walk.Events) {
+					continue
+				}
+				n := min(len(stay.Events), len(walk.Events))
+				k := 0
+				for k < n && reflect.DeepEqual(stay.Events[k], walk.Events[k]) {
+					k++
+				}
+				t.Fatalf("%s location %d (%v) seed %d: stationary run diverges from the walk at event %d of %d/%d:\nstationary: %+v\nwalk:       %+v",
+					id, cl.Index, cl.Arch, seed, k, len(stay.Events), len(walk.Events),
+					eventAt(stay, k), eventAt(walk, k))
+			}
+		}
+	}
+}
+
+// eventAt returns event k of a log, or nil past its end.
+func eventAt(log *sig.Log, k int) any {
+	if k < len(log.Events) {
+		return log.Events[k]
+	}
+	return nil
 }
 
 func TestFixesRemoveLoops(t *testing.T) {
