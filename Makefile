@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzHeaderTime$$ -fuzztime=$(FUZZTIME) ./internal/faults
 	$(GO) test -run=NONE -fuzz=FuzzStreamDetectParity$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord$$ -fuzztime=$(FUZZTIME) ./internal/campaign
+	$(GO) test -run=NONE -fuzz=FuzzScan$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 # bench is the smoke run CI performs: every benchmark compiles and
 # executes once; full-study benchmarks skip themselves under -short.

@@ -3,20 +3,21 @@
 //
 // Usage:
 //
-//	campaign [-exp id|all] [-seed N] [-scale F] [-duration D] [-list]
+//	campaign [-exp id[,id...]|all] [-seed N] [-scale F] [-duration D] [-list]
 //	         [-checkpoint journal] [-resume] [-sink out.jsonl] [-workers N]
 //	         [-metrics out.json] [-debug-addr host:port]
 //
 // With -exp all (the default) every experiment runs in the paper's
-// presentation order, sharing one study dataset. -checkpoint journals
-// every completed run into a durable file; after a crash or a SIGTERM
-// (exit code 3) the same invocation plus -resume replays the journal
-// and continues, producing output byte-identical to an uninterrupted
-// run (see docs/RESILIENCE.md). -sink streams each run record as JSON
-// lines while the study executes. -metrics writes an observability
-// snapshot (stage spans, run/retry/salvage counters) as stable JSON
-// after the run; -debug-addr serves pprof, expvar and the live
-// snapshot while the study executes.
+// presentation order, sharing one study dataset; a comma-separated list
+// (-exp fig20,fig21,fig22) runs those experiments in that order.
+// -checkpoint journals every completed run into a durable file; after a
+// crash or a SIGTERM (exit code 3) the same invocation plus -resume
+// replays the journal and continues, producing output byte-identical to
+// an uninterrupted run (see docs/RESILIENCE.md). -sink streams each run
+// record as JSON lines while the study executes. -metrics writes an
+// observability snapshot (stage spans, run/retry/salvage counters) as
+// stable JSON after the run; -debug-addr serves pprof, expvar and the
+// live snapshot while the study executes.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -65,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment ID (fig6, table5, ...) or 'all'")
+		exp      = fs.String("exp", "all", "experiment ID (fig6, table5, ...), a comma-separated list of IDs, or 'all'")
 		seed     = fs.Int64("seed", 42, "master seed of the study")
 		scale    = fs.Float64("scale", 1.0, "run-count scale factor")
 		duration = fs.Duration("duration", 5*time.Minute, "stationary run duration")
@@ -127,18 +129,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "campaign: debug server on http://"+bound)
 	}
 
+	var sel []string // nil runs every experiment
+	if *exp != "all" {
+		sel = strings.Split(*exp, ",")
+	}
+	if *export == "" {
+		for _, id := range sel {
+			if _, ok := ids[id]; !ok {
+				fmt.Fprintf(stderr, "campaign: unknown experiment %q (try -list)\n", id)
+				return 2
+			}
+		}
+	}
 	if *reportTo != "" {
 		if *ckpt != "" || *sink != "" {
 			fmt.Fprintln(stderr, "campaign: -report does not compose with -checkpoint/-sink")
 			return 2
 		}
-		return writeReport(stdout, stderr, opts, *exp, *reportTo)
-	}
-	if *exp != "all" && *export == "" {
-		if _, ok := ids[*exp]; !ok {
-			fmt.Fprintf(stderr, "campaign: unknown experiment %q (try -list)\n", *exp)
-			return 2
-		}
+		return writeReport(stdout, stderr, opts, sel, *reportTo)
 	}
 
 	// SIGINT/SIGTERM cancel the study context: dispatch stops, in-flight
@@ -150,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code != 0 {
 		return code
 	}
-	code = render(stdout, stderr, ids, st, *exp, *export)
+	code = render(stdout, stderr, st, sel, *export)
 	if code == 0 && *metrics != "" {
 		if err := writeMetrics(*metrics, reg); err != nil {
 			fmt.Fprintln(stderr, "campaign:", err)
@@ -205,19 +213,15 @@ func buildStudy(ctx context.Context, stderr io.Writer, opts loopscope.StudyOptio
 	return st, 0
 }
 
-// render produces the selected output (CSV export, one experiment, or
-// all) from the materialized study.
-func render(stdout, stderr io.Writer, ids map[string]string, st *loopscope.Study, exp, export string) int {
+// render produces the selected output (CSV export, or the experiments
+// sel names, all for nil) from the materialized study.
+func render(stdout, stderr io.Writer, st *loopscope.Study, sel []string, export string) int {
 	if export != "" {
 		if err := exportDataset(stdout, export, st); err != nil {
 			fmt.Fprintln(stderr, "campaign:", err)
 			return 1
 		}
 		return 0
-	}
-	var sel []string
-	if exp != "all" {
-		sel = []string{exp}
 	}
 	for _, res := range loopscope.ExperimentsWithStudy(sel, st) {
 		printExperiment(stdout, res.ID, res.Title, res.Lines)
@@ -227,17 +231,13 @@ func render(stdout, stderr io.Writer, ids map[string]string, st *loopscope.Study
 
 // writeReport renders the full markdown report (its study runs
 // uncheckpointed; see the flag guard in run).
-func writeReport(stdout, stderr io.Writer, opts loopscope.StudyOptions, exp, path string) int {
+func writeReport(stdout, stderr io.Writer, opts loopscope.StudyOptions, sel []string, path string) int {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "campaign:", err)
 		return 1
 	}
-	ropts := report.Options{Campaign: opts}
-	if exp != "all" {
-		ropts.IDs = []string{exp}
-	}
-	if err := report.Write(f, ropts); err != nil {
+	if err := report.Write(f, report.Options{Campaign: opts, IDs: sel}); err != nil {
 		f.Close()
 		fmt.Fprintln(stderr, "campaign:", err)
 		return 1

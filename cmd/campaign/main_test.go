@@ -62,13 +62,39 @@ func TestListExperiments(t *testing.T) {
 	}
 }
 
+// TestUnknownExperiment: an unknown ID, alone or in a list, is a usage
+// error naming that ID, and nothing runs.
 func TestUnknownExperiment(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(append(append([]string{}, goldenArgs...), "-exp", "nope"), &stdout, &stderr); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
+	for _, exp := range []string{"nope", "fig6,nope,table3"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(append([]string{}, goldenArgs...), "-exp", exp), &stdout, &stderr); code != 2 {
+			t.Fatalf("-exp %s: exit = %d, want 2", exp, code)
+		}
+		if !strings.Contains(stderr.String(), `unknown experiment "nope"`) || stdout.Len() != 0 {
+			t.Errorf("-exp %s: stdout %q, stderr %q; want only the unknown ID named", exp, stdout.String(), stderr.String())
+		}
 	}
-	if !strings.Contains(stderr.String(), "unknown experiment") {
-		t.Errorf("stderr = %q", stderr.String())
+}
+
+// TestExperimentList: a comma-separated -exp runs each experiment in
+// the order given, over one study, printing what the runs one ID at a
+// time print.
+func TestExperimentList(t *testing.T) {
+	var want []byte
+	for _, exp := range []string{"table3", "fig6"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", exp+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, golden...)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(append(append([]string{}, goldenArgs...), "-exp", "table3,fig6"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("-exp table3,fig6 differs from the two goldens in turn:\n--- got ---\n%s\n--- want ---\n%s",
+			stdout.String(), want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/mssn/loopscope"
-	"github.com/mssn/loopscope/internal/obs"
 )
 
 // tailReader turns a capture file into a growing stream: at EOF it
@@ -60,63 +59,30 @@ type jsonFollowEvent struct {
 	Steps       int      `json:"steps,omitempty"`      // eof only
 }
 
-// follow tails a capture as it grows and reports loops as the stream
-// decides them: a "confirmed" record the moment a loop completes its
-// second repetition, "rep" per further repetition, and "closed" when
-// the form is final (II-SP at the breaking step, II-P at end of
-// capture). Parsing is always lenient — a live capture's tail is
-// routinely mid-record. With "-" the events stream from stdin until
-// EOF; a file is polled for growth (-poll) until -idle-exit elapses
-// with no new bytes.
-func (a *app) follow(path string) error {
-	r := a.stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = &tailReader{f: f, poll: a.poll, idleExit: a.idleExit}
-	}
-	enc := json.NewEncoder(a.stdout)
-	sd := loopscope.NewStreamLoopDetector(loopscope.StreamDetectorConfig{
-		Horizon: a.horizon,
-		Metrics: a.collector(),
-		OnEvent: func(e loopscope.StreamLoopEvent) { a.emitFollowEvent(enc, e) },
-	})
-	tb := loopscope.NewTimelineBuilder()
-	tb.TeeSteps(sd.Push)
-	endParse := a.span(obs.StageParse)
-	sal, err := loopscope.ParseLogLenientTo(r, a.collector(), tb)
-	endParse()
-	if err != nil {
-		return err
-	}
-	endExtract := a.span(obs.StageExtract)
-	tl := tb.Finish()
-	endExtract()
-	endDetect := a.span(obs.StageDetect)
-	loops := sd.Flush(tl.Duration)
-	endDetect()
+// followEnd closes a -follow stream once the capture has ended: an
+// "eof" record with -json, a summary line otherwise.
+func (a *app) followEnd(enc *json.Encoder, tl *loopscope.Timeline, loops int, sal *loopscope.Salvage) {
 	if a.jsonOut {
 		enc.Encode(jsonFollowEvent{
 			Event: "eof",
 			AtS:   tl.Duration.Seconds(),
-			Loops: len(loops),
+			Loops: loops,
 			Steps: len(tl.Steps),
 		})
-	} else {
-		fmt.Fprintf(a.stdout, "capture ended after %s: %d step(s), %d loop(s)\n",
-			tl.Duration.Round(time.Millisecond), len(tl.Steps), len(loops))
-		if sal != nil && (sal.RecordsDropped > 0 || sal.LinesSkipped > 0) {
-			fmt.Fprintln(a.stdout, sal.Summary())
-		}
+		return
 	}
-	return nil
+	fmt.Fprintf(a.stdout, "capture ended after %s: %d step(s), %d loop(s)\n",
+		tl.Duration.Round(time.Millisecond), len(tl.Steps), loops)
+	if !sal.Clean() {
+		fmt.Fprintln(a.stdout, sal.Summary())
+	}
 }
 
-// emitFollowEvent renders one detector event: a JSON line with -json, a
-// human-readable line otherwise.
+// emitFollowEvent renders one detector event as the stream decides it:
+// a "confirmed" record the moment a loop completes its second
+// repetition, "rep" per further repetition, and "closed" when the form
+// is final (II-SP at the breaking step, II-P at end of capture). Each
+// is a JSON line with -json, a human-readable line otherwise.
 func (a *app) emitFollowEvent(enc *json.Encoder, e loopscope.StreamLoopEvent) {
 	l := e.Loop
 	if a.jsonOut {
@@ -134,15 +100,8 @@ func (a *app) emitFollowEvent(enc *json.Encoder, e loopscope.StreamLoopEvent) {
 			je.CycleKeys = l.CycleKeys
 		case loopscope.StreamLoopClosed:
 			je.Form = l.Form.String()
-			var on, off time.Duration
-			for _, c := range l.Cycles {
-				on += c.On
-				off += c.Off
-			}
-			if n := time.Duration(len(l.Cycles)); n > 0 {
-				je.AvgOnS = (on / n).Seconds()
-				je.AvgOffS = (off / n).Seconds()
-			}
+			on, off := meanOnOff(l.Cycles)
+			je.AvgOnS, je.AvgOffS = on.Seconds(), off.Seconds()
 		case loopscope.StreamLoopRep:
 			// reps and timing carry everything a repetition adds.
 		}

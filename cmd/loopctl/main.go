@@ -228,14 +228,30 @@ func (a *app) export(path string) error {
 	return nil
 }
 
-// analyze parses and reports one log file. With -lenient the capture is
-// salvaged: malformed records are quarantined and summarized instead of
-// aborting the analysis. With -follow the capture is tailed as it grows
-// and loops are reported live as they are decided (see follow.go).
-func (a *app) analyze(path string) error {
-	if a.followOn {
-		return a.follow(path)
+// pipeline is the one analysis shape every command shares: produce
+// appends the capture's events, in order, to a timeline builder teed
+// into a stream detector that reports to the command's collector.
+func (a *app) pipeline(cfg loopscope.StreamDetectorConfig,
+	produce func(loopscope.LogSink) error) (*loopscope.Timeline, loopscope.Analysis, error) {
+	cfg.Metrics = a.collector()
+	sd := loopscope.NewStreamLoopDetector(cfg)
+	tb := loopscope.NewTimelineBuilder()
+	tb.TeeSteps(sd.Push)
+	if err := produce(tb); err != nil {
+		return nil, loopscope.Analysis{}, err
 	}
+	tl := tb.Finish()
+	return tl, sd.FinishAnalysis(tl), nil
+}
+
+// analyze parses one log file straight into the pipeline and reports
+// it. With -lenient the capture is salvaged: malformed records are
+// quarantined and summarized instead of aborting the analysis. With
+// -follow the capture is tailed as it grows and loops are reported
+// live as they are decided (see follow.go): a file is polled for
+// growth (-poll) until -idle-exit elapses with no new bytes, and "-"
+// streams stdin until EOF.
+func (a *app) analyze(path string) error {
 	r := a.stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -244,24 +260,39 @@ func (a *app) analyze(path string) error {
 		}
 		defer f.Close()
 		r = f
-	}
-	if a.lenient {
-		endParse := a.span(obs.StageParse)
-		log, sal, err := loopscope.ParseLogLenient(r, a.collector())
-		endParse()
-		if err != nil {
-			return err
+		if a.followOn {
+			r = &tailReader{f: f, poll: a.poll, idleExit: a.idleExit}
 		}
-		a.reportWithSalvage(log, sal)
-		return nil
 	}
-	endParse := a.span(obs.StageParse)
-	log, err := loopscope.ParseLog(r, a.collector())
-	endParse()
+	var cfg loopscope.StreamDetectorConfig
+	var enc *json.Encoder
+	if a.followOn {
+		enc = json.NewEncoder(a.stdout)
+		cfg.Horizon = a.horizon
+		cfg.OnEvent = func(e loopscope.StreamLoopEvent) { a.emitFollowEvent(enc, e) }
+	}
+	// A live capture's tail is routinely mid-record, so -follow always
+	// salvages.
+	lenient := a.lenient || a.followOn
+	var sal *loopscope.Salvage
+	tl, an, err := a.pipeline(cfg, func(sink loopscope.LogSink) (err error) {
+		endParse := a.span(obs.StageParse)
+		sal, err = loopscope.ParseLogTo(r, lenient, a.collector(), sink)
+		endParse()
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	a.report(log)
+	events := sal.EventsKept
+	if !lenient {
+		sal = nil
+	}
+	if a.followOn {
+		a.followEnd(enc, tl, len(an.Loops), sal)
+		return nil
+	}
+	a.report(tl, an, events, sal)
 	return nil
 }
 
@@ -280,9 +311,31 @@ func (a *app) demo() error {
 		Metrics: a.collector(),
 	})
 	endSim()
+	tl, an, err := a.pipeline(loopscope.StreamDetectorConfig{}, func(sink loopscope.LogSink) error {
+		for _, e := range log.Events {
+			sink.Append(e.At, e.Msg)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(a.stdout, "simulated 3-minute run at %v (%s, %s)\n\n", cl.Loc, op.Name, op.Mode)
-	a.report(log)
+	a.report(tl, an, log.Len(), nil)
 	return nil
+}
+
+// meanOnOff averages the ON and the OFF time over a loop's cycles
+// (zero for none).
+func meanOnOff(cycles []loopscope.CycleMetrics) (on, off time.Duration) {
+	for _, c := range cycles {
+		on += c.On
+		off += c.Off
+	}
+	if n := time.Duration(len(cycles)); n > 0 {
+		on, off = on/n, off/n
+	}
+	return on, off
 }
 
 // jsonReport is the machine-readable analysis document.
@@ -335,18 +388,72 @@ type jsonLoop struct {
 	AvgOffS     float64  `json:"avg_off_s"`
 }
 
-// reportJSON writes the analysis as JSON.
-func (a *app) reportJSON(log *loopscope.Log, sal *loopscope.Salvage) {
-	endExtract := a.span(obs.StageExtract)
-	tl := loopscope.ExtractTimeline(log)
-	endExtract()
-	endDetect := a.span(obs.StageDetect)
-	an := loopscope.Analyze(tl)
-	endDetect()
+// report prints a capture's analysis, as text or with -json as one
+// JSON document: events is the number of events the timeline folded,
+// and sal, when the capture was salvaged, prefixes the salvage summary.
+func (a *app) report(tl *loopscope.Timeline, an loopscope.Analysis, events int, sal *loopscope.Salvage) {
+	if a.jsonOut {
+		a.reportJSON(tl, an, events, sal)
+		return
+	}
+	if sal != nil {
+		fmt.Fprintln(a.stdout, sal.Summary())
+		const maxShown = 5
+		for i, pe := range sal.Errors {
+			if i == maxShown {
+				fmt.Fprintf(a.stdout, "  ... (%d more quarantined records)\n", len(sal.Errors)-maxShown)
+				break
+			}
+			fmt.Fprintf(a.stdout, "  quarantined %v\n", pe)
+		}
+		fmt.Fprintln(a.stdout)
+	}
+	occ := tl.Occupy()
+	fmt.Fprintf(a.stdout, "events: %d, duration: %s, cell-set changes: %d\n",
+		events, tl.Duration.Round(time.Millisecond), len(tl.Steps))
+	fmt.Fprintf(a.stdout, "occupancy: 5G SA %s, 5G NSA %s, 4G-only %s, IDLE %s (5G OFF %.0f%%, %d ON→OFF swings)\n",
+		occ.SA.Round(time.Second), occ.NSA.Round(time.Second),
+		occ.LTE.Round(time.Second), occ.Idle.Round(time.Second),
+		100*occ.OffRatio(), occ.Swings)
+	fmt.Fprintln(a.stdout, "\nserving cell set timeline:")
+	for i, s := range tl.Steps {
+		cause := ""
+		if s.Evidence.Kind.String() != "none" {
+			cause = "  ← " + s.Evidence.Kind.String()
+			if s.Evidence.PendingMod != nil {
+				cause += fmt.Sprintf(" (SCell mod %s → %s)",
+					s.Evidence.PendingMod.Released, s.Evidence.PendingMod.Added)
+			}
+		}
+		fmt.Fprintf(a.stdout, "  %3d  t=%-10s %s%s\n", i, s.At.Round(time.Millisecond), s.Set, cause)
+		if i == 30 && len(tl.Steps) > 34 {
+			fmt.Fprintf(a.stdout, "  ... (%d more)\n", len(tl.Steps)-31)
+			break
+		}
+	}
+
+	if !an.HasLoop() {
+		fmt.Fprintln(a.stdout, "\nno 5G ON-OFF loop detected (form I)")
+		return
+	}
+	fmt.Fprintf(a.stdout, "\ndetected %d loop(s):\n", len(an.Loops))
+	for i, l := range an.Loops {
+		on, off := meanOnOff(l.Cycles())
+		fmt.Fprintf(a.stdout, "  loop %d: %v (%s) — cycle of %d sets × %d reps; avg ON %s, OFF %s\n",
+			i+1, an.Subtypes[i], l.Form, l.CycleLen, l.Reps,
+			on.Round(100*time.Millisecond), off.Round(100*time.Millisecond))
+		for _, k := range l.CycleKeys() {
+			fmt.Fprintf(a.stdout, "         %s\n", k)
+		}
+	}
+}
+
+// reportJSON is report's -json form.
+func (a *app) reportJSON(tl *loopscope.Timeline, an loopscope.Analysis, events int, sal *loopscope.Salvage) {
 	occ := tl.Occupy()
 	doc := jsonReport{
-		Events:    log.Len(),
-		DurationS: log.Duration().Seconds(),
+		Events:    events,
+		DurationS: tl.Duration.Seconds(),
 		Occupancy: jsonOccupancy{
 			IdleS: occ.Idle.Seconds(), SAS: occ.SA.Seconds(),
 			NSAS: occ.NSA.Seconds(), LTES: occ.LTE.Seconds(),
@@ -377,97 +484,16 @@ func (a *app) reportJSON(log *loopscope.Log, sal *loopscope.Salvage) {
 		doc.Steps = append(doc.Steps, js)
 	}
 	for i, l := range an.Loops {
-		var on, off time.Duration
-		cycles := l.Cycles()
-		for _, c := range cycles {
-			on += c.On
-			off += c.Off
-		}
-		n := time.Duration(len(cycles))
+		on, off := meanOnOff(l.Cycles())
 		sub := an.Subtypes[i]
 		doc.Loops = append(doc.Loops, jsonLoop{
 			Subtype: sub.String(), Type: sub.Type().String(), Form: l.Form.String(),
 			Fingerprint: l.Fingerprint(), CycleLen: l.CycleLen, Reps: l.Reps,
 			CycleKeys: l.CycleKeys(),
-			AvgOnS:    (on / n).Seconds(), AvgOffS: (off / n).Seconds(),
+			AvgOnS:    on.Seconds(), AvgOffS: off.Seconds(),
 		})
 	}
 	enc := json.NewEncoder(a.stdout)
 	enc.SetIndent("", "  ")
 	enc.Encode(doc)
-}
-
-// report prints the analysis of a parsed log.
-func (a *app) report(log *loopscope.Log) { a.reportWithSalvage(log, nil) }
-
-// reportWithSalvage prints the analysis, prefixed by the salvage
-// summary when the capture went through lenient parsing.
-func (a *app) reportWithSalvage(log *loopscope.Log, sal *loopscope.Salvage) {
-	if a.jsonOut {
-		a.reportJSON(log, sal)
-		return
-	}
-	if sal != nil {
-		fmt.Fprintln(a.stdout, sal.Summary())
-		const maxShown = 5
-		for i, pe := range sal.Errors {
-			if i == maxShown {
-				fmt.Fprintf(a.stdout, "  ... (%d more quarantined records)\n", len(sal.Errors)-maxShown)
-				break
-			}
-			fmt.Fprintf(a.stdout, "  quarantined %v\n", pe)
-		}
-		fmt.Fprintln(a.stdout)
-	}
-	endExtract := a.span(obs.StageExtract)
-	tl := loopscope.ExtractTimeline(log)
-	endExtract()
-	occ := tl.Occupy()
-	fmt.Fprintf(a.stdout, "events: %d, duration: %s, cell-set changes: %d\n",
-		log.Len(), log.Duration().Round(time.Millisecond), len(tl.Steps))
-	fmt.Fprintf(a.stdout, "occupancy: 5G SA %s, 5G NSA %s, 4G-only %s, IDLE %s (5G OFF %.0f%%, %d ON→OFF swings)\n",
-		occ.SA.Round(time.Second), occ.NSA.Round(time.Second),
-		occ.LTE.Round(time.Second), occ.Idle.Round(time.Second),
-		100*occ.OffRatio(), occ.Swings)
-	fmt.Fprintln(a.stdout, "\nserving cell set timeline:")
-	for i, s := range tl.Steps {
-		cause := ""
-		if s.Evidence.Kind.String() != "none" {
-			cause = "  ← " + s.Evidence.Kind.String()
-			if s.Evidence.PendingMod != nil {
-				cause += fmt.Sprintf(" (SCell mod %s → %s)",
-					s.Evidence.PendingMod.Released, s.Evidence.PendingMod.Added)
-			}
-		}
-		fmt.Fprintf(a.stdout, "  %3d  t=%-10s %s%s\n", i, s.At.Round(time.Millisecond), s.Set, cause)
-		if i == 30 && len(tl.Steps) > 34 {
-			fmt.Fprintf(a.stdout, "  ... (%d more)\n", len(tl.Steps)-31)
-			break
-		}
-	}
-
-	endDetect := a.span(obs.StageDetect)
-	an := loopscope.Analyze(tl)
-	endDetect()
-	if !an.HasLoop() {
-		fmt.Fprintln(a.stdout, "\nno 5G ON-OFF loop detected (form I)")
-		return
-	}
-	fmt.Fprintf(a.stdout, "\ndetected %d loop(s):\n", len(an.Loops))
-	for i, l := range an.Loops {
-		sub := an.Subtypes[i]
-		cycles := l.Cycles()
-		var on, off time.Duration
-		for _, c := range cycles {
-			on += c.On
-			off += c.Off
-		}
-		n := time.Duration(len(cycles))
-		fmt.Fprintf(a.stdout, "  loop %d: %v (%s) — cycle of %d sets × %d reps; avg ON %s, OFF %s\n",
-			i+1, sub, l.Form, l.CycleLen, l.Reps,
-			(on / n).Round(100*time.Millisecond), (off / n).Round(100*time.Millisecond))
-		for _, k := range l.CycleKeys() {
-			fmt.Fprintf(a.stdout, "         %s\n", k)
-		}
-	}
 }

@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // capture exports one simulated looping capture per test binary and
@@ -252,9 +255,70 @@ func TestMetricsFlagParity(t *testing.T) {
 	if found["sig.lines.read"] == 0 {
 		t.Errorf("snapshot missing sig.lines.read: %v", found)
 	}
-	for _, want := range []string{"stage.parse.spans", "stage.extract.spans", "stage.detect.spans"} {
-		if found[want] != 1 {
-			t.Errorf("%s = %d, want 1", want, found[want])
+	// The parser is the capture's one producer, and detection rides
+	// its pass: one parse span, and steps counted by the detector.
+	if got := found["stage.parse.spans"]; got != 1 {
+		t.Errorf("stage.parse.spans = %d, want 1", got)
+	}
+	if found["detect.stream.steps"] == 0 {
+		t.Errorf("snapshot missing detect.stream.steps: %v", found)
+	}
+}
+
+// TestDurationAgreesAcrossReports: every figure loopctl gives for how
+// long a capture lasted is the timeline's duration. On a capture whose
+// clock goes backwards (a logger restart) that is longer than the last
+// raw timestamp, because the timeline re-anchors the clock; the text
+// header, the JSON duration_s, the occupancy total and -follow's end
+// line must still agree.
+func TestDurationAgreesAcrossReports(t *testing.T) {
+	path := filepath.Join("..", "..", "internal", "sig", "testdata", "corrupt_restart.log")
+	output := func(args ...string) string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := run(append(args, "analyze", path), strings.NewReader(""), &out, &errOut); code != 0 {
+			t.Fatalf("run(%q) exit = %d; stderr: %s", args, code, errOut.String())
+		}
+		return out.String()
+	}
+	field := func(text, re string) time.Duration {
+		t.Helper()
+		m := regexp.MustCompile(re).FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("no match for %q in:\n%s", re, text)
+		}
+		d, err := time.ParseDuration(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	seconds := func(s float64) time.Duration { return time.Duration(math.Round(s*1e3)) * time.Millisecond }
+
+	header := field(output(), `duration: (\S+),`)
+	var doc struct {
+		DurationS float64 `json:"duration_s"`
+		Occupancy struct {
+			IdleS float64 `json:"idle_s"`
+			SAS   float64 `json:"sa_s"`
+			NSAS  float64 `json:"nsa_s"`
+			LTES  float64 `json:"lte_only_s"`
+		} `json:"occupancy"`
+	}
+	if err := json.Unmarshal([]byte(output("-json")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	occ := doc.Occupancy
+	got := map[string]time.Duration{
+		"text header":     header,
+		"json duration_s": seconds(doc.DurationS),
+		"occupancy total": seconds(occ.IdleS + occ.SAS + occ.NSAS + occ.LTES),
+		"follow end line": field(output("-follow", "-poll", "1ms", "-idle-exit", "1ms"), `capture ended after (\S+):`),
+		"lenient header":  field(output("-lenient"), `duration: (\S+),`),
+	}
+	for name, d := range got {
+		if d != header {
+			t.Errorf("%s says %v, the text header %v", name, d, header)
 		}
 	}
 }

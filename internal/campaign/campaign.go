@@ -7,12 +7,13 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"github.com/mssn/loopscope/internal/core"
@@ -49,10 +50,11 @@ type Options struct {
 	// Device is the test phone (default OnePlus 12R).
 	Device *device.Profile
 	// FaultRates, when non-nil, routes every run's capture through a
-	// seeded faults.Injector and the salvage pipeline: the emitted log
-	// is corrupted, re-parsed with sig.ParseLenientTo and analyzed from
-	// whatever survived, mirroring how real damaged captures are
-	// ingested. Each record carries its Salvage report.
+	// seeded faults.Injector and the salvage pipeline: the run renders
+	// its capture text, corrupts it, parses it back with sig.ParseTo in
+	// lenient mode and is analyzed from whatever survived, mirroring
+	// how real damaged captures are ingested. Each record carries its
+	// Salvage report.
 	FaultRates *faults.Rates
 	// Workers bounds the RunArea worker pool; 0 means one worker per
 	// CPU. Record order and content are identical at any worker count.
@@ -381,11 +383,11 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 		Seed:     seed,
 		Metrics:  opts.Metrics,
 	}
-	// Every run has one shape: a producer feeds runSink, which folds the
-	// events into a timeline builder teed into the loop detector, so
-	// extraction and detection run inside the producer's span and the
-	// extract/detect spans time only Finish and FinishAnalysis (see
-	// docs/OBSERVABILITY.md). The unbounded horizon finds every loop.
+	// Every run has one shape: a producer, on this goroutine, feeds
+	// runSink, which folds the events into a timeline builder teed into
+	// the loop detector, so extraction and detection run inside the
+	// producer's span (see docs/OBSERVABILITY.md). The unbounded horizon
+	// finds every loop.
 	tb := trace.NewBuilder()
 	sd := core.NewStreamDetector(core.StreamConfig{Metrics: opts.Metrics})
 	tb.TeeSteps(sd.Push)
@@ -404,16 +406,9 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 		rec.FailKind = FailCancelled
 		return rec
 	}
-	endExtract := startStage(opts.Metrics, obs.StageExtract)
-	tl := tb.Finish()
-	endExtract()
-	rec.Timeline = tl
-	endDetect := startStage(opts.Metrics, obs.StageDetect)
-	rec.Analysis = sd.FinishAnalysis(tl)
-	endDetect()
-	endAnalyze := startStage(opts.Metrics, obs.StageAnalyze)
+	rec.Timeline = tb.Finish()
+	rec.Analysis = sd.FinishAnalysis(rec.Timeline)
 	rec.MeasCount = sink.meas
-	endAnalyze()
 	return rec
 }
 
@@ -433,53 +428,48 @@ func (s *runSink) Append(at time.Duration, m rrc.Message) {
 	s.tb.Append(at, m)
 }
 
-// runText is the producer of a faulted run. The simulator emits into a
-// pipe, the injector corrupts records in flight, and lenient parsing
-// delivers the kept events to sink, so the capture text is never
-// materialized. A simulator panic is ferried back and re-raised here,
-// so runOnce's failure-record machinery still sees it; a context abort
-// is returned, after closing the pipe with its error so the parser
-// unblocks. The simulate and parse spans overlap by construction: the
-// emitter blocks on the pipe while the parser drains it.
+// runText is the producer of a faulted run. The simulator renders the
+// capture into a pooled buffer; the injector then corrupts it and
+// lenient parsing delivers the kept events to sink, all on the calling
+// goroutine. Running the legs in turn gives up no overlap: with
+// Truncate on, which every non-zero faults.Profile sets, the injector
+// holds a whole capture until EOF anyway. A simulator panic unwinds
+// straight to runOnce's recover, and a context abort is returned
+// before anything is parsed.
 func runText(ctx context.Context, cfg uesim.Config, inj *faults.Injector, sink sig.Sink,
 	c obs.Collector) (*sig.Salvage, error) {
-	pr, pw := io.Pipe()
-	panicked := make(chan any, 1)
-	aborted := make(chan error, 1)
-	go func() {
-		defer close(panicked)
-		defer func() {
-			if p := recover(); p != nil {
-				panicked <- p
-				pw.CloseWithError(io.ErrUnexpectedEOF) // unblock the parser
-			}
-		}()
-		endSim := startStage(c, obs.StageSimulate)
-		em := sig.NewEmitter(pw)
-		if err := uesim.RunToContext(ctx, cfg, em); err != nil {
-			aborted <- err
-			pw.CloseWithError(err)
-			return
+	buf := textPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledText {
+			buf.Reset()
+			textPool.Put(buf)
 		}
-		endSim()
-		pw.CloseWithError(em.Close())
 	}()
-	endParse := startStage(c, obs.StageParse)
-	sal, err := sig.ParseLenientTo(inj.Reader(pr), c, sink)
-	endParse()
-	if p, ok := <-panicked; ok {
-		panic(p)
-	}
-	select {
-	case abort := <-aborted:
+	endSim := startStage(c, obs.StageSimulate)
+	em := sig.NewEmitter(buf)
+	abort := uesim.RunToContext(ctx, cfg, em)
+	werr := em.Close()
+	endSim()
+	if abort != nil {
 		return nil, abort
-	default:
-		if err != nil {
-			panic(err) // pipe error without a writer panic; recovered in runOnce
-		}
+	}
+	endParse := startStage(c, obs.StageParse)
+	sal, err := sig.ParseTo(inj.Reader(buf), true, c, sink)
+	endParse()
+	if err := errors.Join(werr, err); err != nil {
+		panic(err) // a bytes.Buffer fails neither writes nor reads; recovered in runOnce
 	}
 	return normalizeSalvage(sal), nil
 }
+
+// textPool recycles the capture buffers of faulted runs. A 5-minute
+// capture renders to about 185 KB; a fresh buffer would grow to it by
+// doubling on every run.
+var textPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledText caps the buffers textPool keeps, so one huge capture
+// does not pin its memory afterwards (the bound internal/faults uses).
+const maxPooledText = 4 << 20
 
 // normalizeSalvage flattens each quarantine cause to a plain
 // errors.New of its message. The parser surfaces concrete error types

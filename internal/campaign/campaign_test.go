@@ -454,18 +454,21 @@ func TestMetricsParity(t *testing.T) {
 			if got := reg.Counter("campaign.runs" + label).Value(); got != int64(len(withMetrics.Records)) {
 				t.Errorf("campaign.runs%s = %d, want %d", label, got, len(withMetrics.Records))
 			}
-			for _, stage := range []string{"simulate", "extract", "detect", "analyze"} {
-				if got := reg.Counter("stage." + stage + ".spans").Value(); got == 0 {
-					t.Errorf("stage.%s.spans = 0, want > 0", stage)
-				}
-			}
+			// A run's spans are its producers: one simulate span, and on a
+			// faulted run one parse span after it.
+			runs := int64(len(withMetrics.Records))
+			wantParse := int64(0)
 			if tc.rates != nil {
-				if got := reg.Counter("stage.parse.spans").Value(); got == 0 {
-					t.Error("faulted pipeline should record parse spans")
-				}
+				wantParse = runs
 				if got := reg.Counter("sig.lines.read").Value(); got == 0 {
 					t.Error("observed parse should count lines read")
 				}
+			}
+			if got := reg.Counter("stage.simulate.spans").Value(); got != runs {
+				t.Errorf("stage.simulate.spans = %d, want %d", got, runs)
+			}
+			if got := reg.Counter("stage.parse.spans").Value(); got != wantParse {
+				t.Errorf("stage.parse.spans = %d, want %d", got, wantParse)
 			}
 		})
 	}

@@ -19,7 +19,7 @@ type payload struct {
 
 // writeEntries appends n entries and closes the journal, returning the
 // path.
-func writeEntries(t *testing.T, n int) string {
+func writeEntries(t testing.TB, n int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "runs.ckpt")
 	j, entries, sal, err := Open(path)

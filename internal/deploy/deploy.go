@@ -260,22 +260,6 @@ func sqrtApprox(x float64) float64 {
 	return z
 }
 
-// pickArchetype samples by weight.
-func pickArchetype(ws []Weight, rng *rand.Rand) Archetype {
-	var total float64
-	for _, w := range ws {
-		total += w.W
-	}
-	r := rng.Float64() * total
-	for _, w := range ws {
-		if r < w.W {
-			return w.Arch
-		}
-		r -= w.W
-	}
-	return ws[len(ws)-1].Arch
-}
-
 // Calibrate sets a cell's TxPower so its median RSRP at loc equals
 // target; exported for custom experiment setups (e.g. the F12
 // regression).

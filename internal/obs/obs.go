@@ -29,7 +29,7 @@ import (
 // nil interface is the disabled default: call sites guard with
 // `c != nil`, so the hot path costs one comparison and zero
 // allocations when observability is off. *Registry is the live
-// implementation; Nop is an explicit no-op for tests.
+// implementation.
 type Collector interface {
 	// Add increments the named counter by delta.
 	Add(name string, delta int64)
@@ -42,23 +42,6 @@ type Collector interface {
 	// histogram sample ("stage.<name>.seconds").
 	StartStage(s Stage) func()
 }
-
-// Nop is the explicit no-op Collector.
-type Nop struct{}
-
-// Add implements Collector.
-func (Nop) Add(string, int64) {}
-
-// Set implements Collector.
-func (Nop) Set(string, int64) {}
-
-// Observe implements Collector.
-func (Nop) Observe(string, float64) {}
-
-// StartStage implements Collector.
-func (Nop) StartStage(Stage) func() { return nopEnd }
-
-var nopEnd = func() {}
 
 // Fixed histogram bucket sets. Buckets are upper bounds; every
 // histogram carries one extra overflow bucket (+Inf). Fixed buckets

@@ -2,26 +2,20 @@ package obs
 
 import "strconv"
 
-// Stage names one phase of the study pipeline, the vocabulary stage
-// spans are recorded under. The order follows the data path:
-// simulate → inject → parse → extract → detect → analyze.
+// Stage names one producer of a run's capture events, the vocabulary
+// stage spans are recorded under. Extraction and detection have no
+// stage of their own: they run inside whichever producer feeds the
+// timeline builder, so a run's spans never overlap.
 type Stage uint8
 
 // Pipeline stages.
 const (
-	// StageSimulate is the run engine emitting the signaling capture.
+	// StageSimulate is the simulator producing the run's events (and,
+	// on a faulted run, rendering them as capture text).
 	StageSimulate Stage = iota
-	// StageInject is fault injection corrupting the capture in flight.
-	StageInject
-	// StageParse is (lenient) parsing of the capture text.
+	// StageParse is parsing a capture: on a faulted run, corrupting
+	// the rendered text and salvaging it; in loopctl, reading the file.
 	StageParse
-	// StageExtract is folding the parsed log into the CS timeline.
-	StageExtract
-	// StageDetect is loop detection and classification.
-	StageDetect
-	// StageAnalyze is run post-processing (measurement counts,
-	// throughput series).
-	StageAnalyze
 )
 
 // String names the stage as used in metric names.
@@ -29,16 +23,8 @@ func (s Stage) String() string {
 	switch s {
 	case StageSimulate:
 		return "simulate"
-	case StageInject:
-		return "inject"
 	case StageParse:
 		return "parse"
-	case StageExtract:
-		return "extract"
-	case StageDetect:
-		return "detect"
-	case StageAnalyze:
-		return "analyze"
 	default:
 		return "Stage(" + strconv.Itoa(int(s)) + ")"
 	}

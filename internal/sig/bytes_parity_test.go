@@ -3,6 +3,7 @@ package sig
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"os"
@@ -278,34 +279,76 @@ func TestObservedCounterParityByteVsReference(t *testing.T) {
 	}
 }
 
-// TestTeeSeesExactlyKeptEvents: ParseLenientTo delivers to its sink the
-// same events, in the same order, and reports the same Salvage —
-// EventsKept included — as ParseLenientObserved returns.
+// TestTeeSeesExactlyKeptEvents: ParseTo delivers to its sink the same
+// events, in the same order, as its mode's Log-returning entry point
+// keeps. Lenient, it reports the same Salvage (EventsKept included) as
+// ParseLenientObserved; strict, it succeeds or fails exactly as Parse
+// does, with the same *ParseError on the first malformed record.
 func TestTeeSeesExactlyKeptEvents(t *testing.T) {
 	clean, err := os.ReadFile(filepath.Join("testdata", "s1e3_capture.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := faults.New(3, faults.Profile(0.10)).Corrupt(string(clean))
-	var sunk Log
-	sal, err := ParseLenientTo(strings.NewReader(corrupted), nil, &sunk)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("lenient", func(t *testing.T) {
+		corrupted := faults.New(3, faults.Profile(0.10)).Corrupt(string(clean))
+		var sunk Log
+		sal, err := ParseTo(strings.NewReader(corrupted), true, nil, &sunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, want, err := ParseLenientObserved(strings.NewReader(corrupted), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(log.Events, sunk.Events) {
+			t.Fatalf("sink saw %d events, ParseLenientObserved kept %d (or order/content differs)",
+				sunk.Len(), log.Len())
+		}
+		if !reflect.DeepEqual(sal, want) {
+			t.Fatalf("salvage diverges:\n  sink: %+v\n   log: %+v", sal, want)
+		}
+		if sal.EventsKept != sunk.Len() || sal.Clean() {
+			t.Fatalf("EventsKept = %d for %d sunk events (clean=%v); the fixture must keep events and salvage",
+				sal.EventsKept, sunk.Len(), sal.Clean())
+		}
+	})
+	mangled := strings.Replace(string(clean), "rsrp -", "rsrp x-", 1)
+	if mangled == string(clean) {
+		t.Fatal("fixture has no rsrp detail to corrupt")
 	}
-	log, want, err := ParseLenientObserved(strings.NewReader(corrupted), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(log.Events, sunk.Events) {
-		t.Fatalf("sink saw %d events, ParseLenientObserved kept %d (or order/content differs)",
-			sunk.Len(), log.Len())
-	}
-	if !reflect.DeepEqual(sal, want) {
-		t.Fatalf("salvage diverges:\n  sink: %+v\n   log: %+v", sal, want)
-	}
-	if sal.EventsKept != sunk.Len() || sal.Clean() {
-		t.Fatalf("EventsKept = %d for %d sunk events (clean=%v); the fixture must keep events and salvage",
-			sal.EventsKept, sunk.Len(), sal.Clean())
+	for _, tc := range []struct {
+		name  string
+		text  string
+		fails bool
+	}{
+		{"strict", string(clean), false},
+		{"strict-malformed", mangled, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sunk Log
+			sal, err := ParseTo(strings.NewReader(tc.text), false, nil, &sunk)
+			log, wantErr := Parse(strings.NewReader(tc.text))
+			if (wantErr != nil) != tc.fails {
+				t.Fatalf("Parse error = %v, want a failure: %v", wantErr, tc.fails)
+			}
+			if !reflect.DeepEqual(err, wantErr) {
+				t.Fatalf("ParseTo error = %v, Parse error = %v", err, wantErr)
+			}
+			if wantErr != nil {
+				var pe *ParseError
+				if !errors.As(err, &pe) || sal != nil {
+					t.Fatalf("strict failure = (%+v, %T), want (nil, *ParseError)", sal, err)
+				}
+				return
+			}
+			if !reflect.DeepEqual(log.Events, sunk.Events) {
+				t.Fatalf("sink saw %d events, Parse kept %d (or order/content differs)",
+					sunk.Len(), log.Len())
+			}
+			if sal.EventsKept != log.Len() || !sal.Clean() {
+				t.Fatalf("salvage %+v for %d parsed events, want a clean report counting them", sal, log.Len())
+			}
+		})
 	}
 }
 

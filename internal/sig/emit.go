@@ -15,10 +15,10 @@ import (
 )
 
 // Sink consumes capture events one at a time. *Log collects them in
-// memory; *Emitter renders them straight into an io.Writer so a run
-// never has to materialize its full capture. The simulator and
-// ParseLenientTo both write to a Sink, which is what lets one run
-// pipeline take its events from either.
+// memory; *Emitter renders them as capture text; a trace.Builder folds
+// them into a timeline. The simulator and ParseTo both write to a
+// Sink, which is what lets one analysis pipeline take its events from
+// either.
 type Sink interface {
 	Append(at time.Duration, m rrc.Message)
 }

@@ -52,7 +52,7 @@ const maxSalvageErrors = 64
 // from a damaged capture.
 type Salvage struct {
 	// EventsKept is the number of events recovered into the Log (or
-	// delivered to the sink, for ParseLenientTo).
+	// delivered to the sink, for ParseTo).
 	EventsKept int
 	// RecordsDropped counts recognized records whose details failed to
 	// build a message and were quarantined.
@@ -118,14 +118,17 @@ func ParseLenientObserved(r io.Reader, c obs.Collector) (*Log, *Salvage, error) 
 	return parseLog(r, true, c)
 }
 
-// ParseLenientTo is ParseLenientObserved delivering every recovered
-// event to sink, in capture order, the moment it is parsed, instead of
-// collecting a Log. This is the incremental-extraction hook: a campaign
-// run hands it a sink over trace.NewBuilder() and the timeline is built
-// during the parse pass. sink sees exactly the events
-// ParseLenientObserved would keep, and Salvage.EventsKept counts them.
-func ParseLenientTo(r io.Reader, c obs.Collector, sink Sink) (*Salvage, error) {
-	return parse(r, true, c, sink)
+// ParseTo parses in either mode, delivering every kept event to sink,
+// in capture order, the moment it is parsed, instead of collecting a
+// Log. This is the incremental-extraction hook: campaign runs and
+// loopctl hand it a trace.Builder and the timeline is built during the
+// parse pass. sink sees exactly the events ParseObserved (strict) or
+// ParseLenientObserved (lenient) would keep, and Salvage.EventsKept
+// counts them. A strict parse stops at the first malformed record and
+// returns that record's *ParseError, the error Parse returns, after
+// sink has seen the events before it.
+func ParseTo(r io.Reader, lenient bool, c obs.Collector, sink Sink) (*Salvage, error) {
+	return parse(r, lenient, c, sink)
 }
 
 // parseLog is parse collecting into a fresh Log.

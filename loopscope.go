@@ -196,14 +196,15 @@ type (
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// ParseLogLenientTo is ParseLogLenient delivering every kept
-// event to sink as it is parsed instead of collecting a Log. With a
-// TimelineBuilder as the sink, parsing and timeline extraction run as
-// one fused pass; add TimelineBuilder.TeeSteps into a
-// StreamLoopDetector and loop detection joins the same pass — the full
-// live-analysis pipeline.
-func ParseLogLenientTo(r io.Reader, c MetricsCollector, sink LogSink) (*Salvage, error) {
-	return sig.ParseLenientTo(r, c, sink)
+// ParseLogTo is ParseLog (or, with lenient, ParseLogLenient)
+// delivering every kept event to sink as it is parsed instead of
+// collecting a Log. With a TimelineBuilder as the sink, parsing and
+// timeline extraction run as one fused pass; add
+// TimelineBuilder.TeeSteps into a StreamLoopDetector and loop
+// detection joins the same pass — the pipeline loopctl runs. A strict
+// parse stops at the first malformed record with ParseLog's error.
+func ParseLogTo(r io.Reader, lenient bool, c MetricsCollector, sink LogSink) (*Salvage, error) {
+	return sig.ParseTo(r, lenient, c, sink)
 }
 
 // NewTimelineBuilder returns a TimelineBuilder whose timeline starts,
