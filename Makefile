@@ -8,9 +8,9 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
-# The two simulate rows stay on the normal tolerance: each iteration runs
-# its own seed, so their allocs/op moves by a count or two with b.N.
-PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|Emit|StreamParse|StreamParseObserved|ParseReuse|StreamCorruptParse|StreamDetect)$$
+# The three simulate rows stay on the normal tolerance: each iteration
+# runs its own seed, so their allocs/op moves by a count or two with b.N.
+PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|StreamDetect)$$
 
 # Parse benchmarks whose allocs/op regressions fail bench-compare at ANY
 # growth: these parse one fixed capture, so their allocation count is
@@ -18,7 +18,7 @@ PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|Emit|StreamParse|StreamPa
 # hide in. The corrupt-parse benchmark stays on the normal tolerance —
 # it draws a fresh fault seed per iteration, so its allocs/op moves by
 # a count or two with b.N.
-STRICT_ALLOC_BENCH = ^Benchmark(StreamParse|StreamParseObserved|ParseReuse)$$
+STRICT_ALLOC_BENCH = ^Benchmark(StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test bench-module crash-resume fuzz bench bench-baseline bench-compare clean
 

@@ -11,6 +11,7 @@ package loopscope_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -256,6 +257,53 @@ func BenchmarkStreamCorruptParse(b *testing.B) {
 		if _, _, err := sig.ParseLenientObserved(inj.Reader(pr), nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchPipeline is the pipeline every campaign run feeds: a timeline
+// builder teed into a stream detector.
+func benchPipeline() (*trace.Builder, *core.StreamDetector) {
+	tb := trace.NewBuilder()
+	sd := core.NewStreamDetector(core.StreamConfig{})
+	tb.TeeSteps(sd.Push)
+	return tb, sd
+}
+
+// BenchmarkParseToPipeline is the campaign's parse shape: one fixed
+// capture parsed by ParseTo straight into the pipeline, so no event log
+// is materialized and the parser lends each report's entries to the
+// builder.
+func BenchmarkParseToPipeline(b *testing.B) {
+	data := []byte(benchLog(b).String())
+	rd := bytes.NewReader(data)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(data)
+		tb, sd := benchPipeline()
+		if _, err := sig.ParseTo(rd, true, nil, tb); err != nil {
+			b.Fatal(err)
+		}
+		sd.FinishAnalysis(tb.Finish())
+	}
+}
+
+// BenchmarkSimulateToPipeline is a clean campaign run: the 5-minute
+// runs of BenchmarkSimulateRun, each with its own seed, simulated
+// straight into the pipeline.
+func BenchmarkSimulateToPipeline(b *testing.B) {
+	op, dep, cl := benchRunSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb, sd := benchPipeline()
+		cfg := uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
+			Duration: 5 * time.Minute, Seed: int64(i)}
+		if err := uesim.RunToContext(context.Background(), cfg, tb); err != nil {
+			b.Fatal(err)
+		}
+		sd.FinishAnalysis(tb.Finish())
 	}
 }
 

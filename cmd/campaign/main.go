@@ -58,6 +58,11 @@ func flagError(duration time.Duration, workers int) string {
 // with -checkpoint the journal permits continuation via -resume.
 const exitInterrupted = 3
 
+// signalsHeld, when set, is called once run holds its signal context,
+// from which point SIGINT and SIGTERM cancel the study instead of
+// killing the process. Only tests set it.
+var signalsHeld func()
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -153,6 +158,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// runs abort between events, and completed work stays journaled.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+	if signalsHeld != nil {
+		signalsHeld()
+	}
 
 	st, code := buildStudy(ctx, stderr, opts, *sink, *resume)
 	if code != 0 {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"github.com/mssn/loopscope"
 	"github.com/mssn/loopscope/internal/checkpoint"
@@ -170,21 +169,25 @@ func TestSinkStreamsDecodableRecords(t *testing.T) {
 }
 
 // TestHelperProcess re-executes the test binary as the campaign CLI;
-// only the SIGTERM e2e below spawns it.
+// only the SIGTERM e2e below spawns it. Once run holds its signal
+// context, the child closes its first extra file (fd 3), the pipe its
+// parent waits on before signalling.
 func TestHelperProcess(t *testing.T) {
 	if os.Getenv("CAMPAIGN_E2E_CHILD") != "1" {
 		t.Skip("helper process, not a test")
 	}
+	ready := os.NewFile(3, "ready")
+	signalsHeld = func() { ready.Close() }
 	os.Exit(run(strings.Split(os.Getenv("CAMPAIGN_E2E_ARGS"), "\x1f"), os.Stdout, os.Stderr))
 }
 
 // TestSIGTERMKillAndResume is the subprocess half of the crash-recovery
-// e2e: a real campaign process is killed with SIGTERM mid-study, must
-// exit with the interrupted code, and a -resume run over the surviving
-// journal must reproduce the golden bytes exactly. The test is robust
-// to scheduling: if the child finishes before the signal lands, its
-// output is checked against the golden and the resume still runs (a
-// complete journal resumes to identical bytes too).
+// e2e: a real campaign process is sent SIGTERM once it holds its signal
+// context, must exit with the interrupted code, and a -resume run over
+// the surviving journal must reproduce the golden bytes exactly. The
+// test is robust to scheduling: if the child finishes before the signal
+// lands, its output is checked against the golden and the resume still
+// runs (a complete journal resumes to identical bytes too).
 func TestSIGTERMKillAndResume(t *testing.T) {
 	for _, workers := range []string{"1", "4"} {
 		t.Run("workers="+workers, func(t *testing.T) {
@@ -196,12 +199,22 @@ func TestSIGTERMKillAndResume(t *testing.T) {
 				"CAMPAIGN_E2E_ARGS="+strings.Join(args, "\x1f"))
 			var childOut, childErr bytes.Buffer
 			child.Stdout, child.Stderr = &childOut, &childErr
-			if err := child.Start(); err != nil {
+			ready, readyW, err := os.Pipe()
+			if err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(150 * time.Millisecond)
+			defer ready.Close()
+			child.ExtraFiles = []*os.File{readyW}
+			err = child.Start()
+			readyW.Close() // the child holds the only write end now
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The read returns io.EOF once the child closes its end,
+			// when its signal context is in place, or when it exits.
+			_, _ = ready.Read(make([]byte, 1))
 			_ = child.Process.Signal(syscall.SIGTERM)
-			err := child.Wait()
+			err = child.Wait()
 			switch code := child.ProcessState.ExitCode(); code {
 			case 0:
 				// Finished before the signal: output must already be golden.

@@ -19,6 +19,13 @@ import (
 // them into a timeline. The simulator and ParseTo both write to a
 // Sink, which is what lets one analysis pipeline take its events from
 // either.
+//
+// A measurement report's Entries are lent to Append only for the
+// length of the call, the way bufio.Scanner.Bytes lends its line: both
+// producers refill one entries buffer for every report. A sink that
+// keeps entries past Append copies them, as *Log does. Every other
+// part of a message, Reconfig's slices and pointers included, belongs
+// to the sink and may be kept.
 type Sink interface {
 	Append(at time.Duration, m rrc.Message)
 }

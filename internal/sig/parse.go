@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/cell"
@@ -148,10 +149,11 @@ func parseLog(r io.Reader, lenient bool, c obs.Collector) (*Log, *Salvage, error
 //
 // The per-line path performs no allocations: lines are zero-copy views
 // from the lineScanner, the current record accumulates in the parser's
-// reused arena, and repeated tokens (cell-identity lines, measConfig
-// bodies, roles, causes, MM states) resolve through interning tables.
-// What remains is the per-event cost of the result itself — interface
-// boxing of each message and message-internal slices.
+// reused arena, repeated tokens (cell-identity lines, measConfig
+// bodies, roles, causes, MM states) resolve through interning tables,
+// and measurement reports are built in one reused entries buffer (see
+// Sink). What remains is the per-event cost of the result itself —
+// interface boxing of each message and the slices of reconfigurations.
 //
 //loopvet:hot
 func parse(r io.Reader, lenient bool, c obs.Collector, sink Sink) (*Salvage, error) {
@@ -302,22 +304,28 @@ func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 // per pool slot forever.
 const maxRetainedBuf = 1 << 20
 
+// maxRetainedEntries is maxRetainedBuf counted in measurement entries,
+// the cap on the entries buffer a pooled parser keeps.
+const maxRetainedEntries = maxRetainedBuf / int(unsafe.Sizeof(rrc.MeasEntry{}))
+
 // maxMemoEntries bounds each interning table; pathological captures
 // with millions of distinct cell lines stop interning rather than grow
 // without limit. Lookups still work — only inserts stop.
 const maxMemoEntries = 4096
 
 // parser is the pooled per-parse state: the zero-copy line scanner, the
-// per-record arena with its detail spans, and the interning tables.
+// per-record arena with its detail spans, the entries buffer every
+// measurement report is built in, and the interning tables.
 // The memo tables cache only pure line→value parse results, so keeping
 // them across parses (and across pool users) can never change output —
 // it only skips rescans of lines already seen in earlier captures.
 type parser struct {
 	br       *bufio.Reader
 	sc       lineScanner
-	arena    []byte   // current record's copied bytes
-	spans    []span   // detail ranges into arena
-	dviews   [][]byte // scratch for materialized detail views
+	arena    []byte          // current record's copied bytes
+	spans    []span          // detail ranges into arena
+	dviews   [][]byte        // scratch for materialized detail views
+	entries  []rrc.MeasEntry // the report being built; lent to the sink
 	cur      rawEvent
 	hasCur   bool
 	cellMemo map[string]cell.Ref
@@ -355,6 +363,9 @@ func (p *parser) release() {
 	}
 	if cap(p.arena) > maxRetainedBuf {
 		p.arena = nil
+	}
+	if cap(p.entries) > maxRetainedEntries {
+		p.entries = nil
 	}
 	p.arena = p.arena[:0]
 	p.spans = p.spans[:0]
@@ -901,11 +912,14 @@ func (p *parser) measObject(body []byte) (rrc.MeasObject, error) {
 
 var sepCommaSpace = []byte(", ")
 
-// buildMeasReport parses measResult lines.
+// buildMeasReport parses measResult lines into the parser's entries
+// buffer, which the report lends to the sink (see Sink) until the next
+// report refills it. A report without measResult lines carries nil
+// Entries.
 //
 //loopvet:hot
 func (p *parser) buildMeasReport(details [][]byte) (rrc.Message, error) {
-	m := rrc.MeasReport{Rat: p.cur.rat}
+	es := p.entries[:0]
 	for _, d := range details {
 		if !bytes.HasPrefix(d, prefMeasResult) {
 			continue
@@ -959,7 +973,12 @@ func (p *parser) buildMeasReport(details [][]byte) (rrc.Message, error) {
 				break
 			}
 		}
-		m.Entries = append(m.Entries, entry)
+		es = append(es, entry)
+	}
+	p.entries = es
+	m := rrc.MeasReport{Rat: p.cur.rat}
+	if len(es) > 0 {
+		m.Entries = es
 	}
 	return m, nil
 }

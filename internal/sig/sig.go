@@ -25,14 +25,46 @@ type Event struct {
 	Msg rrc.Message
 }
 
-// Log is an ordered signaling capture.
+// Log is an ordered signaling capture. A Log owns everything its
+// events reference, so it can be kept for as long as the caller likes.
 type Log struct {
 	Events []Event
+
+	// free is the unused tail of the chunk that Append copies
+	// measurement-report entries into.
+	free []rrc.MeasEntry
 }
 
-// Append records a message at the given offset.
+// entryChunk is how many measurement entries Log.Append allocates at a
+// time: a 5-minute run reports 1,000–3,500.
+const entryChunk = 1024
+
+// Append records a message at the given offset. It implements Sink, so
+// a report's Entries are only lent to it: Append keeps a copy, carved
+// from a chunked store the Log owns. Each kept Entries slice is capped
+// at its length, so appending to it never writes into the next
+// report's, and a nil Entries stays nil.
 func (l *Log) Append(at time.Duration, m rrc.Message) {
+	if mr, ok := m.(rrc.MeasReport); ok && mr.Entries != nil {
+		mr.Entries = l.keep(mr.Entries)
+		m = mr
+	}
 	l.Events = append(l.Events, Event{At: at, Msg: m})
+}
+
+// keep copies borrowed entries into the Log's store.
+func (l *Log) keep(es []rrc.MeasEntry) []rrc.MeasEntry {
+	n := len(es)
+	if n == 0 {
+		return []rrc.MeasEntry{}
+	}
+	if len(l.free) < n {
+		l.free = make([]rrc.MeasEntry, max(n, entryChunk))
+	}
+	kept := l.free[:n:n]
+	copy(kept, es)
+	l.free = l.free[n:]
+	return kept
 }
 
 // Len returns the number of events.

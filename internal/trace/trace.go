@@ -248,9 +248,9 @@ type extractor struct {
 	lastAppliedAt time.Duration
 	lastMod       *SCellMod
 
-	// ON-period measurement bookkeeping for S1E1/S1E2 evidence.
+	// ON-period measurement bookkeeping for S1E1/S1E2 evidence: a
+	// cell was seen in a report exactly when it has a lastMeas entry.
 	reports     int
-	seenInRept  map[cell.Ref]bool
 	lastMeas    map[cell.Ref]rrc.MeasEntry
 	lastSCGFail rrc.SCGFailureCause
 	scgFailAt   time.Duration
@@ -283,7 +283,6 @@ var _ sig.Sink = (*Builder)(nil)
 func NewBuilder() *Builder {
 	b := &Builder{ex: extractor{
 		scellIndex: make(map[int]cell.Ref),
-		seenInRept: make(map[cell.Ref]bool),
 		lastMeas:   make(map[cell.Ref]rrc.MeasEntry),
 	}}
 	b.ex.push(0, cell.Idle(), newEvidence(CauseNone))
@@ -360,7 +359,6 @@ func (ex *extractor) push(at time.Duration, s cell.Set, ev Evidence) {
 // resetONBookkeeping clears the per-ON-period measurement state.
 func (ex *extractor) resetONBookkeeping() {
 	ex.reports = 0
-	ex.seenInRept = make(map[cell.Ref]bool)
 	ex.lastMeas = make(map[cell.Ref]rrc.MeasEntry)
 	ex.scellIndex = make(map[int]cell.Ref)
 	ex.pending = nil
@@ -374,10 +372,11 @@ func (ex *extractor) releaseEvidence(kind ReleaseKind) Evidence {
 	ev.Reports = ex.reports
 	if ex.cur.MCG != nil {
 		for _, sc := range ex.cur.MCG.SCells {
-			if ex.reports > 0 && !ex.seenInRept[sc] {
+			m, seen := ex.lastMeas[sc]
+			if ex.reports > 0 && !seen {
 				ev.UnmeasuredSCells = append(ev.UnmeasuredSCells, sc)
 			}
-			if m, ok := ex.lastMeas[sc]; ok {
+			if seen {
 				// The sentinel is +Inf, so the first report always wins.
 				if m.Meas.RSRPDBm < ev.WorstSCellRSRP {
 					ev.WorstSCellRSRP = m.Meas.RSRPDBm
@@ -420,9 +419,10 @@ func (ex *extractor) handle(at time.Duration, m rrc.Message) {
 			ex.pending = nil
 		}
 	case rrc.MeasReport:
+		// The entries are borrowed (see sig.Sink): each is copied by
+		// value into lastMeas.
 		ex.reports++
 		for _, e := range v.Entries {
-			ex.seenInRept[e.Cell] = true
 			ex.lastMeas[e.Cell] = e
 		}
 	case rrc.SCGFailureInfo:

@@ -32,6 +32,9 @@ import (
 	"github.com/mssn/loopscope/internal/units"
 )
 
+// defaultDuration is the length of a run whose Config.Duration is zero.
+const defaultDuration = 5 * time.Minute
+
 // Tunable procedure timings, chosen to match the instance timelines in
 // the paper's appendix (SCell addition ≈ 3 s after establishment,
 // ≈ 10–11 s of IDLE after the SCell-modification exception, 1 Hz
@@ -123,7 +126,7 @@ type Fixes struct {
 // Run executes one simulated stationary run, collecting the capture in
 // memory.
 func Run(cfg Config) *sig.Log {
-	log := &sig.Log{Events: make([]sig.Event, 0, 4096)}
+	log := &sig.Log{Events: make([]sig.Event, 0, eventsHint(cfg.Duration))}
 	if err := RunToContext(context.Background(), cfg, log); err != nil {
 		// A background context can neither be cancelled nor expire, and
 		// RunToContext's only error channel is its context. If this ever
@@ -135,17 +138,29 @@ func Run(cfg Config) *sig.Log {
 	return log
 }
 
+// eventsHint sizes the in-memory log of a run lasting d (0 for the
+// default 5 minutes). A run reports once per reportPeriod and its
+// procedures add about half as many events again: 5-minute runs emit
+// 300–450 events, and only a few loop-heavy ones more.
+func eventsHint(d time.Duration) int {
+	if d == 0 {
+		d = defaultDuration
+	}
+	return max(0, int(d/reportPeriod))*3/2 + 16
+}
+
 // runAbort is the panic sentinel that unwinds the engine when its
 // context is cancelled mid-run; RunToContext converts it back into the
 // context's error. Any other panic propagates untouched.
 type runAbort struct{ err error }
 
 // RunToContext executes one simulated run, emitting each event to sink
-// as it happens. With a *sig.Emitter over an io.Pipe this streams a run
-// straight into the parser without ever materializing the capture; with
-// a *sig.Log it is Run. Events arrive in strictly increasing time
-// order. The run aborts between events as soon as ctx is cancelled or
-// its deadline passes, and the context's error is returned. An aborted
+// as it happens: a *sig.Emitter renders the capture text, a
+// trace.Builder folds the run into a timeline, and with a *sig.Log it
+// is Run. A report's entries are lent to sink for the Append call only
+// (see sig.Sink). Events arrive in strictly increasing time order. The
+// run aborts between events as soon as ctx is cancelled or its deadline
+// passes, and the context's error is returned. An aborted
 // run has emitted a strict prefix of the uninterrupted event stream —
 // cancellation never tears an event — but carries no run-end stamp, so
 // its capture must be discarded, not analyzed. A nil or never-cancelled
@@ -153,7 +168,7 @@ type runAbort struct{ err error }
 // emits the same events.
 func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 	if cfg.Duration == 0 {
-		cfg.Duration = 5 * time.Minute
+		cfg.Duration = defaultDuration
 	}
 	if cfg.Device == nil {
 		cfg.Device = device.OnePlus12R()
@@ -180,6 +195,7 @@ func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 		last:    -1,
 		samples: make([]meas.Measurement, n),
 		sampled: make([]bool, n),
+		entries: make([]rrc.MeasEntry, 0, n),
 	}
 	if len(cfg.Path) == 0 {
 		// A stationary UE never moves, so no cell's median changes
@@ -251,7 +267,8 @@ type engine struct {
 	medians []meas.Measurement
 	// samples holds the draws of the report being assembled, and
 	// sampled marks the slots drawn so far; entries lists the
-	// measurable ones in report order.
+	// measurable ones in report order, in one buffer every report
+	// refills.
 	samples []meas.Measurement
 	sampled []bool
 	entries []rrc.MeasEntry
@@ -326,17 +343,11 @@ func (e *engine) median(i int) meas.Measurement {
 }
 
 // measure samples the cell in slot i for the report being assembled
-// and lists it when measurable. A report's entries get a fresh slice,
-// sized for every cell of the cluster, at its first measurable cell (a
-// report that measures nothing carries nil entries); the slice is never
-// reused, because a sink such as sig.Log keeps it.
+// and lists it when measurable, in the engine's entries buffer.
 func (e *engine) measure(i int, role rrc.MeasRole) meas.Measurement {
 	m := e.sample(i)
 	e.samples[i], e.sampled[i] = m, true
 	if m.Measurable() {
-		if e.entries == nil {
-			e.entries = make([]rrc.MeasEntry, 0, len(e.cfg.Cluster.Cells))
-		}
 		e.entries = append(e.entries, rrc.MeasEntry{Cell: e.cfg.Cluster.Cells[i].Ref, Role: role, Meas: m})
 	}
 	return m
@@ -351,11 +362,17 @@ func (e *engine) measured(i int) (meas.Measurement, bool) {
 	return e.samples[i], true
 }
 
-// sendReport emits the assembled measurement report, handing its
-// entries over to the sink.
+// sendReport emits the assembled measurement report. Its entries are
+// lent to the sink for the Append call only (see sig.Sink): the next
+// report refills the same buffer. A report that measured nothing
+// carries nil entries.
 func (e *engine) sendReport(rat band.RAT) {
-	e.emit(rrc.MeasReport{Rat: rat, Entries: e.entries})
-	e.entries = nil
+	m := rrc.MeasReport{Rat: rat}
+	if len(e.entries) > 0 {
+		m.Entries = e.entries
+	}
+	e.emit(m)
+	e.entries = e.entries[:0]
 }
 
 // jitterDur perturbs a duration by ±spread.

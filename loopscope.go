@@ -52,12 +52,15 @@ import (
 type (
 	// Log is a parsed signaling capture.
 	Log = sig.Log
-	// LogSink receives simulated signaling events one at a time; a *Log
-	// collects them, a *LogEmitter streams them as capture text.
+	// LogSink receives signaling events one at a time, from the
+	// simulator or from ParseLogTo: a *Log collects them, a *LogEmitter
+	// renders them as capture text, a *TimelineBuilder folds them into
+	// a timeline. A measurement report's Entries are lent to Append for
+	// the call only; a sink that keeps them copies them, as *Log does.
 	LogSink = sig.Sink
 	// LogEmitter renders events to an io.Writer as they arrive, so a
-	// run can feed a parser through io.Pipe without building the full
-	// capture string.
+	// run can be written out as capture text without first collecting
+	// it in a *Log.
 	LogEmitter = sig.Emitter
 	// Timeline is the serving-cell-set sequence extracted from a log.
 	Timeline = trace.Timeline
