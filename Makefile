@@ -70,10 +70,12 @@ bench-module:
 	$(GO) -C bench test ./...
 
 # crash-resume runs the resilience suite: checkpoint journal salvage,
-# the every-interruption-point resume property, and the cmd/campaign
-# SIGTERM kill-and-resume e2e against the pinned goldens.
+# the engine's kill-and-resume tests (the every-interruption-point
+# resume property among them), and the cmd/campaign SIGTERM
+# kill-and-resume e2e against the pinned goldens.
 crash-resume:
-	$(GO) test -race ./internal/checkpoint ./internal/campaign/crashtest
+	$(GO) test -race ./internal/checkpoint
+	$(GO) test -race -run '^(TestPropertyResumeFromEveryInterruptionPoint|TestCrossWorkerResume|TestRepeatedCrashesConverge|TestCrashAtJournalSize)$$' ./internal/campaign
 	$(GO) test -race -run 'TestCheckpointedRunMatchesGolden|TestSinkStreamsDecodableRecords|TestSIGTERMKillAndResume' ./cmd/campaign
 
 fuzz:

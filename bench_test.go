@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper, plus
 // micro-benchmarks of the pipeline stages. Each experiment benchmark
-// shares one lazily-built study context per benchmark function: the
-// first iteration pays for the dataset, later iterations measure the
-// aggregation, which is the quantity that scales with dataset size.
+// runs its study and warms the derived datasets outside the timer, then
+// measures the aggregation over one shared context, which is the
+// quantity that scales with dataset size.
 //
 // Run them all with:
 //
@@ -46,11 +46,15 @@ func benchExperiment(b *testing.B, id string) {
 	if testing.Short() {
 		b.Skip("full-study benchmark in -short mode")
 	}
-	ctx := experiments.NewContext(benchOpts())
 	g, ok := experiments.ByID(id)
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
+	st, err := campaign.RunContext(context.Background(), benchOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := experiments.NewContextWithStudy(st)
 	g.Run(ctx) // warm the shared datasets outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -371,7 +375,10 @@ func BenchmarkFullStudy(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(42 + i)
-		st := campaign.Run(opts)
+		st, err := campaign.RunContext(context.Background(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(st.Areas) != 11 {
 			b.Fatal("study incomplete")
 		}

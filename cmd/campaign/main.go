@@ -5,11 +5,16 @@
 //
 //	campaign [-exp id[,id...]|all] [-seed N] [-scale F] [-duration D] [-list]
 //	         [-checkpoint journal] [-resume] [-sink out.jsonl] [-workers N]
+//	         [-export dir] [-report out.md]
 //	         [-metrics out.json] [-debug-addr host:port]
 //
-// With -exp all (the default) every experiment runs in the paper's
-// presentation order, sharing one study dataset; a comma-separated list
-// (-exp fig20,fig21,fig22) runs those experiments in that order.
+// Every invocation runs (or resumes) one study and renders everything
+// it writes from that study. With -exp all (the default) every
+// experiment renders in the paper's presentation order; a
+// comma-separated list (-exp fig20,fig21,fig22) renders those
+// experiments in that order. -export writes the dataset as CSV and
+// -report writes the experiments as a markdown report instead of
+// printing them; the two compose.
 // -checkpoint journals every completed run into a durable file; after a
 // crash or a SIGTERM (exit code 3) the same invocation plus -resume
 // replays the journal and continues, producing output byte-identical to
@@ -75,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exp      = fs.String("exp", "all", "experiment ID (fig6, table5, ...), a comma-separated list of IDs, or 'all'")
 		seed     = fs.Int64("seed", 42, "master seed of the study")
 		scale    = fs.Float64("scale", 1.0, "run-count scale factor")
-		duration = fs.Duration("duration", 5*time.Minute, "stationary run duration")
+		duration = fs.Duration("duration", loopscope.DefaultRunDuration, "stationary run duration")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
 		export   = fs.String("export", "", "directory to export the dataset as CSV (runs/loops/locations)")
 		reportTo = fs.String("report", "", "write a full markdown report to this file")
@@ -138,20 +143,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *exp != "all" {
 		sel = strings.Split(*exp, ",")
 	}
-	if *export == "" {
+	if *export == "" || *reportTo != "" { // the experiments render
 		for _, id := range sel {
 			if _, ok := ids[id]; !ok {
 				fmt.Fprintf(stderr, "campaign: unknown experiment %q (try -list)\n", id)
 				return 2
 			}
 		}
-	}
-	if *reportTo != "" {
-		if *ckpt != "" || *sink != "" {
-			fmt.Fprintln(stderr, "campaign: -report does not compose with -checkpoint/-sink")
-			return 2
-		}
-		return writeReport(stdout, stderr, opts, sel, *reportTo)
 	}
 
 	// SIGINT/SIGTERM cancel the study context: dispatch stops, in-flight
@@ -166,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code != 0 {
 		return code
 	}
-	code = render(stdout, stderr, st, sel, *export)
+	code = render(stdout, stderr, st, sel, *export, *reportTo)
 	if code == 0 && *metrics != "" {
 		if err := writeMetrics(*metrics, reg); err != nil {
 			fmt.Fprintln(stderr, "campaign:", err)
@@ -221,41 +219,43 @@ func buildStudy(ctx context.Context, stderr io.Writer, opts loopscope.StudyOptio
 	return st, 0
 }
 
-// render produces the selected output (CSV export, or the experiments
-// sel names, all for nil) from the materialized study.
-func render(stdout, stderr io.Writer, st *loopscope.Study, sel []string, export string) int {
+// render produces the selected outputs from the materialized study:
+// the CSV export and the markdown report of the experiments sel names
+// (all for nil), or, when neither is asked for, those experiments on
+// stdout.
+func render(stdout, stderr io.Writer, st *loopscope.Study, sel []string, export, reportTo string) int {
 	if export != "" {
 		if err := exportDataset(stdout, export, st); err != nil {
 			fmt.Fprintln(stderr, "campaign:", err)
 			return 1
 		}
-		return 0
 	}
-	for _, res := range loopscope.ExperimentsWithStudy(sel, st) {
-		printExperiment(stdout, res.ID, res.Title, res.Lines)
+	if reportTo != "" {
+		if err := writeReport(reportTo, st, sel); err != nil {
+			fmt.Fprintln(stderr, "campaign:", err)
+			return 1
+		}
+		fmt.Fprintln(stdout, "wrote", reportTo)
+	}
+	if export == "" && reportTo == "" {
+		for _, res := range loopscope.ExperimentsWithStudy(sel, st) {
+			printExperiment(stdout, res.ID, res.Title, res.Lines)
+		}
 	}
 	return 0
 }
 
-// writeReport renders the full markdown report (its study runs
-// uncheckpointed; see the flag guard in run).
-func writeReport(stdout, stderr io.Writer, opts loopscope.StudyOptions, sel []string, path string) int {
+// writeReport renders the markdown report of st to path.
+func writeReport(path string, st *loopscope.Study, sel []string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(stderr, "campaign:", err)
-		return 1
+		return err
 	}
-	if err := report.Write(f, report.Options{Campaign: opts, IDs: sel}); err != nil {
+	if err := report.Write(f, st, sel); err != nil {
 		f.Close()
-		fmt.Fprintln(stderr, "campaign:", err)
-		return 1
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(stderr, "campaign:", err)
-		return 1
-	}
-	fmt.Fprintln(stdout, "wrote", path)
-	return 0
+	return f.Close()
 }
 
 // writeMetrics dumps the registry snapshot to path.

@@ -63,16 +63,26 @@ func TestListExperiments(t *testing.T) {
 }
 
 // TestUnknownExperiment: an unknown ID, alone or in a list, is a usage
-// error naming that ID, and nothing runs.
+// error naming that ID whenever the experiments render, on stdout or
+// into a -report, and nothing runs.
 func TestUnknownExperiment(t *testing.T) {
+	dir := t.TempDir()
+	report := filepath.Join(dir, "r.md")
 	for _, exp := range []string{"nope", "fig6,nope,table3"} {
-		var stdout, stderr bytes.Buffer
-		if code := run(append(append([]string{}, goldenArgs...), "-exp", exp), &stdout, &stderr); code != 2 {
-			t.Fatalf("-exp %s: exit = %d, want 2", exp, code)
+		for _, extra := range [][]string{nil, {"-report", report}, {"-report", report, "-export", dir}} {
+			var stdout, stderr bytes.Buffer
+			args := append(append(append([]string{}, goldenArgs...), "-exp", exp), extra...)
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("-exp %s %v: exit = %d, want 2", exp, extra, code)
+			}
+			if !strings.Contains(stderr.String(), `unknown experiment "nope"`) || stdout.Len() != 0 {
+				t.Errorf("-exp %s %v: stdout %q, stderr %q; want only the unknown ID named",
+					exp, extra, stdout.String(), stderr.String())
+			}
 		}
-		if !strings.Contains(stderr.String(), `unknown experiment "nope"`) || stdout.Len() != 0 {
-			t.Errorf("-exp %s: stdout %q, stderr %q; want only the unknown ID named", exp, stdout.String(), stderr.String())
-		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("a usage error wrote files: %v %v", entries, err)
 	}
 }
 

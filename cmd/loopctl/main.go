@@ -208,7 +208,7 @@ func (a *app) export(path string) error {
 	endSim := a.span(obs.StageSimulate)
 	log := loopscope.SimulateRun(loopscope.RunConfig{
 		Op: op, Field: dep.Field, Cluster: cl,
-		Duration: 5 * time.Minute, Seed: 7,
+		Duration: loopscope.DefaultRunDuration, Seed: 7,
 		Metrics: a.collector(),
 	})
 	endSim()

@@ -37,6 +37,9 @@ const MinRunScale = 1.0 / (1 << 20)
 // re-attempted with a perturbed seed before its failure record sticks.
 const DefaultMaxRetries = 1
 
+// DefaultDuration is the stationary run length of §4.1.
+const DefaultDuration = 5 * time.Minute
+
 // Options scales the study. The zero value gives the full default
 // study; tests use reduced RunScale and Duration.
 type Options struct {
@@ -56,7 +59,7 @@ type Options struct {
 	// how real damaged captures are ingested. Each record carries its
 	// Salvage report.
 	FaultRates *faults.Rates
-	// Workers bounds the RunArea worker pool; 0 means one worker per
+	// Workers bounds each area's worker pool; 0 means one worker per
 	// CPU. Record order and content are identical at any worker count.
 	Workers int
 	// Checkpoint, when non-empty, is the path of the durable run
@@ -69,24 +72,25 @@ type Options struct {
 	// Sink, when non-nil, additionally receives every completed record
 	// in deterministic order as the study executes (see Sink).
 	Sink Sink
-	// CrashAfter, when positive, kills the engine deterministically
-	// right after the N-th checkpoint append: the journal keeps
-	// exactly N entries, in-flight runs are cancelled, and RunContext
-	// returns ErrInjectedCrash. This is the crashtest harness's fault
-	// point; production runs leave it zero.
-	CrashAfter int
 	// Metrics, when non-nil, receives stage spans and run counters
 	// (runs, retries, panics, salvaged runs — in total and per
 	// operator/area). Pure observation: records, goldens and experiment
 	// output are byte-identical with or without a collector; the
 	// parity test enforces this.
 	Metrics obs.Collector
+
+	// crashAfter, when positive, kills the engine deterministically
+	// right after the N-th checkpoint append: the journal keeps
+	// exactly N entries, in-flight runs are cancelled, and the study
+	// returns errInjectedCrash. It is the fault point of the package's
+	// kill-and-resume tests; only they set it.
+	crashAfter int
 }
 
 // withDefaults fills in the zero values.
 func (o Options) withDefaults() Options {
 	if o.Duration == 0 {
-		o.Duration = 5 * time.Minute
+		o.Duration = DefaultDuration
 	}
 	if o.RunScale < 0 || math.IsNaN(o.RunScale) {
 		o.RunScale = MinRunScale
@@ -240,30 +244,6 @@ func (a *AreaResult) Failures() int {
 type Study struct {
 	Opts  Options
 	Areas []*AreaResult
-}
-
-// Run executes the full study over all areas of all three operators.
-// It is RunContext under a background context; because that context
-// never cancels, an error is only possible from a misconfigured
-// checkpoint or sink, and Run panics on it — callers wiring those
-// options use RunContext.
-func Run(opts Options) *Study {
-	st, err := RunContext(context.Background(), opts)
-	if err != nil {
-		panic(fmt.Sprintf("campaign.Run: %v (use RunContext to handle engine errors)", err))
-	}
-	return st
-}
-
-// RunArea executes all runs of one area. Runs are independent (each
-// derives its own seed), so they execute on a bounded worker pool; the
-// record order — and therefore every downstream aggregate — is
-// identical to the sequential execution. Checkpointing and sinks are
-// study-level concerns and are not consulted here.
-func RunArea(op *policy.Operator, spec deploy.AreaSpec, opts Options) *AreaResult {
-	opts.Checkpoint, opts.Sink = "", nil
-	r := &runner{opts: opts.withDefaults()}
-	return r.runArea(context.Background(), op, spec)
 }
 
 // ExecuteRunContext performs a single run and post-processes it
@@ -526,18 +506,6 @@ func (s *Study) Failures() int {
 		n += a.Failures()
 	}
 	return n
-}
-
-// FailedRecords returns every failure record for inspection (error and
-// stack preserved).
-func (s *Study) FailedRecords() []*Record {
-	var out []*Record
-	for _, r := range s.Records("") {
-		if r.Failed() {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // FormCounts tallies sequence forms for an operator (Fig. 6). Failed

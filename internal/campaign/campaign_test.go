@@ -27,7 +27,7 @@ func smallOpts() Options {
 func TestRunAreaBasics(t *testing.T) {
 	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1] // A2: 6 locations
-	res := RunArea(op, spec, smallOpts())
+	res := runArea(op, spec, smallOpts())
 	wantRuns := 6 * 4 // 6 locations × max(1, 8*0.5) runs
 	if len(res.Records) != wantRuns {
 		t.Fatalf("records = %d, want %d", len(res.Records), wantRuns)
@@ -52,7 +52,10 @@ func TestStudyShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
 	}
-	st := Run(smallOpts())
+	st, err := RunContext(context.Background(), smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(st.Areas) != 11 {
 		t.Fatalf("areas = %d", len(st.Areas))
 	}
@@ -193,7 +196,7 @@ func TestSparseSamples(t *testing.T) {
 	op := policy.OPT()
 	opts := smallOpts()
 	st := &Study{Opts: opts}
-	st.Areas = append(st.Areas, RunArea(op, deploy.AreasFor("OPT")[1], opts))
+	st.Areas = append(st.Areas, runArea(op, deploy.AreasFor("OPT")[1], opts))
 	samples := SparseSamples(st, op, true)
 	if len(samples) != 6 {
 		t.Fatalf("samples = %d, want 6 locations", len(samples))
@@ -212,7 +215,7 @@ func TestCSVExport(t *testing.T) {
 	op := policy.OPT()
 	opts := smallOpts()
 	st := &Study{Opts: opts}
-	st.Areas = append(st.Areas, RunArea(op, deploy.AreasFor("OPT")[1], opts))
+	st.Areas = append(st.Areas, runArea(op, deploy.AreasFor("OPT")[1], opts))
 
 	var runs, loops, locs strings.Builder
 	if err := st.WriteRunsCSV(&runs); err != nil {
@@ -266,7 +269,10 @@ func TestCrossSeedStability(t *testing.T) {
 	}
 	for _, seed := range []int64{7, 1234, 987654} {
 		opts := Options{Seed: seed, Duration: 240 * time.Second, RunScale: 0.5}
-		st := Run(opts)
+		st, err := RunContext(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, op := range []string{"OPT", "OPA", "OPV"} {
 			recs := st.Records(op)
 			loops := 0
@@ -305,7 +311,7 @@ func TestRunScaleValidation(t *testing.T) {
 	}
 	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1] // A2: 6 locations
-	res := RunArea(op, spec, Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1})
+	res := runArea(op, spec, Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1})
 	if len(res.Records) != 6 {
 		t.Errorf("invalid RunScale area = %d records, want 1 per location (6)", len(res.Records))
 	}
@@ -323,7 +329,7 @@ func TestRunPanicIsolated(t *testing.T) {
 	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	opts := Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1}
-	res := RunArea(op, spec, opts)
+	res := runArea(op, spec, opts)
 
 	if got := res.Failures(); got != 1 {
 		t.Fatalf("Failures() = %d, want 1", got)
@@ -396,9 +402,9 @@ func TestRunAreaParallelEqualsSequential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Seed: 42, Duration: 90 * time.Second, RunScale: 0.25, FaultRates: tc.rates}
-			par := RunArea(op, spec, opts)
+			par := runArea(op, spec, opts)
 			opts.Workers = 1
-			seq := RunArea(op, spec, opts)
+			seq := runArea(op, spec, opts)
 			if len(par.Records) != len(seq.Records) {
 				t.Fatalf("parallel produced %d records, sequential %d", len(par.Records), len(seq.Records))
 			}
@@ -429,12 +435,12 @@ func TestMetricsParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := Options{Seed: 42, Duration: 60 * time.Second, RunScale: -1, FaultRates: tc.rates}
-			plain := RunArea(op, spec, base)
+			plain := runArea(op, spec, base)
 
 			observed := base
 			reg := obs.NewRegistry()
 			observed.Metrics = reg
-			withMetrics := RunArea(op, spec, observed)
+			withMetrics := runArea(op, spec, observed)
 
 			if len(plain.Records) != len(withMetrics.Records) {
 				t.Fatalf("record counts differ: %d vs %d", len(plain.Records), len(withMetrics.Records))
@@ -485,7 +491,7 @@ func TestMetricsPanicCounter(t *testing.T) {
 	defer func() { testHookPanic = nil }()
 	reg := obs.NewRegistry()
 	opts := Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1, Metrics: reg}
-	res := RunArea(op, spec, opts)
+	res := runArea(op, spec, opts)
 	if len(res.Records) == 0 {
 		t.Fatal("no records")
 	}
@@ -508,7 +514,7 @@ func TestRunAreaWithFaultInjection(t *testing.T) {
 	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	opts := Options{Seed: 42, Duration: 60 * time.Second, RunScale: -1, FaultRates: &rates}
-	res := RunArea(op, spec, opts)
+	res := runArea(op, spec, opts)
 
 	if len(res.Records) != 6 {
 		t.Fatalf("records = %d, want 6", len(res.Records))
@@ -551,7 +557,7 @@ func TestFusedDetectionMatchesBatch(t *testing.T) {
 			opts := smallOpts()
 			opts.RunScale = 0.25
 			opts.FaultRates = tc.rates
-			res := RunArea(op, spec, opts)
+			res := runArea(op, spec, opts)
 			checked, loops := 0, 0
 			for _, rec := range res.Records {
 				if rec.Err != "" || rec.Timeline == nil {

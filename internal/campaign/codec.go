@@ -25,7 +25,7 @@ import (
 // schema spells each of those out so that DecodeRecord(EncodeRecord(r))
 // is reflect.DeepEqual to r — the property the crash-recovery byte-
 // identity guarantee stands on (tested in codec_test.go and pinned by
-// the crashtest golden suite).
+// the kill-and-resume tests in crash_test.go).
 
 type recordWire struct {
 	Op        string           `json:"op"`

@@ -42,7 +42,7 @@ func TestCodecRealRecords(t *testing.T) {
 	rates := faults.Profile(0.08)
 	opts := Options{Seed: 42, Duration: 240 * time.Second, RunScale: 0.5, FaultRates: &rates}
 	spec := areaSpec(t, "A1")
-	res := RunArea(policy.OPT(), spec, opts)
+	res := runArea(policy.OPT(), spec, opts)
 	if len(res.Records) == 0 {
 		t.Fatal("no records")
 	}

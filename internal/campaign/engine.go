@@ -15,9 +15,9 @@ import (
 	"github.com/mssn/loopscope/internal/policy"
 )
 
-// ErrInjectedCrash is returned by the engine when Options.CrashAfter
-// fires — the crashtest harness's stand-in for a hard kill.
-var ErrInjectedCrash = errors.New("campaign: injected crash after checkpoint append")
+// errInjectedCrash is returned by the engine when Options.crashAfter
+// fires — the kill-and-resume tests' stand-in for a hard kill.
+var errInjectedCrash = errors.New("campaign: injected crash after checkpoint append")
 
 // metaKey is the journal key of the options-fingerprint header entry.
 const metaKey = "meta/options"
@@ -57,7 +57,7 @@ func runKey(op, area string, locIdx, runIdx int, seed int64) string {
 // through runArea/executeJob as a parameter, so every call site states
 // which cancellation scope it runs under.
 type runner struct {
-	cancel context.CancelCauseFunc // nil for bare RunArea/wrapper use
+	cancel context.CancelCauseFunc // nil when a test drives runArea directly
 	opts   Options
 	sinks  []Sink
 	jr     *checkpoint.Journal
@@ -65,7 +65,7 @@ type runner struct {
 
 	mu          sync.Mutex
 	appended    int   // guarded by: mu — checkpoint record appends (header excluded)
-	crashed     bool  // guarded by: mu — CrashAfter fired: simulate death, stop persisting
+	crashed     bool  // guarded by: mu — crashAfter fired: simulate death, stop persisting
 	stopDeliver bool  // guarded by: mu — delivery fence after crash/cancel/sink error
 	failErr     error // guarded by: mu — first journal or sink error
 }
@@ -234,7 +234,7 @@ func (r *runner) complete(d *delivery, slot int, key string, rec *Record) {
 	}
 }
 
-// appendLocked persists one record and drives the CrashAfter fault
+// appendLocked persists one record and drives the crashAfter fault
 // point. Callers hold r.mu.
 //
 // requires: mu
@@ -250,13 +250,13 @@ func (r *runner) appendLocked(key string, rec *Record) error {
 		c.Add("campaign.runs.checkpointed", 1)
 	}
 	r.appended++
-	if r.opts.CrashAfter > 0 && r.appended >= r.opts.CrashAfter && !r.crashed {
+	if r.opts.crashAfter > 0 && r.appended >= r.opts.crashAfter && !r.crashed {
 		r.crashed = true
 		r.stopDeliver = true
 		if r.cancel != nil {
-			r.cancel(ErrInjectedCrash)
+			r.cancel(errInjectedCrash)
 		}
-		r.failErr = ErrInjectedCrash
+		r.failErr = errInjectedCrash
 	}
 	return nil
 }
@@ -278,8 +278,10 @@ func (r *runner) beginArea(spec deploy.AreaSpec, dep *deploy.Deployment) {
 	}
 }
 
-// runArea executes all runs of one area on the worker pool; see
-// RunArea for the ordering contract.
+// runArea executes all runs of one area. Runs are independent (each
+// derives its own seed), so they execute on a bounded worker pool; the
+// record order — and therefore every downstream aggregate — is
+// identical to the sequential execution.
 func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.AreaSpec) *AreaResult {
 	opts := r.opts
 	dep := deploy.Build(op, spec, opts.Seed+1)
@@ -402,18 +404,12 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 }
 
 // RunContext executes the full study under ctx, honouring the
-// checkpoint, sink and crash-point options. On cancellation it drains
-// gracefully — in-flight runs abort between events, finished work
-// stays checkpointed — and returns the partial study together with the
+// checkpoint and sink options. On cancellation it drains gracefully —
+// in-flight runs abort between events, finished work stays
+// checkpointed — and returns the partial study together with the
 // cancellation cause.
 func RunContext(ctx context.Context, opts Options) (*Study, error) {
 	st, _, err := runStudy(ctx, opts, deploy.Areas(), false)
-	return st, err
-}
-
-// RunOperatorContext is RunContext over a single operator's areas.
-func RunOperatorContext(ctx context.Context, op *policy.Operator, opts Options) (*Study, error) {
-	st, _, err := runStudy(ctx, opts, deploy.AreasFor(op.Name), false)
 	return st, err
 }
 
@@ -426,10 +422,4 @@ func RunOperatorContext(ctx context.Context, op *policy.Operator, opts Options) 
 func Resume(ctx context.Context, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
 	opts.Checkpoint = path
 	return runStudy(ctx, opts, deploy.Areas(), true)
-}
-
-// ResumeOperator is Resume over a single operator's areas.
-func ResumeOperator(ctx context.Context, op *policy.Operator, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
-	opts.Checkpoint = path
-	return runStudy(ctx, opts, deploy.AreasFor(op.Name), true)
 }

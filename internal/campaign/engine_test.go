@@ -23,27 +23,34 @@ func tinyOpts() Options {
 	return Options{Seed: 42, Duration: 120 * time.Second, RunScale: MinRunScale}
 }
 
-// runOPT is RunOperatorContext over OPT's areas under a background
-// context, failing the test on an engine error.
+// runArea executes all runs of one area outside a study: no journal,
+// no sinks and no study context.
+func runArea(op *policy.Operator, spec deploy.AreaSpec, opts Options) *AreaResult {
+	r := &runner{opts: opts.withDefaults()}
+	return r.runArea(context.Background(), op, spec)
+}
+
+// runOperator is RunContext over a single operator's areas.
+func runOperator(ctx context.Context, op *policy.Operator, opts Options) (*Study, error) {
+	st, _, err := runStudy(ctx, opts, deploy.AreasFor(op.Name), false)
+	return st, err
+}
+
+// resumeOperator is Resume over a single operator's areas.
+func resumeOperator(ctx context.Context, op *policy.Operator, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
+	opts.Checkpoint = path
+	return runStudy(ctx, opts, deploy.AreasFor(op.Name), true)
+}
+
+// runOPT is runOperator over OPT's areas under a background context,
+// failing the test on an engine error.
 func runOPT(t *testing.T, opts Options) *Study {
 	t.Helper()
-	st, err := RunOperatorContext(context.Background(), policy.OPT(), opts)
+	st, err := runOperator(context.Background(), policy.OPT(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
-}
-
-func TestRunContextMatchesRun(t *testing.T) {
-	opts := tinyOpts()
-	want := Run(opts)
-	got, err := RunContext(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Areas, got.Areas) {
-		t.Fatal("RunContext diverged from Run")
-	}
 }
 
 // collectSink reassembles the delivered record stream into areas.
@@ -87,7 +94,7 @@ func TestJSONLSinkDeterministicOrder(t *testing.T) {
 		opts := tinyOpts()
 		opts.Workers = workers
 		opts.Sink = NewJSONLSink(&buf)
-		if _, err := RunOperatorContext(context.Background(), policy.OPT(), opts); err != nil {
+		if _, err := runOperator(context.Background(), policy.OPT(), opts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -117,11 +124,11 @@ func TestResumeFromCrash(t *testing.T) {
 	reg := obs.NewRegistry()
 	crashOpts := opts
 	crashOpts.Checkpoint = path
-	crashOpts.CrashAfter = 2
+	crashOpts.crashAfter = 2
 	crashOpts.Metrics = reg
-	_, err := RunOperatorContext(context.Background(), policy.OPT(), crashOpts)
-	if !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("err = %v, want ErrInjectedCrash", err)
+	_, err := runOperator(context.Background(), policy.OPT(), crashOpts)
+	if !errors.Is(err, errInjectedCrash) {
+		t.Fatalf("err = %v, want errInjectedCrash", err)
 	}
 	if got := reg.Counter("campaign.runs.checkpointed").Value(); got != 2 {
 		t.Fatalf("checkpointed = %d, want 2 (crash must stop persistence)", got)
@@ -129,7 +136,7 @@ func TestResumeFromCrash(t *testing.T) {
 
 	resumeOpts := opts
 	resumeOpts.Metrics = reg
-	st, sal, err := resumeOperator(t, resumeOpts, path)
+	st, sal, err := resumeOPT(t, resumeOpts, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +151,11 @@ func TestResumeFromCrash(t *testing.T) {
 	}
 }
 
-// resumeOperator is Resume narrowed to OPT's areas (Resume proper runs
+// resumeOPT is Resume narrowed to OPT's areas (Resume proper runs
 // every operator; tests stay fast on one).
-func resumeOperator(t *testing.T, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
+func resumeOPT(t *testing.T, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
 	t.Helper()
-	return ResumeOperator(context.Background(), policy.OPT(), opts, path)
+	return resumeOperator(context.Background(), policy.OPT(), opts, path)
 }
 
 // crashedJournal runs OPT's study under opts until the fault point has
@@ -156,8 +163,8 @@ func resumeOperator(t *testing.T, opts Options, path string) (*Study, *checkpoin
 func crashedJournal(t *testing.T, opts Options, k int) string {
 	t.Helper()
 	opts.Checkpoint = filepath.Join(t.TempDir(), "study.ckpt")
-	opts.CrashAfter = k
-	if _, err := RunOperatorContext(context.Background(), policy.OPT(), opts); !errors.Is(err, ErrInjectedCrash) {
+	opts.crashAfter = k
+	if _, err := runOperator(context.Background(), policy.OPT(), opts); !errors.Is(err, errInjectedCrash) {
 		t.Fatalf("setup: %v", err)
 	}
 	return opts.Checkpoint
@@ -168,7 +175,7 @@ func crashedJournal(t *testing.T, opts Options, k int) string {
 func TestResumeRequiresFlag(t *testing.T) {
 	opts := tinyOpts()
 	opts.Checkpoint = crashedJournal(t, opts, 1)
-	if _, err := RunOperatorContext(context.Background(), policy.OPT(), opts); err == nil {
+	if _, err := runOperator(context.Background(), policy.OPT(), opts); err == nil {
 		t.Fatal("reusing a populated journal without Resume must fail")
 	}
 }
@@ -226,7 +233,7 @@ func TestResumeAcceptsOlderJournal(t *testing.T) {
 	reg := obs.NewRegistry()
 	resumeOpts := opts
 	resumeOpts.Metrics = reg
-	st, _, err := resumeOperator(t, resumeOpts, path)
+	st, _, err := resumeOPT(t, resumeOpts, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +246,7 @@ func TestResumeAcceptsOlderJournal(t *testing.T) {
 
 	path = crashedJournal(t, opts, 2)
 	rewriteJournal(t, path, older("3"))
-	if _, _, err := resumeOperator(t, opts, path); err == nil || !strings.Contains(err.Error(), "different study") {
+	if _, _, err := resumeOPT(t, opts, path); err == nil || !strings.Contains(err.Error(), "different study") {
 		t.Fatalf("err = %v, want a foreign-study error for max_retries 3", err)
 	}
 }
@@ -260,7 +267,7 @@ func TestResumeRejectsCancelledRecord(t *testing.T) {
 	})
 	var sunk bytes.Buffer
 	opts.Sink = NewJSONLSink(&sunk)
-	_, _, err := resumeOperator(t, opts, path)
+	_, _, err := resumeOPT(t, opts, path)
 	if err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "fail_kind") {
 		t.Fatalf("err = %v, want a fail_kind error naming entry %q", err, bad)
 	}
@@ -275,7 +282,7 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	opts := tinyOpts()
 	path := crashedJournal(t, opts, 1)
 	opts.Seed = 43
-	if _, _, err := resumeOperator(t, opts, path); err == nil {
+	if _, _, err := resumeOPT(t, opts, path); err == nil {
 		t.Fatal("resuming under a different seed must fail the fingerprint check")
 	}
 }
@@ -294,7 +301,7 @@ func TestResumeSalvagesDamagedJournal(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, sal, err := resumeOperator(t, opts, path)
+	st, sal, err := resumeOPT(t, opts, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +319,7 @@ func TestCancelDrainsGracefully(t *testing.T) {
 	opts := tinyOpts()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := RunOperatorContext(ctx, policy.OPT(), opts)
+	st, err := runOperator(ctx, policy.OPT(), opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -337,10 +344,10 @@ func TestStudyDeadlineResumesByteIdentical(t *testing.T) {
 	interrupted.Checkpoint = path
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := RunOperatorContext(ctx, policy.OPT(), interrupted); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := runOperator(ctx, policy.OPT(), interrupted); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("setup: err = %v, want context.DeadlineExceeded", err)
 	}
-	st, sal, err := resumeOperator(t, opts, path)
+	st, sal, err := resumeOPT(t, opts, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"math"
-	"time"
 
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/cell"
@@ -291,6 +290,3 @@ func FindShowcase(d *deploy.Deployment) *deploy.Cluster {
 	}
 	return best
 }
-
-// DefaultDuration is the stationary run length of §4.1.
-const DefaultDuration = 5 * time.Minute

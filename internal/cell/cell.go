@@ -29,9 +29,6 @@ type Ref struct {
 // String renders the paper's ID@FreqChannelNo notation, e.g. "393@521310".
 func (r Ref) String() string { return fmt.Sprintf("%d@%d", r.PCI, r.Channel) }
 
-// IsZero reports whether r is the zero Ref (no cell).
-func (r Ref) IsZero() bool { return r.PCI == 0 && r.Channel == 0 }
-
 // ParseRef parses the ID@FreqChannelNo notation.
 func ParseRef(s string) (Ref, error) {
 	i := strings.IndexByte(s, '@')
@@ -85,9 +82,6 @@ func (c *Cell) FreqMHz() float64 {
 
 // WidthMHz returns the channel width used by this cell.
 func (c *Cell) WidthMHz() float64 { return band.DefaultWidthMHz(c.RAT, c.Channel) }
-
-// Is5G reports whether the cell runs NR.
-func (c *Cell) Is5G() bool { return c.RAT == band.RATNR }
 
 // Group is a cell group: one primary cell plus optional SCells.
 type Group struct {

@@ -61,12 +61,9 @@ func TestCellDerived(t *testing.T) {
 	if f := c.FreqMHz(); f < 2606 || f > 2608 {
 		t.Errorf("Freq = %v", f)
 	}
-	if !c.Is5G() {
-		t.Error("Is5G")
-	}
 	lte := &Cell{Ref: MustRef("380@5815"), RAT: band.RATLTE}
-	if lte.Band() != "17" || lte.Is5G() {
-		t.Errorf("LTE cell: band=%q is5G=%v", lte.Band(), lte.Is5G())
+	if lte.Band() != "17" {
+		t.Errorf("LTE cell: band=%q", lte.Band())
 	}
 }
 

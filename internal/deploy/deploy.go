@@ -150,16 +150,6 @@ type Cluster struct {
 	Cells []*cell.Cell
 }
 
-// CellByRef returns the deployed cell for a ref, or nil.
-func (c *Cluster) CellByRef(r cell.Ref) *cell.Cell {
-	for _, cc := range c.Cells {
-		if cc.Ref == r {
-			return cc
-		}
-	}
-	return nil
-}
-
 // CellsOnChannel returns the cluster's cells on one channel.
 func (c *Cluster) CellsOnChannel(ch int) []*cell.Cell {
 	var out []*cell.Cell

@@ -172,12 +172,6 @@ func TestClusterAccessors(t *testing.T) {
 	area, _ := AreaByID("A2")
 	d := Build(op, area, 5)
 	cl := d.Clusters[0]
-	if c := cl.CellByRef(cl.Cells[0].Ref); c != cl.Cells[0] {
-		t.Error("CellByRef miss")
-	}
-	if cl.CellByRef(cell.Ref{PCI: 9999, Channel: 1}) != nil {
-		t.Error("CellByRef should return nil for unknown refs")
-	}
 	if got := len(cl.CellsOnChannel(-1)); got != 0 {
 		t.Errorf("CellsOnChannel(-1) = %d", got)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"strings"
-	"time"
 
 	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/core"
@@ -41,10 +40,6 @@ func Robustness(c *Context) *Result {
 	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[0] // A1, the showcase area
 	dep := deploy.Build(op, spec, c.Opts.Seed+1)
-	duration := c.Opts.Duration
-	if duration == 0 {
-		duration = 3 * time.Minute
-	}
 
 	// A mixed site panel: loop-prone S1E3 clusters for recall, the
 	// rest for precision (false loops conjured out of corruption).
@@ -79,7 +74,7 @@ func Robustness(c *Context) *Result {
 			seed := c.Opts.Seed + int64(ci)*101 + int64(ri)*13 + 7
 			log := uesim.Run(uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl,
-				Duration: duration, Seed: seed,
+				Duration: c.Opts.Duration, Seed: seed,
 			})
 			truth := core.Analyze(trace.FromLog(log)).HasLoop()
 			runs = append(runs, run{text: log.String(), truth: truth, seed: seed})

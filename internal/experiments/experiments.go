@@ -3,8 +3,9 @@
 // lines (what cmd/campaign prints) and a map of named metric values
 // (what the integration tests assert and EXPERIMENTS.md records).
 //
-// Generators share one lazily-built Context so the expensive sparse
-// study and the dense grid are executed once per process.
+// Generators share one Context over the study its caller ran, so
+// every table and figure renders from one measurement campaign; the
+// dense grids some of them need are built lazily, once per Context.
 package experiments
 
 import (
@@ -41,10 +42,8 @@ func (r *Result) set(key string, v float64) {
 
 // Context shares the expensive datasets across generators.
 type Context struct {
-	Opts campaign.Options
-
-	mu    sync.Mutex
-	study *campaign.Study // guarded by: mu — lazily materialized by Study
+	Opts  campaign.Options
+	study *campaign.Study
 
 	denseOnce sync.Once
 	densePts  []campaign.DensePoint
@@ -55,31 +54,16 @@ type Context struct {
 	denseS1Pts  []campaign.DensePoint
 }
 
-// NewContext builds a context; the zero Options give the full-scale
-// study.
-func NewContext(opts campaign.Options) *Context {
-	return &Context{Opts: opts}
-}
-
-// NewContextWithStudy builds a context over an already-materialized
-// study — e.g. one resumed from a checkpoint journal — so generators
-// render from it instead of running their own. The study's own options
-// seed the context's derived datasets.
+// NewContextWithStudy builds a context over a study its caller ran
+// (campaign.RunContext) or resumed from a checkpoint journal
+// (campaign.Resume); generators render from it and never run their
+// own. The study's options seed the context's derived datasets.
 func NewContextWithStudy(st *campaign.Study) *Context {
 	return &Context{Opts: st.Opts, study: st}
 }
 
-// Study lazily runs the sparse measurement study.
-//
-// locks: mu
-func (c *Context) Study() *campaign.Study {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.study == nil {
-		c.study = campaign.Run(c.Opts)
-	}
-	return c.study
-}
+// Study returns the sparse measurement study the context renders from.
+func (c *Context) Study() *campaign.Study { return c.study }
 
 // denseSpacingM and denseSteps define the Fig. 20 grid (7×7 at 45 m ≈
 // the paper's "over 30 locations near P16").

@@ -1,15 +1,34 @@
 package experiments
 
 import (
+	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/mssn/loopscope/internal/campaign"
 )
 
-// fullCtx runs the study at full paper scale (5-minute runs, all runs
-// per location). It is shared by every finding assertion below.
-var fullCtx = NewContext(campaign.Options{Seed: 42})
+// fullCtx is the context every finding assertion below shares: the
+// study at full paper scale (5-minute runs, all runs per location), run
+// once on first use.
+var fullCtx = sync.OnceValues(func() (*Context, error) {
+	st, err := campaign.RunContext(context.Background(), campaign.Options{Seed: 42})
+	if err != nil {
+		return nil, err
+	}
+	return NewContextWithStudy(st), nil
+})
+
+// full returns fullCtx, failing the test when its study failed.
+func full(t *testing.T) *Context {
+	t.Helper()
+	c, err := fullCtx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // val fetches a named metric from an experiment, failing loudly when
 // the metric is missing.
@@ -19,7 +38,7 @@ func val(t *testing.T, id, key string) float64 {
 	if !ok {
 		t.Fatalf("unknown experiment %s", id)
 	}
-	res := g.Run(fullCtx)
+	res := g.Run(full(t))
 	v, ok := res.Values[key]
 	if !ok {
 		t.Fatalf("%s: metric %q missing (have %v)", id, key, sortedKeys(res.Values))
@@ -123,7 +142,7 @@ func TestFindingF5F6Devices(t *testing.T) {
 		t.Skip("full-scale study")
 	}
 	g, _ := ByID("fig12")
-	res := g.Run(fullCtx)
+	res := g.Run(full(t))
 	for _, op := range []string{"OPA", "OPV"} {
 		for _, dev := range []string{"OnePlus 13R", "OnePlus 13", "OnePlus 12R", "Samsung S23", "Google Pixel 5"} {
 			r := res.Values["ratio_"+op+"_"+dev]
@@ -145,7 +164,7 @@ func TestFindingF7F13Breakdown(t *testing.T) {
 		t.Skip("full-scale study")
 	}
 	g, _ := ByID("fig16")
-	res := g.Run(fullCtx)
+	res := g.Run(full(t))
 	get := func(key string) float64 { return res.Values[key] }
 
 	between(t, "OPT S1E3 share", get("share_OPT_S1E3"), 0.45, 0.8)
@@ -300,7 +319,12 @@ func TestShowcaseWalkthrough(t *testing.T) {
 // TestAllExperimentsProduceOutput is the cheap smoke test kept from
 // development: every generator runs and emits lines at reduced scale.
 func TestAllExperimentsProduceOutput(t *testing.T) {
-	c := NewContext(campaign.Options{Seed: 42, Duration: 150 * time.Second, RunScale: 0.5})
+	st, err := campaign.RunContext(context.Background(),
+		campaign.Options{Seed: 42, Duration: 150 * time.Second, RunScale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewContextWithStudy(st)
 	for _, g := range All() {
 		res := g.Run(c)
 		if len(res.Lines) == 0 {
@@ -383,7 +407,7 @@ func TestMitigations(t *testing.T) {
 		t.Skip("full-scale study")
 	}
 	g, _ := ByID("mitigation")
-	res := g.Run(fullCtx)
+	res := g.Run(full(t))
 	for _, arch := range []string{"s1e2", "s1e3", "n2e1"} {
 		before := res.Values["before_"+arch]
 		after := res.Values["after_"+arch]

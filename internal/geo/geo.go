@@ -52,25 +52,9 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the rectangle's vertical extent in meters.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// AreaKm2 returns the rectangle's surface in square kilometers.
-func (r Rect) AreaKm2() float64 { return r.Width() * r.Height() / 1e6 }
-
-// Center returns the rectangle's midpoint.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Contains reports whether p lies inside (or on the border of) r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Clamp returns p moved to the nearest point inside r.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Max(r.Min.X, math.Min(r.Max.X, p.X)),
-		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
-	}
 }
 
 // SampleSparse draws n locations inside r that are pairwise at least
@@ -121,20 +105,6 @@ func DenseGrid(c Point, spacing float64, steps int) []Point {
 		for j := -steps; j <= steps; j++ {
 			pts = append(pts, Point{c.X + float64(i)*spacing, c.Y + float64(j)*spacing})
 		}
-	}
-	return pts
-}
-
-// Waypoints returns count points linearly interpolated from a to b
-// inclusive, used by walking experiments.
-func Waypoints(a, b Point, count int) []Point {
-	if count < 2 {
-		return []Point{a}
-	}
-	pts := make([]Point, count)
-	for i := range pts {
-		t := float64(i) / float64(count-1)
-		pts[i] = Point{a.X + t*(b.X-a.X), a.Y + t*(b.Y-a.Y)}
 	}
 	return pts
 }

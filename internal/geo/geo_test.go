@@ -39,17 +39,8 @@ func TestRect(t *testing.T) {
 	if r.Width() != 10 || r.Height() != 20 {
 		t.Errorf("dims: %v x %v", r.Width(), r.Height())
 	}
-	if got := r.AreaKm2(); math.Abs(got-200.0/1e6) > 1e-12 {
-		t.Errorf("AreaKm2 = %v", got)
-	}
-	if c := r.Center(); c != (Point{5, 10}) {
-		t.Errorf("Center = %v", c)
-	}
 	if !r.Contains(Point{5, 5}) || r.Contains(Point{-1, 5}) {
 		t.Error("Contains wrong")
-	}
-	if p := r.Clamp(Point{-3, 25}); p != (Point{0, 20}) {
-		t.Errorf("Clamp = %v", p)
 	}
 }
 
@@ -106,19 +97,6 @@ func TestDenseGrid(t *testing.T) {
 		if !found[want] {
 			t.Errorf("missing grid point %v", want)
 		}
-	}
-}
-
-func TestWaypoints(t *testing.T) {
-	pts := Waypoints(Point{0, 0}, Point{100, 0}, 5)
-	if len(pts) != 5 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0] != (Point{0, 0}) || pts[4] != (Point{100, 0}) || pts[2] != (Point{50, 0}) {
-		t.Errorf("waypoints = %v", pts)
-	}
-	if got := Waypoints(Point{1, 2}, Point{9, 9}, 1); len(got) != 1 || got[0] != (Point{1, 2}) {
-		t.Errorf("degenerate waypoints = %v", got)
 	}
 }
 

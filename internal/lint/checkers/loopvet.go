@@ -72,8 +72,6 @@ var LayeringRules = map[string]Rule{
 	"campaign": {Allow: []string{"band", "cell", "checkpoint", "core", "deploy", "device", "faults", "geo", "meas",
 		"obs", "policy", "rrc", "sig", "throughput", "trace", "uesim", "units"},
 		Reason: "the campaign runner orchestrates simulation and analysis end-to-end"},
-	"campaign/crashtest": {Allow: []string{"campaign", "checkpoint", "policy"},
-		Reason: "the kill-and-resume harness drives the campaign engine's fault point from outside; it needs no other layer"},
 	"experiments": {Allow: []string{"band", "campaign", "cell", "core", "deploy", "device", "faults", "geo",
 		"meas", "policy", "radio", "sig", "stats", "throughput", "trace", "uesim", "viz", "units"},
 		Reason: "experiment generators may reach every layer to reproduce the paper's tables and figures"},

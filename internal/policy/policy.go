@@ -128,11 +128,6 @@ type A2B1Legacy struct {
 	B1ThreshRSRPDBm units.DBm // add candidate NR above this
 }
 
-// DeadBand reports whether a median RSRP falls in the oscillation band.
-func (l A2B1Legacy) DeadBand(rsrpDBm units.DBm) bool {
-	return rsrpDBm > l.B1ThreshRSRPDBm && rsrpDBm < l.A2ThreshRSRPDBm
-}
-
 // OPALegacy is OPA as prior measurement studies (2021–2023) saw it:
 // the same deployment with the uncoordinated A2/B1 thresholds that
 // produced the historical A2-B1 loops. Comparing it against OPA() is

@@ -137,12 +137,6 @@ func TestOPALegacy(t *testing.T) {
 	if op.LegacyA2B1.B1ThreshRSRPDBm >= op.LegacyA2B1.A2ThreshRSRPDBm {
 		t.Error("legacy band closed; no oscillation possible")
 	}
-	if !op.LegacyA2B1.DeadBand(-114) {
-		t.Error("-114 dBm should be inside the dead band")
-	}
-	if op.LegacyA2B1.DeadBand(-105) || op.LegacyA2B1.DeadBand(-125) {
-		t.Error("outside values should not be in the dead band")
-	}
 	// The legacy profile keeps OPA's deployment but renames itself.
 	if op.Name == OPA().Name {
 		t.Error("legacy profile must be distinguishable")

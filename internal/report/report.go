@@ -16,34 +16,22 @@ import (
 	"github.com/mssn/loopscope/internal/experiments"
 )
 
-// Options configures report generation.
-type Options struct {
-	// Study options forwarded to the experiment context.
-	Campaign campaign.Options
-	// IDs restricts the experiments to include (nil = all).
-	IDs []string
-	// Title overrides the default document title.
-	Title string
-}
-
-// Write renders the full report to w.
-func Write(w io.Writer, opts Options) error {
-	ctx := experiments.NewContext(opts.Campaign)
-	title := opts.Title
-	if title == "" {
-		title = "5G ON-OFF loop study — generated report"
-	}
-	if _, err := fmt.Fprintf(w, "# %s\n\n", title); err != nil {
+// Write renders the report of the study st to w: the experiments ids
+// names, in that order (unknown IDs are skipped), or every experiment
+// for nil.
+func Write(w io.Writer, st *campaign.Study, ids []string) error {
+	ctx := experiments.NewContextWithStudy(st)
+	if _, err := fmt.Fprint(w, "# 5G ON-OFF loop study — generated report\n\n"); err != nil {
 		return err
 	}
-	if err := writeSummary(w, ctx); err != nil {
+	if err := writeSummary(w, st); err != nil {
 		return err
 	}
 
 	gens := experiments.All()
-	if opts.IDs != nil {
+	if ids != nil {
 		var filtered []experiments.Generator
-		for _, id := range opts.IDs {
+		for _, id := range ids {
 			if g, ok := experiments.ByID(id); ok {
 				filtered = append(filtered, g)
 			}
@@ -86,8 +74,7 @@ func Write(w io.Writer, opts Options) error {
 }
 
 // writeSummary prints the study-scale header.
-func writeSummary(w io.Writer, ctx *experiments.Context) error {
-	st := ctx.Study()
+func writeSummary(w io.Writer, st *campaign.Study) error {
 	var runs, loops int
 	forms := map[core.Form]int{}
 	for _, rec := range st.Records("") {

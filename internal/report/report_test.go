@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,18 +10,18 @@ import (
 )
 
 func TestWriteReport(t *testing.T) {
-	var b strings.Builder
-	opts := Options{
-		Campaign: campaign.Options{Seed: 3, Duration: 120 * time.Second, RunScale: 0.25},
-		IDs:      []string{"table4", "fig13"},
-		Title:    "test report",
+	st, err := campaign.RunContext(context.Background(),
+		campaign.Options{Seed: 3, Duration: 120 * time.Second, RunScale: 0.25})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Write(&b, opts); err != nil {
+	var b strings.Builder
+	if err := Write(&b, st, []string{"table4", "fig13"}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# test report",
+		"# 5G ON-OFF loop study — generated report\n",
 		"stationary runs",
 		"## table4",
 		"## fig13",
@@ -37,15 +38,16 @@ func TestWriteReport(t *testing.T) {
 }
 
 func TestWriteReportDefaultTitle(t *testing.T) {
-	var b strings.Builder
-	opts := Options{
-		Campaign: campaign.Options{Seed: 3, Duration: 90 * time.Second, RunScale: 0.2},
-		IDs:      []string{"table4"},
-	}
-	if err := Write(&b, opts); err != nil {
+	st, err := campaign.RunContext(context.Background(),
+		campaign.Options{Seed: 3, Duration: 90 * time.Second, RunScale: 0.2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "# 5G ON-OFF loop study") {
+	var b strings.Builder
+	if err := Write(&b, st, []string{"table4"}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(b.String(), "# 5G ON-OFF loop study") {
 		t.Error("default title missing")
 	}
 }

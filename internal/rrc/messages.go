@@ -174,9 +174,6 @@ func (m Reconfig) Kind() string {
 // RAT implements Message.
 func (m Reconfig) RAT() band.RAT { return m.Rat }
 
-// IsHandover reports whether the reconfiguration changes the PCell.
-func (m Reconfig) IsHandover() bool { return m.Mobility != nil }
-
 // KeepsSCG reports whether a handover reconfiguration re-provisions the
 // SCG; Appendix B: mobilityControlInfo without spCellConfig loses 5G.
 func (m Reconfig) KeepsSCG() bool { return m.SpCell != nil }

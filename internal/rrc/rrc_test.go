@@ -69,15 +69,15 @@ func TestReconfigHelpers(t *testing.T) {
 	mob := ref("97@5145")
 	sp := ref("53@632736")
 	plain := Reconfig{Rat: band.RATLTE}
-	if plain.IsHandover() || plain.KeepsSCG() {
+	if plain.KeepsSCG() {
 		t.Error("plain reconfig flags wrong")
 	}
 	ho := Reconfig{Rat: band.RATLTE, Mobility: &mob}
-	if !ho.IsHandover() || ho.KeepsSCG() {
+	if ho.KeepsSCG() {
 		t.Error("handover flags wrong")
 	}
 	hoKeep := Reconfig{Rat: band.RATLTE, Mobility: &mob, SpCell: &sp}
-	if !hoKeep.IsHandover() || !hoKeep.KeepsSCG() {
+	if !hoKeep.KeepsSCG() {
 		t.Error("SCG-carrying handover flags wrong")
 	}
 }

@@ -1,8 +1,8 @@
 // Package stats implements the small statistical toolkit the
-// measurement analysis needs: order statistics, empirical CDFs,
-// five-number ("violin") summaries, Spearman rank correlation, and mean
-// squared error. Everything is stdlib-only and allocation-conscious so
-// the benchmark harness can run it over tens of thousands of samples.
+// measurement analysis needs: order statistics, five-number ("violin")
+// summaries, Spearman rank correlation, and mean squared error.
+// Everything is stdlib-only and allocation-conscious so the benchmark
+// harness can run it over tens of thousands of samples.
 package stats
 
 import (
@@ -59,20 +59,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // MAD returns the median absolute deviation around the median, the
 // robust spread the paper quotes as "median ± deviation" in Table 2.
 func MAD(xs []float64) float64 {
@@ -120,56 +106,6 @@ func Summarize(xs []float64) Summary {
 		Max:    s[len(s)-1],
 		Mean:   Mean(s),
 	}
-}
-
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs. The input is copied.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// N returns the number of samples behind the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X ≤ x), in [0, 1].
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	// Include equal elements.
-	for i < len(c.sorted) && c.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1).
-func (c *CDF) Quantile(q float64) float64 { return percentileSorted(c.sorted, q*100) }
-
-// Points returns n evenly spaced (value, probability) pairs suitable for
-// plotting the CDF as a line series.
-func (c *CDF) Points(n int) (values, probs []float64) {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil, nil
-	}
-	values = make([]float64, n)
-	probs = make([]float64, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		if n == 1 {
-			q = 0.5
-		}
-		values[i] = percentileSorted(c.sorted, q*100)
-		probs[i] = q
-	}
-	return values, probs
 }
 
 // Spearman returns the Spearman rank correlation coefficient between xs

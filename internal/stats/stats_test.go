@@ -45,9 +45,6 @@ func TestMeanStdDevMAD(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v", got)
-	}
 	// median is 4.5, so six of eight deviations are 0.5.
 	if got := MAD(xs); got != 0.5 {
 		t.Errorf("MAD = %v", got)
@@ -55,7 +52,7 @@ func TestMeanStdDevMAD(t *testing.T) {
 	if got := MAD([]float64{1, 1, 2, 2, 4, 6, 9}); got != 1 {
 		t.Errorf("MAD odd-count = %v", got)
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev(nil)) || !math.IsNaN(MAD(nil)) {
+	if !math.IsNaN(Mean(nil)) || !math.IsNaN(MAD(nil)) {
 		t.Error("empty inputs should give NaN")
 	}
 }
@@ -74,48 +71,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.N != 0 {
 		t.Errorf("empty Summarize = %+v", z)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	if got := c.At(0); got != 0 {
-		t.Errorf("At(0) = %v", got)
-	}
-	if got := c.At(2); got != 0.75 {
-		t.Errorf("At(2) = %v", got)
-	}
-	if got := c.At(5); got != 1 {
-		t.Errorf("At(5) = %v", got)
-	}
-	if got := c.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %v", got)
-	}
-	vals, probs := c.Points(5)
-	if len(vals) != 5 || len(probs) != 5 || vals[0] != 1 || vals[4] != 3 {
-		t.Errorf("Points = %v %v", vals, probs)
-	}
-	if c.N() != 4 {
-		t.Errorf("N = %d", c.N())
-	}
-}
-
-// TestCDFMonotone property: At is nondecreasing.
-func TestCDFMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 10
-	}
-	c := NewCDF(xs)
-	f := func(a, b float64) bool {
-		if a > b {
-			a, b = b, a
-		}
-		return c.At(a) <= c.At(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

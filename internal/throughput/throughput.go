@@ -108,17 +108,6 @@ func lognorm(median, sigma float64, rng *rand.Rand) float64 {
 	return median * math.Exp(rng.NormFloat64()*sigma)
 }
 
-// WindowStats summarizes speeds inside [from, to).
-func WindowStats(samples []Sample, from, to time.Duration) []float64 {
-	var xs []float64
-	for _, s := range samples {
-		if s.At >= from && s.At < to {
-			xs = append(xs, s.Mbps)
-		}
-	}
-	return xs
-}
-
 // CycleSpeed is the per-cycle speed summary of Fig. 11: the median
 // download speed during the ON and OFF portions of one loop cycle.
 type CycleSpeed struct {

@@ -153,14 +153,6 @@ func TestAggregateWidthScales(t *testing.T) {
 	}
 }
 
-func TestWindowStats(t *testing.T) {
-	samples := []Sample{{0, 1}, {time.Second, 2}, {2 * time.Second, 3}}
-	xs := WindowStats(samples, time.Second, 3*time.Second)
-	if len(xs) != 2 || xs[0] != 2 || xs[1] != 3 {
-		t.Errorf("WindowStats = %v", xs)
-	}
-}
-
 func TestCycleSpeeds(t *testing.T) {
 	tl := saLoopTimeline()
 	samples := Generate(tl, policy.OPT(), 9)

@@ -36,24 +36,6 @@ func Bar(label string, value, maxValue float64, width int, suffix string) string
 	return b.String()
 }
 
-// BarGroup renders a series of bars on a shared scale.
-func BarGroup(labels []string, values []float64, width int, format string) []string {
-	maxV := 0.0
-	for _, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	out := make([]string, 0, len(labels))
-	for i, l := range labels {
-		if i >= len(values) {
-			break
-		}
-		out = append(out, Bar(l, values[i], maxV, width, fmt.Sprintf(format, values[i])))
-	}
-	return out
-}
-
 // CDF renders an empirical CDF as an height×width character grid with
 // axis annotations. Values are sorted internally.
 func CDF(values []float64, width, height int, unit string) []string {

@@ -35,19 +35,6 @@ func TestBarHalfCell(t *testing.T) {
 	}
 }
 
-func TestBarGroup(t *testing.T) {
-	lines := BarGroup([]string{"a", "b"}, []float64{1, 2}, 8, "%.0f")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if strings.Count(lines[0], "█") >= strings.Count(lines[1], "█") {
-		t.Errorf("relative scaling wrong:\n%s\n%s", lines[0], lines[1])
-	}
-	if got := BarGroup([]string{"a", "b", "c"}, []float64{1}, 8, "%.0f"); len(got) != 1 {
-		t.Errorf("length mismatch handling: %d lines", len(got))
-	}
-}
-
 func TestCDFShape(t *testing.T) {
 	values := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	lines := CDF(values, 30, 8, "s")

@@ -29,7 +29,6 @@ package loopscope
 import (
 	"context"
 	"io"
-	"time"
 
 	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/cell"
@@ -367,26 +366,11 @@ type ExperimentResult struct {
 	Values map[string]float64
 }
 
-// Experiments regenerates the paper's tables and figures by ID (e.g.
-// "fig6", "table5"; see ExperimentIDs for the catalogue), all sharing
-// one underlying study dataset. Unknown IDs are skipped; nil runs
-// everything in presentation order. The options scale the study; the
-// zero value reproduces the full-size experiments.
-func Experiments(ids []string, opts StudyOptions) []ExperimentResult {
-	return runExperiments(ids, experiments.NewContext(opts))
-}
-
-// ExperimentsWithStudy is Experiments over an already-materialized
-// study — typically one resumed from a checkpoint journal — so the
-// tables and figures render without re-running it. Output is identical
-// to Experiments with the study's options.
+// ExperimentsWithStudy regenerates the paper's tables and figures by
+// ID (e.g. "fig6", "table5"; see ExperimentIDs for the catalogue) from
+// one study the caller ran (RunStudy) or resumed (ResumeStudy). Unknown
+// IDs are skipped; nil renders everything in presentation order.
 func ExperimentsWithStudy(ids []string, st *Study) []ExperimentResult {
-	return runExperiments(ids, experiments.NewContextWithStudy(st))
-}
-
-// runExperiments renders the generators ids selects (all for nil) over
-// one shared context.
-func runExperiments(ids []string, ctx *experiments.Context) []ExperimentResult {
 	var gens []experiments.Generator
 	if ids == nil {
 		gens = experiments.All()
@@ -397,6 +381,7 @@ func runExperiments(ids []string, ctx *experiments.Context) []ExperimentResult {
 			}
 		}
 	}
+	ctx := experiments.NewContextWithStudy(st)
 	out := make([]ExperimentResult, 0, len(gens))
 	for _, g := range gens {
 		res := g.Run(ctx)
@@ -415,4 +400,4 @@ func ExperimentIDs() map[string]string {
 }
 
 // DefaultRunDuration is the stationary-run length of the study (§4.1).
-const DefaultRunDuration = 5 * time.Minute
+const DefaultRunDuration = campaign.DefaultDuration

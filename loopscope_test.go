@@ -95,8 +95,12 @@ func TestFacadeExperiments(t *testing.T) {
 	if len(ids) < 20 {
 		t.Fatalf("experiment catalogue = %d entries", len(ids))
 	}
-	opts := loopscope.StudyOptions{Seed: 1, Duration: 90 * time.Second, RunScale: 0.25}
-	batch := loopscope.Experiments([]string{"table4", "nope", "fig13"}, opts)
+	st, err := loopscope.RunStudy(context.Background(),
+		loopscope.StudyOptions{Seed: 1, Duration: 90 * time.Second, RunScale: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := loopscope.ExperimentsWithStudy([]string{"table4", "nope", "fig13"}, st)
 	if len(batch) != 2 || batch[0].ID != "table4" || batch[1].ID != "fig13" {
 		t.Fatalf("batch = %+v, want table4 and fig13 with the unknown ID skipped", batch)
 	}
