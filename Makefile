@@ -45,12 +45,12 @@ lint: loopvet
 LOOPVET_BUDGET ?= 30s
 
 loopvet:
-	$(GO) run ./cmd/loopvet -stats -budget $(LOOPVET_BUDGET) ./...
+	$(GO) run ./cmd/loopvet -budget $(LOOPVET_BUDGET) ./...
 
 # loopvet-stats writes the machine-readable per-analyzer cost/yield
 # report CI uploads as an artifact.
 loopvet-stats:
-	$(GO) run ./cmd/loopvet -stats -budget $(LOOPVET_BUDGET) -json ./... > loopvet-stats.json
+	$(GO) run ./cmd/loopvet -budget $(LOOPVET_BUDGET) -json ./... > loopvet-stats.json
 
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...

@@ -12,28 +12,24 @@
 // Usage:
 //
 //	go run ./cmd/loopvet ./...                 lint the whole module
+//	go run ./cmd/loopvet ./internal/sig/...    lint one subtree
 //	go run ./cmd/loopvet -json ./...           machine-readable output for CI
 //	go run ./cmd/loopvet -waivers ./...        list the //lint:ignore inventory
-//	go run ./cmd/loopvet -stats ./...          per-analyzer wall time and yield
-//	go run ./cmd/loopvet -only lockcheck ./... run a subset of the suite
-//	go run ./cmd/loopvet -skip hotalloc ./...  run all but a subset
+//	go run ./cmd/loopvet -budget 30s ./...     per-analyzer cost table and time gate
 //
-// -only and -skip take comma-separated analyzer names from the usage
-// listing; naming an unknown analyzer, or a selection that leaves no
-// analyzer to run, is a usage error. Exactly the selected analyzers
-// run. With -json the findings mode emits an object {"analyzers":
-// [...], "findings": [...]} so CI can see which analyzers actually
-// gated the run.
+// Every run runs the whole suite. A pattern ending in "/..." names
+// every package below its directory, as with go vet. With -json the
+// findings mode emits an object {"analyzers": [...], "findings":
+// [...]} naming the suite that gated the run.
 //
-// -stats appends a per-analyzer cost table — wall time summed over
+// -budget appends a per-analyzer cost table — wall time summed over
 // every package pass plus surviving finding counts, with a "callgraph"
 // pseudo-entry for the shared module-wide call-graph build — after the
-// findings (under -json the object gains a "stats" key). -budget, which
-// implies -stats, turns the table into a gate: if any single entry
-// exceeds the duration (e.g. -budget 30s), the run exits 1 even when
-// the tree is clean, so an analyzer that quietly grows quadratic cost
-// fails CI instead of taxing every developer. A negative -budget is a
-// usage error.
+// findings (under -json the object gains a "stats" key), and turns it
+// into a gate: if any single entry exceeds the duration, the run exits
+// 1 even when the tree is clean, so an analyzer that quietly grows
+// quadratic cost fails CI instead of taxing every developer. A
+// negative -budget is a usage error.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error. Findings
 // can be waived in source with
@@ -44,7 +40,8 @@
 // reports nothing on the covered lines is stale and is itself a
 // finding; -waivers lists every waiver with its used/unused status
 // (always exit 0 — it is an inventory, the gate stays with the normal
-// mode). See docs/ANALYSIS.md.
+// mode). -waivers has no JSON form, so -waivers -json is a usage
+// error. See docs/ANALYSIS.md.
 package main
 
 import (
@@ -59,7 +56,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/mssn/loopscope/internal/lint/analysis"
 	"github.com/mssn/loopscope/internal/lint/checkers"
 	"github.com/mssn/loopscope/internal/lint/driver"
 )
@@ -75,12 +71,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON output")
 	waiversOut := fs.Bool("waivers", false, "list the //lint:ignore waiver inventory instead of findings")
-	statsOut := fs.Bool("stats", false, "append per-analyzer wall time and finding counts")
-	budget := fs.Duration("budget", 0, "fail if any single analyzer (or the callgraph build) exceeds this wall time; implies -stats")
-	only := fs.String("only", "", "comma-separated analyzer names to run; everything else is skipped")
-	skip := fs.String("skip", "", "comma-separated analyzer names to skip")
+	budget := fs.Duration("budget", 0, "print per-analyzer wall time and findings; fail if any entry exceeds this duration")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: loopvet [-json] [-waivers] [-stats] [-budget dur] [-only names] [-skip names] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: loopvet [-json | -waivers] [-budget dur] [packages]\n\nFlags:\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nAnalyzers:\n")
 		for _, a := range checkers.Suite("") {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -92,16 +87,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "loopvet: -budget %s is negative\n", *budget)
 		return 2
 	}
+	if *waiversOut && *jsonOut {
+		fmt.Fprintln(stderr, "loopvet: -waivers has no JSON form; drop -json")
+		return 2
+	}
 	root, modPath, err := findModule()
 	if err != nil {
 		fmt.Fprintln(stderr, "loopvet:", err)
 		return 2
 	}
-	analyzers, err := selectAnalyzers(checkers.Suite(modPath), *only, *skip)
-	if err != nil {
-		fmt.Fprintln(stderr, "loopvet:", err)
-		return 2
-	}
+	analyzers := checkers.Suite(modPath)
 	res, err := driver.Run(driver.Options{
 		ModulePath: modPath,
 		ModuleRoot: root,
@@ -116,19 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	w := bufio.NewWriter(stdout)
 	defer w.Flush()
 	if *waiversOut {
-		if *jsonOut {
-			waivers := res.Waivers
-			if waivers == nil {
-				waivers = []driver.Waiver{}
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(waivers); err != nil {
-				fmt.Fprintln(stderr, "loopvet:", err)
-				return 2
-			}
-			return 0
-		}
 		for _, wv := range res.Waivers {
 			status := "used"
 			if !wv.Used {
@@ -138,9 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				wv.File, wv.Line, strings.Join(wv.Analyzers, ",loopvet/"), status, wv.Reason)
 		}
 		return 0
-	}
-	if *budget > 0 {
-		*statsOut = true
 	}
 	if *jsonOut {
 		if findings == nil {
@@ -155,11 +134,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Findings  []driver.Finding `json:"findings"`
 			Stats     []driver.Stat    `json:"stats,omitempty"`
 		}{names, findings, nil}
-		if *statsOut {
+		if *budget > 0 {
 			report.Stats = res.Stats
-			if report.Stats == nil {
-				report.Stats = []driver.Stat{}
-			}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -171,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, f := range findings {
 			fmt.Fprintln(w, f)
 		}
-		if *statsOut {
+		if *budget > 0 {
 			fmt.Fprintf(w, "%-12s %10s %9s\n", "analyzer", "wall_ms", "findings")
 			for _, s := range res.Stats {
 				fmt.Fprintf(w, "%-12s %10.1f %9d\n", s.Analyzer, s.WallMS, s.Findings)
@@ -193,57 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers applies the -only and -skip selections to the suite.
-// Names must match suite analyzers exactly; an unknown name, or a
-// selection that leaves nothing to run, is a usage error (a typo
-// silently running the full suite — or none of it — would defeat the
-// point of the gate).
-func selectAnalyzers(suite []*analysis.Analyzer, only, skip string) ([]*analysis.Analyzer, error) {
-	known := map[string]bool{}
-	for _, a := range suite {
-		known[a.Name] = true
-	}
-	parse := func(flagName, list string) (map[string]bool, error) {
-		if list == "" {
-			return nil, nil
-		}
-		set := map[string]bool{}
-		for _, name := range strings.Split(list, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("-%s: unknown analyzer %q (see loopvet -h for the list)", flagName, name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse("only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("skip", skip)
-	if err != nil {
-		return nil, err
-	}
-	var out []*analysis.Analyzer
-	for _, a := range suite {
-		if onlySet != nil && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-only %q -skip %q selects no analyzer (see loopvet -h for the list)", only, skip)
-	}
-	return out, nil
 }
 
 var moduleRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)

@@ -44,6 +44,39 @@ func TestRunSeededRegression(t *testing.T) {
 	}
 }
 
+// TestRunSubtreePattern checks that a pattern ending in "/..." names
+// every package below its directory, as with go vet: the whole of
+// badmod lives under internal/, and core's subtree holds exactly its
+// layering and exhaustive findings.
+func TestRunSubtreePattern(t *testing.T) {
+	bad, err := filepath.Abs(filepath.Join("..", "..", "internal", "lint", "driver", "testdata", "badmod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chdir(t, bad)
+	lint := func(pattern string) []string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := run([]string{pattern}, &out, &errOut); code != 1 {
+			t.Fatalf("%s: exit code = %d, want 1; stderr: %s", pattern, code, errOut.String())
+		}
+		return strings.Split(strings.TrimSpace(out.String()), "\n")
+	}
+	all := lint("./...")
+	if len(all) != 5 {
+		t.Fatalf("./... printed %d findings, want 5:\n%s", len(all), strings.Join(all, "\n"))
+	}
+	if got := lint("./internal/..."); strings.Join(got, "\n") != strings.Join(all, "\n") {
+		t.Errorf("./internal/... findings differ from ./...:\n%s", strings.Join(got, "\n"))
+	}
+	core := lint("./internal/core/...")
+	if len(core) != 2 ||
+		!strings.HasPrefix(core[0], "internal/core/core.go:") || !strings.Contains(core[0], "loopvet/layering") ||
+		!strings.HasPrefix(core[1], "internal/core/core.go:") || !strings.Contains(core[1], "loopvet/exhaustive") {
+		t.Errorf("./internal/core/... = %q, want core's layering and exhaustive findings", core)
+	}
+}
+
 // TestRunJSON checks the machine-readable output mode.
 func TestRunJSON(t *testing.T) {
 	bad, err := filepath.Abs(filepath.Join("..", "..", "internal", "lint", "driver", "testdata", "badmod"))
@@ -100,80 +133,6 @@ func contains(list []string, s string) bool {
 	return false
 }
 
-// TestRunOnly narrows the suite to one analyzer: only its findings
-// gate the run, and the JSON report names exactly that analyzer.
-func TestRunOnly(t *testing.T) {
-	bad, err := filepath.Abs(filepath.Join("..", "..", "internal", "lint", "driver", "testdata", "badmod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chdir(t, bad)
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-json", "-only", "determinism", "./..."}, &out, &errOut); code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errOut.String())
-	}
-	var report jsonReport
-	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
-		t.Fatalf("output is not a JSON report object: %v\n%s", err, out.String())
-	}
-	if len(report.Analyzers) != 1 || report.Analyzers[0] != "determinism" {
-		t.Errorf("analyzers = %v, want [determinism]", report.Analyzers)
-	}
-	if len(report.Findings) != 2 {
-		t.Errorf("got %d findings, want the 2 determinism ones", len(report.Findings))
-	}
-	for _, f := range report.Findings {
-		if f.Analyzer != "determinism" {
-			t.Errorf("finding from %s leaked through -only determinism", f.Analyzer)
-		}
-	}
-}
-
-// TestRunSkip removes the analyzers that fire on the seeded module:
-// with all of them skipped the run is clean.
-func TestRunSkip(t *testing.T) {
-	bad, err := filepath.Abs(filepath.Join("..", "..", "internal", "lint", "driver", "testdata", "badmod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chdir(t, bad)
-	var out, errOut bytes.Buffer
-	code := run([]string{"-skip", "determinism,layering,exhaustive,floatcmp", "./..."}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; output: %s%s", code, out.String(), errOut.String())
-	}
-}
-
-// TestRunUnknownAnalyzer checks that a typo in a selection flag, or a
-// selection that leaves nothing to run, is a usage error, not a
-// silently mis-scoped (or empty, and so always passing) run.
-func TestRunUnknownAnalyzer(t *testing.T) {
-	var all []string
-	for _, a := range checkers.Suite("") {
-		all = append(all, a.Name)
-	}
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-only", "nosuch"}, `unknown analyzer "nosuch"`},
-		{[]string{"-skip", "nosuch"}, `unknown analyzer "nosuch"`},
-		{[]string{"-only", ","}, "selects no analyzer"},
-		{[]string{"-json", "-only", ","}, "selects no analyzer"},
-		{[]string{"-only", " "}, "selects no analyzer"},
-		{[]string{"-skip", strings.Join(all, ",")}, "selects no analyzer"},
-	} {
-		var out, errOut bytes.Buffer
-		if code := run(append(tc.args, "./..."), &out, &errOut); code != 2 {
-			t.Errorf("%q: exit code = %d, want 2; stdout: %s", tc.args, code, out.String())
-			continue
-		}
-		if !strings.Contains(errOut.String(), tc.want) {
-			t.Errorf("%q: stderr %q is missing %q", tc.args, errOut.String(), tc.want)
-		}
-	}
-}
-
 // TestRunWaiversList checks the -waivers inventory mode: every waiver
 // is listed with its used/unused status, and the mode exits 0 — the
 // findings gate stays with the normal mode.
@@ -204,40 +163,6 @@ func TestRunWaiversList(t *testing.T) {
 	}
 }
 
-// TestRunWaiversJSON checks the machine-readable inventory.
-func TestRunWaiversJSON(t *testing.T) {
-	stale, err := filepath.Abs(filepath.Join("..", "..", "internal", "lint", "driver", "testdata", "stalemod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chdir(t, stale)
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-waivers", "-json", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr: %s", code, errOut.String())
-	}
-	var waivers []struct {
-		File      string   `json:"file"`
-		Line      int      `json:"line"`
-		Analyzers []string `json:"analyzers"`
-		Reason    string   `json:"reason"`
-		Used      bool     `json:"used"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &waivers); err != nil {
-		t.Fatalf("output is not a JSON waiver array: %v\n%s", err, out.String())
-	}
-	if len(waivers) != 2 {
-		t.Fatalf("got %d JSON waivers, want 2", len(waivers))
-	}
-	if !waivers[0].Used || waivers[1].Used {
-		t.Errorf("used flags = [%v %v], want [true false]", waivers[0].Used, waivers[1].Used)
-	}
-	for _, w := range waivers {
-		if w.File == "" || w.Line == 0 || len(w.Analyzers) == 0 || w.Reason == "" {
-			t.Errorf("incomplete waiver entry: %+v", w)
-		}
-	}
-}
-
 // TestRunCleanPackage checks the zero exit on a clean package of this
 // module.
 func TestRunCleanPackage(t *testing.T) {
@@ -250,9 +175,9 @@ func TestRunCleanPackage(t *testing.T) {
 	}
 }
 
-// TestRunStats checks the -stats table: every selected analyzer gets a
-// row, the shared call-graph build gets its pseudo-row, and finding
-// counts land on the analyzer that produced them.
+// TestRunStats checks the -budget cost table: every suite analyzer
+// gets a row, the shared call-graph build gets its pseudo-row, and
+// finding counts land on the analyzer that produced them.
 func TestRunStats(t *testing.T) {
 	bad, err := filepath.Abs(filepath.Join("..", "..", "internal", "lint", "driver", "testdata", "badmod"))
 	if err != nil {
@@ -260,7 +185,7 @@ func TestRunStats(t *testing.T) {
 	}
 	chdir(t, bad)
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-stats", "-json", "./..."}, &out, &errOut); code != 1 {
+	if code := run([]string{"-budget", "10m", "-json", "./..."}, &out, &errOut); code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errOut.String())
 	}
 	var report jsonReport
@@ -268,7 +193,7 @@ func TestRunStats(t *testing.T) {
 		t.Fatalf("output is not a JSON report object: %v\n%s", err, out.String())
 	}
 	// The rows are exactly the callgraph pseudo-entry followed by the
-	// selected analyzers: nothing runs that the selection did not name.
+	// suite's analyzers.
 	var rows []string
 	total := 0
 	for _, s := range report.Stats {
@@ -291,10 +216,10 @@ func TestRunStats(t *testing.T) {
 	// Text mode renders the same rows as a table.
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-stats", "-only", "determinism", "./..."}, &out, &errOut); code != 1 {
+	if code := run([]string{"-budget", "10m", "./..."}, &out, &errOut); code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, errOut.String())
 	}
-	for _, want := range []string{"analyzer", "wall_ms", "callgraph", "determinism"} {
+	for _, want := range []string{"analyzer", "wall_ms", "callgraph", "determinism", "hotalloc"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stats table is missing %q:\n%s", want, out.String())
 		}
@@ -311,7 +236,7 @@ func TestRunBudget(t *testing.T) {
 	if !strings.Contains(errOut.String(), "over the 1ns budget") {
 		t.Errorf("stderr is missing the budget breach: %s", errOut.String())
 	}
-	// -budget implies -stats, so the table is on stdout.
+	// The cost table is on stdout.
 	if !strings.Contains(out.String(), "wall_ms") {
 		t.Errorf("budget run did not print the stats table: %s", out.String())
 	}
@@ -324,7 +249,9 @@ func TestRunBudget(t *testing.T) {
 }
 
 // TestRunBadFlag checks the usage-error exit code, including a
-// negative -budget, which would otherwise drop the time gate silently.
+// negative -budget, which would otherwise drop the time gate silently,
+// the removed selection and stats flags, and -waivers -json, whose
+// -json would otherwise be silently ignored.
 func TestRunBadFlag(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -332,6 +259,10 @@ func TestRunBadFlag(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, "usage: loopvet"},
 		{[]string{"-budget", "-1s", "./internal/meas"}, "-budget -1s is negative"},
+		{[]string{"-only", "determinism", "./internal/meas"}, "flag provided but not defined: -only"},
+		{[]string{"-skip", "determinism", "./internal/meas"}, "flag provided but not defined: -skip"},
+		{[]string{"-stats", "./internal/meas"}, "flag provided but not defined: -stats"},
+		{[]string{"-waivers", "-json", "./internal/meas"}, "-waivers has no JSON form"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(tc.args, &out, &errOut); code != 2 {

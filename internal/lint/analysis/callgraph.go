@@ -232,7 +232,7 @@ func walkRefs(info *types.Info, root ast.Node, ref func(fn *types.Func, site ast
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			callFuns[unparen(n.Fun)] = true
+			callFuns[ast.Unparen(n.Fun)] = true
 		case *ast.SelectorExpr:
 			selSels[n.Sel] = true
 			if callFuns[n] {
@@ -278,13 +278,13 @@ func (g *CallGraph) buildEdges(n *CGNode) {
 
 // callEdges appends the edges for one call expression.
 func (g *CallGraph) callEdges(n *CGNode, info *types.Info, call *ast.CallExpr) {
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	// Explicit generic instantiation: f[T](...).
 	switch idx := fun.(type) {
 	case *ast.IndexExpr:
-		fun = unparen(idx.X)
+		fun = ast.Unparen(idx.X)
 	case *ast.IndexListExpr:
-		fun = unparen(idx.X)
+		fun = ast.Unparen(idx.X)
 	}
 	switch fun := fun.(type) {
 	case *ast.FuncLit:
@@ -419,16 +419,6 @@ func sigKey(sig *types.Signature) string {
 	}
 	writeTuple(sig.Results())
 	return string(b)
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // SCCs returns the strongly connected components of the graph in

@@ -50,10 +50,6 @@ type CFG struct {
 	Exit   *Block
 	Blocks []*Block
 	Loops  []Loop
-	// Defers are the deferred calls in source order. They run at Exit;
-	// the DeferStmt itself also appears as a node in its block so
-	// analyzers can see (and discount) it in place.
-	Defers []*ast.CallExpr
 }
 
 // NewCFG lowers a function body into basic blocks.
@@ -259,12 +255,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		b.cur = b.newBlock()
 	case *ast.BranchStmt:
 		b.branchStmt(s)
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s.Call)
-		b.add(s)
 	default:
 		// ExprStmt, AssignStmt, DeclStmt, IncDecStmt, SendStmt,
-		// GoStmt, EmptyStmt: straight-line, no internal blocks.
+		// GoStmt, DeferStmt, EmptyStmt: straight-line, no internal
+		// blocks. A DeferStmt stays a node in its block so analyzers
+		// see (and discount) it in place; its call runs at Exit.
 		b.add(s)
 	}
 }

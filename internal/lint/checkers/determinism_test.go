@@ -8,10 +8,11 @@ import (
 	"github.com/mssn/loopscope/internal/lint/linttest"
 )
 
-// testdata returns the absolute GOPATH-style root of the fixtures.
-func testdata(t *testing.T) string {
+// fixture returns the root of the fixture module testdata/src/<name>,
+// whose module path is name.
+func fixture(t *testing.T, name string) string {
 	t.Helper()
-	abs, err := filepath.Abs(filepath.Join("testdata", "src"))
+	abs, err := filepath.Abs(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,17 +21,17 @@ func testdata(t *testing.T) string {
 
 func TestDeterminismFlagging(t *testing.T) {
 	scope := []string{"detbad", "detclean"}
-	linttest.Run(t, testdata(t), "detbad", checkers.Determinism(scope))
+	linttest.Run(t, "detbad", fixture(t, "detbad"), []string{"."}, checkers.Determinism(scope))
 }
 
 func TestDeterminismClean(t *testing.T) {
 	scope := []string{"detbad", "detclean"}
-	linttest.Run(t, testdata(t), "detclean", checkers.Determinism(scope))
+	linttest.Run(t, "detclean", fixture(t, "detclean"), []string{"."}, checkers.Determinism(scope))
 }
 
 func TestDeterminismScope(t *testing.T) {
 	// detscopeless reads the wall clock, but its package is not in the
 	// configured scope, so the analyzer must stay silent.
 	scope := []string{"detbad", "detclean"}
-	linttest.Run(t, testdata(t), "detscopeless", checkers.Determinism(scope))
+	linttest.Run(t, "detscopeless", fixture(t, "detscopeless"), []string{"."}, checkers.Determinism(scope))
 }

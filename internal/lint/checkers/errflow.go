@@ -46,7 +46,7 @@ func ErrFlow() *analysis.Analyzer {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ExprStmt:
-					if call, ok := unparenExpr(n.X).(*ast.CallExpr); ok {
+					if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 						ef.checkBareCall(call, "")
 					}
 				case *ast.GoStmt:
@@ -99,12 +99,12 @@ func errorResultIndexes(sig *types.Signature) []int {
 // staticCallee resolves call to its one static callee, or nil for
 // dynamic calls, conversions, and builtins.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := unparenExpr(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	switch f := fun.(type) {
 	case *ast.IndexExpr:
-		fun = unparenExpr(f.X)
+		fun = ast.Unparen(f.X)
 	case *ast.IndexListExpr:
-		fun = unparenExpr(f.X)
+		fun = ast.Unparen(f.X)
 	}
 	switch f := fun.(type) {
 	case *ast.Ident:
@@ -125,38 +125,10 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-func unparenExpr(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // moduleLocal reports whether fn is declared in this run's module (it
 // has a call-graph node).
 func (ef *errFlowPass) moduleLocal(fn *types.Func) bool {
 	return ef.pass.CallGraph.Node(fn) != nil
-}
-
-// funcLabelShort renders fn as pkg.Name or pkg.Recv.Name for messages.
-func funcLabelShort(fn *types.Func) string {
-	name := fn.Name()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		rt := sig.Recv().Type()
-		if p, ok := rt.(*types.Pointer); ok {
-			rt = p.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	if fn.Pkg() != nil {
-		return fn.Pkg().Name() + "." + name
-	}
-	return name
 }
 
 // checkBareCall flags rule 1: a module-local error-returning call used
@@ -175,7 +147,7 @@ func (ef *errFlowPass) checkBareCall(call *ast.CallExpr, prefix string) {
 	}
 	ef.pass.Reportf(call.Pos(),
 		"error result of %s%s is silently discarded by the bare call; check it, return it, or waive with a reason",
-		prefix, funcLabelShort(fn))
+		prefix, shortFunc(fn))
 }
 
 // checkBlankAssign flags rule 2: blank-assigned errors.
@@ -183,7 +155,7 @@ func (ef *errFlowPass) checkBlankAssign(as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {
 		return
 	}
-	call, ok := unparenExpr(as.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 	if !ok {
 		return
 	}
@@ -225,7 +197,7 @@ func (ef *errFlowPass) checkBlankAssign(as *ast.AssignStmt) {
 	}
 	ef.pass.Reportf(as.Pos(),
 		"error result of %s is explicitly discarded with a blank assign; check it or waive with a reason",
-		funcLabelShort(fn))
+		shortFunc(fn))
 }
 
 // checkNeverRead flags rule 3 over one function body: an error bound
@@ -239,7 +211,7 @@ func (ef *errFlowPass) checkNeverRead(body *ast.BlockStmt) {
 			if !ok || as.Tok != token.DEFINE || len(as.Rhs) != 1 {
 				continue
 			}
-			call, ok := unparenExpr(as.Rhs[0]).(*ast.CallExpr)
+			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 			if !ok {
 				continue
 			}
@@ -335,7 +307,7 @@ func (ef *errFlowPass) classifyUse(n ast.Node, obj *types.Var) (read, kill bool)
 					allBlank = false
 				}
 			}
-			if id, ok := unparenExpr(as.Rhs[0]).(*ast.Ident); ok && allBlank && info.Uses[id] == obj {
+			if id, ok := ast.Unparen(as.Rhs[0]).(*ast.Ident); ok && allBlank && info.Uses[id] == obj {
 				return false, false
 			}
 		}
@@ -501,12 +473,12 @@ func solveAlwaysNil(g *analysis.CallGraph) map[*types.Func]bool {
 					}
 					if len(c.Results) == 1 && res.Len() > 1 {
 						// Tuple forwarding: return f().
-						if call, isCall := unparenExpr(c.Results[0]).(*ast.CallExpr); !isCall || !nilThrough(call) {
+						if call, isCall := ast.Unparen(c.Results[0]).(*ast.CallExpr); !isCall || !nilThrough(call) {
 							ok = false
 						}
 						return true
 					}
-					last := unparenExpr(c.Results[len(c.Results)-1])
+					last := ast.Unparen(c.Results[len(c.Results)-1])
 					if tv, has := n.Info.Types[last]; has && tv.IsNil() {
 						return true
 					}

@@ -8,9 +8,9 @@ import (
 )
 
 func TestErrFlowFlagging(t *testing.T) {
-	linttest.Run(t, testdata(t), "errbad", checkers.ErrFlow())
+	linttest.Run(t, "errbad", fixture(t, "errbad"), []string{"."}, checkers.ErrFlow())
 }
 
 func TestErrFlowClean(t *testing.T) {
-	linttest.Run(t, testdata(t), "errclean", checkers.ErrFlow())
+	linttest.Run(t, "errclean", fixture(t, "errclean"), []string{"."}, checkers.ErrFlow())
 }

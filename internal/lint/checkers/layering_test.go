@@ -18,23 +18,23 @@ func layeringRules() map[string]checkers.Rule {
 
 func TestLayeringViolation(t *testing.T) {
 	a := checkers.Layering("app", layeringRules(), nil)
-	linttest.Run(t, testdata(t), "app/internal/core", a)
+	linttest.Run(t, "app", fixture(t, "app"), []string{"internal/core"}, a)
 }
 
 func TestLayeringClean(t *testing.T) {
 	a := checkers.Layering("app", layeringRules(), nil)
-	linttest.Run(t, testdata(t), "app/internal/rrc", a)
+	linttest.Run(t, "app", fixture(t, "app"), []string{"internal/rrc"}, a)
 }
 
 func TestLayeringMissingRule(t *testing.T) {
 	a := checkers.Layering("app", layeringRules(), nil)
-	linttest.Run(t, testdata(t), "app/internal/rogue", a)
+	linttest.Run(t, "app", fixture(t, "app"), []string{"internal/rogue"}, a)
 }
 
 func TestLayeringExempt(t *testing.T) {
 	// With rogue exempted, its missing table row is no longer a
 	// finding — that would break the want expectation, so exemption is
-	// asserted through the clean harness on a ruleless package.
+	// asserted as a zero finding count on the ruleless package.
 	a := checkers.Layering("app", layeringRules(), []string{"rogue"})
-	linttest.RunExpectNone(t, testdata(t), "app/internal/rogue", a)
+	linttest.RunExpectCount(t, "app", fixture(t, "app"), []string{"internal/rogue"}, 0, a)
 }

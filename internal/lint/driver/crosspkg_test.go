@@ -16,8 +16,8 @@ import (
 // the fixture module's want comments, with the clean boundaries
 // (injections, accessors, literals) staying silent.
 func TestUnitCheckSeeded(t *testing.T) {
-	linttest.RunModule(t, "unitmod.example", abs(t, filepath.Join("testdata", "unitmod")),
-		[]*analysis.Analyzer{checkers.UnitCheck()})
+	linttest.Run(t, "unitmod.example", abs(t, filepath.Join("testdata", "unitmod")),
+		[]string{"./..."}, checkers.UnitCheck())
 }
 
 // TestRngFlowSeeded checks the seeded nondeterministic sinks — a
@@ -25,8 +25,8 @@ func TestUnitCheckSeeded(t *testing.T) {
 // append — with the sorted-emit and indexed-write patterns staying
 // silent.
 func TestRngFlowSeeded(t *testing.T) {
-	linttest.RunModule(t, "rngmod.example", abs(t, filepath.Join("testdata", "rngmod")),
-		[]*analysis.Analyzer{checkers.RngFlow()})
+	linttest.Run(t, "rngmod.example", abs(t, filepath.Join("testdata", "rngmod")),
+		[]string{"./..."}, checkers.RngFlow())
 }
 
 // TestUnitCheckCrossPackage requests only the consumer package: the

@@ -4,7 +4,8 @@
 // one module-wide call graph over all of them (the analyzers' only
 // view of other packages), runs each analyzer over the requested
 // packages, applies //lint:ignore waivers, and returns findings in a
-// stable order. cmd/loopvet and the negative-case tests share it.
+// stable order. It is the one way to run an analyzer: cmd/loopvet and
+// every analyzer test (through internal/lint/linttest) share it.
 package driver
 
 import (
@@ -57,8 +58,9 @@ type Waiver struct {
 type Options struct {
 	ModulePath string
 	ModuleRoot string
-	// Patterns are package dirs relative to ModuleRoot; "./..." (or
-	// "...") expands to every package in the module.
+	// Patterns are package dirs relative to ModuleRoot; one ending in
+	// "/..." also names every package below its directory, so "./..."
+	// is the whole module.
 	Patterns  []string
 	Analyzers []*analysis.Analyzer
 }
@@ -91,7 +93,7 @@ func Run(opts Options) (*Result, error) {
 	for _, a := range opts.Analyzers {
 		enabled[a.Name] = true
 	}
-	requested, err := expand(opts)
+	requested, err := Expand(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -246,19 +248,24 @@ func relTo(root, filename string) string {
 	return filepath.ToSlash(rel)
 }
 
-// expand turns the patterns into import paths.
-func expand(opts Options) ([]string, error) {
+// Expand turns opts.Patterns into the sorted import paths Run
+// analyzes. A pattern ending in "/..." (or "..." alone) names every
+// package in or below its directory, skipping testdata, dot and
+// underscore directories; any other pattern names one package
+// directory. No pattern means "./...".
+func Expand(opts Options) ([]string, error) {
+	patterns := opts.Patterns
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
 	var dirs []string
-	wantAll := false
-	for _, p := range opts.Patterns {
-		if p == "./..." || p == "..." {
-			wantAll = true
+	for _, p := range patterns {
+		if p != "..." && !strings.HasSuffix(p, "/...") {
+			dirs = append(dirs, filepath.Clean(p))
 			continue
 		}
-		dirs = append(dirs, filepath.Clean(strings.TrimPrefix(p, "./")))
-	}
-	if wantAll || len(dirs) == 0 {
-		err := filepath.WalkDir(opts.ModuleRoot, func(path string, d fs.DirEntry, err error) error {
+		base := filepath.Join(opts.ModuleRoot, strings.TrimSuffix(p, "..."))
+		err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
@@ -266,7 +273,7 @@ func expand(opts Options) ([]string, error) {
 				return nil
 			}
 			name := d.Name()
-			if path != opts.ModuleRoot &&
+			if path != base &&
 				(name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return fs.SkipDir
 			}
@@ -275,7 +282,7 @@ func expand(opts Options) ([]string, error) {
 				if err != nil {
 					return err
 				}
-				dirs = append(dirs, filepath.ToSlash(rel))
+				dirs = append(dirs, rel)
 			}
 			return nil
 		})

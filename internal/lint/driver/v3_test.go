@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/mssn/loopscope/internal/lint/analysis"
 	"github.com/mssn/loopscope/internal/lint/checkers"
 	"github.com/mssn/loopscope/internal/lint/linttest"
 )
@@ -15,8 +14,8 @@ import (
 // summary), and blocking loops that never observe ctx.Done. The
 // cmd/ctxapp package proves the main exemption.
 func TestCtxMod(t *testing.T) {
-	linttest.RunModule(t, "ctxmod.example", abs(t, filepath.Join("testdata", "ctxmod")),
-		[]*analysis.Analyzer{checkers.CtxFlow()})
+	linttest.Run(t, "ctxmod.example", abs(t, filepath.Join("testdata", "ctxmod")),
+		[]string{"./..."}, checkers.CtxFlow())
 }
 
 // TestLockMod runs lockcheck over a module seeding unguarded reads (the
@@ -24,14 +23,14 @@ func TestCtxMod(t *testing.T) {
 // self-deadlock, and malformed annotations — next to disciplined
 // methods that must stay silent.
 func TestLockMod(t *testing.T) {
-	linttest.RunModule(t, "lockmod.example", abs(t, filepath.Join("testdata", "lockmod")),
-		[]*analysis.Analyzer{checkers.LockCheck()})
+	linttest.Run(t, "lockmod.example", abs(t, filepath.Join("testdata", "lockmod")),
+		[]string{"./..."}, checkers.LockCheck())
 }
 
 // TestHotMod runs hotalloc over a module mixing function-level and
 // package-clause //loopvet:hot scope with exempt twins (sized makes,
 // hoisted closures, unmarked functions).
 func TestHotMod(t *testing.T) {
-	linttest.RunModule(t, "hotmod.example", abs(t, filepath.Join("testdata", "hotmod")),
-		[]*analysis.Analyzer{checkers.HotAlloc()})
+	linttest.Run(t, "hotmod.example", abs(t, filepath.Join("testdata", "hotmod")),
+		[]string{"./..."}, checkers.HotAlloc())
 }

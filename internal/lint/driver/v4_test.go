@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/mssn/loopscope/internal/lint/analysis"
 	"github.com/mssn/loopscope/internal/lint/checkers"
 	"github.com/mssn/loopscope/internal/lint/linttest"
 )
@@ -15,8 +14,8 @@ import (
 // bare/blank/never-read rules work across a package boundary. The
 // fixture also carries one reasoned waiver the driver must honour.
 func TestErrMod(t *testing.T) {
-	linttest.RunModule(t, "errmod.example", abs(t, filepath.Join("testdata", "errmod")),
-		[]*analysis.Analyzer{checkers.ErrFlow()})
+	linttest.Run(t, "errmod.example", abs(t, filepath.Join("testdata", "errmod")),
+		[]string{"./..."}, checkers.ErrFlow())
 }
 
 // TestDetDeepMod runs the deep determinism check over a three-package
@@ -27,6 +26,6 @@ func TestErrMod(t *testing.T) {
 // calls, interface dispatch onto a timer-arming implementation, and
 // the reasoned/reasonless //loopvet:detsafe split.
 func TestDetDeepMod(t *testing.T) {
-	linttest.RunModule(t, "detdeep.example", abs(t, filepath.Join("testdata", "detdeepmod")),
-		[]*analysis.Analyzer{checkers.Determinism([]string{"internal/sim"})})
+	linttest.Run(t, "detdeep.example", abs(t, filepath.Join("testdata", "detdeepmod")),
+		[]string{"./..."}, checkers.Determinism([]string{"internal/sim"}))
 }

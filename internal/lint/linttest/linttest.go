@@ -1,12 +1,16 @@
-// Package linttest is a small analysistest-style harness: it loads a
-// testdata package, runs one analyzer over it, and checks the reported
-// diagnostics against `// want "regexp"` comments in the sources.
+// Package linttest is a small analysistest-style harness: it runs
+// analyzers over the packages of a fixture module through driver.Run,
+// the path cmd/loopvet takes (pattern expansion, one module-wide call
+// graph, waivers), and checks the findings against `// want "regexp"`
+// comments in the requested packages' sources.
+//
+// A fixture module is any directory tree: its root and module path are
+// arguments, so it needs no go.mod of its own.
 package linttest
 
 import (
-	"go/ast"
-	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -14,7 +18,6 @@ import (
 
 	"github.com/mssn/loopscope/internal/lint/analysis"
 	"github.com/mssn/loopscope/internal/lint/driver"
-	"github.com/mssn/loopscope/internal/lint/load"
 )
 
 // want is one expectation parsed from a `// want "..."` comment.
@@ -27,107 +30,98 @@ type want struct {
 
 var wantRE = regexp.MustCompile(`// want (.+)$`)
 
-// Run loads importPath from the GOPATH-style srcRoot and checks a's
-// diagnostics against the package's want comments: every diagnostic
-// must match a want on its line, and every want must be hit.
-func Run(t *testing.T, srcRoot, importPath string, a *analysis.Analyzer) {
+// Run runs analyzers over the packages patterns name in the module at
+// moduleRoot and checks the findings against the want comments of
+// those packages: every finding must match a want on its line, and
+// every want must be hit.
+func Run(t *testing.T, modulePath, moduleRoot string, patterns []string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	loader, pkg, diags := runPackage(t, srcRoot, importPath, a)
-	wants := collectWants(t, loader, pkg.Files)
-	for _, d := range diags {
-		pos := loader.Fset.Position(d.Pos)
+	findings := run(t, modulePath, moduleRoot, patterns, analyzers)
+	wants := collectWants(t, modulePath, moduleRoot, patterns)
+	for _, f := range findings {
 		ok := false
 		for _, w := range wants {
-			if w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
+			if w.file == f.File && w.line == f.Line && w.re.MatchString(f.Message) {
 				w.matched = true
 				ok = true
 			}
 		}
 		if !ok {
-			t.Errorf("unexpected diagnostic at %s:%d: %s", pos.Filename, pos.Line, d.Message)
+			t.Errorf("unexpected finding: %s", f)
 		}
 	}
 	for _, w := range wants {
 		if !w.matched {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
+			t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, w.re)
 		}
 	}
 }
 
-// RunExpectNone loads importPath and asserts the analyzer reports
-// nothing, ignoring any want comments — for fixtures whose findings a
-// configuration change (scope, exemption) is expected to silence.
-func RunExpectNone(t *testing.T, srcRoot, importPath string, a *analysis.Analyzer) {
+// RunExpectCount runs analyzers like Run and asserts exactly n
+// findings, ignoring any want comments — for fixtures whose findings a
+// configuration change (scope, exemption, approval) is expected to
+// silence or add.
+func RunExpectCount(t *testing.T, modulePath, moduleRoot string, patterns []string, n int, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	RunExpectCount(t, srcRoot, importPath, a, 0)
-}
-
-// RunExpectCount loads importPath and asserts the analyzer reports
-// exactly n diagnostics, ignoring any want comments.
-func RunExpectCount(t *testing.T, srcRoot, importPath string, a *analysis.Analyzer, n int) {
-	t.Helper()
-	loader, _, diags := runPackage(t, srcRoot, importPath, a)
-	if len(diags) != n {
-		for _, d := range diags {
-			pos := loader.Fset.Position(d.Pos)
-			t.Logf("diagnostic at %s:%d: %s", pos.Filename, pos.Line, d.Message)
+	findings := run(t, modulePath, moduleRoot, patterns, analyzers)
+	if len(findings) != n {
+		for _, f := range findings {
+			t.Logf("finding: %s", f)
 		}
-		t.Errorf("%s on %s: got %d diagnostics, want %d", a.Name, importPath, len(diags), n)
+		t.Errorf("%s %v: got %d findings, want %d", modulePath, patterns, len(findings), n)
 	}
 }
 
-// runPackage loads importPath from the GOPATH-style srcRoot and runs a
-// over it. The pass's call graph covers just the fixture package, so
-// interprocedural analyzers see same-package chains; cross-package
-// checks need RunModule.
-func runPackage(t *testing.T, srcRoot, importPath string, a *analysis.Analyzer) (*load.Loader, *load.Package, []analysis.Diagnostic) {
+func run(t *testing.T, modulePath, moduleRoot string, patterns []string, analyzers []*analysis.Analyzer) []driver.Finding {
 	t.Helper()
-	loader := load.New("loopvet.test/unused", srcRoot+"/unused-module-root")
-	loader.ExtraRoots[""] = srcRoot
-	pkg, err := loader.Load(importPath)
+	res, err := driver.Run(driver.Options{
+		ModulePath: modulePath,
+		ModuleRoot: moduleRoot,
+		Patterns:   patterns,
+		Analyzers:  analyzers,
+	})
 	if err != nil {
-		t.Fatalf("load %s: %v", importPath, err)
+		t.Fatalf("driver on %s: %v", modulePath, err)
 	}
-	graph := analysis.BuildCallGraph([]analysis.CGSource{{
-		Path:  pkg.ImportPath,
-		Files: pkg.Files,
-		Pkg:   pkg.Types,
-		Info:  pkg.Info,
-	}})
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      loader.Fset,
-		Files:     pkg.Files,
-		Path:      pkg.ImportPath,
-		Pkg:       pkg.Types,
-		Info:      pkg.Info,
-		CallGraph: graph,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-	return loader, pkg, diags
+	return res.Findings
 }
 
-func collectWants(t *testing.T, loader *load.Loader, files []*ast.File) []*want {
+// collectWants scans the non-test .go files of the requested packages
+// for want comments, keyed by module-relative slash path to match the
+// driver's Finding positions.
+func collectWants(t *testing.T, modulePath, root string, patterns []string) []*want {
 	t.Helper()
+	paths, err := driver.Expand(driver.Options{ModulePath: modulePath, ModuleRoot: root, Patterns: patterns})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wants []*want
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRE.FindStringSubmatch(c.Text)
+	for _, p := range paths {
+		dir := strings.TrimPrefix(strings.TrimPrefix(p, modulePath), "/")
+		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(dir), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			rel := path.Join(dir, filepath.Base(file))
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				m := wantRE.FindStringSubmatch(line)
 				if m == nil {
 					continue
 				}
-				pos := loader.Fset.Position(c.Pos())
 				for _, pat := range splitQuoted(m[1]) {
 					re, err := regexp.Compile(pat)
 					if err != nil {
-						t.Fatalf("%s:%d: bad want pattern %q: %v", pos.Filename, pos.Line, pat, err)
+						t.Fatalf("%s:%d: bad want pattern %q: %v", rel, i+1, pat, err)
 					}
-					wants = append(wants, &want{file: pos.Filename, line: pos.Line, re: re})
+					wants = append(wants, &want{file: rel, line: i + 1, re: re})
 				}
 			}
 		}
@@ -159,85 +153,4 @@ func splitQuoted(s string) []string {
 		}
 	}
 	return out
-}
-
-// RunModule runs analyzers through the full driver — every package of
-// a testdata module, one module-wide call graph, waiver handling — and
-// checks the surviving findings against `// want "regexp"` comments
-// anywhere in the module's sources. This is the harness for
-// cross-package checks (a unit type, launcher, lock contract or
-// always-nil summary declared in one package and used in another) that
-// the single-package Run cannot exercise.
-func RunModule(t *testing.T, modulePath, moduleRoot string, analyzers []*analysis.Analyzer) {
-	t.Helper()
-	res, err := driver.Run(driver.Options{
-		ModulePath: modulePath,
-		ModuleRoot: moduleRoot,
-		Patterns:   []string{"./..."},
-		Analyzers:  analyzers,
-	})
-	if err != nil {
-		t.Fatalf("driver on %s: %v", modulePath, err)
-	}
-	wants := collectModuleWants(t, moduleRoot)
-	for _, f := range res.Findings {
-		ok := false
-		for _, w := range wants {
-			if w.file == f.File && w.line == f.Line && w.re.MatchString(f.Message) {
-				w.matched = true
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("unexpected finding: %s", f)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: expected finding matching %q, got none", w.file, w.line, w.re)
-		}
-	}
-}
-
-// collectModuleWants scans every non-test .go file under root for want
-// comments, keyed by module-relative slash path to match the driver's
-// Finding positions.
-func collectModuleWants(t *testing.T, root string) []*want {
-	t.Helper()
-	var wants []*want
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		for i, line := range strings.Split(string(data), "\n") {
-			m := wantRE.FindStringSubmatch(line)
-			if m == nil {
-				continue
-			}
-			for _, pat := range splitQuoted(m[1]) {
-				re, err := regexp.Compile(pat)
-				if err != nil {
-					t.Fatalf("%s:%d: bad want pattern %q: %v", rel, i+1, pat, err)
-				}
-				wants = append(wants, &want{file: rel, line: i + 1, re: re})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wants
 }

@@ -33,11 +33,6 @@ type Loader struct {
 	// ModulePath/ModuleRoot map the module's import space onto disk.
 	ModulePath string
 	ModuleRoot string
-	// ExtraRoots maps additional import-path prefixes onto directories,
-	// GOPATH-style ("" maps every otherwise-unresolved path under the
-	// given directory). Used by the analyzer test harness for testdata
-	// packages.
-	ExtraRoots map[string]string
 
 	ctx   build.Context
 	std   types.ImporterFrom
@@ -55,7 +50,6 @@ func New(modulePath, moduleRoot string) *Loader {
 		Fset:       fset,
 		ModulePath: modulePath,
 		ModuleRoot: moduleRoot,
-		ExtraRoots: map[string]string{},
 		ctx:        ctx,
 		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:      map[string]*Package{},
@@ -71,21 +65,6 @@ func (l *Loader) dirFor(path string) string {
 	}
 	if rel, ok := strings.CutPrefix(path, l.ModulePath+"/"); ok {
 		return filepath.Join(l.ModuleRoot, filepath.FromSlash(rel))
-	}
-	for prefix, dir := range l.ExtraRoots {
-		if prefix == "" {
-			candidate := filepath.Join(dir, filepath.FromSlash(path))
-			if p, err := l.ctx.ImportDir(candidate, 0); err == nil && len(p.GoFiles) > 0 {
-				return candidate
-			}
-			continue
-		}
-		if path == prefix {
-			return dir
-		}
-		if rel, ok := strings.CutPrefix(path, prefix+"/"); ok {
-			return filepath.Join(dir, filepath.FromSlash(rel))
-		}
 	}
 	return ""
 }
@@ -142,9 +121,8 @@ func (l *Loader) Load(path string) (*Package, error) {
 // dependency closure and returns every loaded import path in
 // dependency-first topological order: a package always appears after
 // everything it imports (directly or transitively) that this loader
-// can resolve from source. Analyzing packages in this order is what
-// lets facts exported while checking a dependency be imported while
-// checking its dependents. The order is deterministic: imports are
+// can resolve from source. The driver builds its module-wide call
+// graph over this closure. The order is deterministic: imports are
 // visited in sorted order from the given roots.
 func (l *Loader) TopoOrder(paths []string) ([]string, error) {
 	var order []string
