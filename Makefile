@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
 # The three simulate rows stay on the normal tolerance: each iteration
 # runs its own seed, so their allocs/op moves by a count or two with b.N.
-PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|StreamDetect)$$
+PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|StreamDetect|JournalAppend)$$
 
 # Parse benchmarks whose allocs/op regressions fail bench-compare at ANY
 # growth: these parse one fixed capture, so their allocation count is
@@ -90,6 +90,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzStreamDetectParity$$ -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord$$ -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run=NONE -fuzz=FuzzScan$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run=NONE -fuzz=FuzzJournalLineParity$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 # bench is the smoke run CI performs: every benchmark compiles and
 # executes once; full-study benchmarks skip themselves under -short.

@@ -12,13 +12,19 @@ package loopscope_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/mssn/loopscope"
 	"github.com/mssn/loopscope/internal/campaign"
+	"github.com/mssn/loopscope/internal/checkpoint"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/experiments"
@@ -338,6 +344,60 @@ func BenchmarkStreamDetect(b *testing.B) {
 			sd.Push(s)
 		}
 		sd.Flush(tl.Duration)
+	}
+}
+
+// BenchmarkJournalAppend measures the checkpoint journal's write side:
+// each iteration appends one 5-minute record of BenchmarkSimulateRun's
+// looping cluster, its wire form as a json.RawMessage, to a journal in
+// b.TempDir(). Every 1,000 appends a fresh journal starts with the
+// timer stopped, so the file stays small; its first append, which
+// grows the journal's line buffer, runs off the timer too. The loop
+// runs on one P, so encoding/json's pooled encode state is never
+// regrown on another after a write syscall moves the goroutine. Both
+// keep B/op independent of b.N, so it shows any payload-sized copy an
+// append makes.
+func BenchmarkJournalAppend(b *testing.B) {
+	const key = "OPT/A1/0/0/7"
+	op, dep, cl := benchRunSetup(b)
+	rec := campaign.ExecuteRunContext(context.Background(), op, dep, cl, 0, 0,
+		campaign.Options{Seed: 7, Duration: 5 * time.Minute})
+	wire, err := campaign.EncodeRecord(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "runs.ckpt")
+	var jr *checkpoint.Journal
+	restart := func() {
+		if jr != nil {
+			if err := errors.Join(jr.Close(), os.Remove(path)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if jr, _, _, err = checkpoint.Open(path); err == nil {
+			err = jr.Append(key, json.RawMessage(wire))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1000 == 0 {
+			b.StopTimer()
+			restart()
+			b.StartTimer()
+		}
+		if err := jr.Append(key, json.RawMessage(wire)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := jr.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

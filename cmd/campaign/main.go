@@ -23,6 +23,12 @@
 // observability snapshot (stage spans, run/retry/salvage counters) as
 // stable JSON after the run; -debug-addr serves pprof, expvar and the
 // live snapshot while the study executes.
+//
+// -checkpoint, -sink, -report and -metrics must name four distinct
+// files: two flags naming one file, by the same path, another spelling
+// of it, a symlink or a hard link, is a usage error (exit 2) checked
+// before any file is created, so no output can truncate the journal a
+// -resume is about to replay.
 package main
 
 import (
@@ -57,6 +63,39 @@ func flagError(duration time.Duration, workers int) string {
 		return fmt.Sprintf("-workers %d: must not be negative", workers)
 	}
 	return ""
+}
+
+// fileFlag is a flag that names a file the run writes; an empty path
+// is a flag not given.
+type fileFlag struct{ name, path string }
+
+// fileFlagClash reports the first two file flags that name one file.
+// Each flag creates or appends to its own file, so a shared one loses
+// a writer's bytes: a -sink or -report created over a -checkpoint
+// journal truncates it before -resume replays it.
+func fileFlagClash(flags []fileFlag) string {
+	for i, a := range flags {
+		for _, b := range flags[i+1:] {
+			if a.path != "" && b.path != "" && sameFile(a.path, b.path) {
+				return fmt.Sprintf("-%s %s and -%s %s name the same file", a.name, a.path, b.name, b.path)
+			}
+		}
+	}
+	return ""
+}
+
+// sameFile reports whether two paths name one file: their cleaned
+// absolute paths are equal, or both files exist and are the same file
+// (one reached through a symlink or a hard link).
+func sameFile(a, b string) bool {
+	absA, errA := filepath.Abs(a)
+	absB, errB := filepath.Abs(b)
+	if errA == nil && errB == nil && absA == absB {
+		return true
+	}
+	fa, errA := os.Stat(a)
+	fb, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(fa, fb)
 }
 
 // exitInterrupted is the exit code of a run stopped by SIGINT/SIGTERM;
@@ -113,6 +152,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *resume && *ckpt == "" {
 		fmt.Fprintln(stderr, "campaign: -resume requires -checkpoint (the journal to replay)")
+		return 2
+	}
+	if msg := fileFlagClash([]fileFlag{{"checkpoint", *ckpt}, {"sink", *sink},
+		{"report", *reportTo}, {"metrics", *metrics}}); msg != "" {
+		fmt.Fprintln(stderr, "campaign:", msg)
 		return 2
 	}
 

@@ -75,6 +75,53 @@ func TestResumeWithoutCheckpointIsUsageError(t *testing.T) {
 	}
 }
 
+// TestOutputFlagsNameDistinctFiles: two of -checkpoint, -sink, -report
+// and -metrics naming one file, by the same path, another spelling of
+// it, a symlink or a hard link, is a usage error that names both flags
+// and leaves the file, here a finished journal, byte-identical. It used
+// to run: the second writer truncated the journal, so -resume re-ran
+// every run into a file two writers shared.
+func TestOutputFlagsNameDistinctFiles(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "study.ckpt")
+	var stdout, stderr bytes.Buffer
+	if code := run(fig6Args("-checkpoint", journal), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	want, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	symlink, hardlink := filepath.Join(dir, "symlink"), filepath.Join(dir, "hardlink")
+	if err := errors.Join(os.Symlink(journal, symlink), os.Link(journal, hardlink)); err != nil {
+		t.Fatal(err)
+	}
+	flags := []string{"-checkpoint", "-sink", "-report", "-metrics"}
+	for i, a := range flags {
+		for _, b := range flags[i+1:] {
+			for _, other := range []string{journal, dir + "/./study.ckpt", symlink, hardlink} {
+				args := fig6Args(a, journal, b, other)
+				if a == "-checkpoint" {
+					args = append(args, "-resume")
+				}
+				stdout.Reset()
+				stderr.Reset()
+				if code := run(args, &stdout, &stderr); code != 2 {
+					t.Errorf("%s %s %s %s: exit %d, want 2", a, journal, b, other, code)
+				}
+				if msg := stderr.String(); !strings.Contains(msg, a+" ") || !strings.Contains(msg, b+" ") || stdout.Len() != 0 {
+					t.Errorf("%s %s %s %s: stdout %q, stderr %q; want a usage error naming both flags",
+						a, journal, b, other, stdout.String(), msg)
+				}
+				if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s %s %s %s: the journal changed (%d bytes, was %d; %v)",
+						a, journal, b, other, len(got), len(want), err)
+				}
+			}
+		}
+	}
+}
+
 // TestResumeRejectsLoopOutsideTimeline: a journal whose lines all carry
 // valid checksums, but one of whose records places a loop far outside
 // its timeline, is refused on -resume with an error naming the entry.

@@ -104,9 +104,23 @@ type parseErrWire struct {
 	Err  string `json:"err"`
 }
 
-// EncodeRecord marshals one record into its canonical wire form.
+// EncodeRecord marshals one record into its canonical wire form: the
+// json.Marshal of the record's wire value. The engine's checkpoint
+// journal encodes that same value itself, so a journaled record is
+// encoded once; TestJournalHoldsEncodeRecord holds the journal's
+// payloads to EncodeRecord's bytes.
 func EncodeRecord(rec *Record) ([]byte, error) {
-	w := recordWire{
+	w, err := toWire(rec)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(w)
+}
+
+// toWire maps a record onto its wire schema. The wire value shares the
+// record's slices, so it is encoded, not kept.
+func toWire(rec *Record) (*recordWire, error) {
+	w := &recordWire{
 		Op:        rec.Op,
 		Area:      rec.Area,
 		City:      rec.City,
@@ -151,7 +165,7 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 		}
 		w.Salvage = sw
 	}
-	return json.Marshal(w)
+	return w, nil
 }
 
 // DecodeRecord is EncodeRecord's inverse; the decoded record is

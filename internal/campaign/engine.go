@@ -235,15 +235,17 @@ func (r *runner) complete(d *delivery, slot int, key string, rec *Record) {
 }
 
 // appendLocked persists one record and drives the crashAfter fault
-// point. Callers hold r.mu.
+// point. Callers hold r.mu. The journal encodes the record's wire
+// value itself, so the entry's payload is EncodeRecord's bytes,
+// encoded once.
 //
 // requires: mu
 func (r *runner) appendLocked(key string, rec *Record) error {
-	b, err := EncodeRecord(rec)
+	w, err := toWire(rec)
 	if err != nil {
 		return err
 	}
-	if err := r.jr.Append(key, json.RawMessage(b)); err != nil {
+	if err := r.jr.Append(key, w); err != nil {
 		return err
 	}
 	if c := r.opts.Metrics; c != nil {

@@ -14,6 +14,7 @@ import (
 
 	"github.com/mssn/loopscope/internal/checkpoint"
 	"github.com/mssn/loopscope/internal/deploy"
+	"github.com/mssn/loopscope/internal/faults"
 	"github.com/mssn/loopscope/internal/obs"
 	"github.com/mssn/loopscope/internal/policy"
 )
@@ -105,6 +106,76 @@ func TestJSONLSinkDeterministicOrder(t *testing.T) {
 	}
 	if par := render(4); !bytes.Equal(seq, par) {
 		t.Fatal("JSONL output differs between 1 and 4 workers")
+	}
+}
+
+// TestJournalHoldsEncodeRecord: the engine hands the journal each
+// record's wire value, and every entry's payload is byte for byte what
+// EncodeRecord writes for the study's record under that key. It covers
+// clean and faulted studies (salvage reports with their errors) at 1
+// and 4 workers, each with one run that panics on every attempt, whose
+// record carries a stack.
+func TestJournalHoldsEncodeRecord(t *testing.T) {
+	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool {
+		return area == "A2" && locIdx == 1 && runIdx == 0
+	}
+	defer func() { testHookPanic = nil }()
+	rates := faults.Profile(0.08)
+	for _, faulted := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			opts := tinyOpts()
+			opts.Workers = workers
+			if faulted {
+				opts.FaultRates = &rates
+			}
+			opts.Checkpoint = filepath.Join(t.TempDir(), "study.ckpt")
+			st := runOPT(t, opts)
+			recs := map[string]*Record{}
+			for _, r := range st.Records("") {
+				recs[runKey(r.Op, r.Area, r.LocIndex, r.RunIndex, opts.Seed)] = r
+			}
+			jr, entries, _, err := checkpoint.Open(opts.Checkpoint)
+			if err == nil {
+				err = jr.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(recs)+1 {
+				t.Fatalf("faulted=%v workers=%d: %d journal entries for %d records and the header",
+					faulted, workers, len(entries), len(recs))
+			}
+			panicked, salvaged := 0, 0
+			for _, e := range entries[1:] {
+				rec, ok := recs[e.Key]
+				if !ok {
+					t.Fatalf("faulted=%v workers=%d: entry %q has no record", faulted, workers, e.Key)
+				}
+				want, err := EncodeRecord(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(e.Payload, want) {
+					i := 0
+					for i < len(want) && i < len(e.Payload) && want[i] == e.Payload[i] {
+						i++
+					}
+					lo := max(i-40, 0)
+					t.Fatalf("faulted=%v workers=%d: entry %q differs from EncodeRecord at byte %d:\njournal …%s\n encode …%s",
+						faulted, workers, e.Key, i, e.Payload[lo:min(i+40, len(e.Payload))], want[lo:min(i+40, len(want))])
+				}
+				if rec.FailKind == FailPanic {
+					panicked++
+				}
+				if rec.Salvage != nil && len(rec.Salvage.Errors) > 0 {
+					salvaged++
+				}
+			}
+			if panicked != 1 || faulted != (salvaged > 0) {
+				t.Fatalf("faulted=%v workers=%d: fixture journaled %d panicked and %d salvaged records, want 1 and some only when faulted",
+					faulted, workers, panicked, salvaged)
+			}
+		}
 	}
 }
 

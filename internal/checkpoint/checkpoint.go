@@ -62,10 +62,11 @@ func (s *Salvage) Summary() string {
 		s.Entries, s.LinesDropped, s.BytesDropped)
 }
 
-// line is the on-disk schema of one entry. C is the CRC-32 (IEEE) hex
-// digest of the key, a NUL separator, and the compact payload bytes;
-// field order is fixed by the struct so appended lines are
-// byte-deterministic.
+// line is the on-disk schema of one entry, as Open reads it. C is the
+// CRC-32 (IEEE) hex digest of the key, a NUL separator, and the compact
+// payload bytes. Append frames the bytes json.Marshal of a line writes
+// by hand, in this field order; FuzzJournalLineParity holds the two to
+// one layout.
 type line struct {
 	C string          `json:"c"`
 	K string          `json:"k"`
@@ -88,11 +89,19 @@ func checksum(key string, payload []byte) string {
 // lifetime.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File // guarded by: mu — nil once Close has released the file
-	path string   // immutable after Open
-	end  int64    // guarded by: mu — length of the valid prefix; next append lands here
-	tail int64    // guarded by: mu — damaged bytes past end, truncated on the first commit
+	f    *os.File      // guarded by: mu — nil once Close has released the file
+	path string        // immutable after Open
+	end  int64         // guarded by: mu — length of the valid prefix; next append lands here
+	tail int64         // guarded by: mu — damaged bytes past end, truncated on the first commit
+	line *bytes.Buffer // guarded by: mu — the line Append frames, reused across appends
+	enc  *json.Encoder // guarded by: mu — encodes into line
 }
+
+// maxKeptLine caps the line buffer a journal keeps between appends, so
+// one huge entry does not pin its buffer for the journal's lifetime.
+// It is the bound the campaign's capture text pool keeps its buffers
+// under.
+const maxKeptLine = 4 << 20
 
 // Open opens (creating if absent) the journal at path, takes an
 // exclusive advisory lock on it, validates the existing content line
@@ -119,7 +128,9 @@ func Open(path string) (*Journal, []Entry, *Salvage, error) {
 		return nil, nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	entries, validBytes, sal := scan(data)
-	j := &Journal{f: f, path: path, end: validBytes, tail: int64(len(data)) - validBytes}
+	line := new(bytes.Buffer)
+	j := &Journal{f: f, path: path, end: validBytes, tail: int64(len(data)) - validBytes,
+		line: line, enc: json.NewEncoder(line)}
 	return j, entries, sal, nil
 }
 
@@ -162,28 +173,54 @@ func countLines(tail []byte) int {
 	return n
 }
 
-// Append marshals payload and appends one checksummed entry under key.
-// The line is written with a single Write call and no userspace
-// buffering, so a crash between appends never tears an already-written
-// entry. The first append commits the journal: a damaged tail found by
-// Open is truncated away here, immediately before the new line lands.
+// Append encodes payload and appends one checksummed entry under key.
+// The payload is encoded once, into a buffer the journal keeps between
+// appends, and the line is framed around it by hand. The line holds
+// the bytes json.Marshal of the line schema writes, plus a newline;
+// its "p" is the compact, HTML-escaped form json.Marshal(payload)
+// gives. So a json.RawMessage payload is validated and compacted once,
+// and any other value is encoded and never scanned again. A payload
+// that does not encode fails and writes nothing. The line is written
+// with a single Write call and no userspace buffering, so a crash
+// between appends never tears an already-written entry. The first
+// append commits the journal: a damaged tail found by Open is
+// truncated away here, immediately before the new line lands.
 //
 // locks: mu
 func (j *Journal) Append(key string, payload any) error {
-	p, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding %q: %w", key, err)
-	}
-	buf, err := json.Marshal(line{C: checksum(key, p), K: key, P: p})
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	buf = append(buf, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("checkpoint: journal %s is closed", j.path)
 	}
+	err := j.appendLocked(key, payload)
+	if j.line.Cap() > maxKeptLine {
+		*j.line = bytes.Buffer{}
+	}
+	return err
+}
+
+// appendLocked frames key's entry line in j.line and writes it at the
+// end of the valid prefix.
+//
+// requires: mu
+func (j *Journal) appendLocked(key string, payload any) error {
+	j.line.Reset()
+	j.line.WriteString(`{"c":"00000000","k":`)
+	if err := j.enc.Encode(key); err != nil {
+		return fmt.Errorf("checkpoint: encoding key %q: %w", key, err)
+	}
+	j.line.Truncate(j.line.Len() - 1) // Encode ends every value with a newline
+	j.line.WriteString(`,"p":`)
+	start := j.line.Len()
+	if err := j.enc.Encode(payload); err != nil {
+		return fmt.Errorf("checkpoint: encoding %q: %w", key, err)
+	}
+	end := j.line.Len() - 1
+	j.line.Truncate(end)
+	j.line.WriteString("}\n")
+	buf := j.line.Bytes()
+	copy(buf[len(`{"c":"`):], checksum(key, buf[start:end]))
 	if err := j.truncateTailLocked(); err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/mssn/loopscope/internal/faults"
@@ -273,5 +274,91 @@ func TestUnencodablePayload(t *testing.T) {
 	// The failed append must not have written anything.
 	if fi, _ := os.Stat(path); fi.Size() != 0 {
 		t.Fatalf("failed append wrote %d bytes", fi.Size())
+	}
+}
+
+// TestAppendConcurrent: appends from many goroutines share the
+// journal's line buffer, payloads of many sizes mixed with payloads
+// that cannot be encoded, one of them past the size the buffer is
+// kept under. Every append that succeeded scans back as exactly one
+// intact entry, no failed append leaves a byte behind, and the file
+// reopens clean.
+func TestAppendConcurrent(t *testing.T) {
+	const goroutines, appends = 8, 50
+	path := filepath.Join(t.TempDir(), "j")
+	j, _, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // key → payload bytes, for the appends that must succeed
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				key := fmt.Sprintf("g%d/%d", g, i)
+				var p any
+				switch i % 5 {
+				case 2:
+					p = payload{N: i, S: strings.Repeat("<&>", (g*appends+i)*97%2000)}
+				case 3:
+					p = json.RawMessage(`{"torn":`)
+				case 4:
+					p = map[string]any{"ch": make(chan int)}
+				default:
+					n := (g*appends + i) * 89 % 6000
+					if g == 0 && i == appends/2 {
+						n = maxKeptLine
+					}
+					p = payload{N: i, S: strings.Repeat("x", n)}
+				}
+				err := j.Append(key, p)
+				if i%5 >= 3 {
+					if err == nil {
+						t.Errorf("%s: unencodable payload appended", key)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", key, err)
+					continue
+				}
+				b, err := json.Marshal(p)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				mu.Lock()
+				want[key] = string(b)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, entries, sal, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if !sal.Clean() {
+		t.Fatalf("concurrent appends left a damaged journal: %s", sal.Summary())
+	}
+	if len(entries) != len(want) || len(want) != goroutines*appends*3/5 {
+		t.Fatalf("%d entries for %d successful appends, want %d", len(entries), len(want), goroutines*appends*3/5)
+	}
+	for _, e := range entries {
+		p, ok := want[e.Key]
+		if !ok {
+			t.Fatalf("entry %q appears twice or was never appended", e.Key)
+		}
+		if string(e.Payload) != p {
+			t.Fatalf("entry %q: payload of %d bytes differs from the %d appended", e.Key, len(e.Payload), len(p))
+		}
+		delete(want, e.Key)
 	}
 }
