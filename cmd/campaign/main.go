@@ -24,11 +24,12 @@
 // stable JSON after the run; -debug-addr serves pprof, expvar and the
 // live snapshot while the study executes.
 //
-// -checkpoint, -sink, -report and -metrics must name four distinct
-// files: two flags naming one file, by the same path, another spelling
-// of it, a symlink or a hard link, is a usage error (exit 2) checked
-// before any file is created, so no output can truncate the journal a
-// -resume is about to replay.
+// -checkpoint, -sink, -report, -metrics and the three CSV files -export
+// writes (runs.csv, loops.csv and locations.csv in its directory) must
+// be distinct files: two flags naming one file, by the same path,
+// another spelling of it, a symlink or a hard link, is a usage error
+// (exit 2) checked before any file is created, so no output can
+// truncate the journal a -resume is about to replay.
 package main
 
 import (
@@ -71,8 +72,8 @@ type fileFlag struct{ name, path string }
 
 // fileFlagClash reports the first two file flags that name one file.
 // Each flag creates or appends to its own file, so a shared one loses
-// a writer's bytes: a -sink or -report created over a -checkpoint
-// journal truncates it before -resume replays it.
+// a writer's bytes: a -sink, -report or -export CSV created over a
+// -checkpoint journal truncates it before -resume replays it.
 func fileFlagClash(flags []fileFlag) string {
 	for i, a := range flags {
 		for _, b := range flags[i+1:] {
@@ -154,8 +155,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "campaign: -resume requires -checkpoint (the journal to replay)")
 		return 2
 	}
-	if msg := fileFlagClash([]fileFlag{{"checkpoint", *ckpt}, {"sink", *sink},
-		{"report", *reportTo}, {"metrics", *metrics}}); msg != "" {
+	files := []fileFlag{{"checkpoint", *ckpt}, {"sink", *sink}, {"report", *reportTo}, {"metrics", *metrics}}
+	if *export != "" {
+		for _, f := range exportTables {
+			files = append(files, fileFlag{"export", filepath.Join(*export, f.name)})
+		}
+	}
+	if msg := fileFlagClash(files); msg != "" {
 		fmt.Fprintln(stderr, "campaign:", msg)
 		return 2
 	}
@@ -324,24 +330,27 @@ func printExperiment(w io.Writer, id, title string, lines []string) {
 	fmt.Fprintln(w)
 }
 
+// exportTables are the CSV files -export writes into its directory.
+var exportTables = []struct {
+	name  string
+	write func(st *loopscope.Study, f *os.File) error
+}{
+	{"runs.csv", func(st *loopscope.Study, f *os.File) error { return loopscope.ExportStudyCSV(st, f, nil, nil) }},
+	{"loops.csv", func(st *loopscope.Study, f *os.File) error { return loopscope.ExportStudyCSV(st, nil, f, nil) }},
+	{"locations.csv", func(st *loopscope.Study, f *os.File) error { return loopscope.ExportStudyCSV(st, nil, nil, f) }},
+}
+
 // exportDataset writes the study's CSV tables.
 func exportDataset(stdout io.Writer, dir string, st *loopscope.Study) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, f := range []struct {
-		name  string
-		write func(*os.File) error
-	}{
-		{"runs.csv", func(f *os.File) error { return loopscope.ExportStudyCSV(st, f, nil, nil) }},
-		{"loops.csv", func(f *os.File) error { return loopscope.ExportStudyCSV(st, nil, f, nil) }},
-		{"locations.csv", func(f *os.File) error { return loopscope.ExportStudyCSV(st, nil, nil, f) }},
-	} {
+	for _, f := range exportTables {
 		file, err := os.Create(filepath.Join(dir, f.name))
 		if err != nil {
 			return err
 		}
-		if err := f.write(file); err != nil {
+		if err := f.write(st, file); err != nil {
 			file.Close()
 			return err
 		}

@@ -22,18 +22,28 @@ var update = flag.Bool("update", false, "rewrite testdata goldens")
 // drift in these bytes is an intentional analysis change or a bug.
 var goldenArgs = []string{"-seed", "42", "-scale", "0.05", "-duration", "40s"}
 
-// TestExperimentGoldens locks the CLI output of representative
-// experiments end-to-end: study execution, aggregation and rendering.
+// TestExperimentGoldens locks the CLI output of experiments end-to-end:
+// study execution, aggregation and rendering. "all" is every experiment
+// in presentation order, the byte wall for every figure that reads a
+// loop's cycles; its output is the same at any worker count.
 func TestExperimentGoldens(t *testing.T) {
-	for _, exp := range []string{"table3", "fig6"} {
-		t.Run(exp, func(t *testing.T) {
+	for _, c := range []struct {
+		name, exp string
+		extra     []string
+	}{
+		{"table3", "table3", nil},
+		{"fig6", "fig6", nil},
+		{"all", "all", nil},
+		{"all-workers1", "all", []string{"-workers", "1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			args := append(append([]string{}, goldenArgs...), "-exp", exp)
+			args := append(append(append([]string{}, goldenArgs...), "-exp", c.exp), c.extra...)
 			if code := run(args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 			}
-			golden := filepath.Join("testdata", exp+".golden")
-			if *update {
+			golden := filepath.Join("testdata", c.exp+".golden")
+			if *update && c.extra == nil {
 				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}

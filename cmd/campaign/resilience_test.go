@@ -75,8 +75,8 @@ func TestResumeWithoutCheckpointIsUsageError(t *testing.T) {
 	}
 }
 
-// TestOutputFlagsNameDistinctFiles: two of -checkpoint, -sink, -report
-// and -metrics naming one file, by the same path, another spelling of
+// TestOutputFlagsNameDistinctFiles: two of -checkpoint, -sink, -report,
+// -metrics and the CSV files of -export naming one file, by the same path, another spelling of
 // it, a symlink or a hard link, is a usage error that names both flags
 // and leaves the file, here a finished journal, byte-identical. It used
 // to run: the second writer truncated the journal, so -resume re-ran
@@ -116,6 +116,53 @@ func TestOutputFlagsNameDistinctFiles(t *testing.T) {
 				if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("%s %s %s %s: the journal changed (%d bytes, was %d; %v)",
 						a, journal, b, other, len(got), len(want), err)
+				}
+			}
+		}
+	}
+	// -export dir writes three CSV files into dir, and each is a file
+	// it names: a journal (or any other output) at one of them, by path
+	// or through a symlink, is the same usage error, and no file is
+	// created. It used to exit 0 after the CSV export replaced the
+	// finished journal, and the next -resume re-ran every run.
+	for _, a := range flags {
+		for _, name := range []string{"runs.csv", "loops.csv", "locations.csv"} {
+			for _, link := range []bool{false, true} {
+				exportDir := filepath.Join(t.TempDir(), "export")
+				if err := os.Mkdir(exportDir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				target, at := filepath.Join(exportDir, name), filepath.Join(exportDir, name)
+				var err error
+				if link {
+					target = filepath.Join(t.TempDir(), "study.ckpt")
+					err = errors.Join(os.WriteFile(target, want, 0o644), os.Symlink(target, at))
+				} else {
+					err = os.WriteFile(target, want, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				args := fig6Args(a, target, "-export", exportDir)
+				if a == "-checkpoint" {
+					args = append(args, "-resume")
+				}
+				stdout.Reset()
+				stderr.Reset()
+				if code := run(args, &stdout, &stderr); code != 2 {
+					t.Errorf("%s %s -export %s: exit %d, want 2", a, target, exportDir, code)
+				}
+				if msg := stderr.String(); !strings.Contains(msg, a+" ") || !strings.Contains(msg, "-export ") || stdout.Len() != 0 {
+					t.Errorf("%s %s -export %s: stdout %q, stderr %q; want a usage error naming both flags",
+						a, target, exportDir, stdout.String(), msg)
+				}
+				if got, err := os.ReadFile(target); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s %s -export %s: the journal changed (%d bytes, was %d; %v)",
+						a, target, exportDir, len(got), len(want), err)
+				}
+				if ents, err := os.ReadDir(exportDir); err != nil || len(ents) != 1 {
+					t.Errorf("%s %s -export %s: export directory holds %d entries (%v), want only %s",
+						a, target, exportDir, len(ents), err, name)
 				}
 			}
 		}

@@ -92,15 +92,15 @@ func (a *app) emitFollowEvent(enc *json.Encoder, e loopscope.StreamLoopEvent) {
 			Start:       l.Start,
 			CycleLen:    l.CycleLen,
 			Reps:        l.Reps,
-			Subtype:     l.Subtype.String(),
-			Fingerprint: l.Fingerprint,
+			Subtype:     e.Subtype.String(),
+			Fingerprint: l.Fingerprint(),
 		}
 		switch e.Kind {
 		case loopscope.StreamLoopConfirmed:
-			je.CycleKeys = l.CycleKeys
+			je.CycleKeys = l.CycleKeys()
 		case loopscope.StreamLoopClosed:
 			je.Form = l.Form.String()
-			on, off := meanOnOff(l.Cycles)
+			on, off := meanOnOff(l.Cycles())
 			je.AvgOnS, je.AvgOffS = on.Seconds(), off.Seconds()
 		case loopscope.StreamLoopRep:
 			// reps and timing carry everything a repetition adds.
@@ -111,15 +111,15 @@ func (a *app) emitFollowEvent(enc *json.Encoder, e loopscope.StreamLoopEvent) {
 	switch e.Kind {
 	case loopscope.StreamLoopConfirmed:
 		fmt.Fprintf(a.stdout, "t=%-10s loop confirmed: %s, cycle of %d sets ×%d [%s]\n",
-			e.At.Round(time.Millisecond), l.Subtype, l.CycleLen, l.Reps, l.Fingerprint)
-		for _, k := range l.CycleKeys {
+			e.At.Round(time.Millisecond), e.Subtype, l.CycleLen, l.Reps, l.Fingerprint())
+		for _, k := range l.CycleKeys() {
 			fmt.Fprintf(a.stdout, "             %s\n", k)
 		}
 	case loopscope.StreamLoopRep:
 		fmt.Fprintf(a.stdout, "t=%-10s loop repeat: ×%d [%s]\n",
-			e.At.Round(time.Millisecond), l.Reps, l.Fingerprint)
+			e.At.Round(time.Millisecond), l.Reps, l.Fingerprint())
 	case loopscope.StreamLoopClosed:
 		fmt.Fprintf(a.stdout, "t=%-10s loop closed: %s (%s) ×%d [%s]\n",
-			e.At.Round(time.Millisecond), l.Subtype, l.Form, l.Reps, l.Fingerprint)
+			e.At.Round(time.Millisecond), e.Subtype, l.Form, l.Reps, l.Fingerprint())
 	}
 }

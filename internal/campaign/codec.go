@@ -77,9 +77,11 @@ type analysisWire struct {
 	Subtypes []core.Subtype `json:"subtypes"`
 }
 
-// loopWire mirrors core.Loop without its Timeline: every campaign loop
-// aliases its record's timeline, so the pointer is re-established on
-// decode instead of serializing the steps twice.
+// loopWire mirrors core.Loop without its Timeline and the fields it
+// derives from it: every campaign loop aliases its record's timeline,
+// so the pointer is re-established on decode, and the cycle keys,
+// fingerprint and per-cycle metrics derived again, instead of
+// serializing the steps twice.
 type loopWire struct {
 	Start    int       `json:"start"`
 	CycleLen int       `json:"cycle_len"`
@@ -169,11 +171,14 @@ func toWire(rec *Record) (*recordWire, error) {
 }
 
 // DecodeRecord is EncodeRecord's inverse; the decoded record is
-// reflect.DeepEqual to the encoded one. Journals and sinks only ever
-// hold completed or panicked runs, so any other failure kind is an
-// error, and so is an analysis that does not fit its timeline (see
-// checkAnalysis). Members this version no longer has (the "speeds" of
-// older records) are ignored.
+// reflect.DeepEqual to the encoded one. Each loop derives its cycle
+// keys, fingerprint and per-cycle metrics from the decoded timeline
+// once, through core.LoopIn; on a timeline trace.Builder made they
+// equal what the stream detector computed (FuzzStreamDetectParity).
+// Journals and sinks only ever hold completed or panicked runs, so any
+// other failure kind is an error, and so is an analysis that does not
+// fit its timeline (see checkAnalysis). Members this version no longer
+// has (the "speeds" of older records) are ignored.
 func DecodeRecord(data []byte) (*Record, error) {
 	var w recordWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -213,10 +218,7 @@ func DecodeRecord(data []byte) (*Record, error) {
 	if w.Analysis.Loops != nil {
 		rec.Analysis.Loops = make([]*core.Loop, len(w.Analysis.Loops))
 		for i, l := range w.Analysis.Loops {
-			rec.Analysis.Loops[i] = &core.Loop{
-				Start: l.Start, CycleLen: l.CycleLen, Reps: l.Reps, End: l.End, Form: l.Form,
-				Timeline: rec.Timeline,
-			}
+			rec.Analysis.Loops[i] = core.LoopIn(rec.Timeline, l.Start, l.CycleLen, l.Reps, l.End, l.Form)
 		}
 	}
 	rec.Analysis.Subtypes = w.Analysis.Subtypes
@@ -236,14 +238,14 @@ func DecodeRecord(data []byte) (*Record, error) {
 	return rec, nil
 }
 
-// checkAnalysis rejects loops the core.Loop accessors cannot index:
+// checkAnalysis rejects loops core.LoopIn cannot derive:
 // each loop must lie inside the record's timeline with at least one
 // whole cycle (0 ≤ Start ≤ End ≤ len(Steps), CycleLen ≥ 1 and
 // 1 ≤ Reps ≤ (len(Steps)−Start)/CycleLen), and the analysis must carry
 // one sub-type per loop. A journal line's checksum proves only that
 // some writer wrote it; a hand-edited journal, one from a buggy build
 // or a sink file read back is outside input and must fail here rather
-// than panic the experiments that read its loops.
+// than panic LoopIn or the experiments that read its loops.
 func checkAnalysis(w *recordWire) error {
 	steps := 0
 	if w.Timeline != nil {

@@ -70,6 +70,50 @@ func TestCodecRealRecords(t *testing.T) {
 	}
 }
 
+// Sinks for TestLoopAccessorsDoNotAllocate, so the reads are not
+// optimized away.
+var (
+	keysSink   []string
+	fpSink     string
+	cyclesSink []core.CycleMetrics
+)
+
+// TestLoopAccessorsDoNotAllocate: a loop keeps the cycle keys,
+// fingerprint and cycles computed when it was made, by the detector on
+// a run (FinishAnalysis) or once on decoding (DecodeRecord), so reading
+// them allocates nothing.
+func TestLoopAccessorsDoNotAllocate(t *testing.T) {
+	res := runArea(policy.OPT(), areaSpec(t, "A1"), Options{Seed: 42, Duration: 120 * time.Second, RunScale: 0.1})
+	var rec *Record
+	for _, r := range res.Records {
+		if r.HasLoop() {
+			rec = r
+			break
+		}
+	}
+	if rec == nil {
+		t.Fatal("no run looped")
+	}
+	for _, c := range []struct {
+		name string
+		loop *core.Loop
+	}{
+		{"FinishAnalysis", rec.Analysis.Loops[0]},
+		{"DecodeRecord", roundTrip(t, rec).Analysis.Loops[0]},
+	} {
+		l := c.loop
+		if n := testing.AllocsPerRun(100, func() {
+			keysSink, fpSink, cyclesSink = l.CycleKeys(), l.Fingerprint(), l.Cycles()
+		}); n != 0 {
+			t.Errorf("%s loop: CycleKeys, Fingerprint and Cycles make %v allocations per read, want 0", c.name, n)
+		}
+		if len(keysSink) != l.CycleLen || len(cyclesSink) != l.Reps || fpSink == "" {
+			t.Errorf("%s loop: %d keys, %d cycles, fingerprint %q for a cycle of %d ×%d",
+				c.name, len(keysSink), len(cyclesSink), fpSink, l.CycleLen, l.Reps)
+		}
+	}
+}
+
 // syntheticRecords returns records carrying the hazards the wire schema
 // exists for, independent of what the simulator happens to produce: a
 // failure record, a loop with salvage and sentinel evidence, and a
@@ -102,7 +146,7 @@ func syntheticRecords() []*Record {
 		{ // loop + empty-non-nil Subtypes + aliased timeline + salvage
 			Op: "OPT", Area: "A1", Timeline: tl,
 			Analysis: core.Analysis{
-				Loops:    []*core.Loop{{Start: 0, CycleLen: 1, Reps: 2, End: 2, Form: core.Form(1), Timeline: tl}},
+				Loops:    []*core.Loop{core.LoopIn(tl, 0, 1, 2, 2, core.Form(1))},
 				Subtypes: []core.Subtype{core.Subtype(2)},
 			},
 			MeasCount: 17,

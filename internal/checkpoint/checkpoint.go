@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"unicode/utf8"
 )
 
 // Entry is one journal record: an opaque payload filed under the
@@ -180,7 +181,10 @@ func countLines(tail []byte) int {
 // its "p" is the compact, HTML-escaped form json.Marshal(payload)
 // gives. So a json.RawMessage payload is validated and compacted once,
 // and any other value is encoded and never scanned again. A payload
-// that does not encode fails and writes nothing. The line is written
+// that does not encode fails and writes nothing, and so does a key
+// that is not valid UTF-8: encoding/json would write it with U+FFFD in
+// place of the bad bytes, under a checksum of the original, and Open
+// would drop that line and every line after it. The line is written
 // with a single Write call and no userspace buffering, so a crash
 // between appends never tears an already-written entry. The first
 // append commits the journal: a damaged tail found by Open is
@@ -205,6 +209,9 @@ func (j *Journal) Append(key string, payload any) error {
 //
 // requires: mu
 func (j *Journal) appendLocked(key string, payload any) error {
+	if !utf8.ValidString(key) {
+		return fmt.Errorf("checkpoint: key %q is not valid UTF-8", key)
+	}
 	j.line.Reset()
 	j.line.WriteString(`{"c":"00000000","k":`)
 	if err := j.enc.Encode(key); err != nil {

@@ -277,6 +277,36 @@ func TestUnencodablePayload(t *testing.T) {
 	}
 }
 
+// TestInvalidUTF8KeyRejected: a key that is not valid UTF-8 fails and
+// writes nothing, so the entries before and after it reopen intact.
+func TestInvalidUTF8KeyRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	j, _, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("ok", payload{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("bad\xffkey", payload{N: 2}); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+		t.Fatalf("invalid UTF-8 key: Append error %v, want one naming UTF-8", err)
+	}
+	if err := j.Append("after", payload{N: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, entries, sal, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !sal.Clean() || len(entries) != 2 || entries[0].Key != "ok" || entries[1].Key != "after" {
+		t.Fatalf("reopened %s with %+v, want the entries ok and after", sal.Summary(), entries)
+	}
+}
+
 // TestAppendConcurrent: appends from many goroutines share the
 // journal's line buffer, payloads of many sizes mixed with payloads
 // that cannot be encoded, one of them past the size the buffer is

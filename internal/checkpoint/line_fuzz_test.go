@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unicode/utf8"
 )
 
 // oracleLine is the journal line as Append wrote it before it framed
@@ -25,8 +26,8 @@ func oracleLine(key string, payload any) ([]byte, error) {
 }
 
 // appendOne appends one entry to a fresh journal and returns the file's
-// bytes with Append's error.
-func appendOne(t *testing.T, key string, payload any) ([]byte, error) {
+// bytes, the entries reopening it reads back, and Append's error.
+func appendOne(t *testing.T, key string, payload any) ([]byte, []Entry, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "j")
 	j, _, _, err := Open(path)
@@ -41,17 +42,27 @@ func appendOne(t *testing.T, key string, payload any) ([]byte, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, appendErr
+	j, entries, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return data, entries, appendErr
 }
 
 // FuzzJournalLineParity holds the line Append frames by hand to the
-// oracle's bytes for any key and payload: a json.RawMessage payload as
-// given and, when it is valid JSON, indented so there is whitespace to
-// compact; and a struct payload whose string holds the same bytes. A
-// payload the oracle cannot encode must fail Append too and leave the
-// file empty. The seeds put the bytes encoding/json escapes (<, >, &,
-// U+2028, U+2029, invalid UTF-8 and control bytes) in keys and in
-// payload strings; a panicked record's stack holds "<autogenerated>".
+// oracle's bytes for any valid UTF-8 key and any payload: a
+// json.RawMessage payload as given and, when it is valid JSON, indented
+// so there is whitespace to compact; and a struct payload whose string
+// holds the same bytes. A payload the oracle cannot encode must fail
+// Append too and leave the file empty, and an entry Append wrote must
+// reopen under its key. A key that is not valid UTF-8 must fail Append
+// and leave the file empty, whatever the payload. The seeds put the
+// bytes encoding/json escapes (<, >, &, U+2028, U+2029, invalid UTF-8
+// and control bytes) in keys and in payload strings; a panicked
+// record's stack holds "<autogenerated>".
 func FuzzJournalLineParity(f *testing.F) {
 	for _, s := range []struct{ key, payload string }{
 		{"OPT/A1/0/0/42", `{"n":1,"s":"x"}`},
@@ -79,8 +90,15 @@ func FuzzJournalLineParity(f *testing.F) {
 			payloads = append(payloads, json.RawMessage(spaced.Bytes()))
 		}
 		for i, p := range payloads {
+			got, entries, err := appendOne(t, key, p)
+			if !utf8.ValidString(key) {
+				if err == nil || len(got) != 0 {
+					t.Fatalf("payload %d (%q): key %q is not valid UTF-8, but Append error is %v and it wrote %q",
+						i, raw, key, err, got)
+				}
+				continue
+			}
 			want, wantErr := oracleLine(key, p)
-			got, err := appendOne(t, key, p)
 			switch {
 			case (err == nil) != (wantErr == nil):
 				t.Fatalf("payload %d (%q): Append error %v, oracle error %v", i, raw, err, wantErr)
@@ -88,6 +106,8 @@ func FuzzJournalLineParity(f *testing.F) {
 				t.Fatalf("payload %d (%q): failed Append wrote %q", i, raw, got)
 			case !bytes.Equal(got, want):
 				t.Fatalf("payload %d (%q): Append wrote\n%q\noracle\n%q", i, raw, got, want)
+			case err == nil && (len(entries) != 1 || entries[0].Key != key):
+				t.Fatalf("payload %d (%q): reopened journal holds %+v, want one entry under %q", i, raw, entries, key)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -456,8 +457,9 @@ func TestFingerprintRotationWithRepeatedMinimum(t *testing.T) {
 	onB := cell.Set{MCG: cell.NewGroup(band.RATNR, ref("393@521310"))}
 	onC := cell.Set{MCG: cell.NewGroup(band.RATNR, ref("540@501390"))}
 	loop := func(sets ...cell.Set) *Loop {
-		return &Loop{Start: 0, CycleLen: len(sets), Reps: MinReps,
-			End: len(sets), Timeline: setTimeline(sets, len(sets)*1000)}
+		n := len(sets)
+		tl := setTimeline(append(sets, sets...), 2*n*1000)
+		return LoopIn(tl, 0, n, MinReps, 2*n, FormPersistent)
 	}
 	phase0 := loop(idle, onB, idle, onC)
 	phase2 := loop(idle, onC, idle, onB) // same cycle observed two steps later
@@ -471,9 +473,11 @@ func TestFingerprintRotationWithRepeatedMinimum(t *testing.T) {
 	}
 }
 
-// TestCyclesTruncatedDurationClamp: a salvaged capture can carry an
-// observation duration before the last step's timestamp; the final
-// repetition's Off share must clamp to zero, never go negative.
+// TestCyclesTruncatedDurationClamp: a timeline can carry an observation
+// duration before the last step's timestamp (trace.Builder never makes
+// one, but Analyze accepts any timeline). The detector ends such a
+// stream at its last step, so the final repetition is metered up to
+// that step and no share goes negative.
 func TestCyclesTruncatedDurationClamp(t *testing.T) {
 	on := cell.Set{MCG: cell.NewGroup(band.RATNR, ref("393@521310"))}
 	idle := cell.Idle()
@@ -492,8 +496,11 @@ func TestCyclesTruncatedDurationClamp(t *testing.T) {
 			t.Errorf("cycle %d: negative share: %+v", i, c)
 		}
 	}
-	if last := cycles[1]; last.On != 0 || last.Off != 0 {
-		t.Errorf("truncated final cycle = %+v, want zero shares", last)
+	if want := (CycleMetrics{Start: at(2000), On: at(1000)}); cycles[1] != want {
+		t.Errorf("truncated final cycle = %+v, want %+v", cycles[1], want)
+	}
+	if want := LoopIn(tl, 0, 2, 2, 4, FormPersistent).Cycles(); !reflect.DeepEqual(cycles, want) {
+		t.Errorf("detector cycles %+v, LoopIn cycles %+v", cycles, want)
 	}
 }
 

@@ -37,7 +37,12 @@ func (f Form) String() string {
 }
 
 // Loop is one detected ON-OFF loop: a subsequence of serving cell sets
-// that starts 5G ON, ends 5G OFF, and repeats at least twice.
+// that starts 5G ON, ends 5G OFF, and repeats at least twice. A Loop
+// keeps the cycle keys, fingerprint and per-cycle metrics computed when
+// it was made, by the StreamDetector as it confirmed and metered the
+// loop or by LoopIn from a complete timeline, so CycleKeys, Fingerprint
+// and Cycles only return them. The returned slices are the loop's own
+// and must not be modified.
 type Loop struct {
 	// Start is the timeline step index where the first cycle begins.
 	Start int
@@ -52,13 +57,54 @@ type Loop struct {
 	Form Form
 	// Timeline is the sequence the loop was found in.
 	Timeline *trace.Timeline
+
+	keys        []string
+	fingerprint string
+	cycles      []CycleMetrics
+}
+
+// LoopIn returns the loop of cycleLen steps from step start of tl,
+// repeated reps times and matched up to end, with its cycle keys,
+// fingerprint and per-cycle metrics derived from tl once. The
+// repetitions must lie inside tl: 0 ≤ start, 1 ≤ cycleLen and
+// start+reps·cycleLen ≤ len(tl.Steps).
+func LoopIn(tl *trace.Timeline, start, cycleLen, reps, end int, form Form) *Loop {
+	l := &Loop{Start: start, CycleLen: cycleLen, Reps: reps, End: end, Form: form, Timeline: tl}
+	l.keys = make([]string, cycleLen)
+	for i := range l.keys {
+		l.keys[i] = tl.Steps[start+i].Set.Key()
+	}
+	l.fingerprint = fingerprintKeys(l.keys)
+	l.cycles = make([]CycleMetrics, 0, reps)
+	for r := 0; r < reps; r++ {
+		startIdx := start + r*cycleLen
+		endIdx := startIdx + cycleLen
+		from := tl.Steps[startIdx].At
+		to := tl.Duration
+		if endIdx < len(tl.Steps) {
+			to = tl.Steps[endIdx].At
+		} else if last := tl.Steps[len(tl.Steps)-1].At; to < last {
+			// A timeline whose Duration falls before its last step
+			// (trace.Builder never makes one) ends at that step, as
+			// StreamDetector.Flush does.
+			to = last
+		}
+		// Clamp the end to the cycle start and to the ON time actually
+		// observed so Off is never negative.
+		if to < from {
+			to = from
+		}
+		on := tl.TimeIn5G(from, to)
+		if to < from+on {
+			to = from + on
+		}
+		l.cycles = append(l.cycles, CycleMetrics{Start: from, On: on, Off: to - from - on})
+	}
+	return l
 }
 
 // CycleKeys returns the canonical cell-set keys of one cycle.
-func (l *Loop) CycleKeys() []string {
-	keys := l.Timeline.Keys()
-	return keys[l.Start : l.Start+l.CycleLen]
-}
+func (l *Loop) CycleKeys() []string { return l.keys }
 
 // Fingerprint identifies the loop by its cycle's cell-set membership,
 // independent of when it was observed: two runs at the same location
@@ -66,7 +112,11 @@ func (l *Loop) CycleKeys() []string {
 // The paper uses exactly this notion when it confirms that loops
 // observed at different locations "are indeed independent per location"
 // (§4.1) and when it re-identifies a loop instance across runs (§6).
-func (l *Loop) Fingerprint() string { return fingerprintKeys(l.CycleKeys()) }
+func (l *Loop) Fingerprint() string { return l.fingerprint }
+
+// Cycles returns the per-repetition metrics of the loop (§4.3, Fig. 10),
+// one per complete repetition.
+func (l *Loop) Cycles() []CycleMetrics { return l.cycles }
 
 // fingerprintKeys hashes one cycle's keys (FNV-1a), rotated to a
 // canonical start so the fingerprint does not depend on which set the
@@ -135,36 +185,6 @@ func (c CycleMetrics) OffRatio() float64 {
 		return 0
 	}
 	return float64(c.Off) / float64(total)
-}
-
-// Cycles computes the per-repetition metrics of a loop. Only complete
-// repetitions are returned.
-func (l *Loop) Cycles() []CycleMetrics {
-	out := make([]CycleMetrics, 0, l.Reps)
-	for r := 0; r < l.Reps; r++ {
-		startIdx := l.Start + r*l.CycleLen
-		endIdx := l.Start + (r+1)*l.CycleLen
-		start := l.Timeline.Steps[startIdx].At
-		var end time.Duration
-		if endIdx < len(l.Timeline.Steps) {
-			end = l.Timeline.Steps[endIdx].At
-		} else {
-			end = l.Timeline.Duration
-		}
-		// A truncated capture can carry a Duration shorter than the last
-		// step's timestamp; clamp the final repetition's end to the cycle
-		// start and to the ON time actually observed so Off is never
-		// negative.
-		if end < start {
-			end = start
-		}
-		on := l.Timeline.TimeIn5G(start, end)
-		if end < start+on {
-			end = start + on
-		}
-		out = append(out, CycleMetrics{Start: start, On: on, Off: end - start - on})
-	}
-	return out
 }
 
 // OffTransition returns the step inside the first cycle where 5G turns

@@ -13,7 +13,10 @@ import "github.com/mssn/loopscope/internal/trace"
 // StreamDetector with Horizon H must produce exactly the loops of
 // DetectAllHorizon(tl, H) on the complete timeline.
 func DetectAllHorizon(tl *trace.Timeline, horizon int) []*Loop {
-	keys := tl.Keys()
+	keys := make([]string, len(tl.Steps))
+	for i, s := range tl.Steps {
+		keys[i] = s.Set.Key()
+	}
 	n := len(keys)
 	var loops []*Loop
 	for k := 0; k < n; {
@@ -55,19 +58,13 @@ func detectAt(tl *trace.Timeline, keys []string, k, maxL int) *Loop {
 		if match == n {
 			form = FormPersistent
 		}
-		return &Loop{
-			Start:    k,
-			CycleLen: L,
-			Reps:     reps,
-			End:      match,
-			Form:     form,
-			Timeline: tl,
-		}
+		return LoopIn(tl, k, L, reps, match, form)
 	}
 	return nil
 }
 
-// oracleAnalysis is the reference Analysis: DetectAllHorizon plus
+// oracleAnalysis is the reference Analysis: DetectAllHorizon, whose
+// loops derive their keys, fingerprints and cycles through LoopIn, plus
 // Classify re-run on every loop against the complete timeline.
 func oracleAnalysis(tl *trace.Timeline, horizon int) Analysis {
 	loops := DetectAllHorizon(tl, horizon)

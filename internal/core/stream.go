@@ -68,29 +68,15 @@ type StreamEvent struct {
 	// the step completing a repetition or breaking the cycle, or the
 	// flush duration for an end-of-stream II-P close.
 	At time.Duration
-	// Loop is the loop's state when the event fired. Form is FormNoLoop
-	// until the Closed event; Cycles carries the repetitions whose end
-	// boundary is already known, so it can trail Reps by one until the
-	// next step (or Flush) supplies the boundary time.
-	Loop StreamLoop
-}
-
-// StreamLoop is a self-contained detected-loop record: the structure of
-// a *Loop, but carrying its cycle keys, per-cycle metrics, fingerprint
-// and sub-type by value so it can outlive the detector's bounded
-// window. Indices are absolute step indices into the full timeline, so
-// FinishAnalysis rebinds each record to the complete timeline as a
-// *Loop.
-type StreamLoop struct {
-	Start       int
-	CycleLen    int
-	Reps        int
-	End         int
-	Form        Form
-	CycleKeys   []string
-	Cycles      []CycleMetrics
-	Fingerprint string
-	Subtype     Subtype
+	// Loop is the loop's state when the event fired, with no Timeline:
+	// indices are absolute step indices into the full timeline. Form is
+	// FormNoLoop until the Closed event, whose Loop holds the final
+	// values FinishAnalysis returns. Cycles carries the repetitions
+	// whose end boundary is already known, so it can trail Reps by one
+	// until the next step (or Flush) supplies the boundary time.
+	Loop *Loop
+	// Subtype is the loop's sub-type, classified at confirmation.
+	Subtype Subtype
 }
 
 // openLoop is the detector's state for a confirmed, not-yet-closed loop.
@@ -113,6 +99,14 @@ type openLoop struct {
 	meter    int
 	repStart time.Duration
 	curOn    time.Duration
+}
+
+// closedLoop is a finished loop and the sub-type it was classified as
+// at confirmation. The detector keeps them by value, so closing a loop
+// allocates nothing beyond the slice's growth.
+type closedLoop struct {
+	loop    Loop
+	subtype Subtype
 }
 
 // resolution is the outcome of examining the current scan position.
@@ -166,8 +160,8 @@ type StreamDetector struct {
 	minL    int
 	checked int
 
-	open  *openLoop
-	loops []StreamLoop
+	open   *openLoop
+	closed []closedLoop
 
 	flushed  bool
 	duration time.Duration
@@ -195,11 +189,11 @@ func (d *StreamDetector) Push(s trace.Step) {
 // Flush ends the stream at the given observation duration (clamped to
 // the last step time, as trace.Builder.Finish does): the open loop, if
 // any, finalizes as II-P, and every still-undecided candidate position
-// resolves against the now-final length. It returns all closed loops in
-// detection order; calling Flush again returns the same slice.
-func (d *StreamDetector) Flush(duration time.Duration) []StreamLoop {
+// resolves against the now-final length. Calling Flush again does
+// nothing.
+func (d *StreamDetector) Flush(duration time.Duration) {
 	if d.flushed {
-		return d.loops
+		return
 	}
 	d.flushed = true
 	if d.n > 0 {
@@ -219,29 +213,22 @@ func (d *StreamDetector) Flush(duration time.Duration) []StreamLoop {
 		c.Set("detect.stream.window", int64(len(d.win)))
 		c.Set("detect.stream.open", 0)
 	}
-	return d.loops
 }
 
-// Loops returns the loops closed so far, in detection order. The slice
-// is complete once Flush has run.
-func (d *StreamDetector) Loops() []StreamLoop { return d.loops }
-
 // FinishAnalysis flushes at the timeline's duration and returns the
-// closed loops bound to tl, the complete timeline they were detected
-// in, with the sub-types classified at confirmation.
+// detector's closed loops in detection order, bound to tl, the complete
+// timeline they were detected in, with the sub-types classified at
+// confirmation.
 func (d *StreamDetector) FinishAnalysis(tl *trace.Timeline) Analysis {
-	loops := d.Flush(tl.Duration)
-	a := Analysis{Subtypes: make([]Subtype, len(loops))}
-	for i, sl := range loops {
-		a.Loops = append(a.Loops, &Loop{
-			Start:    sl.Start,
-			CycleLen: sl.CycleLen,
-			Reps:     sl.Reps,
-			End:      sl.End,
-			Form:     sl.Form,
-			Timeline: tl,
-		})
-		a.Subtypes[i] = sl.Subtype
+	d.Flush(tl.Duration)
+	a := Analysis{Subtypes: make([]Subtype, len(d.closed))}
+	if len(d.closed) > 0 {
+		a.Loops = make([]*Loop, len(d.closed))
+	}
+	for i := range d.closed {
+		c := &d.closed[i]
+		c.loop.Timeline = tl
+		a.Loops[i], a.Subtypes[i] = &c.loop, c.subtype
 	}
 	return a
 }
@@ -355,9 +342,10 @@ func (d *StreamDetector) resolve() resolution {
 }
 
 // accept opens a confirmed loop at k with cycle length L and announces
-// it. Everything the record needs beyond the bounded window — the cycle
-// keys, the classification evidence (the first cycle plus the step
-// before it), the fingerprint — is copied out here.
+// it. Everything the loop needs beyond the bounded window is computed
+// here: the cycle keys are copied out, the fingerprint hashed, and the
+// sub-type classified from the retained evidence (the first cycle plus
+// the step before it).
 func (d *StreamDetector) accept(k, L int) {
 	o := &openLoop{
 		start:     k,
@@ -369,13 +357,12 @@ func (d *StreamDetector) accept(k, L int) {
 		repStart:  d.win[k-d.base].At,
 	}
 	o.fingerprint = fingerprintKeys(o.keys)
-	var window []trace.Step
 	hasPre := k > 0
+	from := k - d.base
 	if hasPre {
-		window = append(window, d.win[k-1-d.base])
+		from-- // the look-behind step, which evict always retains
 	}
-	window = append(window, d.win[k-d.base:k+L-d.base]...)
-	o.subtype = classifyWindow(window, hasPre, L)
+	o.subtype = classifyWindow(d.win[from:k+L-d.base], hasPre, L)
 	d.open = o
 	if c := d.cfg.Metrics; c != nil {
 		c.Add("detect.stream.confirmed", 1)
@@ -430,18 +417,11 @@ func (d *StreamDetector) close(form Form, end int) {
 	if end < d.n {
 		at = d.win[end-d.base].At
 	}
-	sl := StreamLoop{
-		Start:       o.start,
-		CycleLen:    o.cycleLen,
-		Reps:        reps,
-		End:         end,
-		Form:        form,
-		CycleKeys:   o.keys,
-		Cycles:      o.cycles,
-		Fingerprint: o.fingerprint,
-		Subtype:     o.subtype,
-	}
-	d.loops = append(d.loops, sl)
+	d.closed = append(d.closed, closedLoop{
+		loop: Loop{Start: o.start, CycleLen: o.cycleLen, Reps: reps, End: end, Form: form,
+			keys: o.keys, fingerprint: o.fingerprint, cycles: o.cycles},
+		subtype: o.subtype,
+	})
 	d.open = nil
 	d.scan = end
 	d.minL = MinReps
@@ -451,26 +431,22 @@ func (d *StreamDetector) close(form Form, end int) {
 		c.Set("detect.stream.open", 0)
 	}
 	if d.cfg.OnEvent != nil {
-		d.cfg.OnEvent(StreamEvent{Kind: StreamClosed, At: at, Loop: sl})
+		l := d.closed[len(d.closed)-1].loop
+		d.cfg.OnEvent(StreamEvent{Kind: StreamClosed, At: at, Loop: &l, Subtype: o.subtype})
 	}
 }
 
-// emit announces the open loop's current state.
+// emit announces the open loop's current state. The snapshot shares
+// the open loop's keys and its metered cycles so far; the detector only
+// ever appends to the cycles, past the snapshot's capped length.
 func (d *StreamDetector) emit(kind StreamEventKind, at time.Duration, form Form, reps, end int) {
 	if d.cfg.OnEvent == nil {
 		return
 	}
 	o := d.open
-	d.cfg.OnEvent(StreamEvent{Kind: kind, At: at, Loop: StreamLoop{
-		Start:       o.start,
-		CycleLen:    o.cycleLen,
-		Reps:        reps,
-		End:         end,
-		Form:        form,
-		CycleKeys:   append([]string(nil), o.keys...),
-		Cycles:      append([]CycleMetrics(nil), o.cycles...),
-		Fingerprint: o.fingerprint,
-		Subtype:     o.subtype,
+	d.cfg.OnEvent(StreamEvent{Kind: kind, At: at, Subtype: o.subtype, Loop: &Loop{
+		Start: o.start, CycleLen: o.cycleLen, Reps: reps, End: end, Form: form,
+		keys: o.keys, fingerprint: o.fingerprint, cycles: o.cycles[:len(o.cycles):len(o.cycles)],
 	}})
 }
 
@@ -486,7 +462,7 @@ func (d *StreamDetector) meterTo(limit int) {
 // meterStep accounts the step at the meter position, whose in-force
 // window ends at end, into the current repetition; crossing a
 // repetition boundary finalizes that repetition's CycleMetrics with the
-// same clamping as Loop.Cycles.
+// same clamping as LoopIn.
 func (d *StreamDetector) meterStep(end time.Duration) {
 	o := d.open
 	s := d.win[o.meter-d.base]
@@ -512,9 +488,9 @@ func (d *StreamDetector) meterStep(end time.Duration) {
 	}
 }
 
-// classifyWindow runs Classify over the copied evidence window (the
-// step before the loop, when one exists, plus the first cycle) — the
-// only steps Classify and PreOffState ever read.
+// classifyWindow runs Classify over the evidence window (the step
+// before the loop, when one exists, plus the first cycle) — the only
+// steps Classify and PreOffState ever read. Classify keeps none of them.
 func classifyWindow(steps []trace.Step, hasPre bool, cycleLen int) Subtype {
 	start := 0
 	if hasPre {

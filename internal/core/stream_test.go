@@ -32,45 +32,28 @@ func renderAnalysis(a Analysis) string {
 }
 
 // streamReplay pushes every step of tl through a fresh detector and
-// flushes at the timeline duration.
-func streamReplay(tl *trace.Timeline, cfg StreamConfig) ([]StreamLoop, *StreamDetector) {
+// finishes the analysis over tl.
+func streamReplay(tl *trace.Timeline, cfg StreamConfig) (Analysis, *StreamDetector) {
 	sd := NewStreamDetector(cfg)
 	for _, s := range tl.Steps {
 		sd.Push(s)
 	}
-	return sd.Flush(tl.Duration), sd
+	return sd.FinishAnalysis(tl), sd
 }
 
 // assertStreamParity replays tl through the detector at the given
-// horizon and requires byte-identical output against the oracle.
+// horizon and requires byte-identical output against the oracle, the
+// keys, fingerprints and cycles the detector computed included.
 func assertStreamParity(t *testing.T, tl *trace.Timeline, horizon int) {
 	t.Helper()
 	batch := oracleAnalysis(tl, horizon)
-	recs, sd := streamReplay(tl, StreamConfig{Horizon: horizon})
-	got := sd.FinishAnalysis(tl)
+	got, sd := streamReplay(tl, StreamConfig{Horizon: horizon})
 	if want, have := renderAnalysis(batch), renderAnalysis(got); want != have {
 		t.Fatalf("horizon %d: stream output diverges from the oracle\noracle:\n%s\nstream:\n%s",
 			horizon, want, have)
 	}
 	if !reflect.DeepEqual(got, batch) {
 		t.Fatalf("horizon %d: FinishAnalysis not deep-equal to the oracle analysis", horizon)
-	}
-	// The self-contained records must carry the same values the oracle
-	// loops compute lazily from the full timeline.
-	for i, sl := range recs {
-		l := batch.Loops[i]
-		if !reflect.DeepEqual(sl.CycleKeys, l.CycleKeys()) {
-			t.Errorf("loop %d: stream keys %q, batch %q", i, sl.CycleKeys, l.CycleKeys())
-		}
-		if !reflect.DeepEqual(sl.Cycles, l.Cycles()) {
-			t.Errorf("loop %d: stream cycles %v, batch %v", i, sl.Cycles, l.Cycles())
-		}
-		if sl.Fingerprint != l.Fingerprint() {
-			t.Errorf("loop %d: stream fingerprint %s, batch %s", i, sl.Fingerprint, l.Fingerprint())
-		}
-		if sl.Subtype != batch.Subtypes[i] {
-			t.Errorf("loop %d: stream subtype %v, batch %v", i, sl.Subtype, batch.Subtypes[i])
-		}
 	}
 	if sd.Steps() != len(tl.Steps) {
 		t.Errorf("Steps() = %d, want %d", sd.Steps(), len(tl.Steps))
@@ -170,9 +153,12 @@ func twoLoopTimeline() *trace.Timeline {
 func TestStreamEventCadence(t *testing.T) {
 	tl := twoLoopTimeline()
 	var events []StreamEvent
-	recs, _ := streamReplay(tl, StreamConfig{OnEvent: func(e StreamEvent) {
+	var shown []string // each event's cycles as they read when it fired
+	an, _ := streamReplay(tl, StreamConfig{OnEvent: func(e StreamEvent) {
 		events = append(events, e)
+		shown = append(shown, fmt.Sprint(e.Loop.Cycles()))
 	}})
+	recs := an.Loops
 	if len(recs) != 2 {
 		t.Fatalf("loops = %d, want 2", len(recs))
 	}
@@ -181,10 +167,10 @@ func TestStreamEventCadence(t *testing.T) {
 	}
 	counts := map[string]map[StreamEventKind]int{}
 	for _, e := range events {
-		m := counts[e.Loop.Fingerprint]
+		m := counts[e.Loop.Fingerprint()]
 		if m == nil {
 			m = map[StreamEventKind]int{}
-			counts[e.Loop.Fingerprint] = m
+			counts[e.Loop.Fingerprint()] = m
 		}
 		m[e.Kind]++
 		if e.Kind != StreamClosed && e.Loop.Form != FormNoLoop {
@@ -192,7 +178,7 @@ func TestStreamEventCadence(t *testing.T) {
 		}
 	}
 	for i, rec := range recs {
-		m := counts[rec.Fingerprint]
+		m := counts[rec.Fingerprint()]
 		if m[StreamConfirmed] != 1 {
 			t.Errorf("loop %d: confirmed %d times, want exactly 1", i, m[StreamConfirmed])
 		}
@@ -203,16 +189,23 @@ func TestStreamEventCadence(t *testing.T) {
 			t.Errorf("loop %d: %d rep events, want %d", i, m[StreamRep], want)
 		}
 	}
-	// The closed snapshot is the final record, metrics included.
-	var lastClosed []StreamLoop
-	for _, e := range events {
-		if e.Kind == StreamClosed {
-			lastClosed = append(lastClosed, e.Loop)
+	// An event's loop shares the detector's slices, so later steps must
+	// not change what it showed.
+	for i, e := range events {
+		if got := fmt.Sprint(e.Loop.Cycles()); got != shown[i] {
+			t.Errorf("event %d (%s): cycles changed from %s to %s", i, e.Kind, shown[i], got)
 		}
 	}
-	if !reflect.DeepEqual(lastClosed, recs) {
-		t.Errorf("closed-event snapshots differ from Flush records\nevents: %+v\nflush:  %+v",
-			lastClosed, recs)
+	// The closed event carries the final loop, metrics included.
+	var closed Analysis
+	for _, e := range events {
+		if e.Kind == StreamClosed {
+			closed.Loops = append(closed.Loops, e.Loop)
+			closed.Subtypes = append(closed.Subtypes, e.Subtype)
+		}
+	}
+	if got, want := renderAnalysis(closed), renderAnalysis(an); got != want {
+		t.Errorf("closed events differ from the analysis\nevents:\n%s\nanalysis:\n%s", got, want)
 	}
 	// Event times must be non-decreasing and within the capture.
 	prev := time.Duration(-1)
@@ -289,18 +282,19 @@ func TestStreamMetricsObserveOnly(t *testing.T) {
 	}
 }
 
-// TestStreamFlushContract: Flush is idempotent, and Push after Flush
-// panics like reusing a finished trace.Builder.
+// TestStreamFlushContract: Flush is idempotent, so a second Flush at a
+// later duration leaves the last cycle's metrics alone, and Push after
+// Flush panics like reusing a finished trace.Builder.
 func TestStreamFlushContract(t *testing.T) {
 	tl := s1e3Timeline(2)
 	sd := NewStreamDetector(StreamConfig{})
 	for _, s := range tl.Steps {
 		sd.Push(s)
 	}
-	first := sd.Flush(tl.Duration)
-	second := sd.Flush(tl.Duration + at(5000))
-	if !reflect.DeepEqual(first, second) {
-		t.Error("second Flush returned different records")
+	sd.Flush(tl.Duration)
+	sd.Flush(tl.Duration + at(5000))
+	if !reflect.DeepEqual(sd.FinishAnalysis(tl), oracleAnalysis(tl, 0)) {
+		t.Error("a second Flush changed the analysis")
 	}
 	defer func() {
 		if recover() == nil {

@@ -132,16 +132,6 @@ type Timeline struct {
 	Duration time.Duration // end of observation (last event time)
 }
 
-// Keys returns the canonical key of every step's set, the sequence loop
-// detection runs on.
-func (t *Timeline) Keys() []string {
-	keys := make([]string, len(t.Steps))
-	for i, s := range t.Steps {
-		keys[i] = s.Set.Key()
-	}
-	return keys
-}
-
 // StepEnd returns when step i stops being in force.
 func (t *Timeline) StepEnd(i int) time.Duration {
 	if i+1 < len(t.Steps) {
@@ -242,11 +232,10 @@ type extractor struct {
 	// pending is the last reconfiguration awaiting its Complete.
 	pending *rrc.Reconfig
 
-	// lastApplied remembers the most recently applied reconfiguration,
-	// to attribute an immediately following exception (S1E3).
-	lastApplied   *rrc.Reconfig
-	lastAppliedAt time.Duration
-	lastMod       *SCellMod
+	// lastMod is the SCell modification of the most recently applied
+	// reconfiguration; a release that follows carries it as its
+	// PendingMod, the S1E3 evidence.
+	lastMod *SCellMod
 
 	// ON-period measurement bookkeeping for S1E1/S1E2 evidence: a
 	// cell was seen in a report exactly when it has a lastMeas entry.
@@ -362,7 +351,6 @@ func (ex *extractor) resetONBookkeeping() {
 	ex.lastMeas = make(map[cell.Ref]rrc.MeasEntry)
 	ex.scellIndex = make(map[int]cell.Ref)
 	ex.pending = nil
-	ex.lastApplied = nil
 	ex.lastMod = nil
 }
 
@@ -512,7 +500,5 @@ func (ex *extractor) applyReconfig(at time.Duration, rc rrc.Reconfig) {
 		ex.lastMod = &mod
 		ev.Mod = &mod
 	}
-	ex.lastApplied = &rc
-	ex.lastAppliedAt = at
 	ex.push(at, next, ev)
 }

@@ -90,10 +90,9 @@ func TestExtractS1E3(t *testing.T) {
 		t.Errorf("PendingMod = %+v", mod)
 	}
 	// The two cycles must produce identical key subsequences.
-	keys := tl.Keys()
 	for i := 1; i <= 4; i++ {
-		if keys[i] != keys[i+4] {
-			t.Errorf("cycle keys differ at %d: %q vs %q", i, keys[i], keys[i+4])
+		if a, b := tl.Steps[i].Set.Key(), tl.Steps[i+4].Set.Key(); a != b {
+			t.Errorf("cycle keys differ at %d: %q vs %q", i, a, b)
 		}
 	}
 }

@@ -87,10 +87,9 @@ type (
 	StreamLoopDetector = core.StreamDetector
 	// StreamDetectorConfig configures a StreamLoopDetector.
 	StreamDetectorConfig = core.StreamConfig
-	// StreamLoopEvent is one incremental detection announcement.
+	// StreamLoopEvent is one incremental detection announcement: the
+	// loop as the detector has it so far, and its sub-type.
 	StreamLoopEvent = core.StreamEvent
-	// StreamLoopRecord is a self-contained detected-loop record.
-	StreamLoopRecord = core.StreamLoop
 )
 
 // Stream detection lifecycle events.
@@ -215,8 +214,8 @@ func NewTimelineBuilder() *TimelineBuilder { return trace.NewBuilder() }
 
 // NewStreamLoopDetector returns an incremental loop detector; feed it
 // timeline steps via TimelineBuilder.TeeSteps (or Push directly) and
-// finish with Flush. Analyze runs the same detector over a finished
-// timeline.
+// finish with FinishAnalysis over the finished timeline. Analyze runs
+// the same detector over a finished timeline.
 func NewStreamLoopDetector(cfg StreamDetectorConfig) *StreamLoopDetector {
 	return core.NewStreamDetector(cfg)
 }
