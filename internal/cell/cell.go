@@ -260,7 +260,8 @@ func (s Set) Contains(r Ref) bool { return s.MCG.Contains(r) || s.SCG.Contains(r
 
 // Key returns a canonical string identifying the set's membership; two
 // sets with the same cells in the same roles share a Key. Loop detection
-// compares CS sequences by Key.
+// compares CS sequences with Equal, which builds no key, and renders
+// keys only for a confirmed loop's cycle, to name it.
 func (s Set) Key() string { return s.MCG.key() + "|" + s.SCG.key() }
 
 // String renders a readable summary such as

@@ -28,6 +28,7 @@ import (
 	"os"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Entry is one journal record: an opaque payload filed under the
@@ -74,14 +75,23 @@ type line struct {
 	P json.RawMessage `json:"p"`
 }
 
+// nul separates the key from the payload in a checksum.
+var nul = []byte{0}
+
 // checksum digests one entry the way Append writes it and Open
-// verifies it.
-func checksum(key string, payload []byte) string {
-	h := crc32.NewIEEE()
-	h.Write([]byte(key))
-	h.Write([]byte{0})
-	h.Write(payload)
-	return fmt.Sprintf("%08x", h.Sum32())
+// verifies it, into dst as 8 lowercase hex digits. It reads the key in
+// place, so it allocates nothing.
+//
+//loopvet:hot
+func checksum(dst *[8]byte, key string, payload []byte) {
+	c := crc32.Update(0, crc32.IEEETable, unsafe.Slice(unsafe.StringData(key), len(key)))
+	c = crc32.Update(c, crc32.IEEETable, nul)
+	c = crc32.Update(c, crc32.IEEETable, payload)
+	const digits = "0123456789abcdef"
+	for i := len(dst) - 1; i >= 0; i-- {
+		dst[i] = digits[c&0xf]
+		c >>= 4
+	}
 }
 
 // Journal is an open checkpoint file positioned for appending. Append
@@ -149,7 +159,12 @@ func scan(data []byte) ([]Entry, int64, *Salvage) {
 		}
 		raw := data[off : off+nl]
 		var l line
-		if err := json.Unmarshal(raw, &l); err != nil || l.C != checksum(l.K, l.P) {
+		if err := json.Unmarshal(raw, &l); err != nil {
+			break
+		}
+		var sum [8]byte
+		checksum(&sum, l.K, l.P)
+		if l.C != string(sum[:]) {
 			break
 		}
 		entries = append(entries, Entry{Key: l.K, Payload: l.P})
@@ -227,7 +242,7 @@ func (j *Journal) appendLocked(key string, payload any) error {
 	j.line.Truncate(end)
 	j.line.WriteString("}\n")
 	buf := j.line.Bytes()
-	copy(buf[len(`{"c":"`):], checksum(key, buf[start:end]))
+	checksum((*[8]byte)(buf[len(`{"c":"`):]), key, buf[start:end])
 	if err := j.truncateTailLocked(); err != nil {
 		return err
 	}

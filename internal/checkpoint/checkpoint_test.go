@@ -307,6 +307,33 @@ func TestInvalidUTF8KeyRejected(t *testing.T) {
 	}
 }
 
+// TestChecksumAllocatesNothing: digesting an entry, which Append does
+// for every line it writes and Open for every line it scans, allocates
+// nothing and writes the digits the retired hash.Hash32 and fmt form
+// gave.
+func TestChecksumAllocatesNothing(t *testing.T) {
+	// The long key rules out a copy the compiler could keep on the
+	// stack: that only happens for conversions of up to 32 bytes.
+	key := strings.Repeat("OPT/A1/0/0/7/", 8)
+	payload := []byte(`{"n":1}`)
+	var sum [8]byte
+	for _, c := range []struct {
+		key     string
+		payload []byte
+	}{{"", nil}, {"k", nil}, {"", payload}, {key, payload}} {
+		checksum(&sum, c.key, c.payload)
+		if got, want := string(sum[:]), oracleChecksum(c.key, c.payload); got != want {
+			t.Errorf("checksum(%q, %q) = %s, want %s", c.key, c.payload, got, want)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by race instrumentation")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { checksum(&sum, key, payload) }); allocs != 0 {
+		t.Errorf("checksum allocates %.1f times per entry, want 0", allocs)
+	}
+}
+
 // TestAppendConcurrent: appends from many goroutines share the
 // journal's line buffer, payloads of many sizes mixed with payloads
 // that cannot be encoded, one of them past the size the buffer is

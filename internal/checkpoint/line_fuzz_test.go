@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,19 +12,30 @@ import (
 )
 
 // oracleLine is the journal line as Append wrote it before it framed
-// lines by hand: the payload marshaled on its own, then the line schema
-// marshaled around it, which validates and compacts the payload a
-// second time, plus the newline.
+// lines and digests by hand: the payload marshaled on its own, then the
+// line schema marshaled around it, which validates and compacts the
+// payload a second time, plus the newline.
 func oracleLine(key string, payload any) ([]byte, error) {
 	p, err := json.Marshal(payload)
 	if err != nil {
 		return nil, err
 	}
-	b, err := json.Marshal(line{C: checksum(key, p), K: key, P: p})
+	b, err := json.Marshal(line{C: oracleChecksum(key, p), K: key, P: p})
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// oracleChecksum is checksum as the journal computed it before it
+// wrote the digits by hand: a hash.Hash32 over copies of the key and
+// the NUL, formatted by fmt.
+func oracleChecksum(key string, payload []byte) string {
+	h := crc32.NewIEEE()
+	h.Write([]byte(key))
+	h.Write([]byte{0})
+	h.Write(payload)
+	return fmt.Sprintf("%08x", h.Sum32())
 }
 
 // appendOne appends one entry to a fresh journal and returns the file's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/mssn/loopscope/internal/cell"
 	"github.com/mssn/loopscope/internal/obs"
 	"github.com/mssn/loopscope/internal/trace"
 )
@@ -87,7 +88,10 @@ type openLoop struct {
 	match int
 	// announced is the repetition count last reported through OnEvent.
 	announced int
-	keys      []string
+	// cycle holds the first cycle's sets, which every later step is
+	// compared with; keys renders them once, for the loop's record.
+	cycle []cell.Set
+	keys  []string
 
 	fingerprint string
 	subtype     Subtype
@@ -136,18 +140,18 @@ const (
 // golden-replay tests pin both.
 //
 // The loop structure itself (starts, lengths, repetitions, forms)
-// depends only on the cell-set key sequence and holds for arbitrary
-// step times; only the per-cycle On/Off metrics need the monotonic-time
-// contract above.
+// depends only on the cell-set sequence, compared with cell.Set.Equal,
+// and holds for arbitrary step times; only the per-cycle On/Off
+// metrics need the monotonic-time contract above. Keys are rendered
+// only for a confirmed loop's cycle.
 //
 // A StreamDetector is single-goroutine state: Push, Flush and the
 // OnEvent callback must not be called concurrently.
 type StreamDetector struct {
 	cfg StreamConfig
 
-	// win/keys/on hold the retained steps; win[0] is absolute index base.
+	// win/on hold the retained steps; win[0] is absolute index base.
 	win     []trace.Step
-	keys    []string
 	on      []bool
 	base    int
 	n       int // total steps pushed
@@ -174,12 +178,13 @@ func NewStreamDetector(cfg StreamConfig) *StreamDetector {
 
 // Push consumes the next timeline step. It panics if called after
 // Flush, mirroring trace.Builder's no-reuse contract.
+//
+//loopvet:hot
 func (d *StreamDetector) Push(s trace.Step) {
 	if d.flushed {
 		panic("core: StreamDetector.Push after Flush")
 	}
 	d.win = append(d.win, s)
-	d.keys = append(d.keys, s.Set.Key())
 	d.on = append(d.on, s.Set.Uses5G())
 	d.n++
 	d.advance()
@@ -322,7 +327,7 @@ func (d *StreamDetector) resolve() resolution {
 		}
 		rejected := false
 		for ; j < limit; j++ {
-			if d.keys[j-d.base] != d.keys[k+(j-k)%L-d.base] {
+			if !d.win[j-d.base].Set.Equal(d.win[k+(j-k)%L-d.base].Set) {
 				rejected = true
 				break
 			}
@@ -343,18 +348,23 @@ func (d *StreamDetector) resolve() resolution {
 
 // accept opens a confirmed loop at k with cycle length L and announces
 // it. Everything the loop needs beyond the bounded window is computed
-// here: the cycle keys are copied out, the fingerprint hashed, and the
-// sub-type classified from the retained evidence (the first cycle plus
-// the step before it).
+// here: the cycle's sets are copied out and their keys rendered, the
+// fingerprint hashed, and the sub-type classified from the retained
+// evidence (the first cycle plus the step before it).
 func (d *StreamDetector) accept(k, L int) {
 	o := &openLoop{
 		start:     k,
 		cycleLen:  L,
 		match:     k + MinReps*L,
 		announced: MinReps,
-		keys:      append([]string(nil), d.keys[k-d.base:k+L-d.base]...),
+		cycle:     make([]cell.Set, L),
+		keys:      make([]string, L),
 		meter:     k,
 		repStart:  d.win[k-d.base].At,
+	}
+	for i := range o.cycle {
+		o.cycle[i] = d.win[k+i-d.base].Set
+		o.keys[i] = o.cycle[i].Key()
 	}
 	o.fingerprint = fingerprintKeys(o.keys)
 	hasPre := k > 0
@@ -377,11 +387,13 @@ func (d *StreamDetector) accept(k, L int) {
 
 // extend advances the open loop over retained steps, reporting whether
 // it closed (first mismatching step, II-SP).
+//
+//loopvet:hot
 func (d *StreamDetector) extend() bool {
 	o := d.open
 	for o.match < d.n {
 		i := o.match
-		if d.keys[i-d.base] != o.keys[(i-o.start)%o.cycleLen] {
+		if !d.win[i-d.base].Set.Equal(o.cycle[(i-o.start)%o.cycleLen]) {
 			d.close(FormSemiPersistent, i)
 			return true
 		}
@@ -527,9 +539,8 @@ func (d *StreamDetector) evict() {
 	}
 	n := len(d.win) - drop
 	copy(d.win, d.win[drop:])
-	copy(d.keys, d.keys[drop:])
 	copy(d.on, d.on[drop:])
-	d.win, d.keys, d.on = d.win[:n], d.keys[:n], d.on[:n]
+	d.win, d.on = d.win[:n], d.on[:n]
 	d.base = keep
 	d.evicted += drop
 }

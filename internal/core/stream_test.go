@@ -257,6 +257,44 @@ func TestStreamBoundedWindow(t *testing.T) {
 	}
 }
 
+// TestStreamOpenLoopPushAllocatesNothing pins the detector's per-step
+// cost: once a loop is confirmed, each further cycle's steps are
+// compared with the loop's cycle as sets, and pushing them allocates
+// nothing. The loop's per-cycle record grows by doubling, which
+// amortizes to less than one allocation per cycle, so it counts as 0.
+func TestStreamOpenLoopPushAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by race instrumentation")
+	}
+	const runs = 100
+	tl := s1e3Timeline(MinReps + 1 + runs)
+	want := oracleAnalysis(tl, 0)
+	if len(want.Loops) != 1 {
+		t.Fatalf("fixture has %d loops, want 1", len(want.Loops))
+	}
+	l := want.Loops[0]
+	sd := NewStreamDetector(StreamConfig{})
+	next := 0
+	push := func(n int) {
+		for _, s := range tl.Steps[next : next+n] {
+			sd.Push(s)
+		}
+		next += n
+	}
+	push(l.Start + MinReps*l.CycleLen)
+	if sd.open == nil {
+		t.Fatal("no loop open after two repetitions")
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { push(l.CycleLen) }); allocs != 0 {
+		t.Errorf("pushing a cycle of an open loop allocates %.1f times, want 0", allocs)
+	}
+	push(len(tl.Steps) - next)
+	if got := sd.FinishAnalysis(tl); !reflect.DeepEqual(got, want) {
+		t.Fatalf("analysis diverges from the oracle\noracle:\n%s\nstream:\n%s",
+			renderAnalysis(want), renderAnalysis(got))
+	}
+}
+
 // TestStreamMetricsObserveOnly pins the obs contract for the stream
 // counters: attaching a collector never changes detection output, and
 // the counters report what actually happened.

@@ -229,20 +229,33 @@ type extractor struct {
 	// lists of RRCReconfiguration.
 	scellIndex map[int]cell.Ref
 
-	// pending is the last reconfiguration awaiting its Complete.
-	pending *rrc.Reconfig
+	// pending is the last reconfiguration awaiting its Complete; it is
+	// void unless hasPending is set.
+	pending    rrc.Reconfig
+	hasPending bool
 
 	// lastMod is the SCell modification of the most recently applied
 	// reconfiguration; a release that follows carries it as its
 	// PendingMod, the S1E3 evidence.
 	lastMod *SCellMod
 
-	// ON-period measurement bookkeeping for S1E1/S1E2 evidence: a
-	// cell was seen in a report exactly when it has a lastMeas entry.
+	// ON-period measurement bookkeeping for S1E1/S1E2 evidence. Every
+	// cell a report names keeps its entry in meas for the builder's
+	// lifetime; a cell was seen in a report this ON period exactly when
+	// its entry carries the current period, so a new period starts with
+	// one increment.
 	reports     int
-	lastMeas    map[cell.Ref]rrc.MeasEntry
+	period      int
+	meas        map[cell.Ref]periodMeas
 	lastSCGFail rrc.SCGFailureCause
 	scgFailAt   time.Duration
+}
+
+// periodMeas is one cell's latest measurement and the ON period it was
+// reported in.
+type periodMeas struct {
+	period int
+	last   rrc.MeasEntry
 }
 
 // Extract folds a signaling log into a timeline. The timeline always
@@ -272,7 +285,7 @@ var _ sig.Sink = (*Builder)(nil)
 func NewBuilder() *Builder {
 	b := &Builder{ex: extractor{
 		scellIndex: make(map[int]cell.Ref),
-		lastMeas:   make(map[cell.Ref]rrc.MeasEntry),
+		meas:       make(map[cell.Ref]periodMeas),
 	}}
 	b.ex.push(0, cell.Idle(), newEvidence(CauseNone))
 	return b
@@ -348,9 +361,9 @@ func (ex *extractor) push(at time.Duration, s cell.Set, ev Evidence) {
 // resetONBookkeeping clears the per-ON-period measurement state.
 func (ex *extractor) resetONBookkeeping() {
 	ex.reports = 0
-	ex.lastMeas = make(map[cell.Ref]rrc.MeasEntry)
+	ex.period++
 	ex.scellIndex = make(map[int]cell.Ref)
-	ex.pending = nil
+	ex.hasPending = false
 	ex.lastMod = nil
 }
 
@@ -360,16 +373,17 @@ func (ex *extractor) releaseEvidence(kind ReleaseKind) Evidence {
 	ev.Reports = ex.reports
 	if ex.cur.MCG != nil {
 		for _, sc := range ex.cur.MCG.SCells {
-			m, seen := ex.lastMeas[sc]
+			m, ok := ex.meas[sc]
+			seen := ok && m.period == ex.period
 			if ex.reports > 0 && !seen {
 				ev.UnmeasuredSCells = append(ev.UnmeasuredSCells, sc)
 			}
 			if seen {
 				// The sentinel is +Inf, so the first report always wins.
-				if m.Meas.RSRPDBm < ev.WorstSCellRSRP {
-					ev.WorstSCellRSRP = m.Meas.RSRPDBm
+				if m.last.Meas.RSRPDBm < ev.WorstSCellRSRP {
+					ev.WorstSCellRSRP = m.last.Meas.RSRPDBm
 				}
-				if m.Meas.RSRQDB <= PoorRSRQThresholdDB {
+				if m.last.Meas.RSRQDB <= PoorRSRQThresholdDB {
 					ev.PoorSCells = append(ev.PoorSCells, sc)
 				}
 			}
@@ -400,18 +414,18 @@ func (ex *extractor) handle(at time.Duration, m rrc.Message) {
 		s := cell.Set{MCG: cell.NewGroup(band.RATLTE, v.Cell)}
 		ex.push(at, s, newEvidence(CauseNone))
 	case rrc.Reconfig:
-		ex.pending = &v
+		ex.pending, ex.hasPending = v, true
 	case rrc.ReconfigComplete:
-		if ex.pending != nil {
-			ex.applyReconfig(at, *ex.pending)
-			ex.pending = nil
+		if ex.hasPending {
+			ex.applyReconfig(at, ex.pending)
+			ex.hasPending = false
 		}
 	case rrc.MeasReport:
 		// The entries are borrowed (see sig.Sink): each is copied by
-		// value into lastMeas.
+		// value into meas.
 		ex.reports++
 		for _, e := range v.Entries {
-			ex.lastMeas[e.Cell] = e
+			ex.meas[e.Cell] = periodMeas{period: ex.period, last: e}
 		}
 	case rrc.SCGFailureInfo:
 		ex.lastSCGFail = v.FailureType

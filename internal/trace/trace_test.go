@@ -13,6 +13,7 @@ import (
 	"github.com/mssn/loopscope/internal/meas"
 	"github.com/mssn/loopscope/internal/rrc"
 	"github.com/mssn/loopscope/internal/sig"
+	"github.com/mssn/loopscope/internal/units"
 )
 
 func ref(s string) cell.Ref { return cell.MustRef(s) }
@@ -125,6 +126,88 @@ func TestExtractS1E1Unmeasured(t *testing.T) {
 	}
 	if last.Evidence.Reports != 5 {
 		t.Errorf("Reports = %d", last.Evidence.Reports)
+	}
+}
+
+// TestMeasBookkeepingPerONPeriod: a report counts toward the ON period
+// it falls in only. A cell measured in one period, poor there, and not
+// measured in the next is unmeasured and not poor at the next release,
+// whether or not a later report lists its cells in the same order.
+func TestMeasBookkeepingPerONPeriod(t *testing.T) {
+	pcell, scA, scB := ref("540@501390"), ref("309@387410"), ref("309@398410")
+	entry := func(c cell.Ref, rsrq units.DB) rrc.MeasEntry {
+		return rrc.MeasEntry{Cell: c, Role: rrc.RoleSCell, Meas: meas.Measurement{RSRPDBm: -90, RSRQDB: rsrq}}
+	}
+	for _, second := range [][]rrc.MeasEntry{
+		{entry(pcell, -10), entry(scA, -11)},
+		{entry(scA, -11), entry(pcell, -10)},
+	} {
+		l := &sig.Log{}
+		for p, entries := range [][]rrc.MeasEntry{{entry(pcell, -10), entry(scA, -11), entry(scB, -25)}, second} {
+			base := p * 20000
+			l.Append(at(base+100), rrc.SetupComplete{Rat: band.RATNR, Cell: pcell})
+			l.Append(at(base+2000), rrc.Reconfig{Rat: band.RATNR, Serving: pcell,
+				AddSCells: []rrc.SCellEntry{{Index: 1, Cell: scA}, {Index: 2, Cell: scB}}})
+			l.Append(at(base+2010), rrc.ReconfigComplete{Rat: band.RATNR})
+			l.Append(at(base+3000), rrc.MeasReport{Rat: band.RATNR, Entries: entries})
+			l.Append(at(base+7000), rrc.Release{Rat: band.RATNR})
+		}
+		var releases []Evidence
+		for _, s := range Extract(l).Steps {
+			if s.Evidence.Kind == CauseRRCRelease {
+				releases = append(releases, s.Evidence)
+			}
+		}
+		if len(releases) != 2 {
+			t.Fatalf("%d releases, want 2", len(releases))
+		}
+		first, next := releases[0], releases[1]
+		if len(first.UnmeasuredSCells) != 0 || len(first.PoorSCells) != 1 || first.PoorSCells[0] != scB {
+			t.Errorf("first release: unmeasured %v, poor %v; want none and [%v]", first.UnmeasuredSCells, first.PoorSCells, scB)
+		}
+		if len(next.UnmeasuredSCells) != 1 || next.UnmeasuredSCells[0] != scB || len(next.PoorSCells) != 0 {
+			t.Errorf("second release: unmeasured %v, poor %v; want [%v] and none", next.UnmeasuredSCells, next.PoorSCells, scB)
+		}
+		if next.WorstSCellRSRP != -90 || next.Reports != 1 {
+			t.Errorf("second release: worst RSRP %v over %d reports, want -90 over 1", next.WorstSCellRSRP, next.Reports)
+		}
+	}
+}
+
+// TestExtractHostileCaptureStaysLinear: one ON period whose 2 000
+// reports of 100 entries name 200 000 distinct cells folds within a
+// generous bound. The bookkeeping keys each cell's latest entry by the
+// cell; a scan over the cells seen so far instead takes tens of seconds
+// on this capture.
+func TestExtractHostileCaptureStaysLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector slows extraction too much for a wall-clock bound")
+	}
+	const reports, perReport = 2000, 100
+	pcell, seen, unseen := ref("393@521310"), cell.Ref{PCI: 0, Channel: 0}, cell.Ref{PCI: -1, Channel: 0}
+	start := time.Now()
+	b := NewBuilder()
+	b.Append(at(1), rrc.SetupComplete{Rat: band.RATNR, Cell: pcell})
+	b.Append(at(2), rrc.Reconfig{Rat: band.RATNR, Serving: pcell,
+		AddSCells: []rrc.SCellEntry{{Index: 1, Cell: seen}, {Index: 2, Cell: unseen}}})
+	b.Append(at(3), rrc.ReconfigComplete{Rat: band.RATNR})
+	entries := make([]rrc.MeasEntry, perReport)
+	for r := 0; r < reports; r++ {
+		for i := range entries {
+			entries[i] = rrc.MeasEntry{Cell: cell.Ref{PCI: r, Channel: i}, Meas: meas.Measurement{RSRPDBm: -90, RSRQDB: -10}}
+		}
+		b.Append(at(10+r), rrc.MeasReport{Rat: band.RATNR, Entries: entries})
+	}
+	b.Append(at(10+reports), rrc.Release{Rat: band.RATNR})
+	tl := b.Finish()
+	elapsed := time.Since(start)
+	ev := tl.Steps[len(tl.Steps)-1].Evidence
+	if ev.Kind != CauseRRCRelease || ev.Reports != reports ||
+		len(ev.UnmeasuredSCells) != 1 || ev.UnmeasuredSCells[0] != unseen {
+		t.Fatalf("release evidence %+v, want %d reports and only %v unmeasured", ev, reports, unseen)
+	}
+	if limit := 10 * time.Second; elapsed > limit {
+		t.Errorf("folding %d entries over %d cells took %v, want under %v", reports*perReport, reports*perReport, elapsed, limit)
 	}
 }
 

@@ -3,6 +3,7 @@ package uesim
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -52,6 +53,33 @@ func TestRunToContextBackgroundMatchesRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Events, got2.Events) {
 		t.Fatal("RunToContext(nil) diverged from Run")
+	}
+}
+
+// TestPooledRNGMatchesFresh: a run that takes a used generator from
+// the pool and reseeds it emits exactly the events of a run on a fresh
+// source of its seed, also when the generator comes from a run aborted
+// mid-stream.
+func TestPooledRNGMatchesFresh(t *testing.T) {
+	cfg := ctxCfg(t)
+	for rngPool.Get() != nil {
+	}
+	fresh := Run(cfg) // the pool is empty, so this run builds its source
+	used := rand.New(rand.NewSource(cfg.Seed + 1))
+	used.Int63()
+	rngPool.Put(used)
+	if got := Run(cfg); !reflect.DeepEqual(got.Events, fresh.Events) {
+		t.Fatal("a run on a reseeded generator diverged from one on a fresh source")
+	}
+	aborted := cfg
+	aborted.Seed++
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := RunToContext(ctx, aborted, &cancelAfterSink{n: 10, cancel: cancel}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := Run(cfg); !reflect.DeepEqual(got.Events, fresh.Events) {
+		t.Fatal("a run after an aborted one diverged from one on a fresh source")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"github.com/mssn/loopscope/internal/band"
@@ -152,7 +153,12 @@ func eventsHint(d time.Duration) int {
 // runAbort is the panic sentinel that unwinds the engine when its
 // context is cancelled mid-run; RunToContext converts it back into the
 // context's error. Any other panic propagates untouched.
-type runAbort struct{ err error }
+type runAbort struct{}
+
+// rngPool keeps the runs' generators between runs: a math/rand source
+// is a 4.9 KB table, and reseeding one restores exactly the state a
+// fresh source of that seed starts in.
+var rngPool sync.Pool // of *rand.Rand
 
 // RunToContext executes one simulated run, emitting each event to sink
 // as it happens: a *sig.Emitter renders the capture text, a
@@ -186,11 +192,18 @@ func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	rng, _ := rngPool.Get().(*rand.Rand)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		rng.Seed(cfg.Seed)
+	}
+	defer rngPool.Put(rng)
 	n := len(cfg.Cluster.Cells)
 	e := &engine{
 		cfg:     cfg,
-		ctx:     ctx,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		done:    ctx.Done(),
+		rng:     rng,
 		sink:    sink,
 		last:    -1,
 		samples: make([]meas.Measurement, n),
@@ -210,17 +223,17 @@ func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 		if p == nil {
 			return
 		}
-		ab, ok := p.(runAbort)
-		if !ok {
+		if _, ok := p.(runAbort); !ok {
 			panic(p)
 		}
-		err = ab.err
+		// The engine aborts only once ctx is done, so its error is set.
+		err = ctx.Err()
 		if cfg.Metrics != nil {
 			cfg.Metrics.Add("uesim.runs.cancelled", 1)
 		}
 	}()
-	if err := ctx.Err(); err != nil {
-		panic(runAbort{err})
+	if ctx.Err() != nil {
+		panic(runAbort{})
 	}
 	if cfg.Op.Mode == policy.ModeSA {
 		e.runSA()
@@ -249,12 +262,9 @@ func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 // cells have distinct Refs, so a slot stands for one Ref.
 type engine struct {
 	cfg Config
-	// The engine is built inside RunToContext and discarded when it
-	// returns, so this field never outlives the call that scoped the
-	// context; emit is the single cancellation point and threading ctx
-	// through every tick helper would only obscure that.
-	//lint:ignore loopvet/ctxflow run-scoped engine, built and discarded inside RunToContext; emit is the single cancellation point
-	ctx     context.Context
+	// done is the run context's Done channel, nil when it can never be
+	// cancelled; emit, the single cancellation point, polls it.
+	done    <-chan struct{}
 	rng     *rand.Rand
 	sink    sig.Sink
 	now     time.Duration
@@ -278,10 +288,16 @@ type engine struct {
 // clock by one millisecond so message ordering is strict. It is also
 // the cancellation point: checking the context here (not on the tick
 // loop) guarantees an aborted run emitted a strict prefix of the
-// uninterrupted stream.
+// uninterrupted stream. The check is a non-blocking receive on the
+// Done channel, which takes no lock, unlike Context.Err: the study's
+// workers share one context.
+//
+//loopvet:hot
 func (e *engine) emit(m rrc.Message) {
-	if err := e.ctx.Err(); err != nil {
-		panic(runAbort{err})
+	select {
+	case <-e.done:
+		panic(runAbort{})
+	default:
 	}
 	e.sink.Append(e.now, m)
 	e.emitted++
