@@ -360,9 +360,14 @@ func BenchmarkStreamDetect(b *testing.B) {
 func BenchmarkJournalAppend(b *testing.B) {
 	const key = "OPT/A1/0/0/7"
 	op, dep, cl := benchRunSetup(b)
-	rec := campaign.ExecuteRunContext(context.Background(), op, dep, cl, 0, 0,
-		campaign.Options{Seed: 7, Duration: 5 * time.Minute})
-	wire, err := campaign.EncodeRecord(rec)
+	opts := campaign.Options{Seed: 7, Duration: 5 * time.Minute}
+	job := campaign.StudyJob(op, dep, 0, 0, opts)
+	job.Cluster = cl
+	recs, err := campaign.Execute(context.Background(), "bench", []campaign.Job{job}, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire, err := campaign.EncodeRecord(recs[0])
 	if err != nil {
 		b.Fatal(err)
 	}

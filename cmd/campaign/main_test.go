@@ -148,80 +148,95 @@ func TestBadFlag(t *testing.T) {
 
 // TestMetricsSnapshotParity: -metrics writes a snapshot file and the
 // experiment output on stdout stays byte-identical to an unobserved
-// run — the CLI-level form of the observation-only guarantee. Every run
-// tees the stream detector, so even this clean study's snapshot counts
-// each loop its records hold as one detect.stream.closed.
+// run — the CLI-level form of the observation-only guarantee. The
+// study's counters count the study alone, whatever -exp renders: its
+// runs, one per sunk record, and each loop its records hold as one
+// detect.stream.closed (every run tees the stream detector). The side
+// runs of the simulating generators in -exp all only add
+// campaign.side_runs.
 func TestMetricsSnapshotParity(t *testing.T) {
-	var plainOut, plainErr bytes.Buffer
-	args := append(append([]string{}, goldenArgs...), "-exp", "fig6")
-	if code := run(args, &plainOut, &plainErr); code != 0 {
-		t.Fatalf("plain exit %d, stderr: %s", code, plainErr.String())
-	}
+	for _, c := range []struct {
+		exp      string
+		sideRuns bool
+	}{
+		{"fig6", false},
+		{"all", true},
+	} {
+		t.Run(c.exp, func(t *testing.T) {
+			var plainOut, plainErr bytes.Buffer
+			args := append(append([]string{}, goldenArgs...), "-exp", c.exp)
+			if code := run(args, &plainOut, &plainErr); code != 0 {
+				t.Fatalf("plain exit %d, stderr: %s", code, plainErr.String())
+			}
 
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "metrics.json")
-	sunk := filepath.Join(dir, "records.jsonl")
-	var obsOut, obsErr bytes.Buffer
-	args = append(append([]string{}, goldenArgs...), "-exp", "fig6", "-metrics", snap, "-sink", sunk)
-	if code := run(args, &obsOut, &obsErr); code != 0 {
-		t.Fatalf("-metrics exit %d, stderr: %s", code, obsErr.String())
-	}
-	if !bytes.Equal(plainOut.Bytes(), obsOut.Bytes()) {
-		t.Error("stdout changed when -metrics was attached")
-	}
+			dir := t.TempDir()
+			snap := filepath.Join(dir, "metrics.json")
+			sunk := filepath.Join(dir, "records.jsonl")
+			var obsOut, obsErr bytes.Buffer
+			args = append(args, "-metrics", snap, "-sink", sunk)
+			if code := run(args, &obsOut, &obsErr); code != 0 {
+				t.Fatalf("-metrics exit %d, stderr: %s", code, obsErr.String())
+			}
+			if !bytes.Equal(plainOut.Bytes(), obsOut.Bytes()) {
+				t.Error("stdout changed when -metrics was attached")
+			}
 
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-	var doc struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
-		Histograms []struct {
-			Name    string `json:"name"`
-			Samples int64  `json:"samples"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("snapshot is not JSON: %v\n%s", err, data)
-	}
-	counters := map[string]int64{}
-	for _, c := range doc.Counters {
-		counters[c.Name] = c.Value
-	}
-	if counters["campaign.runs"] == 0 {
-		t.Errorf("campaign.runs missing from snapshot: %v", counters)
-	}
-	if counters["uesim.runs"] != counters["campaign.runs"] {
-		t.Errorf("uesim.runs = %d, campaign.runs = %d; retry-free study should match",
-			counters["uesim.runs"], counters["campaign.runs"])
-	}
-	lines, err := os.ReadFile(sunk)
-	if err != nil {
-		t.Fatalf("record sink not written: %v", err)
-	}
-	loops := 0
-	for _, line := range bytes.Split(bytes.TrimSpace(lines), []byte("\n")) {
-		rec, err := loopscope.DecodeStudyRecord(line)
-		if err != nil {
-			t.Fatalf("undecodable sunk record: %v", err)
-		}
-		loops += len(rec.Analysis.Loops)
-	}
-	if loops == 0 || counters["detect.stream.closed"] != int64(loops) {
-		t.Errorf("detect.stream.closed = %d, want the study's %d loops",
-			counters["detect.stream.closed"], loops)
-	}
-	spans := false
-	for _, h := range doc.Histograms {
-		if strings.HasPrefix(h.Name, "stage.") && h.Samples > 0 {
-			spans = true
-		}
-	}
-	if !spans {
-		t.Error("snapshot has no stage span histograms")
+			data, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatalf("snapshot not written: %v", err)
+			}
+			var doc struct {
+				Counters []struct {
+					Name  string `json:"name"`
+					Value int64  `json:"value"`
+				} `json:"counters"`
+				Histograms []struct {
+					Name    string `json:"name"`
+					Samples int64  `json:"samples"`
+				} `json:"histograms"`
+			}
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatalf("snapshot is not JSON: %v\n%s", err, data)
+			}
+			counters := map[string]int64{}
+			for _, c := range doc.Counters {
+				counters[c.Name] = c.Value
+			}
+			lines, err := os.ReadFile(sunk)
+			if err != nil {
+				t.Fatalf("record sink not written: %v", err)
+			}
+			records, loops := 0, 0
+			for _, line := range bytes.Split(bytes.TrimSpace(lines), []byte("\n")) {
+				rec, err := loopscope.DecodeStudyRecord(line)
+				if err != nil {
+					t.Fatalf("undecodable sunk record: %v", err)
+				}
+				records++
+				loops += len(rec.Analysis.Loops)
+			}
+			for _, name := range []string{"campaign.runs", "uesim.runs"} {
+				if counters[name] != int64(records) {
+					t.Errorf("%s = %d, want the study's %d runs", name, counters[name], records)
+				}
+			}
+			if loops == 0 || counters["detect.stream.closed"] != int64(loops) {
+				t.Errorf("detect.stream.closed = %d, want the study's %d loops",
+					counters["detect.stream.closed"], loops)
+			}
+			if _, ok := counters["campaign.side_runs"]; ok != c.sideRuns {
+				t.Errorf("campaign.side_runs in snapshot = %v, want %v", ok, c.sideRuns)
+			}
+			spans := false
+			for _, h := range doc.Histograms {
+				if strings.HasPrefix(h.Name, "stage.") && h.Samples > 0 {
+					spans = true
+				}
+			}
+			if !spans {
+				t.Error("snapshot has no stage span histograms")
+			}
+		})
 	}
 }
 

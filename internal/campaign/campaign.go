@@ -246,22 +246,82 @@ type Study struct {
 	Areas []*AreaResult
 }
 
-// ExecuteRunContext performs a single run and post-processes it
-// through the full analysis pipeline. A run that panics does not tear
-// down the study: the panic is captured into a failure Record (with
-// error and stack), and the run is retried up to DefaultMaxRetries
-// times with a perturbed seed before the failure sticks. Cancellation
-// is final and never retried; a study cancelled before a retry also
-// yields a cancelled record (not the interim panic), because an
-// uninterrupted study would have retried and the panic must not be
-// checkpointed as final.
-func ExecuteRunContext(ctx context.Context, op *policy.Operator, dep *deploy.Deployment,
-	cl *deploy.Cluster, locIdx, runIdx int, opts Options) *Record {
+// Job is one declared simulation. The study declares one per run
+// (StudyJob), and the experiment generators declare their side runs the
+// same way; runOnce turns either into a Record, the only code path from
+// a simulation to a record.
+type Job struct {
+	// Config is what uesim simulates. Its Metrics field is ignored: the
+	// engine sets the collector, and side runs report to none. A nil
+	// Device runs uesim's default phone.
+	uesim.Config
+	// FaultRates, when non-nil, routes the run's capture through a
+	// faults.Injector seeded with FaultSeed and the salvage pipeline,
+	// like Options.FaultRates does for a study run.
+	FaultRates *faults.Rates
+	FaultSeed  int64
+	// Area, City, LocIndex and RunIndex label the record.
+	Area, City         string
+	LocIndex, RunIndex int
+}
+
+// StudyJob declares the study's run runIdx at location locIdx of dep:
+// the study's run-seed formula, opts' device and duration and, when
+// opts.FaultRates is set, an injector seeded at the run seed + 2.
+func StudyJob(op *policy.Operator, dep *deploy.Deployment, locIdx, runIdx int, opts Options) Job {
 	opts = opts.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
+	seed := opts.Seed*1_000_003 + int64(locIdx)*7919 + int64(runIdx)*104729 + int64(deployHash(dep.Area.ID))
+	j := Job{
+		Config: uesim.Config{Op: op, Field: dep.Field, Cluster: dep.Clusters[locIdx],
+			Device: opts.Device, Duration: opts.Duration, Seed: seed},
+		Area: dep.Area.ID, City: dep.Area.City, LocIndex: locIdx, RunIndex: runIdx,
 	}
-	rec := runOnce(ctx, op, dep, cl, locIdx, runIdx, 0, opts)
+	if opts.FaultRates != nil {
+		j.FaultRates, j.FaultSeed = opts.FaultRates, seed+2
+	}
+	return j
+}
+
+// Execute runs an experiment's side jobs on the study's engine: each
+// goes through runOnce under the study's retry policy and panic
+// isolation, on the opts.Workers pool. It returns the records in job
+// order, the same at any worker count. Side runs report to no
+// collector and are neither journaled nor delivered to sinks;
+// opts.Metrics only counts them, as campaign.side_runs in total and
+// under {exp=label}. The error names the first run that still failed
+// after its retries, with its stack, or the cancellation that stopped
+// dispatch before every job ran; the records are then those of the
+// jobs that ran.
+func Execute(ctx context.Context, label string, jobs []Job, opts Options) ([]*Record, error) {
+	recs := make([]*Record, len(jobs))
+	n := pool(ctx, len(jobs), opts.Workers, func(i int) { recs[i] = execute(ctx, jobs[i], nil) })
+	recs = recs[:n]
+	if c := opts.Metrics; c != nil {
+		c.Add("campaign.side_runs", int64(n))
+		c.Add("campaign.side_runs{exp="+label+"}", int64(n))
+	}
+	for i, rec := range recs {
+		if rec.Failed() {
+			return recs, fmt.Errorf("campaign: %s job %d failed after %d attempts: %s\n%s",
+				label, i, rec.Attempts, rec.Err, rec.Stack)
+		}
+	}
+	if n < len(jobs) {
+		return recs, context.Cause(ctx)
+	}
+	return recs, nil
+}
+
+// execute resolves one job. A run that panics does not tear down its
+// caller: the panic is captured into a failure Record (with error and
+// stack), and the run is retried up to DefaultMaxRetries times with
+// perturbed seeds before the failure sticks. Cancellation is final and
+// never retried; a context cancelled before a retry also yields a
+// cancelled record (not the interim panic), because an uninterrupted
+// study would have retried and the panic must not be checkpointed as
+// final.
+func execute(ctx context.Context, job Job, c obs.Collector) *Record {
+	rec := runOnce(ctx, job, 0, c)
 	for attempt := 1; rec.FailKind == FailPanic && attempt <= DefaultMaxRetries; attempt++ {
 		if err := context.Cause(ctx); err != nil {
 			// The interim panic record must not stand: it would be
@@ -273,28 +333,9 @@ func ExecuteRunContext(ctx context.Context, op *policy.Operator, dep *deploy.Dep
 			rec.Err, rec.Stack, rec.FailKind = err.Error(), "", FailCancelled
 			break
 		}
-		retry := runOnce(ctx, op, dep, cl, locIdx, runIdx, attempt, opts)
+		retry := runOnce(ctx, job, attempt, c)
 		retry.Attempts = attempt + 1
 		rec = retry
-	}
-	if c := opts.Metrics; c != nil {
-		label := metricLabel(op.Name, dep.Area.ID)
-		c.Add("campaign.runs", 1)
-		c.Add("campaign.runs"+label, 1)
-		if n := int64(rec.Attempts - 1); n > 0 {
-			c.Add("campaign.retries", n)
-			c.Add("campaign.retries"+label, n)
-		}
-		if rec.Failed() {
-			c.Add("campaign.failures", 1)
-			c.Add("campaign.failures"+label, 1)
-			c.Add("campaign.failures."+rec.FailKind.String(), 1)
-			c.Add("campaign.failures."+rec.FailKind.String()+label, 1)
-		}
-		if rec.Salvage != nil && !rec.Salvage.Clean() {
-			c.Add("campaign.salvaged_runs", 1)
-			c.Add("campaign.salvaged_runs"+label, 1)
-		}
 	}
 	return rec
 }
@@ -317,20 +358,22 @@ func startStage(c obs.Collector, s obs.Stage) func() {
 // the only way to exercise the recovery path deterministically.
 var testHookPanic func(area string, locIdx, runIdx, attempt int) bool
 
-// runOnce executes one attempt of a run under panic isolation and the
-// study context. A context abort surfaces as a FailCancelled record,
-// not a panic.
-func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
-	locIdx, runIdx, attempt int, opts Options) (rec *Record) {
+// runOnce executes one attempt of a job under panic isolation and
+// ctx, reporting to c (nil for none). A context abort surfaces as a
+// FailCancelled record, not a panic.
+func runOnce(ctx context.Context, job Job, attempt int, c obs.Collector) (rec *Record) {
+	cfg := job.Config
 	rec = &Record{
-		Op:       op.Name,
-		Area:     dep.Area.ID,
-		City:     dep.Area.City,
-		LocIndex: locIdx,
-		RunIndex: runIdx,
-		Device:   opts.Device.Name,
-		Arch:     cl.Arch,
+		Op:       cfg.Op.Name,
+		Area:     job.Area,
+		City:     job.City,
+		LocIndex: job.LocIndex,
+		RunIndex: job.RunIndex,
+		Arch:     cfg.Cluster.Arch,
 		Attempts: 1,
+	}
+	if cfg.Device != nil {
+		rec.Device = cfg.Device.Name
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -341,45 +384,38 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 			rec.Analysis = core.Analysis{}
 			rec.MeasCount = 0
 			rec.Salvage = nil
-			if c := opts.Metrics; c != nil {
+			if c != nil {
 				c.Add("campaign.panics", 1)
-				c.Add("campaign.panics"+metricLabel(op.Name, dep.Area.ID), 1)
+				c.Add("campaign.panics"+metricLabel(cfg.Op.Name, job.Area), 1)
 			}
 		}
 	}()
-	if testHookPanic != nil && testHookPanic(dep.Area.ID, locIdx, runIdx, attempt) {
+	if testHookPanic != nil && testHookPanic(job.Area, job.LocIndex, job.RunIndex, attempt) {
 		panic("injected test failure")
 	}
-	// Retries perturb the seed so a deterministic crash input is not
-	// replayed verbatim.
-	seed := opts.Seed*1_000_003 + int64(locIdx)*7919 + int64(runIdx)*104729 +
-		int64(deployHash(dep.Area.ID)) + int64(attempt)*1_000_000_007
-	cfg := uesim.Config{
-		Op:       op,
-		Field:    dep.Field,
-		Cluster:  cl,
-		Device:   opts.Device,
-		Duration: opts.Duration,
-		Seed:     seed,
-		Metrics:  opts.Metrics,
-	}
+	// Retries perturb both seeds alike, so a deterministic crash input
+	// is not replayed verbatim and a study's faulted run keeps its
+	// injector seed at its run seed + 2.
+	perturb := int64(attempt) * 1_000_000_007
+	cfg.Seed += perturb
+	cfg.Metrics = c
 	// Every run has one shape: a producer, on this goroutine, feeds
 	// runSink, which folds the events into a timeline builder teed into
 	// the loop detector, so extraction and detection run inside the
 	// producer's span (see docs/OBSERVABILITY.md). The unbounded horizon
 	// finds every loop.
 	tb := trace.NewBuilder()
-	sd := core.NewStreamDetector(core.StreamConfig{Metrics: opts.Metrics})
+	sd := core.NewStreamDetector(core.StreamConfig{Metrics: c})
 	tb.TeeSteps(sd.Push)
 	sink := &runSink{tb: tb}
 	var abort error
-	if opts.FaultRates == nil {
-		endSim := startStage(opts.Metrics, obs.StageSimulate)
+	if job.FaultRates == nil {
+		endSim := startStage(c, obs.StageSimulate)
 		abort = uesim.RunToContext(ctx, cfg, sink)
 		endSim()
 	} else {
-		inj := faults.New(seed+2, *opts.FaultRates).WithCollector(opts.Metrics)
-		rec.Salvage, abort = runText(ctx, cfg, inj, sink, opts.Metrics)
+		inj := faults.New(job.FaultSeed+perturb, *job.FaultRates).WithCollector(c)
+		rec.Salvage, abort = runText(ctx, cfg, inj, sink, c)
 	}
 	if abort != nil {
 		rec.Err = abort.Error()

@@ -146,7 +146,10 @@ func TestDenseStudySmall(t *testing.T) {
 		t.Skip("no showcase cluster at this seed")
 	}
 	opts := smallOpts()
-	points := DenseStudy(op, dep, cl, 60, 1, 3, opts) // 3×3 grid, 3 runs
+	points, err := DenseStudy(op, dep, cl, 60, 1, 3, opts) // 3×3 grid, 3 runs
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 9 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -180,8 +183,12 @@ func TestExecuteRunDeterministic(t *testing.T) {
 	spec := deploy.AreasFor("OPA")[0]
 	opts := smallOpts()
 	dep := deploy.Build(op, spec, opts.Seed+1)
-	a := ExecuteRunContext(context.Background(), op, dep, dep.Clusters[0], 0, 0, opts)
-	b := ExecuteRunContext(context.Background(), op, dep, dep.Clusters[0], 0, 0, opts)
+	job := StudyJob(op, dep, 0, 0, opts)
+	recs, err := Execute(context.Background(), "test", []Job{job, job}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := recs[0], recs[1]
 	if len(a.Timeline.Steps) != len(b.Timeline.Steps) {
 		t.Fatal("non-deterministic run")
 	}
@@ -372,7 +379,12 @@ func TestRunRetryRecovers(t *testing.T) {
 
 	op := policy.OPT()
 	dep := deploy.Build(op, deploy.AreasFor("OPT")[1], 43)
-	rec := ExecuteRunContext(context.Background(), op, dep, dep.Clusters[0], 0, 0, Options{Seed: 42, Duration: 30 * time.Second})
+	opts := Options{Seed: 42, Duration: 30 * time.Second}
+	recs, err := Execute(context.Background(), "test", []Job{StudyJob(op, dep, 0, 0, opts)}, opts)
+	if err != nil {
+		t.Fatalf("retry should have recovered: %v", err)
+	}
+	rec := recs[0]
 	if rec.Failed() {
 		t.Fatalf("retry should have recovered: %s", rec.Err)
 	}

@@ -293,71 +293,89 @@ func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.A
 	if runs < 1 {
 		runs = 1
 	}
-	type job struct{ li, ri, slot int }
-	var jobs []job
-	for li := range dep.Clusters {
-		for ri := 0; ri < runs; ri++ {
-			jobs = append(jobs, job{li, ri, len(jobs)})
-		}
-	}
-	res.Records = make([]*Record, len(jobs))
-	workers := opts.Workers
+	res.Records = make([]*Record, len(dep.Clusters)*runs)
+	d := &delivery{}
+	n := pool(ctx, len(res.Records), opts.Workers, func(slot int) {
+		li, ri := slot/runs, slot%runs
+		key := runKey(op.Name, spec.ID, li, ri, opts.Seed)
+		rec := r.executeJob(ctx, op, dep, li, ri, key)
+		res.Records[slot] = rec
+		r.complete(d, slot, key, rec)
+	})
+	// Undispatched runs form a suffix of nil slots; trim them so a
+	// cancelled study still satisfies the non-nil record invariant.
+	res.Records = res.Records[:n]
+	return res
+}
+
+// pool calls do(i) for i = 0, 1, … n-1 on a bounded set of workers (0
+// means one per CPU) and returns once every call has. Indices are
+// handed out in order until ctx is done, so the calls made cover a
+// prefix of the indices; pool returns its length.
+func pool(ctx context.Context, n, workers int, do func(i int)) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	d := &delivery{}
-	ch := make(chan job)
+	workers = max(min(workers, n), 1)
+	ch := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range ch {
-				key := runKey(op.Name, spec.ID, j.li, j.ri, opts.Seed)
-				rec := r.executeJob(ctx, op, dep, dep.Clusters[j.li], j.li, j.ri, key)
-				res.Records[j.slot] = rec
-				r.complete(d, j.slot, key, rec)
+			for i := range ch {
+				do(i)
 			}
 		}()
 	}
+	sent := 0
 dispatch:
-	for _, j := range jobs {
+	for ; sent < n; sent++ {
 		select {
-		case ch <- j:
+		case ch <- sent:
 		case <-ctx.Done():
 			break dispatch // graceful drain: stop handing out work
 		}
 	}
 	close(ch)
 	wg.Wait()
-	// Undispatched jobs form a suffix of nil slots; trim them so a
-	// cancelled study still satisfies the non-nil record invariant.
-	k := len(res.Records)
-	for k > 0 && res.Records[k-1] == nil {
-		k--
-	}
-	res.Records = res.Records[:k]
-	return res
+	return sent
 }
 
-// executeJob resolves one run: from the replay map when the journal
-// already holds it, by execution otherwise.
+// executeJob resolves one study run: from the replay map when the
+// journal already holds it, by execution otherwise. The study's run
+// counters count the runs it executes.
 func (r *runner) executeJob(ctx context.Context, op *policy.Operator, dep *deploy.Deployment,
-	cl *deploy.Cluster, locIdx, runIdx int, key string) *Record {
+	locIdx, runIdx int, key string) *Record {
+	c := r.opts.Metrics
 	if rec, ok := r.done[key]; ok {
-		if c := r.opts.Metrics; c != nil {
+		if c != nil {
 			c.Add("campaign.runs.resumed", 1)
 			c.Add("campaign.runs.resumed"+metricLabel(op.Name, dep.Area.ID), 1)
 		}
 		return rec
 	}
-	return ExecuteRunContext(ctx, op, dep, cl, locIdx, runIdx, r.opts)
+	rec := execute(ctx, StudyJob(op, dep, locIdx, runIdx, r.opts), c)
+	if c != nil {
+		label := metricLabel(op.Name, dep.Area.ID)
+		c.Add("campaign.runs", 1)
+		c.Add("campaign.runs"+label, 1)
+		if n := int64(rec.Attempts - 1); n > 0 {
+			c.Add("campaign.retries", n)
+			c.Add("campaign.retries"+label, n)
+		}
+		if rec.Failed() {
+			c.Add("campaign.failures", 1)
+			c.Add("campaign.failures"+label, 1)
+			c.Add("campaign.failures."+rec.FailKind.String(), 1)
+			c.Add("campaign.failures."+rec.FailKind.String()+label, 1)
+		}
+		if rec.Salvage != nil && !rec.Salvage.Clean() {
+			c.Add("campaign.salvaged_runs", 1)
+			c.Add("campaign.salvaged_runs"+label, 1)
+		}
+	}
+	return rec
 }
 
 // runStudy drives the whole study through a runner: journal replay

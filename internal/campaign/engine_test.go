@@ -431,8 +431,8 @@ func TestStudyDeadlineResumesByteIdentical(t *testing.T) {
 }
 
 // TestCancelledRecordKind covers the cancelled branch of the taxonomy
-// via ExecuteRunContext directly (the engine drops such records from
-// sinks and journals).
+// via the study's executeJob directly (the engine drops such records
+// from sinks and journals).
 func TestCancelledRecordKind(t *testing.T) {
 	opts := tinyOpts().withDefaults()
 	reg := obs.NewRegistry()
@@ -441,7 +441,8 @@ func TestCancelledRecordKind(t *testing.T) {
 	dep := deploy.Build(policy.OPT(), spec, opts.Seed+1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rec := ExecuteRunContext(ctx, policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
+	r := &runner{opts: opts}
+	rec := r.executeJob(ctx, policy.OPT(), dep, 0, 0, runKey("OPT", "A1", 0, 0, opts.Seed))
 	if rec.FailKind != FailCancelled {
 		t.Fatalf("FailKind = %v, want FailCancelled", rec.FailKind)
 	}
@@ -465,7 +466,7 @@ func TestRetryIsContextAware(t *testing.T) {
 		return true
 	}
 	defer func() { testHookPanic = nil }()
-	rec := ExecuteRunContext(ctx, policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
+	rec := execute(ctx, StudyJob(policy.OPT(), dep, 0, 0, opts), nil)
 	if rec.FailKind != FailCancelled || rec.Attempts != 1 {
 		t.Fatalf("rec = kind %v attempts %d; want a cancelled record so resume re-runs with the full retry budget",
 			rec.FailKind, rec.Attempts)
@@ -485,8 +486,83 @@ func TestStudyDeadlineIsCancelled(t *testing.T) {
 	dep := deploy.Build(policy.OPT(), spec, opts.Seed+1)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	rec := ExecuteRunContext(ctx, policy.OPT(), dep, dep.Clusters[0], 0, 0, opts)
+	rec := execute(ctx, StudyJob(policy.OPT(), dep, 0, 0, opts), nil)
 	if rec.FailKind != FailCancelled {
 		t.Fatalf("FailKind = %v, want FailCancelled for a study-wide deadline", rec.FailKind)
+	}
+}
+
+// TestExecuteJobs: Execute returns a mixed list of clean and faulted
+// jobs' records in job order, deep-equal at 1 and 4 workers. A retry
+// perturbs a job's run and injector seeds alike: a faulted job whose
+// first attempt panics comes back as the record of a fresh job with
+// both seeds one perturbation higher. The study's faulted bytes rest on
+// that rule, which keeps a retried run's injector seed at its run
+// seed + 2. A job that still fails after its retry is Execute's error.
+func TestExecuteJobs(t *testing.T) {
+	op := policy.OPT()
+	opts := tinyOpts().withDefaults()
+	dep := deploy.Build(op, areaSpec(t, "A2"), opts.Seed+1)
+	rates := faults.Profile(0.08)
+	var jobs []Job
+	for li := range dep.Clusters[:3] {
+		clean := StudyJob(op, dep, li, 0, opts)
+		faulted := clean
+		faulted.RunIndex, faulted.FaultRates, faulted.FaultSeed = 1, &rates, clean.Seed+2
+		jobs = append(jobs, clean, faulted)
+	}
+	var first []*Record
+	for _, workers := range []int{1, 4} {
+		opts.Workers = workers
+		recs, err := Execute(context.Background(), "test", jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			if (rec.Salvage != nil) != (jobs[i].FaultRates != nil) || rec.LocIndex != jobs[i].LocIndex {
+				t.Fatalf("workers=%d: record %d is not job %d's", workers, i, i)
+			}
+		}
+		if first == nil {
+			first = recs
+		} else if !reflect.DeepEqual(first, recs) {
+			t.Fatal("records differ between 1 and 4 workers")
+		}
+	}
+
+	faulted := jobs[1]
+	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool {
+		return runIdx == 1 && attempt == 0
+	}
+	retried, err := Execute(context.Background(), "test", []Job{faulted}, opts)
+	testHookPanic = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retried[0].Attempts != 2 {
+		t.Fatalf("Attempts = %d, want 2", retried[0].Attempts)
+	}
+	fresh := faulted
+	fresh.Seed += 1_000_000_007
+	fresh.FaultSeed += 1_000_000_007
+	want, err := Execute(context.Background(), "test", []Job{fresh}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[0].Attempts = 2
+	if !reflect.DeepEqual(retried[0], want[0]) {
+		t.Fatal("a retried faulted job differs from a fresh job with both seeds perturbed")
+	}
+	if reflect.DeepEqual(retried[0].Salvage, first[1].Salvage) {
+		t.Fatal("the retry did not perturb the injector seed")
+	}
+
+	// A job that fails every attempt is Execute's error, with its stack.
+	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool { return runIdx == 1 }
+	_, err = Execute(context.Background(), "test", jobs, opts)
+	testHookPanic = nil
+	if err == nil || !strings.Contains(err.Error(), "test job 1 failed after 2 attempts: injected test failure") ||
+		!strings.Contains(err.Error(), "runOnce") {
+		t.Fatalf("Execute error = %v, want job 1's failure with its stack", err)
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"math"
 
 	"github.com/mssn/loopscope/internal/band"
@@ -126,11 +127,25 @@ type DensePoint struct {
 
 // DenseStudy runs the Fig. 20 protocol: stationary runs on a grid of
 // locations around a showcase cluster, recording per-point loop
-// probabilities and model features.
+// probabilities and model features. The grid's runs are side jobs
+// executed on the study's engine (Execute, label "dense"); the error is
+// Execute's.
 func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
-	spacingM float64, steps, runsPerPoint int, opts Options) []DensePoint {
+	spacingM float64, steps, runsPerPoint int, opts Options) ([]DensePoint, error) {
 	opts = opts.withDefaults()
 	grid := geo.DenseGrid(cl.Loc, spacingM, steps)
+	jobs := make([]Job, 0, len(grid)*runsPerPoint)
+	for gi, p := range grid {
+		for ri := 0; ri < runsPerPoint; ri++ {
+			jobs = append(jobs, Job{Config: uesim.Config{Op: op, Field: d.Field, Cluster: cl,
+				Device: opts.Device, Loc: p, Duration: opts.Duration,
+				Seed: opts.Seed*99991 + int64(gi)*613 + int64(ri)*31 + 7}})
+		}
+	}
+	recs, err := Execute(context.TODO(), "dense", jobs, opts)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]DensePoint, 0, len(grid))
 	pair := cl.CellsOnChannel(problemChannelSA)
 	for gi, p := range grid {
@@ -155,20 +170,9 @@ func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 			}
 		}
 		var s1e3, s1, targetUsed int
-		for ri := 0; ri < runsPerPoint; ri++ {
-			log := uesim.Run(uesim.Config{
-				Op:       op,
-				Field:    d.Field,
-				Cluster:  cl,
-				Device:   opts.Device,
-				Loc:      p,
-				Duration: opts.Duration,
-				Seed:     opts.Seed*99991 + int64(gi)*613 + int64(ri)*31 + 7,
-			})
-			tl := trace.Extract(log)
-			a := core.Analyze(tl)
-			if a.HasLoop() {
-				_, st := a.Primary()
+		for _, rec := range recs[gi*runsPerPoint : (gi+1)*runsPerPoint] {
+			if rec.HasLoop() {
+				st := rec.Subtype()
 				if st == core.S1E3 {
 					s1e3++
 				}
@@ -176,7 +180,7 @@ func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 					s1++
 				}
 			}
-			if anchoredOn(tl, targetPCI) {
+			if anchoredOn(rec.Timeline, targetPCI) {
 				targetUsed++
 			}
 		}
@@ -185,7 +189,7 @@ func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 		dp.TargetUsage = float64(targetUsed) / float64(runsPerPoint)
 		out = append(out, dp)
 	}
-	return out
+	return out, nil
 }
 
 // anchoredOn reports whether a run's first established PCell carries

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/mssn/loopscope/internal/faults"
+	"github.com/mssn/loopscope/internal/racecheck"
 )
 
 type payload struct {
@@ -326,7 +327,7 @@ func TestChecksumAllocatesNothing(t *testing.T) {
 			t.Errorf("checksum(%q, %q) = %s, want %s", c.key, c.payload, got, want)
 		}
 	}
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("allocation counts are perturbed by race instrumentation")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { checksum(&sum, key, payload) }); allocs != 0 {

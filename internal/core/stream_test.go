@@ -12,6 +12,7 @@ import (
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/cell"
 	"github.com/mssn/loopscope/internal/obs"
+	"github.com/mssn/loopscope/internal/racecheck"
 	"github.com/mssn/loopscope/internal/sig"
 	"github.com/mssn/loopscope/internal/trace"
 )
@@ -263,7 +264,7 @@ func TestStreamBoundedWindow(t *testing.T) {
 // nothing. The loop's per-cycle record grows by doubling, which
 // amortizes to less than one allocation per cycle, so it counts as 0.
 func TestStreamOpenLoopPushAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("allocation counts are perturbed by race instrumentation")
 	}
 	const runs = 100

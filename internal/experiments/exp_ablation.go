@@ -4,13 +4,13 @@ import (
 	"time"
 
 	"github.com/mssn/loopscope/internal/band"
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/cell"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/geo"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/radio"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 	"github.com/mssn/loopscope/internal/units"
 )
@@ -53,20 +53,25 @@ func StickinessAblation(c *Context) *Result {
 	}}
 
 	const runs = 12
-	arm := func(disable bool) (persistent, semi, none int) {
+	var jobs []campaign.Job
+	for _, disable := range []bool{false, true} {
 		for i := 0; i < runs; i++ {
-			log := uesim.Run(uesim.Config{
+			jobs = append(jobs, campaign.Job{Config: uesim.Config{
 				Op: op, Field: field, Cluster: cl,
 				Duration:            4 * time.Minute,
 				Seed:                c.Opts.Seed*23 + int64(i),
 				NoCampingStickiness: disable,
-			})
-			a := core.Analyze(trace.Extract(log))
-			if !a.HasLoop() {
+			}})
+		}
+	}
+	recs := c.run("ablation-sticky", jobs)
+	arm := func(recs []*campaign.Record) (persistent, semi, none int) {
+		for _, rec := range recs {
+			if !rec.HasLoop() {
 				none++
 				continue
 			}
-			if a.Loops[len(a.Loops)-1].Form == core.FormPersistent {
+			if rec.Form() == core.FormPersistent {
 				persistent++
 			} else {
 				semi++
@@ -74,8 +79,8 @@ func StickinessAblation(c *Context) *Result {
 		}
 		return
 	}
-	p1, s1, n1 := arm(false)
-	p2, s2, n2 := arm(true)
+	p1, s1, n1 := arm(recs[:runs])
+	p2, s2, n2 := arm(recs[runs:])
 	r.addf("%-22s %10s %10s %10s", "", "II-P", "II-SP", "no loop")
 	r.addf("%-22s %10d %10d %10d", "with stickiness", p1, s1, n1)
 	r.addf("%-22s %10d %10d %10d", "without stickiness", p2, s2, n2)

@@ -3,10 +3,9 @@ package experiments
 import (
 	"time"
 
-	"github.com/mssn/loopscope/internal/core"
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/throughput"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 )
 
@@ -26,25 +25,28 @@ func AppsExperiment(c *Context) *Result {
 		throughput.WorkloadLiveStream,
 	}
 	const runs = 6
+	// The RRC session is identical across workloads — all of them
+	// demand continuous transfer — so every workload renders from the
+	// same runs.
+	jobs := make([]campaign.Job, runs)
+	for i := range jobs {
+		jobs[i] = campaign.Job{Config: uesim.Config{
+			Op: op, Field: dep.Field, Cluster: cl,
+			Duration: 4 * time.Minute,
+			Seed:     c.Opts.Seed*17 + int64(i),
+		}}
+	}
+	recs := c.run("apps", jobs)
 	r.addf("%-14s %10s %14s %12s", "workload", "loop runs", "median Mbps", "stalled")
 	for _, w := range workloads {
 		loops := 0
 		var medSum float64
 		var stall time.Duration
-		for i := 0; i < runs; i++ {
-			// The RRC session is identical across workloads — all of
-			// them demand continuous transfer — so the same seeds
-			// reproduce the same loops.
-			log := uesim.Run(uesim.Config{
-				Op: op, Field: dep.Field, Cluster: cl,
-				Duration: 4 * time.Minute,
-				Seed:     c.Opts.Seed*17 + int64(i),
-			})
-			tl := trace.Extract(log)
-			if core.Analyze(tl).HasLoop() {
+		for i, rec := range recs {
+			if rec.HasLoop() {
 				loops++
 			}
-			samples := throughput.GenerateWorkload(tl, op, int64(i), w)
+			samples := throughput.GenerateWorkload(rec.Timeline, op, int64(i), w)
 			var sum float64
 			for _, s := range samples {
 				sum += s.Mbps

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math/rand"
 
 	"github.com/mssn/loopscope/internal/band"
@@ -66,20 +65,30 @@ func Fig12(c *Context) *Result {
 				break
 			}
 		}
+		// Each site × phone × run is the study's run at that location,
+		// on that phone, under a seed of its own.
+		var jobs []campaign.Job
 		for si, s := range sites {
-			line := ""
 			for _, dev := range devices {
-				hits := 0
 				for ri := 0; ri < runs; ri++ {
 					opts := c.Opts
 					opts.Device = dev
 					opts.Seed = c.Opts.Seed + int64(si*1000+ri*17+len(dev.Name))
-					rec := campaign.ExecuteRunContext(context.Background(), op, s.area.Dep, s.area.Dep.Clusters[s.loc],
-						s.loc, ri, opts)
+					jobs = append(jobs, campaign.StudyJob(op, s.area.Dep, s.loc, ri, opts))
+				}
+			}
+		}
+		recs := c.run("fig12", jobs)
+		for si := range sites {
+			line := ""
+			for _, dev := range devices {
+				hits := 0
+				for _, rec := range recs[:runs] {
 					if rec.HasLoop() {
 						hits++
 					}
 				}
+				recs = recs[runs:]
 				ratio := float64(hits) / float64(runs)
 				line += pct(ratio) + " "
 				key := "ratio_" + opName + "_" + dev.Name

@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"github.com/mssn/loopscope/internal/band"
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/cell"
-	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/geo"
 	"github.com/mssn/loopscope/internal/policy"
@@ -40,22 +40,27 @@ func F12Regression(c *Context) *Result {
 	cl := &deploy.Cluster{Loc: loc, Cells: []*cell.Cell{lte, ps, psSCell}}
 
 	runs := 8
-	arm := func(op *policy.Operator) (loops int) {
+	var jobs []campaign.Job
+	for _, op := range []*policy.Operator{policy.OPALegacy(), policy.OPA()} {
 		for i := 0; i < runs; i++ {
-			log := uesim.Run(uesim.Config{
+			jobs = append(jobs, campaign.Job{Config: uesim.Config{
 				Op: op, Field: field, Cluster: cl,
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*51 + int64(i),
-			})
-			a := core.Analyze(trace.Extract(log))
-			if a.HasLoop() {
+			}})
+		}
+	}
+	recs := c.run("f12", jobs)
+	arm := func(recs []*campaign.Record) (loops int) {
+		for _, rec := range recs {
+			if rec.HasLoop() {
 				loops++
 			}
 		}
 		return loops
 	}
-	legacy := arm(policy.OPALegacy())
-	current := arm(policy.OPA())
+	legacy := arm(recs[:runs])
+	current := arm(recs[runs:])
 	r.addf("site: 4G PCell at -95 dBm, NR PSCell at -114 dBm (inside the")
 	r.addf("historical dead band %-0.0f..%-0.0f dBm)", -118.0, -110.0)
 	r.addf("legacy thresholds (2021-era):  loops in %d/%d runs", legacy, runs)
@@ -83,20 +88,20 @@ func WalkExperiment(c *Context) *Result {
 	counts := make([]int, segs)
 	total := 0
 	walkDur := 10 * time.Minute
+	var jobs []campaign.Job
 	for run := 0; run < 3; run++ {
-		start := cl.Loc.Add(-300, 0)
-		end := cl.Loc.Add(300, 0)
-		log := uesim.Run(uesim.Config{
+		jobs = append(jobs, campaign.Job{Config: uesim.Config{
 			Op: op, Field: dep.Field, Cluster: cl,
-			Loc:          start,
-			Path:         []geo.Point{end},
+			Loc:          cl.Loc.Add(-300, 0),
+			Path:         []geo.Point{cl.Loc.Add(300, 0)},
 			WalkSpeedMps: 1.0,
 			Duration:     walkDur,
 			Seed:         c.Opts.Seed*77 + 3 + int64(run),
-		})
-		tl := trace.Extract(log)
+		}})
+	}
+	for _, rec := range c.run("walk", jobs) {
 		segDur := walkDur / time.Duration(segs)
-		for _, s := range tl.Steps {
+		for _, s := range rec.Timeline.Steps {
 			if s.Evidence.Kind == trace.CauseNone {
 				continue
 			}

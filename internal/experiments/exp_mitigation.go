@@ -3,10 +3,10 @@ package experiments
 import (
 	"time"
 
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/policy"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 )
 
@@ -19,17 +19,27 @@ func MitigationStudy(c *Context) *Result {
 	r := &Result{ID: "mitigation", Title: "Q3 — per-cause mitigations"}
 	r.addf("%-34s %12s %12s", "scenario", "loops before", "loops after")
 
+	// Each scenario runs its site without and then with the remedy.
 	const runs = 8
-	measure := func(op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
-		fixes uesim.Fixes, want func(core.Subtype) bool) (loops int, offSeconds float64) {
-		for i := 0; i < runs; i++ {
-			log := uesim.Run(uesim.Config{
-				Op: op, Field: dep.Field, Cluster: cl,
-				Duration: 4 * time.Minute,
-				Seed:     c.Opts.Seed*91 + int64(i),
-				Fixes:    fixes,
-			})
-			a := core.Analyze(trace.Extract(log))
+	execute := func(op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
+		fixes uesim.Fixes) (without, with []*campaign.Record) {
+		var jobs []campaign.Job
+		for _, f := range []uesim.Fixes{{}, fixes} {
+			for i := 0; i < runs; i++ {
+				jobs = append(jobs, campaign.Job{Config: uesim.Config{
+					Op: op, Field: dep.Field, Cluster: cl,
+					Duration: 4 * time.Minute,
+					Seed:     c.Opts.Seed*91 + int64(i),
+					Fixes:    f,
+				}})
+			}
+		}
+		recs := c.run("mitigation", jobs)
+		return recs[:runs], recs[runs:]
+	}
+	measure := func(recs []*campaign.Record, want func(core.Subtype) bool) (loops int, offSeconds float64) {
+		for _, rec := range recs {
+			a := rec.Analysis
 			for li, loop := range a.Loops {
 				if !want(a.Subtypes[li]) {
 					continue
@@ -75,8 +85,9 @@ func MitigationStudy(c *Context) *Result {
 			r.addf("%-34s %12s %12s", sc.name, "n/a", "n/a")
 			continue
 		}
-		before, _ := measure(sc.op, dep, cl, uesim.Fixes{}, sc.want)
-		after, _ := measure(sc.op, dep, cl, sc.fixes, sc.want)
+		without, with := execute(sc.op, dep, cl, sc.fixes)
+		before, _ := measure(without, sc.want)
+		after, _ := measure(with, sc.want)
 		r.addf("%-34s %8d/%-3d %8d/%-3d", sc.name, before, runs, after, runs)
 		r.set("before_"+sc.arch.String(), float64(before))
 		r.set("after_"+sc.arch.String(), float64(after))
@@ -88,8 +99,9 @@ func MitigationStudy(c *Context) *Result {
 	dep, cl := findArchCluster(op, "A11", deploy.ArchN2E2, c.Opts.Seed)
 	if cl != nil {
 		isN2E2 := func(s core.Subtype) bool { return s == core.N2E2 }
-		_, offBefore := measure(op, dep, cl, uesim.Fixes{}, isN2E2)
-		_, offAfter := measure(op, dep, cl, uesim.Fixes{FastSCGRecovery: true}, isN2E2)
+		without, with := execute(op, dep, cl, uesim.Fixes{FastSCGRecovery: true})
+		_, offBefore := measure(without, isN2E2)
+		_, offAfter := measure(with, isN2E2)
 		r.addf("%-34s %9.0fs %11.0fs", "N2E2 (OPV): fast SCG recovery", offBefore, offAfter)
 		r.set("n2e2_off_before_s", offBefore)
 		r.set("n2e2_off_after_s", offAfter)

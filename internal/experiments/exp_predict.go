@@ -9,7 +9,6 @@ import (
 	"github.com/mssn/loopscope/internal/geo"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/stats"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 	"github.com/mssn/loopscope/internal/viz"
 )
@@ -157,18 +156,24 @@ func usageTransect(c *Context) (pgaps, usages []float64) {
 	}
 
 	const points, runs = 14, 4
+	var jobs []campaign.Job
 	for i := 0; i < points; i++ {
 		t := -0.4 + 1.8*float64(i)/float64(points-1)
 		p := geoLerp(cl.Loc, dir, t)
-		used := 0
 		for ri := 0; ri < runs; ri++ {
-			log := uesim.Run(uesim.Config{
+			jobs = append(jobs, campaign.Job{Config: uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl, Loc: p,
 				Duration: 90 * time.Second,
 				Seed:     c.Opts.Seed*271 + int64(i)*37 + int64(ri),
-			})
-			tl := trace.Extract(log)
-			for _, s := range tl.Steps {
+			}})
+		}
+		pgaps = append(pgaps, targetGap(p))
+	}
+	recs := c.run("fig21", jobs)
+	for i := 0; i < points; i++ {
+		used := 0
+		for _, rec := range recs[i*runs : (i+1)*runs] {
+			for _, s := range rec.Timeline.Steps {
 				if s.Set.MCG != nil {
 					if s.Set.MCG.Primary.PCI == targetPCI {
 						used++
@@ -177,7 +182,6 @@ func usageTransect(c *Context) (pgaps, usages []float64) {
 				}
 			}
 		}
-		pgaps = append(pgaps, targetGap(p))
 		usages = append(usages, float64(used)/runs)
 	}
 	return pgaps, usages

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"strings"
-
 	"github.com/mssn/loopscope/internal/campaign"
-	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/faults"
 	"github.com/mssn/loopscope/internal/policy"
-	"github.com/mssn/loopscope/internal/sig"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 	"github.com/mssn/loopscope/internal/viz"
 )
@@ -62,57 +57,57 @@ func Robustness(c *Context) *Result {
 		}
 	}
 
-	// Clean pass: capture text + ground-truth verdict per run.
-	type run struct {
-		text  string
-		truth bool
-		seed  int64
-	}
-	var runs []run
+	// Clean jobs give the ground truth (loop / no loop per run); each
+	// rate then runs the same captures again through the fault injector
+	// and lenient parsing.
+	var clean []campaign.Job
 	for ci, cl := range clusters {
 		for ri := 0; ri < 2; ri++ {
-			seed := c.Opts.Seed + int64(ci)*101 + int64(ri)*13 + 7
-			log := uesim.Run(uesim.Config{
+			clean = append(clean, campaign.Job{Config: uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl,
-				Duration: c.Opts.Duration, Seed: seed,
-			})
-			truth := core.Analyze(trace.FromLog(log)).HasLoop()
-			runs = append(runs, run{text: log.String(), truth: truth, seed: seed})
+				Duration: c.Opts.Duration, Seed: c.Opts.Seed + int64(ci)*101 + int64(ri)*13 + 7,
+			}})
 		}
 	}
+	jobs := append([]campaign.Job(nil), clean...)
+	for _, rr := range robustnessRates {
+		rates := faults.Profile(rr.rate)
+		for _, j := range clean {
+			j.FaultRates, j.FaultSeed = &rates, j.Seed*31+int64(rr.rate*1000)
+			jobs = append(jobs, j)
+		}
+	}
+	recs := c.run("robustness", jobs)
+	truth, recs := recs[:len(clean)], recs[len(clean):]
 	truthPos := 0
-	for _, ru := range runs {
-		if ru.truth {
+	for _, rec := range truth {
+		if rec.HasLoop() {
 			truthPos++
 		}
 	}
-	r.addf("%d runs over %d sites, %d with a ground-truth loop", len(runs), len(clusters), truthPos)
+	r.addf("%d runs over %d sites, %d with a ground-truth loop", len(truth), len(clusters), truthPos)
 	r.addf("%-6s %8s %10s %10s %10s", "rate", "kept", "recall", "precision", "accuracy")
 
 	for _, rr := range robustnessRates {
 		tp, fp, fn, agree := 0, 0, 0, 0
 		keptEvents, totalEvents := 0, 0
-		for _, ru := range runs {
-			inj := faults.New(ru.seed*31+int64(rr.rate*1000), faults.Profile(rr.rate))
-			log, sal, err := sig.ParseLenientObserved(strings.NewReader(inj.Corrupt(ru.text)), nil)
-			if err != nil {
-				continue // unreachable for string input
-			}
-			keptEvents += sal.EventsKept
-			totalEvents += sal.EventsKept + sal.RecordsDropped
-			detected := core.Analyze(trace.FromLog(log)).HasLoop()
+		for i, rec := range recs[:len(truth)] {
+			keptEvents += rec.Salvage.EventsKept
+			totalEvents += rec.Salvage.EventsKept + rec.Salvage.RecordsDropped
+			detected, want := rec.HasLoop(), truth[i].HasLoop()
 			switch {
-			case detected && ru.truth:
+			case detected && want:
 				tp++
-			case detected && !ru.truth:
+			case detected && !want:
 				fp++
-			case !detected && ru.truth:
+			case !detected && want:
 				fn++
 			}
-			if detected == ru.truth {
+			if detected == want {
 				agree++
 			}
 		}
+		recs = recs[len(truth):]
 		recall, precision := 1.0, 1.0
 		if tp+fn > 0 {
 			recall = float64(tp) / float64(tp+fn)
@@ -124,7 +119,7 @@ func Robustness(c *Context) *Result {
 		if totalEvents > 0 {
 			kept = float64(keptEvents) / float64(totalEvents)
 		}
-		accuracy := float64(agree) / float64(len(runs))
+		accuracy := float64(agree) / float64(len(truth))
 		r.addf("%-6s %8s %10s %10s %10s", rr.label, pct(kept), pct(recall), pct(precision), pct(accuracy))
 		key := rr.label[:len(rr.label)-1] // "5%" → "5"
 		r.set("recall_"+key+"pct", recall)

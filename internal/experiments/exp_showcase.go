@@ -8,7 +8,6 @@ import (
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/core"
-	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/stats"
 	"github.com/mssn/loopscope/internal/throughput"
@@ -17,27 +16,24 @@ import (
 )
 
 // showcaseRun executes the paper's motivating 420-second run at the
-// P16-analog location with throughput recording.
-func showcaseRun(c *Context) (*trace.Timeline, []throughput.Sample, *deploy.Deployment, *deploy.Cluster) {
-	_, dep, cl := c.Dense()
-	op := policy.OPT()
-	log := uesim.Run(uesim.Config{
-		Op:       op,
-		Field:    dep.Field,
-		Cluster:  cl,
-		Duration: 420 * time.Second,
-		Seed:     c.Opts.Seed*31 + 5,
+// P16-analog location, once per Context: fig1b and fig3 both render it.
+func (c *Context) showcaseRun() *campaign.Record {
+	c.showcaseOnce.Do(func() {
+		_, dep, cl := c.Dense()
+		c.showcase = c.run("showcase", []campaign.Job{{Config: uesim.Config{
+			Op: policy.OPT(), Field: dep.Field, Cluster: cl,
+			Duration: 420 * time.Second, Seed: c.Opts.Seed*31 + 5,
+		}}})[0]
 	})
-	tl := trace.Extract(log)
-	speeds := throughput.Generate(tl, op, c.Opts.Seed*31+6)
-	return tl, speeds, dep, cl
+	return c.showcase
 }
 
 // Fig1b regenerates the motivating example: the download-speed timeline
 // of one persistent S1E3 loop (≈200+ Mbps when ON, 0 when OFF,
 // repeating every few tens of seconds).
 func Fig1b(c *Context) *Result {
-	tl, speeds, _, _ := showcaseRun(c)
+	rec := c.showcaseRun()
+	speeds := throughput.Generate(rec.Timeline, policy.OPT(), c.Opts.Seed*31+6)
 	r := &Result{ID: "fig1b", Title: "Download speed over one looping run (P16 analog)"}
 
 	var on, off []float64
@@ -67,9 +63,8 @@ func Fig1b(c *Context) *Result {
 		}
 		r.addf("t=%3ds..%3ds avg %6.1f Mbps", t, t+30, sum/30)
 	}
-	a := core.Analyze(tl)
 	loops := 0.0
-	if a.HasLoop() {
+	if rec.HasLoop() {
 		loops = 1
 	}
 	r.set("on_median_mbps", stats.Median(on))
@@ -120,11 +115,11 @@ func Table2(c *Context) *Result {
 // cycles: establishment, SCell addition, the failing intra-channel
 // SCell modification, and re-establishment.
 func Fig3(c *Context) *Result {
-	tl, _, _, _ := showcaseRun(c)
+	rec := c.showcaseRun()
 	r := &Result{ID: "fig3", Title: "Serving cell set transitions (first cycles)"}
 	count := 0
 	mods := 0
-	for i, s := range tl.Steps {
+	for i, s := range rec.Timeline.Steps {
 		if i > 14 {
 			break
 		}
@@ -141,7 +136,7 @@ func Fig3(c *Context) *Result {
 		r.addf("t=%7s  %s%s", durS(s.At), desc, cause)
 		count++
 	}
-	if loop, sub := core.Analyze(tl).Primary(); loop != nil {
+	if loop, sub := rec.Analysis.Primary(); loop != nil {
 		r.addf("loop: cycle of %d sets, %d repetitions, %v, classified %v",
 			loop.CycleLen, loop.Reps, loop.Form, sub)
 		r.set("cycle_len", float64(loop.CycleLen))

@@ -6,9 +6,12 @@
 // Generators share one Context over the study its caller ran, so
 // every table and figure renders from one measurement campaign; the
 // dense grids some of them need are built lazily, once per Context.
+// Every further simulation a generator needs is a campaign.Job that the
+// study's engine executes.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -52,6 +55,9 @@ type Context struct {
 
 	denseS1Once sync.Once
 	denseS1Pts  []campaign.DensePoint
+
+	showcaseOnce sync.Once
+	showcase     *campaign.Record
 }
 
 // NewContextWithStudy builds a context over a study its caller ran
@@ -89,9 +95,8 @@ func (c *Context) Dense() ([]campaign.DensePoint, *deploy.Deployment, *deploy.Cl
 		if c.Opts.RunScale > 0 && c.Opts.RunScale < 1 {
 			runs = 3
 		}
-		opts := c.Opts
-		c.densePts = campaign.DenseStudy(op, c.denseDep, c.denseCl,
-			denseSpacingM, denseSteps, runs, opts)
+		c.densePts = must(campaign.DenseStudy(op, c.denseDep, c.denseCl,
+			denseSpacingM, denseSteps, runs, c.Opts))
 	})
 	return c.densePts, c.denseDep, c.denseCl
 }
@@ -114,12 +119,28 @@ func (c *Context) DenseS1() []campaign.DensePoint {
 					continue
 				}
 				delete(want, cl.Arch)
-				pts := campaign.DenseStudy(op, dep, cl, denseSpacingM, 2, 3, c.Opts)
+				pts := must(campaign.DenseStudy(op, dep, cl, denseSpacingM, 2, 3, c.Opts))
 				c.denseS1Pts = append(c.denseS1Pts, pts...)
 			}
 		}
 	})
 	return c.denseS1Pts
+}
+
+// run executes a generator's side jobs on the study's engine
+// (campaign.Execute) and returns their records in job order.
+func (c *Context) run(label string, jobs []campaign.Job) []*campaign.Record {
+	return must(campaign.Execute(context.TODO(), label, jobs, c.Opts))
+}
+
+// must stops the rendering with a side run's error and stack: a
+// generator has no error to return, and a run fails after its retry
+// only on a simulator bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // Generator is one registered experiment.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/mssn/loopscope/internal/obs"
+	"github.com/mssn/loopscope/internal/racecheck"
 )
 
 // fuzzRates maps a fuzzed shape selector and rate onto the four rate
@@ -132,7 +133,7 @@ func fastest(fn func()) time.Duration {
 // the window costs a bounded factor over not holding it, where sliding
 // the window by one line at a time made it quadratic.
 func TestTruncateHoldPastWindow(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("the race detector distorts the relative cost this test bounds")
 	}
 	text := bigCapture(3 << 20)
@@ -243,7 +244,7 @@ func TestReaderParallelPooled(t *testing.T) {
 // line-level fault. (A clock rewrite, from ClockJump or after a
 // Restart, renders its new clock as a string.)
 func TestReaderSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("the race detector drops pooled objects at random")
 	}
 	text := strings.Repeat(sample(), 8)

@@ -67,14 +67,15 @@ var LayeringRules = map[string]Rule{
 		Reason: "the run engine drives UE ↔ network exchanges and emits logs; it sits above every simulator layer"},
 
 	"checkpoint": {Reason: "the durable run journal is a leaf persistence utility: it stores opaque keyed payloads and may not know the domain"},
+	"racecheck":  {Reason: "the race-detector build flag is a leaf test utility"},
 
 	// Orchestration.
 	"campaign": {Allow: []string{"band", "cell", "checkpoint", "core", "deploy", "device", "faults", "geo", "meas",
 		"obs", "policy", "rrc", "sig", "throughput", "trace", "uesim", "units"},
 		Reason: "the campaign runner orchestrates simulation and analysis end-to-end"},
 	"experiments": {Allow: []string{"band", "campaign", "cell", "core", "deploy", "device", "faults", "geo",
-		"meas", "policy", "radio", "sig", "stats", "throughput", "trace", "uesim", "viz", "units"},
-		Reason: "experiment generators may reach every layer to reproduce the paper's tables and figures"},
+		"meas", "policy", "radio", "stats", "throughput", "trace", "uesim", "viz", "units"},
+		Reason: "experiment generators declare their simulations as campaign jobs and render from the records; only the campaign engine turns a capture into a record, so no generator parses one"},
 	"report": {Allow: []string{"campaign", "core", "experiments", "stats"},
 		Reason: "reporting renders campaign and experiment output"},
 }

@@ -14,6 +14,7 @@ import (
 
 	"github.com/mssn/loopscope/internal/faults"
 	"github.com/mssn/loopscope/internal/obs"
+	"github.com/mssn/loopscope/internal/racecheck"
 )
 
 // This file is the parity wall between the []byte streaming parser
@@ -356,7 +357,7 @@ func TestTeeSeesExactlyKeptEvents(t *testing.T) {
 // property: after warm-up, yielding lines allocates nothing — neither
 // on the zero-copy fast path nor on the CRLF trim.
 func TestLineScannerZeroAllocsSteadyState(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("allocation counts are perturbed by race instrumentation")
 	}
 	data := bytes.Repeat([]byte(
@@ -382,7 +383,7 @@ func TestLineScannerZeroAllocsSteadyState(t *testing.T) {
 // TestLineScannerZeroAllocsMultiChunk: lines spanning bufio windows use
 // the reused assembly buffer — steady-state zero allocations there too.
 func TestLineScannerZeroAllocsMultiChunk(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("allocation counts are perturbed by race instrumentation")
 	}
 	line := bytes.Repeat([]byte("y"), 1<<14) // 16 KiB line, 4 KiB window
@@ -413,7 +414,7 @@ func TestLineScannerZeroAllocsMultiChunk(t *testing.T) {
 // path) trips it immediately: the capture has ~3 lines per event, so
 // per-line parasitic allocations triple the figure.
 func TestParseSteadyStateAllocsPerLine(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("allocation counts are perturbed by race instrumentation")
 	}
 	data, err := os.ReadFile(filepath.Join("testdata", "s1e3_capture.log"))

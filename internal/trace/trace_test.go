@@ -11,6 +11,7 @@ import (
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/cell"
 	"github.com/mssn/loopscope/internal/meas"
+	"github.com/mssn/loopscope/internal/racecheck"
 	"github.com/mssn/loopscope/internal/rrc"
 	"github.com/mssn/loopscope/internal/sig"
 	"github.com/mssn/loopscope/internal/units"
@@ -180,7 +181,7 @@ func TestMeasBookkeepingPerONPeriod(t *testing.T) {
 // cell; a scan over the cells seen so far instead takes tens of seconds
 // on this capture.
 func TestExtractHostileCaptureStaysLinear(t *testing.T) {
-	if raceEnabled {
+	if racecheck.Enabled {
 		t.Skip("the race detector slows extraction too much for a wall-clock bound")
 	}
 	const reports, perReport = 2000, 100
