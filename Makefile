@@ -13,13 +13,12 @@ GOVULNCHECK_VERSION ?= v1.1.3
 PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|JournalAppend)$$
 
 # Benchmarks whose allocs/op regressions fail bench-compare at ANY
-# growth: the parse rows parse one fixed capture, and the extract and
-# detect rows fold and scan one fixed run, so their allocation count is
-# exactly reproducible and pins its figure with no tolerance window to
-# hide in. The corrupt-parse benchmark stays on the normal tolerance —
-# it draws a fresh fault seed per iteration, so its allocs/op moves by
-# a count or two with b.N.
-STRICT_ALLOC_BENCH = ^Benchmark(StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|Extract|StreamDetect)$$
+# growth: the parse rows parse one fixed capture — the corrupt-parse row
+# one capture damaged with one fixed fault seed, which pins the lenient
+# parser's fallback paths — and the extract and detect rows fold and
+# scan one fixed run, so their allocation count is exactly reproducible
+# and pins its figure with no tolerance window to hide in.
+STRICT_ALLOC_BENCH = ^Benchmark(StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test bench-module crash-resume fuzz bench bench-baseline bench-compare clean
 

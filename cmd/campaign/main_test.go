@@ -153,14 +153,17 @@ func TestBadFlag(t *testing.T) {
 // runs, one per sunk record, and each loop its records hold as one
 // detect.stream.closed (every run tees the stream detector). The side
 // runs of the simulating generators in -exp all only add
-// campaign.side_runs.
+// campaign.side_runs. table2 renders the showcase site's cells and
+// runs nothing, so the dense grid around the site stays unbuilt.
 func TestMetricsSnapshotParity(t *testing.T) {
 	for _, c := range []struct {
 		exp      string
 		sideRuns bool
+		dense    bool
 	}{
-		{"fig6", false},
-		{"all", true},
+		{"fig6", false, false},
+		{"table2", false, false},
+		{"all", true, true},
 	} {
 		t.Run(c.exp, func(t *testing.T) {
 			var plainOut, plainErr bytes.Buffer
@@ -226,6 +229,9 @@ func TestMetricsSnapshotParity(t *testing.T) {
 			}
 			if _, ok := counters["campaign.side_runs"]; ok != c.sideRuns {
 				t.Errorf("campaign.side_runs in snapshot = %v, want %v", ok, c.sideRuns)
+			}
+			if _, ok := counters["campaign.side_runs{exp=dense}"]; ok != c.dense {
+				t.Errorf("campaign.side_runs{exp=dense} in snapshot = %v, want %v", ok, c.dense)
 			}
 			spans := false
 			for _, h := range doc.Histograms {

@@ -15,7 +15,7 @@ import (
 // damage differs — a buffered video hides short OFF periods that stall
 // a live stream outright.
 func AppsExperiment(c *Context) *Result {
-	_, dep, cl := c.Dense()
+	dep, cl := c.showcaseSite()
 	r := &Result{ID: "apps", Title: "§7 — loops across application workloads"}
 	op := policy.OPT()
 	workloads := []throughput.Workload{

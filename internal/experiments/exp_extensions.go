@@ -77,7 +77,7 @@ func F12Regression(c *Context) *Result {
 // a loop site, the loop is present in close proximity and then gone —
 // because the RSRP features change under the walker.
 func WalkExperiment(c *Context) *Result {
-	_, dep, cl := c.Dense()
+	dep, cl := c.showcaseSite()
 	r := &Result{ID: "walk", Title: "§7 — walking through a loop site"}
 	op := policy.OPT()
 

@@ -117,7 +117,7 @@ func Fig21(c *Context) *Result {
 // line from the showcase location toward the alternate anchor's tower,
 // sampling the PCell-gap feature and which group each run anchors on.
 func usageTransect(c *Context) (pgaps, usages []float64) {
-	_, dep, cl := c.Dense()
+	dep, cl := c.showcaseSite()
 	op := policy.OPT()
 	// The target group carries the PCI of the main anchor; the
 	// alternate tower is where the other 387410 cell sits.

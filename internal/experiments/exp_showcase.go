@@ -19,7 +19,7 @@ import (
 // P16-analog location, once per Context: fig1b and fig3 both render it.
 func (c *Context) showcaseRun() *campaign.Record {
 	c.showcaseOnce.Do(func() {
-		_, dep, cl := c.Dense()
+		dep, cl := c.showcaseSite()
 		c.showcase = c.run("showcase", []campaign.Job{{Config: uesim.Config{
 			Op: policy.OPT(), Field: dep.Field, Cluster: cl,
 			Duration: 420 * time.Second, Seed: c.Opts.Seed*31 + 5,
@@ -78,7 +78,7 @@ func Fig1b(c *Context) *Result {
 // the P16 analog with their bands, widths and median±MAD RSRP from
 // extensive sampling.
 func Table2(c *Context) *Result {
-	_, dep, cl := c.Dense()
+	dep, cl := c.showcaseSite()
 	r := &Result{ID: "table2", Title: "5G cells at the showcase location"}
 	r.addf("%-14s %-5s %-9s %-7s %s", "Cell", "Band", "Ch.Freq", "Width", "RSRP (median±MAD)")
 	rng := newRunRNG(c.Opts.Seed * 17)

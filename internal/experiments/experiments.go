@@ -48,10 +48,12 @@ type Context struct {
 	Opts  campaign.Options
 	study *campaign.Study
 
+	siteOnce sync.Once
+	siteDep  *deploy.Deployment
+	siteCl   *deploy.Cluster
+
 	denseOnce sync.Once
 	densePts  []campaign.DensePoint
-	denseDep  *deploy.Deployment
-	denseCl   *deploy.Cluster
 
 	denseS1Once sync.Once
 	denseS1Pts  []campaign.DensePoint
@@ -78,27 +80,35 @@ const (
 	denseSteps    = 3
 )
 
+// showcaseSite lazily builds A1's deployment and finds the showcase
+// S1E3 cluster in it: the site the dense grid surrounds, and all that
+// the generators rendering the showcase location itself need.
+func (c *Context) showcaseSite() (*deploy.Deployment, *deploy.Cluster) {
+	c.siteOnce.Do(func() {
+		c.siteDep = deploy.Build(policy.OPT(), deploy.AreasFor("OPT")[0], c.Opts.Seed+1)
+		c.siteCl = campaign.FindShowcase(c.siteDep)
+		if c.siteCl == nil {
+			// Unusual seed without an S1E3 cluster in A1: fall back to
+			// the first cluster so generators still run.
+			c.siteCl = c.siteDep.Clusters[0]
+		}
+	})
+	return c.siteDep, c.siteCl
+}
+
 // Dense lazily runs the fine-grained spatial study around the showcase
 // S1E3 cluster in A1.
 func (c *Context) Dense() ([]campaign.DensePoint, *deploy.Deployment, *deploy.Cluster) {
+	dep, cl := c.showcaseSite()
 	c.denseOnce.Do(func() {
-		op := policy.OPT()
-		spec := deploy.AreasFor("OPT")[0]
-		c.denseDep = deploy.Build(op, spec, c.Opts.Seed+1)
-		c.denseCl = campaign.FindShowcase(c.denseDep)
-		if c.denseCl == nil {
-			// Unusual seed without an S1E3 cluster in A1: fall back to
-			// the first cluster so generators still run.
-			c.denseCl = c.denseDep.Clusters[0]
-		}
 		runs := 5
 		if c.Opts.RunScale > 0 && c.Opts.RunScale < 1 {
 			runs = 3
 		}
-		c.densePts = must(campaign.DenseStudy(op, c.denseDep, c.denseCl,
+		c.densePts = must(campaign.DenseStudy(policy.OPT(), dep, cl,
 			denseSpacingM, denseSteps, runs, c.Opts))
 	})
-	return c.densePts, c.denseDep, c.denseCl
+	return c.densePts, dep, cl
 }
 
 // DenseS1 runs small dense grids around one S1E1 and one S1E2 cluster

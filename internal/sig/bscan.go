@@ -17,6 +17,9 @@ package sig
 
 import (
 	"time"
+
+	"github.com/mssn/loopscope/internal/rrc"
+	"github.com/mssn/loopscope/internal/units"
 )
 
 // matchLit reports whether b continues with the literal at pos,
@@ -110,7 +113,18 @@ var pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e
 //
 //loopvet:hot
 func scanFloatB(b []byte) (float64, bool) {
-	i := 0
+	f, end, ok := scanFloatAtB(b, 0)
+	return f, ok && end == len(b)
+}
+
+// scanFloatAtB is scanFloatB on the float that starts at pos, returning
+// the position just past it: the token ends at the first byte that
+// cannot continue "[+-]digits[.digits]", and the caller checks what
+// follows.
+//
+//loopvet:hot
+func scanFloatAtB(b []byte, pos int) (f float64, end int, ok bool) {
+	i := pos
 	neg := false
 	if i < len(b) && (b[i] == '+' || b[i] == '-') {
 		neg = b[i] == '-'
@@ -125,7 +139,7 @@ func scanFloatB(b []byte) (float64, bool) {
 		i++
 	}
 	if i == start {
-		return 0, false
+		return 0, pos, false
 	}
 	frac := 0
 	if i < len(b) && b[i] == '.' {
@@ -138,17 +152,93 @@ func scanFloatB(b []byte) (float64, bool) {
 			i++
 		}
 		if i == fs {
-			return 0, false
+			return 0, pos, false
 		}
 	}
-	if i != len(b) || digits > 15 {
-		return 0, false
+	if digits > 15 {
+		return 0, pos, false
 	}
-	f := float64(mant) / pow10[frac]
+	f = float64(mant) / pow10[frac]
 	if neg {
 		f = -f
 	}
-	return f, true
+	return f, i, true
+}
+
+// scanRoleB matches, at pos, the one measurement role the next bytes
+// can start: the first byte tells the roles apart, and the second the
+// two that start with P.
+//
+//loopvet:hot
+func scanRoleB(b []byte, pos int) (rrc.MeasRole, int, bool) {
+	r := rrc.RolePCell
+	if pos+1 < len(b) {
+		switch {
+		case b[pos] == 'c':
+			r = rrc.RoleCandidate
+		case b[pos] == 'S':
+			r = rrc.RoleSCell
+		case b[pos+1] == 'S':
+			r = rrc.RolePSCell
+		}
+	}
+	end, ok := matchLit(b, pos, string(r))
+	return r, end, ok
+}
+
+// scanMeasResultB is the canonical fast path for a whole trimmed
+// measResult line, exactly as the emitter writes it, with one of the
+// four roles it writes:
+//
+//	measResult {cell <int>@<int>, role <role>, rsrp <float>, rsrq <float>}
+//
+// It reads the fields in place, in that order, and searches for none.
+// On a line it accepts, the old per-field split yields the same four
+// fields with the same values, so the entry is the one buildMeasReport
+// would build. Any other shape — a reordered, repeated or missing
+// field, an unknown role, an extra space, a value the fast scanners
+// reject, a byte after the closing brace — is a miss, and the line
+// goes to buildMeasReport's per-field loop.
+//
+//loopvet:hot
+func scanMeasResultB(d []byte) (e rrc.MeasEntry, ok bool) {
+	pos, ok := matchLit(d, 0, "measResult {cell ")
+	if !ok {
+		return e, false
+	}
+	if e.Cell.PCI, pos, ok = scanIntB(d, pos); !ok {
+		return e, false
+	}
+	if pos, ok = matchLit(d, pos, "@"); !ok {
+		return e, false
+	}
+	if e.Cell.Channel, pos, ok = scanIntB(d, pos); !ok {
+		return e, false
+	}
+	if pos, ok = matchLit(d, pos, ", role "); !ok {
+		return e, false
+	}
+	if e.Role, pos, ok = scanRoleB(d, pos); !ok {
+		return e, false
+	}
+	var rsrp, rsrq float64
+	if pos, ok = matchLit(d, pos, ", rsrp "); !ok {
+		return e, false
+	}
+	if rsrp, pos, ok = scanFloatAtB(d, pos); !ok {
+		return e, false
+	}
+	if pos, ok = matchLit(d, pos, ", rsrq "); !ok {
+		return e, false
+	}
+	if rsrq, pos, ok = scanFloatAtB(d, pos); !ok {
+		return e, false
+	}
+	if pos, ok = matchLit(d, pos, "}"); !ok || pos != len(d) {
+		return e, false
+	}
+	e.Meas.RSRPDBm, e.Meas.RSRQDB = units.DBm(rsrp), units.DB(rsrq)
+	return e, true
 }
 
 // parseTimestampB inverts Timestamp on the fast path: pure-digit
@@ -184,8 +274,7 @@ func parseTimestampB(b []byte) (time.Duration, bool) {
 }
 
 // parseTimestampSlow is the old Sscanf-based timestamp parser on a
-// materialized copy; header recognition only needs the ok bit.
+// materialized copy.
 func parseTimestampSlow(b []byte) (time.Duration, bool) {
-	d, err := parseTimestamp(string(b))
-	return d, err == nil
+	return parseTimestamp(string(b))
 }

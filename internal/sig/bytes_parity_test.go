@@ -168,9 +168,87 @@ func FuzzParseBytes(f *testing.F) {
 	if data, err := os.ReadFile(filepath.Join("testdata", "corrupt_garbled.log")); err == nil {
 		f.Add(string(data), true)
 	}
+	for _, c := range measResultCases() {
+		f.Add(c.input, true)
+		f.Add(c.input, false)
+	}
 	f.Fuzz(func(t *testing.T, input string, lenient bool) {
 		requireByteRefParity(t, input, lenient)
 	})
+}
+
+// canonMeasResult is a measResult line as the emitter writes it, the
+// shape scanMeasResultB decodes as the line is scanned.
+const canonMeasResult = "measResult {cell 393@521310, role PCell, rsrp -80.5, rsrq -10.5}"
+
+// measReport wraps indented detail lines in a MeasurementReport header.
+func measReport(lines ...string) string {
+	s := "00:00:04.000 NR5G RRC OTA Packet -- UL_DCCH / MeasurementReport\n"
+	for _, l := range lines {
+		s += "  " + l + "\n"
+	}
+	return s
+}
+
+// captureCase is a named capture for a parity table.
+type captureCase struct{ name, input string }
+
+// measResultCases are the captures that take each exit of
+// scanMeasResultB, and the ways a report can mix decoded and staged
+// lines. Each off-canon line sits between two canonical ones, so the
+// decoded entries, the staged miss and the staged canonical line after
+// it must come out in line order.
+func measResultCases() []captureCase {
+	var cases []captureCase
+	for _, c := range []struct{ name, line string }{
+		{"unknown role", "measResult {cell 393@521310, role Primary, rsrp -80.5, rsrq -10.5}"},
+		{"decimal comma", "measResult {cell 393@521310, role PCell, rsrp -7,3, rsrq -10.5}"},
+		{"no space after comma", "measResult {cell 393@521310, role PCell, rsrp -80.5,rsrq -10.5}"},
+		{"missing brace", "measResult {cell 393@521310, role PCell, rsrp -80.5, rsrq -10.5"},
+		{"doubled brace", "measResult {cell 393@521310, role PCell, rsrp -80.5, rsrq -10.5}}"},
+		{"reordered fields", "measResult {role SCell, cell 393@521310, rsrq -10.5, rsrp -80.5}"},
+		{"duplicated field", "measResult {cell 393@521310, role PCell, rsrp -80.5, rsrp -81.5, rsrq -10.5}"},
+		{"plus sign", "measResult {cell +393@521310, role PSCell, rsrp +80.5, rsrq -10.5}"},
+		{"16-digit mantissa", "measResult {cell 393@521310, role PCell, rsrp -80.12345678901234, rsrq -10.5}"},
+		{"NaN", "measResult {cell 393@521310, role candidate, rsrp NaN, rsrq -10.5}"},
+		{"doubled space", "measResult {cell 393@521310,  role PCell, rsrp -80.5, rsrq -10.5}"},
+	} {
+		cases = append(cases, captureCase{c.name, measReport(canonMeasResult, c.line, canonMeasResult)})
+	}
+	return append(cases, []captureCase{
+		{"first line misses, later lines hit", measReport(
+			"measResult {cell 393@521310, role PCell, rsrp -80.5, rsrq -1e1}",
+			canonMeasResult,
+			"measResult {cell 17@387410, role candidate, rsrp -101.0, rsrq -14.5}")},
+		{"foreign detail lines in a report", measReport(
+			"Physical Cell ID = 393, Freq = 521310", canonMeasResult, "measResult{cell 1@2}", canonMeasResult)},
+		{"measResult line in a non-report record",
+			"00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n" +
+				"  Physical Cell ID = 393, Freq = 521310\n" +
+				"  " + canonMeasResult + "\n" +
+				measReport(canonMeasResult)},
+		{"oversized line inside a report", measReport(canonMeasResult) +
+			"  " + strings.Repeat("x", maxLineBytes) + "\n" +
+			measReport("measResult {cell 7@387410, role SCell, rsrp -90.0, rsrq -12.0}")},
+	}...)
+}
+
+// TestMeasResultFastPathMatchesReference: on every exit of
+// scanMeasResultB, and on reports that decode some lines as they are
+// scanned and stage the rest, the parser keeps the reference parser's
+// events, entry order included, its salvage and its error text, in
+// both modes.
+func TestMeasResultFastPathMatchesReference(t *testing.T) {
+	for _, c := range measResultCases() {
+		for _, mode := range []struct {
+			name    string
+			lenient bool
+		}{{"lenient", true}, {"strict", false}} {
+			t.Run(c.name+"/"+mode.name, func(t *testing.T) {
+				requireByteRefParity(t, c.input, mode.lenient)
+			})
+		}
+	}
 }
 
 // TestByteParserMatchesReferenceOnGoldens locks byte-parser ≡

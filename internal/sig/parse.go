@@ -152,8 +152,10 @@ func parseLog(r io.Reader, lenient bool, c obs.Collector) (*Log, *Salvage, error
 // reused arena, repeated tokens (cell-identity lines, measConfig
 // bodies, roles, causes, MM states) resolve through interning tables,
 // and measurement reports are built in one reused entries buffer (see
-// Sink). What remains is the per-event cost of the result itself —
-// interface boxing of each message and the slices of reconfigurations.
+// Sink), most of their lines decoded into it as they are scanned (see
+// addMeasResult). What remains is the per-event cost of the result
+// itself — interface boxing of each message and the slices of
+// reconfigurations.
 //
 //loopvet:hot
 func parse(r io.Reader, lenient bool, c obs.Collector, sink Sink) (*Salvage, error) {
@@ -217,7 +219,11 @@ func parse(r io.Reader, lenient bool, c obs.Collector, sink Sink) (*Salvage, err
 		if len(line) >= 2 && line[0] == ' ' && line[1] == ' ' {
 			if p.hasCur {
 				lo, hi := trimSpaceRange(line, 0, len(line))
-				p.addDetail(line[lo:hi])
+				if p.cur.report {
+					p.addMeasResult(line[lo:hi])
+				} else {
+					p.addDetail(line[lo:hi])
+				}
 			} else if lenient {
 				sal.LinesSkipped++ // orphaned detail, nothing to attach to
 			}
@@ -273,6 +279,9 @@ type span struct{ s, e int }
 
 // rawEvent is the staged header of the record currently accumulating:
 // its parsed time/RAT plus arena spans for the header line and kind.
+// report marks a MeasurementReport, whose measResult lines decode as
+// they are scanned, and staged that one of them missed the fast path,
+// so it and every later line go to the arena (see addMeasResult).
 // One instance lives inside the pooled parser and is reused for every
 // record — the "free list" is of size one because a record is always
 // fully consumed (built or quarantined) before the next header starts.
@@ -282,6 +291,8 @@ type rawEvent struct {
 	line   int
 	header span
 	kind   span
+	report bool
+	staged bool
 }
 
 // headerInfo is a recognized header before its line is copied into the
@@ -315,7 +326,10 @@ const maxMemoEntries = 4096
 
 // parser is the pooled per-parse state: the zero-copy line scanner, the
 // per-record arena with its detail spans, the entries buffer every
-// measurement report is built in, and the interning tables.
+// measurement report is built in, and the interning tables. The arena
+// holds the record's header, a non-report record's details and the
+// lines a report stages after its first fast-path miss; a report's
+// canonical measResult lines go straight into the entries buffer.
 // The memo tables cache only pure line→value parse results, so keeping
 // them across parses (and across pool users) can never change output —
 // it only skips rescans of lines already seen in earlier captures.
@@ -367,6 +381,7 @@ func (p *parser) release() {
 	if cap(p.entries) > maxRetainedEntries {
 		p.entries = nil
 	}
+	p.entries = p.entries[:0]
 	p.arena = p.arena[:0]
 	p.spans = p.spans[:0]
 	clear(p.dviews[:cap(p.dviews)]) // drop view refs so the old arena can be collected
@@ -378,21 +393,24 @@ func (p *parser) release() {
 // startEvent begins accumulating a new record: the header line is
 // copied into the reset arena (the scanner view dies at the next line)
 // and the kind span is carried over — or the synthetic EXCEPTION kind
-// appended — so buildMessage can dispatch without re-parsing.
+// appended — so buildMessage can dispatch without re-parsing. The
+// entries buffer empties too: the previous report was delivered by the
+// flush before this call, so the sink no longer holds it.
 //
 //loopvet:hot
 func (p *parser) startEvent(line []byte, h headerInfo, lineNum int) {
 	p.arena = p.arena[:0]
 	p.spans = p.spans[:0]
+	p.entries = p.entries[:0]
 	p.arena = append(p.arena, line...)
-	p.cur.header = span{0, len(line)}
+	p.cur = rawEvent{at: h.at, rat: h.rat, line: lineNum,
+		header: span{0, len(line)}, kind: span{h.kindS, h.kindE}}
 	if h.kindS < 0 {
 		p.arena = append(p.arena, "EXCEPTION"...)
 		p.cur.kind = span{len(line), len(p.arena)}
 	} else {
-		p.cur.kind = span{h.kindS, h.kindE}
+		p.cur.report = string(line[h.kindS:h.kindE]) == "MeasurementReport"
 	}
-	p.cur.at, p.cur.rat, p.cur.line = h.at, h.rat, lineNum
 	p.hasCur = true
 }
 
@@ -404,6 +422,29 @@ func (p *parser) addDetail(trimmed []byte) {
 	s := len(p.arena)
 	p.arena = append(p.arena, trimmed...)
 	p.spans = append(p.spans, span{s, len(p.arena)})
+}
+
+// addMeasResult takes one trimmed detail line of a measurement report.
+// Each line decodes straight into the entries buffer, uncopied, until
+// one misses scanMeasResultB; that line and every later one are staged
+// in the arena for buildMeasReport's per-field loop, which appends
+// after the decoded entries. So the entries stay in line order, and the
+// first error is the one the loop alone would return. A line without
+// the measResult prefix is dropped: buildMeasReport skips it anyway.
+//
+//loopvet:hot
+func (p *parser) addMeasResult(d []byte) {
+	if !p.cur.staged {
+		if e, ok := scanMeasResultB(d); ok {
+			p.entries = append(p.entries, e)
+			return
+		}
+	}
+	if !bytes.HasPrefix(d, prefMeasResult) {
+		return
+	}
+	p.cur.staged = true
+	p.addDetail(d)
 }
 
 // detailViews materializes the detail spans as slices; the arena is
@@ -912,14 +953,15 @@ func (p *parser) measObject(body []byte) (rrc.MeasObject, error) {
 
 var sepCommaSpace = []byte(", ")
 
-// buildMeasReport parses measResult lines into the parser's entries
-// buffer, which the report lends to the sink (see Sink) until the next
-// report refills it. A report without measResult lines carries nil
-// Entries.
+// buildMeasReport parses the measResult lines a report staged after its
+// first fast-path miss (see addMeasResult), appending their entries
+// after the ones already decoded into the parser's entries buffer. The
+// report lends that buffer to the sink (see Sink) until the next report
+// refills it. A report without measResult lines carries nil Entries.
 //
 //loopvet:hot
 func (p *parser) buildMeasReport(details [][]byte) (rrc.Message, error) {
-	es := p.entries[:0]
+	es := p.entries
 	for _, d := range details {
 		if !bytes.HasPrefix(d, prefMeasResult) {
 			continue

@@ -175,8 +175,8 @@ func refParseHeader(line string) (*refRawEvent, bool) {
 	if len(fields) < 3 {
 		return nil, false
 	}
-	at, err := parseTimestamp(fields[0])
-	if err != nil {
+	at, ok := parseTimestamp(fields[0])
+	if !ok {
 		return nil, false
 	}
 	rest := strings.TrimSpace(line[len(fields[0]):])

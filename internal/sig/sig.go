@@ -118,15 +118,16 @@ func Timestamp(d time.Duration) string {
 	return fmt.Sprintf("%02d:%02d:%02d.%03d", h, m, s, ms%1000)
 }
 
-// parseTimestamp inverts Timestamp.
-func parseTimestamp(s string) (time.Duration, error) {
+// parseTimestamp inverts Timestamp, reporting whether s is a clock it
+// could have written.
+func parseTimestamp(s string) (time.Duration, bool) {
 	var h, m, sec, ms int
 	if _, err := fmt.Sscanf(s, "%d:%d:%d.%d", &h, &m, &sec, &ms); err != nil {
-		return 0, fmt.Errorf("sig: bad timestamp %q: %w", s, err)
+		return 0, false
 	}
 	if m < 0 || m > 59 || sec < 0 || sec > 59 || ms < 0 || ms > 999 || h < 0 {
-		return 0, fmt.Errorf("sig: timestamp %q out of range", s)
+		return 0, false
 	}
 	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute +
-		time.Duration(sec)*time.Second + time.Duration(ms)*time.Millisecond, nil
+		time.Duration(sec)*time.Second + time.Duration(ms)*time.Millisecond, true
 }

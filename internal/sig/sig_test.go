@@ -113,15 +113,15 @@ func TestTimestampFormat(t *testing.T) {
 		if got := Timestamp(d); got != want {
 			t.Errorf("Timestamp(%v) = %q, want %q", d, got, want)
 		}
-		back, err := parseTimestamp(want)
-		if err != nil || back != d {
-			t.Errorf("parseTimestamp(%q) = %v, %v", want, back, err)
+		back, ok := parseTimestamp(want)
+		if !ok || back != d {
+			t.Errorf("parseTimestamp(%q) = %v, %v", want, back, ok)
 		}
 	}
-	if _, err := parseTimestamp("garbage"); err == nil {
+	if _, ok := parseTimestamp("garbage"); ok {
 		t.Error("parseTimestamp should reject garbage")
 	}
-	if _, err := parseTimestamp("00:99:00.000"); err == nil {
+	if _, ok := parseTimestamp("00:99:00.000"); ok {
 		t.Error("parseTimestamp should reject out-of-range minutes")
 	}
 }
