@@ -10,15 +10,16 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
 # The three simulate rows stay on the normal tolerance: each iteration
 # runs its own seed, so their allocs/op moves by a count or two with b.N.
-PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|JournalAppend)$$
+PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|JournalAppend)$$
 
 # Benchmarks whose allocs/op regressions fail bench-compare at ANY
 # growth: the parse rows parse one fixed capture — the corrupt-parse row
 # one capture damaged with one fixed fault seed, which pins the lenient
-# parser's fallback paths — and the extract and detect rows fold and
+# parser's fallback paths — the inject row corrupts one fixed capture
+# with one fixed fault seed, and the extract and detect rows fold and
 # scan one fixed run, so their allocation count is exactly reproducible
 # and pins its figure with no tolerance window to hide in.
-STRICT_ALLOC_BENCH = ^Benchmark(StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect)$$
+STRICT_ALLOC_BENCH = ^Benchmark(Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test bench-module crash-resume fuzz bench bench-baseline bench-compare clean
 
@@ -78,19 +79,22 @@ crash-resume:
 	$(GO) test -race -run '^(TestPropertyResumeFromEveryInterruptionPoint|TestCrossWorkerResume|TestRepeatedCrashesConverge|TestCrashAtJournalSize)$$' ./internal/campaign
 	$(GO) test -race -run 'TestCheckpointedRunMatchesGolden|TestSinkStreamsDecodableRecords|TestSIGTERMKillAndResume' ./cmd/campaign
 
+# Minimization is bounded to 50 execs per new input: at Go's default
+# 60 s, a worker minimizing an input derived from a large seed stalls a
+# target for the rest of its FUZZTIME.
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzSetEqual$$ -fuzztime=$(FUZZTIME) ./internal/cell
-	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzParseLenient$$ -fuzztime=$(FUZZTIME) ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzStreamParity$$ -fuzztime=$(FUZZTIME) ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzParseBytes$$ -fuzztime=$(FUZZTIME) ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzAppendFloat1$$ -fuzztime=$(FUZZTIME) ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzInjectorParity$$ -fuzztime=$(FUZZTIME) ./internal/faults
-	$(GO) test -run=NONE -fuzz=FuzzHeaderTime$$ -fuzztime=$(FUZZTIME) ./internal/faults
-	$(GO) test -run=NONE -fuzz=FuzzStreamDetectParity$$ -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord$$ -fuzztime=$(FUZZTIME) ./internal/campaign
-	$(GO) test -run=NONE -fuzz=FuzzScan$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
-	$(GO) test -run=NONE -fuzz=FuzzJournalLineParity$$ -fuzztime=$(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run=NONE -fuzz=FuzzSetEqual$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/cell
+	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzParseLenient$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzStreamParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzParseBytes$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzAppendFloat1$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzInjectorParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/faults
+	$(GO) test -run=NONE -fuzz=FuzzHeaderTime$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/faults
+	$(GO) test -run=NONE -fuzz=FuzzStreamDetectParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/campaign
+	$(GO) test -run=NONE -fuzz=FuzzScan$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/checkpoint
+	$(GO) test -run=NONE -fuzz=FuzzJournalLineParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/checkpoint
 
 # bench is the smoke run CI performs: every benchmark compiles and
 # executes once; full-study benchmarks skip themselves under -short.

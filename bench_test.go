@@ -245,10 +245,12 @@ func BenchmarkParseReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCorruptParse: the streamed fault path campaign.runOnce
-// uses — corruption happens in flight between emitter and parser. Every
-// iteration corrupts with the same fault seed, so each parses the same
-// damaged capture and allocs/op is exactly reproducible.
+// BenchmarkStreamCorruptParse: the emit → corrupt → lenient parse leg
+// of a faulted campaign run, through a pipe. The injector reads the
+// emitter's whole capture at its first Read and the parser reads the
+// corrupted result. Every iteration corrupts with the same fault seed,
+// so each parses the same damaged capture and allocs/op is exactly
+// reproducible.
 func BenchmarkStreamCorruptParse(b *testing.B) {
 	log := benchLog(b)
 	rates := faults.Profile(0.05)
@@ -267,6 +269,24 @@ func BenchmarkStreamCorruptParse(b *testing.B) {
 			pw.CloseWithError(em.Close())
 		}()
 		if _, _, err := sig.ParseLenientObserved(inj.Reader(pr), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInject is the inject layer alone: one fixed rendered capture
+// corrupted with one fault seed, so every iteration does the same work
+// and allocs/op is exactly reproducible.
+func BenchmarkInject(b *testing.B) {
+	data := []byte(benchLog(b).String())
+	rd := bytes.NewReader(data)
+	rates := faults.Profile(0.05)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(data)
+		if _, err := io.Copy(io.Discard, faults.New(7, rates).Reader(rd)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -447,11 +447,10 @@ func (s *runSink) Append(at time.Duration, m rrc.Message) {
 // runText is the producer of a faulted run. The simulator renders the
 // capture into a pooled buffer; the injector then corrupts it and
 // lenient parsing delivers the kept events to sink, all on the calling
-// goroutine. Running the legs in turn gives up no overlap: with
-// Truncate on, which every non-zero faults.Profile sets, the injector
-// holds a whole capture until EOF anyway. A simulator panic unwinds
-// straight to runOnce's recover, and a context abort is returned
-// before anything is parsed.
+// goroutine. Running the legs in turn gives up no overlap: the
+// injector reads the whole capture before it serves a byte. A simulator
+// panic unwinds straight to runOnce's recover, and a context abort is
+// returned before anything is parsed.
 func runText(ctx context.Context, cfg uesim.Config, inj *faults.Injector, sink sig.Sink,
 	c obs.Collector) (*sig.Salvage, error) {
 	buf := textPool.Get().(*bytes.Buffer)

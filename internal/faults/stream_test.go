@@ -44,8 +44,8 @@ func snapshotJSON(t *testing.T, reg *obs.Registry) string {
 	return b.String()
 }
 
-// FuzzInjectorParity holds the pooled, span-based reader to the
-// string-based oracle it replaced: the same bytes and the same fault
+// FuzzInjectorParity holds the pooled, whole-capture reader to the
+// string-based streaming oracle: the same bytes and the same fault
 // counts for any input, seed, rate and rate shape, whether drained by
 // Corrupt or one byte per Read.
 func FuzzInjectorParity(f *testing.F) {
@@ -58,7 +58,7 @@ func FuzzInjectorParity(f *testing.F) {
 	f.Add("garbage\n\n  indented orphan\n99:99:99.999 nonsense", int64(7), 0.9, uint8(0))
 	f.Add("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\r\n  Physical Cell ID = 393\r\n \t\n", int64(8), 0.6, uint8(2))
 	f.Add("+1:00:00.000 x\n\t00:00:01.000 y\n-0:00:01.5 z\n99999:59:59.999 w\n  a 1 2 3\n", int64(9), 1.0, uint8(2))
-	// A line longer than the 32 KiB bufio window.
+	// A line longer than the oracle's 32 KiB bufio window.
 	f.Add("00:00:01.000 x\n  "+strings.Repeat("7", 40000)+" 12 3\n", int64(10), 0.8, uint8(3))
 	f.Add("00:00:05.000 a\n00:00:01.000 b\n00:00:09.000 c\n00:00:03.000 d\n", int64(11), 1.0, uint8(2))
 	f.Fuzz(func(t *testing.T, input string, seed int64, rate float64, shape uint8) {
@@ -128,10 +128,10 @@ func fastest(fn func()) time.Duration {
 	return best
 }
 
-// TestTruncateHoldPastWindow covers a capture whose output outgrows the
-// 1 MiB truncation window: the output equals the oracle's, and holding
-// the window costs a bounded factor over not holding it, where sliding
-// the window by one line at a time made it quadratic.
+// TestTruncateHoldPastWindow covers a capture whose output outgrows
+// truncateHold, the most a cut may remove: the output equals the
+// oracle's, and truncating costs a bounded factor over not truncating,
+// so no step of the cut grows faster than the output.
 func TestTruncateHoldPastWindow(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector distorts the relative cost this test bounds")
@@ -181,23 +181,53 @@ func TestReaderAfterEOF(t *testing.T) {
 	}
 }
 
-// TestReaderAfterSourceError: pending output is served before the
-// source's error, which every later Read repeats.
+// TestReaderAfterSourceError: when the source fails, the lines it
+// delivered whole are corrupted and served, then its error, which every
+// later Read repeats — the oracle's bytes and error wherever in the
+// capture the failure falls.
 func TestReaderAfterSourceError(t *testing.T) {
 	errSource := errors.New("source failed")
-	text := sample()
-	src := func() io.Reader { return io.MultiReader(strings.NewReader(text), iotest.ErrReader(errSource)) }
-	rates := Profile(0.2)
-	want, wantErr := io.ReadAll(refReader(New(4, rates), src()))
-	r := New(4, rates).Reader(src())
-	got, err := io.ReadAll(r)
-	if string(got) != string(want) || err != wantErr || err != errSource {
-		t.Fatalf("got %d bytes and %v, want the oracle's %d bytes and %v", len(got), err, len(want), wantErr)
+	for _, tc := range []struct{ name, text string }{
+		{"after a whole line", sample()},
+		{"inside a line", sample() + "00:02:00.000 NR5G RRC OTA Pa"},
+		{"inside a line past 32 KiB", sample() + "  " + strings.Repeat("7", 40000) + " 12 3"},
+		{"before any byte", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := func() io.Reader { return io.MultiReader(strings.NewReader(tc.text), iotest.ErrReader(errSource)) }
+			for _, rates := range []Rates{Profile(0.2), {Truncate: 1}} {
+				want, wantErr := io.ReadAll(refReader(New(4, rates), src()))
+				r := New(4, rates).Reader(src())
+				got, err := io.ReadAll(r)
+				if string(got) != string(want) || err != wantErr || err != errSource {
+					t.Fatalf("rates %+v: got %d bytes and %v, want the oracle's %d bytes and %v",
+						rates, len(got), err, len(want), wantErr)
+				}
+				for i := 0; i < 2; i++ {
+					if n, err := r.Read(make([]byte, 8)); n != 0 || err != errSource {
+						t.Fatalf("rates %+v: Read after the error = %d, %v; want 0, %v", rates, n, err, errSource)
+					}
+				}
+			}
+		})
 	}
-	for i := 0; i < 2; i++ {
-		if n, err := r.Read(make([]byte, 8)); n != 0 || err != errSource {
-			t.Fatalf("Read after the error = %d, %v; want 0, %v", n, err, errSource)
-		}
+}
+
+// stalledReader returns no bytes and no error, forever.
+type stalledReader struct{}
+
+func (stalledReader) Read([]byte) (int, error) { return 0, nil }
+
+// TestReaderStalledSource: a source that stops making progress without
+// failing ends the reader with io.ErrNoProgress after the lines it
+// delivered whole, as the oracle's bufio window does, instead of
+// hanging it.
+func TestReaderStalledSource(t *testing.T) {
+	src := func() io.Reader { return io.MultiReader(strings.NewReader(sample()), stalledReader{}) }
+	want, wantErr := io.ReadAll(refReader(New(4, Profile(0.2)), src()))
+	got, err := io.ReadAll(New(4, Profile(0.2)).Reader(src()))
+	if string(got) != string(want) || err != wantErr || err != io.ErrNoProgress {
+		t.Fatalf("got %d bytes and %v, want the oracle's %d bytes and %v", len(got), err, len(want), wantErr)
 	}
 }
 

@@ -82,10 +82,11 @@ func TestStreamParityGoldens(t *testing.T) {
 	}
 }
 
-// TestStreamedEmitCorruptParseParity covers the full production shape:
-// events emitted one at a time through an Emitter into a pipe, corrupted
-// in flight, and parsed concurrently — against the materialized
-// String() → Corrupt → lenient parse of the string.
+// TestStreamedEmitCorruptParseParity covers the emit → corrupt → parse
+// legs joined by a pipe: events emitted one at a time through an Emitter,
+// read whole and corrupted by the injector, and parsed as it serves them
+// — against the materialized String() → Corrupt → lenient parse of the
+// string.
 func TestStreamedEmitCorruptParseParity(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "s1e3_capture.log"))
 	if err != nil {
@@ -191,8 +192,8 @@ func TestEmitterStickyError(t *testing.T) {
 }
 
 // FuzzStreamParity: for arbitrary input text and fault configuration,
-// the streaming corruptor is byte-identical to Corrupt and the two
-// lenient-parse results agree.
+// the injector's reader over a stream is byte-identical to Corrupt and
+// the two lenient-parse results agree.
 func FuzzStreamParity(f *testing.F) {
 	f.Add(sampleLog().String(), int64(1), 0.1)
 	f.Add("", int64(2), 0.5)
