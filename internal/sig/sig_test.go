@@ -1,8 +1,10 @@
 package sig
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -335,30 +337,38 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// TestGoldenCapture parses the checked-in S1E3 capture fixture — the
-// format's reference document — and verifies the full pipeline result.
+// TestGoldenCapture parses the checked-in capture fixtures — the
+// format's reference documents — and requires each to re-emit byte for
+// byte. s1e3_capture.log is an OPT SA run with a persistent S1E3 loop;
+// nsa_capture.log is a 5-minute seed-7 run at OPA's first area's first
+// N2E1 cluster (BenchmarkSimulateRunNSA's site), the one golden with
+// spCellConfig, scgSCell and mobilityControlInfo lines.
 func TestGoldenCapture(t *testing.T) {
-	f, err := os.Open("testdata/s1e3_capture.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	log, err := Parse(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.Len() != 305 {
-		t.Errorf("events = %d, want 305", log.Len())
-	}
-	if log.Duration() != 5*time.Minute {
-		t.Errorf("duration = %v", log.Duration())
-	}
-	// Round trip the whole file byte-for-byte.
-	data, err := os.ReadFile("testdata/s1e3_capture.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.String() != string(data) {
-		t.Error("golden capture does not re-emit identically")
+	for _, g := range []struct {
+		file   string
+		events int
+	}{
+		{"s1e3_capture.log", 305},
+		{"nsa_capture.log", 372},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			log, err := Parse(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if log.Len() != g.events {
+				t.Errorf("events = %d, want %d", log.Len(), g.events)
+			}
+			if log.Duration() != 5*time.Minute {
+				t.Errorf("duration = %v", log.Duration())
+			}
+			if log.String() != string(data) {
+				t.Error("golden capture does not re-emit identically")
+			}
+		})
 	}
 }
