@@ -81,20 +81,42 @@ crash-resume:
 
 # Minimization is bounded to 50 execs per new input: at Go's default
 # 60 s, a worker minimizing an input derived from a large seed stalls a
-# target for the rest of its FUZZTIME.
+# target for the rest of its FUZZTIME. A target also fails below 100
+# execs/s, its final execs over its final elapsed time, so one that
+# stalls anyway (in minimization or in gathering baseline coverage)
+# fails instead of passing on a handful of inputs.
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzSetEqual$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/cell
-	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzParseLenient$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzStreamParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzParseBytes$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzAppendFloat1$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/sig
-	$(GO) test -run=NONE -fuzz=FuzzInjectorParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/faults
-	$(GO) test -run=NONE -fuzz=FuzzHeaderTime$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/faults
-	$(GO) test -run=NONE -fuzz=FuzzStreamDetectParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/campaign
-	$(GO) test -run=NONE -fuzz=FuzzScan$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/checkpoint
-	$(GO) test -run=NONE -fuzz=FuzzJournalLineParity$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x ./internal/checkpoint
+	@for t in \
+		./internal/cell:FuzzSetEqual \
+		./internal/sig:FuzzParse \
+		./internal/sig:FuzzParseLenient \
+		./internal/sig:FuzzStreamParity \
+		./internal/sig:FuzzParseBytes \
+		./internal/sig:FuzzLineShape \
+		./internal/sig:FuzzAppendFloat1 \
+		./internal/faults:FuzzInjectorParity \
+		./internal/faults:FuzzHeaderTime \
+		./internal/core:FuzzStreamDetectParity \
+		./internal/campaign:FuzzDecodeRecord \
+		./internal/checkpoint:FuzzScan \
+		./internal/checkpoint:FuzzJournalLineParity; do \
+		pkg=$${t%:*} name=$${t#*:}; \
+		echo "$(GO) test -run=NONE -fuzz=$$name\$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x $$pkg"; \
+		{ $(GO) test -run=NONE -fuzz="$$name\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x $$pkg 2>&1; echo "fuzz-exit $$?"; } | \
+		awk -v name=$$name '/^fuzz-exit [0-9]+$$/ { status = $$2; next } { print } \
+			/^fuzz: elapsed: / { elapsed = $$3 } /^fuzz: elapsed: .*execs: / { execs = $$5 } \
+			END { \
+				secs = 0; \
+				while (match(elapsed, /^[0-9]+[hms]/)) { \
+					unit = substr(elapsed, RLENGTH, 1); \
+					secs += substr(elapsed, 1, RLENGTH - 1) * (unit == "h" ? 3600 : unit == "m" ? 60 : 1); \
+					elapsed = substr(elapsed, RLENGTH + 1); \
+				} \
+				rate = execs / (secs > 0 ? secs : 1); \
+				if (status != 0) exit status; \
+				if (rate < 100) { printf "%s: %d execs in %ds is %.1f execs/s, below the floor of 100\n", name, execs, secs, rate; exit 1 } \
+			}' || exit 1; \
+	done
 
 # bench is the smoke run CI performs: every benchmark compiles and
 # executes once; full-study benchmarks skip themselves under -short.

@@ -241,7 +241,7 @@ func scanMeasResultB(d []byte) (e rrc.MeasEntry, ok bool) {
 	return e, true
 }
 
-// parseTimestampB inverts Timestamp on the fast path: pure-digit
+// parseTimestampB inverts appendTimestamp on the fast path: pure-digit
 // "H:M:S.mmm" components with the same range checks parseTimestamp
 // applies, trailing bytes ignored the way Sscanf ignores them. Signed
 // components, long digit runs and other oddities fall back to the

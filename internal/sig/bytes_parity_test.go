@@ -129,10 +129,13 @@ func requireByteRefParity(t *testing.T, input string, lenient bool) {
 	}
 }
 
-// FuzzParseBytes is the differential fuzzer for the tentpole: on
+// FuzzParseBytes is the differential fuzzer of the byte parser: on
 // arbitrary input, the []byte parser and the preserved string parser
 // must agree on every kept event, every salvage figure and every error
-// message, in both strict and lenient mode.
+// message, in both strict and lenient mode. Its seeds are small
+// records, so a worker minimizing an input derived from one stays
+// quick; whole captures, the corrupted goldens among them, run through
+// TestByteParserMatchesReferenceOnGoldens instead.
 func FuzzParseBytes(f *testing.F) {
 	f.Add(sampleLog().String(), true)
 	f.Add(sampleLog().String(), false)
@@ -165,12 +168,13 @@ func FuzzParseBytes(f *testing.F) {
 	f.Add("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n"+
 		"\x00\xff garbled \x80 header\n"+
 		"  Physical Cell ID = 393, Freq = 521310\n", true)
-	if data, err := os.ReadFile(filepath.Join("testdata", "corrupt_garbled.log")); err == nil {
-		f.Add(string(data), true)
-	}
 	for _, c := range measResultCases() {
 		f.Add(c.input, true)
 		f.Add(c.input, false)
+	}
+	for _, c := range lineShapeCases() {
+		f.Add(c.record(), true)
+		f.Add(c.record(), false)
 	}
 	f.Fuzz(func(t *testing.T, input string, lenient bool) {
 		requireByteRefParity(t, input, lenient)

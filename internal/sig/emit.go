@@ -224,7 +224,7 @@ func appendDetails(b []byte, m rrc.Message) []byte {
 	switch v := m.(type) {
 	case rrc.MIB:
 		// A broadcast sighting: the CGI prints as 0 until the cell is
-		// used (Fig. 24's "NR Cell Global ID = 0").
+		// used (Fig. 24).
 		return appendNRCellLine(b, v.Cell, v.Rat, false)
 	case rrc.SIB1:
 		b = appendNRCellLine(b, v.Cell, v.Rat, false)
@@ -261,7 +261,7 @@ func appendDetails(b []byte, m rrc.Message) []byte {
 		b = append(b, v.Cause...)
 		return append(b, '\n')
 	case rrc.ReestablishmentComplete:
-		return appendCellLine(b, v.Cell.PCI, v.Cell.Channel)
+		return appendLine(b, cellLine, 0, v.Cell.PCI, v.Cell.Channel)
 	case rrc.Exception:
 		b = append(b, "  MM5G State = "...)
 		b = append(b, v.MMState...)
@@ -280,46 +280,25 @@ func appendRef(b []byte, r cell.Ref) []byte {
 	return strconv.AppendInt(b, int64(r.Channel), 10)
 }
 
-// appendCellLine renders the NSG cell-identity line.
-func appendCellLine(b []byte, pci, channel int) []byte {
-	b = append(b, "  Physical Cell ID = "...)
-	b = strconv.AppendInt(b, int64(pci), 10)
-	b = append(b, ", Freq = "...)
-	b = strconv.AppendInt(b, int64(channel), 10)
-	return append(b, '\n')
-}
-
-// appendNRCellLine renders the cell-identity line with the NR Cell
-// Global ID the way NSG prints NR packets; LTE messages keep the short
-// form.
+// appendNRCellLine renders the cell-identity line the way NSG prints
+// it: NR messages carry the cell's global ID (0 for a broadcast
+// sighting of a cell not in use), LTE messages the short form.
 func appendNRCellLine(b []byte, ref cell.Ref, rat band.RAT, used bool) []byte {
 	if rat != band.RATNR {
-		return appendCellLine(b, ref.PCI, ref.Channel)
+		return appendLine(b, cellLine, 0, ref.PCI, ref.Channel)
 	}
 	cgi := uint64(0)
 	if used {
 		cgi = cell.DeriveCGI(ref)
 	}
-	b = append(b, "  Physical Cell ID = "...)
-	b = strconv.AppendInt(b, int64(ref.PCI), 10)
-	b = append(b, ", NR Cell Global ID = "...)
-	b = strconv.AppendUint(b, cgi, 10)
-	b = append(b, ", Freq = "...)
-	b = strconv.AppendInt(b, int64(ref.Channel), 10)
-	return append(b, '\n')
+	return appendLine(b, nrCellLine, cgi, ref.PCI, ref.Channel)
 }
 
 // appendReconfig renders every populated reconfiguration field.
 func appendReconfig(b []byte, v rrc.Reconfig) []byte {
-	b = appendCellLine(b, v.Serving.PCI, v.Serving.Channel)
+	b = appendLine(b, cellLine, 0, v.Serving.PCI, v.Serving.Channel)
 	for _, a := range v.AddSCells {
-		b = append(b, "  sCellToAddModList {sCellIndex "...)
-		b = strconv.AppendInt(b, int64(a.Index), 10)
-		b = append(b, ", physCellId "...)
-		b = strconv.AppendInt(b, int64(a.Cell.PCI), 10)
-		b = append(b, ", absoluteFrequencySSB "...)
-		b = strconv.AppendInt(b, int64(a.Cell.Channel), 10)
-		b = append(b, "}\n"...)
+		b = appendLine(b, addModLine, 0, a.Index, a.Cell.PCI, a.Cell.Channel)
 	}
 	if len(v.ReleaseSCells) > 0 {
 		b = append(b, "  sCellToReleaseList {"...)
@@ -332,28 +311,16 @@ func appendReconfig(b []byte, v rrc.Reconfig) []byte {
 		b = append(b, "}\n"...)
 	}
 	if v.SpCell != nil {
-		b = append(b, "  spCellConfig {physCellId "...)
-		b = strconv.AppendInt(b, int64(v.SpCell.PCI), 10)
-		b = append(b, ", ssbFrequency "...)
-		b = strconv.AppendInt(b, int64(v.SpCell.Channel), 10)
-		b = append(b, "}\n"...)
+		b = appendLine(b, spCellLine, 0, v.SpCell.PCI, v.SpCell.Channel)
 	}
 	for _, s := range v.SCGSCells {
-		b = append(b, "  scgSCell {physCellId "...)
-		b = strconv.AppendInt(b, int64(s.PCI), 10)
-		b = append(b, ", ssbFrequency "...)
-		b = strconv.AppendInt(b, int64(s.Channel), 10)
-		b = append(b, "}\n"...)
+		b = appendLine(b, scgSCellLine, 0, s.PCI, s.Channel)
 	}
 	if v.SCGRelease {
 		b = append(b, "  scg-Release {}\n"...)
 	}
 	if v.Mobility != nil {
-		b = append(b, "  mobilityControlInfo {targetPhysCellId "...)
-		b = strconv.AppendInt(b, int64(v.Mobility.PCI), 10)
-		b = append(b, ", dl-CarrierFreq "...)
-		b = strconv.AppendInt(b, int64(v.Mobility.Channel), 10)
-		b = append(b, "}\n"...)
+		b = appendLine(b, mobilityLine, 0, v.Mobility.PCI, v.Mobility.Channel)
 	}
 	for _, mc := range v.MeasConfig {
 		b = append(b, "  measConfig {"...)

@@ -586,17 +586,12 @@ func unknownKindError(kind []byte) error {
 }
 
 var (
-	prefCellLine    = []byte("Physical Cell ID = ")
 	prefThreshRSRP  = []byte("selectionThreshRSRP = ")
 	prefFailureType = []byte("failureType ")
 	prefReestCause  = []byte("reestablishmentCause ")
 	prefMM5G        = []byte("MM5G State = ")
-	prefAddMod      = []byte("sCellToAddModList ")
 	prefReleaseList = []byte("sCellToReleaseList {")
-	prefSpCell      = []byte("spCellConfig {")
-	prefScgSCell    = []byte("scgSCell {")
 	litScgRelease   = []byte("scg-Release {}")
-	prefMobility    = []byte("mobilityControlInfo {")
 	prefMeasConfig  = []byte("measConfig {")
 	prefMeasResult  = []byte("measResult {")
 )
@@ -642,28 +637,25 @@ func parseFloatSlow(b []byte) (float64, error) {
 	return strconv.ParseFloat(string(b), 64)
 }
 
-// findCellLine extracts "Physical Cell ID = P, Freq = C", accepting the
-// NR form that carries the Cell Global ID between the two fields.
-// Successful lines intern through cellMemo, so a capture camping on one
-// cell resolves every sighting with a single map probe.
+// findCellLine reads the first cell-identity line, trying the NR form,
+// which carries the Cell Global ID, before the short one. Successful
+// lines intern through cellMemo, so a capture camping on one cell
+// resolves every sighting with a single map probe.
 //
 //loopvet:hot
 func (p *parser) findCellLine(details [][]byte) (cell.Ref, error) {
 	for _, d := range details {
-		if !bytes.HasPrefix(d, prefCellLine) {
+		if !isLine(d, cellLine) {
 			continue
 		}
 		if ref, ok := p.cellMemo[string(d)]; ok {
 			return ref, nil
 		}
-		ref, ok := scanCellLine(d)
-		if !ok {
-			var err error
-			ref, err = findCellLineSlow(d)
-			if err != nil {
-				return cell.Ref{}, err
-			}
+		v, err := parseLine(d, nrCellLine, cellLine)
+		if err != nil {
+			return cell.Ref{}, err
 		}
+		ref := cell.Ref{PCI: v[0], Channel: v[1]}
 		p.memoCell(d, ref)
 		return ref, nil
 	}
@@ -680,58 +672,6 @@ func (p *parser) memoCell(d []byte, ref cell.Ref) {
 	p.cellMemo[string(d)] = ref
 }
 
-// scanCellLine is the canonical fast path for both cell-line forms.
-//
-//loopvet:hot
-func scanCellLine(d []byte) (cell.Ref, bool) {
-	pos, ok := matchLit(d, 0, "Physical Cell ID = ")
-	if !ok {
-		return cell.Ref{}, false
-	}
-	pci, pos, ok := scanIntB(d, pos)
-	if !ok {
-		return cell.Ref{}, false
-	}
-	// NR form first, mirroring the Sscanf attempt order.
-	if nrPos, ok := matchLit(d, pos, ", NR Cell Global ID = "); ok {
-		if _, cgPos, ok := scanUintB(d, nrPos); ok {
-			if fqPos, ok := matchLit(d, cgPos, ", Freq = "); ok {
-				if ch, _, ok := scanIntB(d, fqPos); ok {
-					return cell.Ref{PCI: pci, Channel: ch}, true
-				}
-			}
-		}
-		// The NR marker is present but non-canonical; let the slow
-		// path decide (the short form cannot match this input).
-		return cell.Ref{}, false
-	}
-	fqPos, ok := matchLit(d, pos, ", Freq = ")
-	if !ok {
-		return cell.Ref{}, false
-	}
-	ch, _, ok := scanIntB(d, fqPos)
-	if !ok {
-		return cell.Ref{}, false
-	}
-	return cell.Ref{PCI: pci, Channel: ch}, true
-}
-
-// findCellLineSlow is the old Sscanf cell-line parser on a materialized
-// copy, error text included.
-func findCellLineSlow(db []byte) (cell.Ref, error) {
-	d := string(db)
-	var pci, ch int
-	var cgi uint64
-	if _, err := fmt.Sscanf(d, "Physical Cell ID = %d, NR Cell Global ID = %d, Freq = %d",
-		&pci, &cgi, &ch); err == nil {
-		return cell.Ref{PCI: pci, Channel: ch}, nil
-	}
-	if _, err := fmt.Sscanf(d, "Physical Cell ID = %d, Freq = %d", &pci, &ch); err != nil {
-		return cell.Ref{}, fmt.Errorf("bad cell line %q: %w", d, err)
-	}
-	return cell.Ref{PCI: pci, Channel: ch}, nil
-}
-
 // buildReconfig parses every reconfiguration field.
 //
 //loopvet:hot
@@ -743,16 +683,12 @@ func (p *parser) buildReconfig(details [][]byte) (rrc.Message, error) {
 	m := rrc.Reconfig{Rat: p.cur.rat, Serving: serving}
 	for _, d := range details {
 		switch {
-		case bytes.HasPrefix(d, prefAddMod):
-			idx, pci, ch, ok := scanBraced3(d, "sCellToAddModList {sCellIndex ", ", physCellId ", ", absoluteFrequencySSB ")
-			if !ok {
-				var err error
-				idx, pci, ch, err = scanAddModSlow(d)
-				if err != nil {
-					return nil, err
-				}
+		case isLine(d, addModLine):
+			v, err := parseLine(d, addModLine)
+			if err != nil {
+				return nil, err
 			}
-			m.AddSCells = append(m.AddSCells, rrc.SCellEntry{Index: idx, Cell: cell.Ref{PCI: pci, Channel: ch}})
+			m.AddSCells = append(m.AddSCells, rrc.SCellEntry{Index: v[0], Cell: cell.Ref{PCI: v[1], Channel: v[2]}})
 		case bytes.HasPrefix(d, prefReleaseList):
 			body := cutBraceBody(d, len(prefReleaseList))
 			rest := body
@@ -782,40 +718,26 @@ func (p *parser) buildReconfig(details [][]byte) (rrc.Message, error) {
 					break
 				}
 			}
-		case bytes.HasPrefix(d, prefSpCell):
-			pci, ch, ok := scanBraced2(d, "spCellConfig {physCellId ", ", ssbFrequency ")
-			if !ok {
-				var err error
-				pci, ch, err = scanPairSlow(d, "spCellConfig {physCellId %d, ssbFrequency %d}", "bad spCellConfig")
-				if err != nil {
-					return nil, err
-				}
+		case isLine(d, spCellLine):
+			v, err := parseLine(d, spCellLine)
+			if err != nil {
+				return nil, err
 			}
-			ref := cell.Ref{PCI: pci, Channel: ch}
-			m.SpCell = &ref
-		case bytes.HasPrefix(d, prefScgSCell):
-			pci, ch, ok := scanBraced2(d, "scgSCell {physCellId ", ", ssbFrequency ")
-			if !ok {
-				var err error
-				pci, ch, err = scanPairSlow(d, "scgSCell {physCellId %d, ssbFrequency %d}", "bad scgSCell")
-				if err != nil {
-					return nil, err
-				}
+			m.SpCell = &cell.Ref{PCI: v[0], Channel: v[1]}
+		case isLine(d, scgSCellLine):
+			v, err := parseLine(d, scgSCellLine)
+			if err != nil {
+				return nil, err
 			}
-			m.SCGSCells = append(m.SCGSCells, cell.Ref{PCI: pci, Channel: ch})
+			m.SCGSCells = append(m.SCGSCells, cell.Ref{PCI: v[0], Channel: v[1]})
 		case bytes.Equal(d, litScgRelease):
 			m.SCGRelease = true
-		case bytes.HasPrefix(d, prefMobility):
-			pci, ch, ok := scanBraced2(d, "mobilityControlInfo {targetPhysCellId ", ", dl-CarrierFreq ")
-			if !ok {
-				var err error
-				pci, ch, err = scanPairSlow(d, "mobilityControlInfo {targetPhysCellId %d, dl-CarrierFreq %d}", "bad mobilityControlInfo")
-				if err != nil {
-					return nil, err
-				}
+		case isLine(d, mobilityLine):
+			v, err := parseLine(d, mobilityLine)
+			if err != nil {
+				return nil, err
 			}
-			ref := cell.Ref{PCI: pci, Channel: ch}
-			m.Mobility = &ref
+			m.Mobility = &cell.Ref{PCI: v[0], Channel: v[1]}
 		case bytes.HasPrefix(d, prefMeasConfig):
 			mo, err := p.measObject(cutBraceBody(d, len(prefMeasConfig)))
 			if err != nil {
@@ -837,83 +759,6 @@ func cutBraceBody(d []byte, prefixLen int) []byte {
 		body = body[:n-1]
 	}
 	return body
-}
-
-// scanBraced2 is the canonical fast path for "<l1><int><l2><int>}".
-//
-//loopvet:hot
-func scanBraced2(d []byte, l1, l2 string) (a, b int, ok bool) {
-	pos, ok := matchLit(d, 0, l1)
-	if !ok {
-		return 0, 0, false
-	}
-	a, pos, ok = scanIntB(d, pos)
-	if !ok {
-		return 0, 0, false
-	}
-	pos, ok = matchLit(d, pos, l2)
-	if !ok {
-		return 0, 0, false
-	}
-	b, pos, ok = scanIntB(d, pos)
-	if !ok {
-		return 0, 0, false
-	}
-	_, ok = matchLit(d, pos, "}")
-	return a, b, ok
-}
-
-// scanBraced3 is the canonical fast path for
-// "<l1><int><l2><int><l3><int>}".
-//
-//loopvet:hot
-func scanBraced3(d []byte, l1, l2, l3 string) (a, b, c int, ok bool) {
-	pos, ok := matchLit(d, 0, l1)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	a, pos, ok = scanIntB(d, pos)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	pos, ok = matchLit(d, pos, l2)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	b, pos, ok = scanIntB(d, pos)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	pos, ok = matchLit(d, pos, l3)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	c, pos, ok = scanIntB(d, pos)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	_, ok = matchLit(d, pos, "}")
-	return a, b, c, ok
-}
-
-// scanAddModSlow is the old Sscanf sCellToAddModList parser on a
-// materialized copy.
-func scanAddModSlow(db []byte) (idx, pci, ch int, err error) {
-	d := string(db)
-	if _, serr := fmt.Sscanf(d, "sCellToAddModList {sCellIndex %d, physCellId %d, absoluteFrequencySSB %d}",
-		&idx, &pci, &ch); serr != nil {
-		return 0, 0, 0, fmt.Errorf("bad sCellToAddModList %q: %w", d, serr)
-	}
-	return idx, pci, ch, nil
-}
-
-// scanPairSlow is the old Sscanf two-int parser on a materialized copy.
-func scanPairSlow(db []byte, format, what string) (a, b int, err error) {
-	d := string(db)
-	if _, serr := fmt.Sscanf(d, format, &a, &b); serr != nil {
-		return 0, 0, fmt.Errorf("%s %q: %w", what, d, serr)
-	}
-	return a, b, nil
 }
 
 // releaseTokSlow is the strconv.Atoi fallback for release-list tokens.
@@ -1221,7 +1066,7 @@ func parseMeasObject(s string) (rrc.MeasObject, error) {
 	if !ok {
 		return rrc.MeasObject{}, fmt.Errorf("measConfig missing channels: %q", s)
 	}
-	ev, err := ParseEventConfig(body)
+	ev, err := parseEventConfig(body)
 	if err != nil {
 		return rrc.MeasObject{}, err
 	}
@@ -1240,10 +1085,10 @@ func parseMeasObject(s string) (rrc.MeasObject, error) {
 	return mo, nil
 }
 
-// ParseEventConfig inverts meas.EventConfig.String, accepting the four
+// parseEventConfig inverts meas.EventConfig.String, accepting the four
 // shapes the study emits ("A2 RSRP < -156dBm", "A3 RSRQ offset > 6dB",
 // "A5 RSRP < -118dBm and > -120dBm", "B1 RSRP > -115dBm").
-func ParseEventConfig(s string) (meas.EventConfig, error) {
+func parseEventConfig(s string) (meas.EventConfig, error) {
 	fields := strings.Fields(s)
 	if len(fields) < 3 {
 		return meas.EventConfig{}, fmt.Errorf("sig: bad event config %q", s)

@@ -108,18 +108,8 @@ func channelOf(m rrc.Message) string {
 	}
 }
 
-// Timestamp renders an offset as the HH:MM:SS.mmm clock NSG logs use,
-// anchored at 00:00:00.
-func Timestamp(d time.Duration) string {
-	ms := d.Milliseconds()
-	h := ms / 3600000
-	m := ms / 60000 % 60
-	s := ms / 1000 % 60
-	return fmt.Sprintf("%02d:%02d:%02d.%03d", h, m, s, ms%1000)
-}
-
-// parseTimestamp inverts Timestamp, reporting whether s is a clock it
-// could have written.
+// parseTimestamp inverts appendTimestamp, reporting whether s is a clock
+// it could have written.
 func parseTimestamp(s string) (time.Duration, bool) {
 	var h, m, sec, ms int
 	if _, err := fmt.Sscanf(s, "%d:%d:%d.%d", &h, &m, &sec, &ms); err != nil {

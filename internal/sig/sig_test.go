@@ -112,8 +112,8 @@ func TestTimestampFormat(t *testing.T) {
 		time.Hour + 2*time.Minute + 3*time.Second: "01:02:03.000",
 	}
 	for d, want := range cases {
-		if got := Timestamp(d); got != want {
-			t.Errorf("Timestamp(%v) = %q, want %q", d, got, want)
+		if got := string(appendTimestamp(nil, d)); got != want {
+			t.Errorf("appendTimestamp(%v) = %q, want %q", d, got, want)
 		}
 		back, ok := parseTimestamp(want)
 		if !ok || back != d {
@@ -214,9 +214,9 @@ func TestParseEventConfig(t *testing.T) {
 		meas.A5(meas.QuantityRSRP, -118, -120),
 		meas.B1(meas.QuantityRSRP, -115),
 	} {
-		got, err := ParseEventConfig(ev.String())
+		got, err := parseEventConfig(ev.String())
 		if err != nil {
-			t.Errorf("ParseEventConfig(%q): %v", ev.String(), err)
+			t.Errorf("parseEventConfig(%q): %v", ev.String(), err)
 			continue
 		}
 		if got != ev {
@@ -224,8 +224,8 @@ func TestParseEventConfig(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "A9 RSRP < -1dBm", "A2 WAT < -1dBm", "A2 RSRP <", "A3 RSRP > 6dB"} {
-		if _, err := ParseEventConfig(bad); err == nil {
-			t.Errorf("ParseEventConfig(%q) should fail", bad)
+		if _, err := parseEventConfig(bad); err == nil {
+			t.Errorf("parseEventConfig(%q) should fail", bad)
 		}
 	}
 }

@@ -191,17 +191,44 @@ func TestEmitterStickyError(t *testing.T) {
 	}
 }
 
+// requireStreamParity: the injector's reader over a stream is
+// byte-identical to Corrupt, and the two lenient-parse results agree.
+func requireStreamParity(t *testing.T, input string, seed int64, rate float64) {
+	t.Helper()
+	rates := faults.Profile(rate)
+	want := faults.New(seed, rates).Corrupt(input)
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, faults.New(seed, rates).Reader(strings.NewReader(input))); err != nil {
+		t.Fatalf("streamed corruption errored: %v", err)
+	}
+	if got := buf.String(); got != want {
+		t.Fatalf("streamed corruption diverges from Corrupt:\n got %q\nwant %q", got, want)
+	}
+	logA, salA, err := ParseLenientObserved(strings.NewReader(want), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logB, salB, err := ParseLenientObserved(faults.New(seed, rates).Reader(strings.NewReader(input)), nil)
+	if err != nil {
+		t.Fatalf("streamed lenient parse errored: %v", err)
+	}
+	// NaN-aware: Sscanf's %f accepts "NaN", and corruption can forge
+	// one; both paths then hold NaN, which DeepEqual misreports.
+	if !eventsEquivalent(logA, logB) || !reflect.DeepEqual(salA, salB) {
+		t.Fatalf("streamed parse result diverges: %d/%+v vs %d/%+v",
+			logB.Len(), salB, logA.Len(), salA)
+	}
+}
+
 // FuzzStreamParity: for arbitrary input text and fault configuration,
 // the injector's reader over a stream is byte-identical to Corrupt and
-// the two lenient-parse results agree.
+// the two lenient-parse results agree. Its seeds are small inputs;
+// TestStreamParityLargeInputs runs the same check on large ones.
 func FuzzStreamParity(f *testing.F) {
 	f.Add(sampleLog().String(), int64(1), 0.1)
 	f.Add("", int64(2), 0.5)
 	f.Add("garbage\n\n  indented orphan\n99:99:99.999 nonsense", int64(3), 0.9)
 	f.Add("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n  Physical Cell ID = 393, Freq = 521310", int64(4), 1.0)
-	if data, err := os.ReadFile(filepath.Join("testdata", "corrupt_restart.log")); err == nil {
-		f.Add(string(data), int64(5), 0.2)
-	}
 	// Interning-relevant shapes: one cell line shared by many events and
 	// runs of identical message names — the memo/intern tables must not
 	// leak state between pooled parses under corruption.
@@ -214,10 +241,6 @@ func FuzzStreamParity(f *testing.F) {
 	f.Add("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\r\n"+
 		"  Physical Cell ID = 393, Freq = 521310\r\n"+
 		"00:00:02.000 SYS -- EXCEPTION\n  mm5g_state DEREGISTERED, substate NO_CELL_AVAILABLE\r\n", int64(8), 0.25)
-	// A line past the 4 MiB cap: oversized resync under corruption.
-	f.Add("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n"+
-		"  Physical Cell ID = 393, Freq = 521310\n"+
-		strings.Repeat("z", maxLineBytes+3)+"\n", int64(9), 0.05)
 	f.Fuzz(func(t *testing.T, input string, seed int64, rate float64) {
 		if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
 			rate = 0
@@ -225,28 +248,32 @@ func FuzzStreamParity(f *testing.F) {
 		if rate > 1 {
 			rate = 1
 		}
-		rates := faults.Profile(rate)
-		want := faults.New(seed, rates).Corrupt(input)
-		var buf bytes.Buffer
-		if _, err := io.Copy(&buf, faults.New(seed, rates).Reader(strings.NewReader(input))); err != nil {
-			t.Fatalf("streamed corruption errored: %v", err)
-		}
-		if got := buf.String(); got != want {
-			t.Fatalf("streamed corruption diverges from Corrupt:\n got %q\nwant %q", got, want)
-		}
-		logA, salA, err := ParseLenientObserved(strings.NewReader(want), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logB, salB, err := ParseLenientObserved(faults.New(seed, rates).Reader(strings.NewReader(input)), nil)
-		if err != nil {
-			t.Fatalf("streamed lenient parse errored: %v", err)
-		}
-		// NaN-aware: Sscanf's %f accepts "NaN", and corruption can forge
-		// one; both paths then hold NaN, which DeepEqual misreports.
-		if !eventsEquivalent(logA, logB) || !reflect.DeepEqual(salA, salB) {
-			t.Fatalf("streamed parse result diverges: %d/%+v vs %d/%+v",
-				logB.Len(), salB, logA.Len(), salA)
-		}
+		requireStreamParity(t, input, seed, rate)
 	})
+}
+
+// TestStreamParityLargeInputs runs FuzzStreamParity's check on inputs
+// too large to seed a fuzzer with: a corrupted golden (145 KB) and a
+// capture with a line past the 4 MiB cap, which the lenient parse must
+// skip and resync after.
+func TestStreamParityLargeInputs(t *testing.T) {
+	restart, err := os.ReadFile(filepath.Join("testdata", "corrupt_restart.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		input string
+		seed  int64
+		rate  float64
+	}{
+		{"corrupt_restart.log", string(restart), 5, 0.2},
+		{"oversized line", "00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n" +
+			"  Physical Cell ID = 393, Freq = 521310\n" +
+			strings.Repeat("z", maxLineBytes+3) + "\n", 9, 0.05},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			requireStreamParity(t, c.input, c.seed, c.rate)
+		})
+	}
 }
