@@ -107,27 +107,24 @@ func requireLineParity(t *testing.T, k int, line string) {
 	if v, ok := scanLine([]byte(line), k); ok && (wantErr != nil || v != want) {
 		t.Fatalf("fast path reads %q as %v; Sscanf gives %v, %v", line, v, want, wantErr)
 	}
-	requireSameRead(t, line, want, wantErr)(parseLine([]byte(line), k))
-	if k == nrCellLine || k == cellLine {
-		if !strings.HasPrefix(line, sh.prefix) {
-			return
-		}
+	got, err := parseLine([]byte(line), k)
+	requireSameRead(t, line, got, err, want, wantErr)
+	if (k == nrCellLine || k == cellLine) && strings.HasPrefix(line, sh.prefix) {
 		ref, refErr := refFindCellLine([]string{line})
-		requireSameRead(t, line, [3]int{ref.PCI, ref.Channel}, refErr)(parseLine([]byte(line), nrCellLine, cellLine))
+		got, err := parseLine([]byte(line), nrCellLine, cellLine)
+		requireSameRead(t, line, got, err, [3]int{ref.PCI, ref.Channel}, refErr)
 	}
 }
 
-// requireSameRead returns a check that a parseLine result is want, or
+// requireSameRead fails the test unless a read of line gave want, or
 // an error with wantErr's text.
-func requireSameRead(t *testing.T, line string, want [3]int, wantErr error) func([3]int, error) {
-	return func(got [3]int, err error) {
-		t.Helper()
-		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-			t.Fatalf("reading %q: error %v, want %v", line, err, wantErr)
-		}
-		if err == nil && got != want {
-			t.Fatalf("reading %q: %v, want %v", line, got, want)
-		}
+func requireSameRead(t *testing.T, line string, got [3]int, err error, want [3]int, wantErr error) {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("reading %q: error %v, want %v", line, err, wantErr)
+	}
+	if err == nil && got != want {
+		t.Fatalf("reading %q: %v, want %v", line, got, want)
 	}
 }
 
@@ -164,9 +161,10 @@ func TestLineShapeRendering(t *testing.T) {
 				if got != want {
 					t.Fatalf("line %d renders %v, CGI %d as %q, want %q", k, v, cgi, got, want)
 				}
-				var back [3]int
-				copy(back[:], v[:signed])
-				requireSameRead(t, got, back, nil)(parseLine([]byte(strings.TrimSpace(got)), k))
+				var fields [3]int
+				copy(fields[:], v[:signed])
+				back, err := parseLine([]byte(strings.TrimSpace(got)), k)
+				requireSameRead(t, got, back, err, fields, nil)
 			}
 		}
 	}
