@@ -59,8 +59,9 @@ type Options struct {
 	// how real damaged captures are ingested. Each record carries its
 	// Salvage report.
 	FaultRates *faults.Rates
-	// Workers bounds each area's worker pool; 0 means one worker per
-	// CPU. Record order and content are identical at any worker count.
+	// Workers bounds the study's worker pool, which runs every area's
+	// runs, and Execute's; 0 means one worker per CPU. Record order and
+	// content are identical at any worker count.
 	Workers int
 	// Checkpoint, when non-empty, is the path of the durable run
 	// journal (see internal/checkpoint and docs/RESILIENCE.md): every

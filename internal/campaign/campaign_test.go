@@ -25,9 +25,8 @@ func smallOpts() Options {
 }
 
 func TestRunAreaBasics(t *testing.T) {
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1] // A2: 6 locations
-	res := runArea(op, spec, smallOpts())
+	res := runArea(t, spec, smallOpts())
 	wantRuns := 6 * 4 // 6 locations × max(1, 8*0.5) runs
 	if len(res.Records) != wantRuns {
 		t.Fatalf("records = %d, want %d", len(res.Records), wantRuns)
@@ -203,7 +202,7 @@ func TestSparseSamples(t *testing.T) {
 	op := policy.OPT()
 	opts := smallOpts()
 	st := &Study{Opts: opts}
-	st.Areas = append(st.Areas, runArea(op, deploy.AreasFor("OPT")[1], opts))
+	st.Areas = append(st.Areas, runArea(t, deploy.AreasFor("OPT")[1], opts))
 	samples := SparseSamples(st, op, true)
 	if len(samples) != 6 {
 		t.Fatalf("samples = %d, want 6 locations", len(samples))
@@ -219,10 +218,9 @@ func TestSparseSamples(t *testing.T) {
 }
 
 func TestCSVExport(t *testing.T) {
-	op := policy.OPT()
 	opts := smallOpts()
 	st := &Study{Opts: opts}
-	st.Areas = append(st.Areas, runArea(op, deploy.AreasFor("OPT")[1], opts))
+	st.Areas = append(st.Areas, runArea(t, deploy.AreasFor("OPT")[1], opts))
 
 	var runs, loops, locs strings.Builder
 	if err := st.WriteRunsCSV(&runs); err != nil {
@@ -316,9 +314,8 @@ func TestRunScaleValidation(t *testing.T) {
 	if o := (Options{}).withDefaults(); o.RunScale != 1 {
 		t.Errorf("zero RunScale should default to 1, got %v", o.RunScale)
 	}
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1] // A2: 6 locations
-	res := runArea(op, spec, Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1})
+	res := runArea(t, spec, Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1})
 	if len(res.Records) != 6 {
 		t.Errorf("invalid RunScale area = %d records, want 1 per location (6)", len(res.Records))
 	}
@@ -333,10 +330,9 @@ func TestRunPanicIsolated(t *testing.T) {
 	}
 	defer func() { testHookPanic = nil }()
 
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	opts := Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1}
-	res := runArea(op, spec, opts)
+	res := runArea(t, spec, opts)
 
 	if got := res.Failures(); got != 1 {
 		t.Fatalf("Failures() = %d, want 1", got)
@@ -401,7 +397,6 @@ func TestRunRetryRecovers(t *testing.T) {
 // same order, as a forced single-worker execution — including when
 // every run streams through fault injection.
 func TestRunAreaParallelEqualsSequential(t *testing.T) {
-	op := policy.OPA()
 	spec := deploy.AreasFor("OPA")[0]
 	rates := faults.Profile(0.05)
 	cases := []struct {
@@ -414,9 +409,9 @@ func TestRunAreaParallelEqualsSequential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Seed: 42, Duration: 90 * time.Second, RunScale: 0.25, FaultRates: tc.rates}
-			par := runArea(op, spec, opts)
+			par := runArea(t, spec, opts)
 			opts.Workers = 1
-			seq := runArea(op, spec, opts)
+			seq := runArea(t, spec, opts)
 			if len(par.Records) != len(seq.Records) {
 				t.Fatalf("parallel produced %d records, sequential %d", len(par.Records), len(seq.Records))
 			}
@@ -435,7 +430,6 @@ func TestRunAreaParallelEqualsSequential(t *testing.T) {
 // study output. The record slices — timelines, loops, salvage reports,
 // speeds — must be deeply equal with metrics off and on.
 func TestMetricsParity(t *testing.T) {
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	rates := faults.Profile(0.05)
 	for _, tc := range []struct {
@@ -447,12 +441,12 @@ func TestMetricsParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := Options{Seed: 42, Duration: 60 * time.Second, RunScale: -1, FaultRates: tc.rates}
-			plain := runArea(op, spec, base)
+			plain := runArea(t, spec, base)
 
 			observed := base
 			reg := obs.NewRegistry()
 			observed.Metrics = reg
-			withMetrics := runArea(op, spec, observed)
+			withMetrics := runArea(t, spec, observed)
 
 			if len(plain.Records) != len(withMetrics.Records) {
 				t.Fatalf("record counts differ: %d vs %d", len(plain.Records), len(withMetrics.Records))
@@ -495,7 +489,6 @@ func TestMetricsParity(t *testing.T) {
 // TestMetricsPanicCounter: an induced panic inside a run increments
 // campaign.panics without changing the retry/failure semantics.
 func TestMetricsPanicCounter(t *testing.T) {
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool {
 		return locIdx == 1 && runIdx == 0 && attempt == 0
@@ -503,7 +496,7 @@ func TestMetricsPanicCounter(t *testing.T) {
 	defer func() { testHookPanic = nil }()
 	reg := obs.NewRegistry()
 	opts := Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1, Metrics: reg}
-	res := runArea(op, spec, opts)
+	res := runArea(t, spec, opts)
 	if len(res.Records) == 0 {
 		t.Fatal("no records")
 	}
@@ -523,10 +516,9 @@ func TestMetricsPanicCounter(t *testing.T) {
 // salvage reports (and possibly failure records) instead of panicking.
 func TestRunAreaWithFaultInjection(t *testing.T) {
 	rates := faults.Profile(0.05)
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	opts := Options{Seed: 42, Duration: 60 * time.Second, RunScale: -1, FaultRates: &rates}
-	res := runArea(op, spec, opts)
+	res := runArea(t, spec, opts)
 
 	if len(res.Records) != 6 {
 		t.Fatalf("records = %d, want 6", len(res.Records))
@@ -555,7 +547,6 @@ func TestRunAreaWithFaultInjection(t *testing.T) {
 // feeds the teed stream detector; each record's analysis must be
 // exactly what core.Analyze computes on the finished timeline.
 func TestFusedDetectionMatchesBatch(t *testing.T) {
-	op := policy.OPA()
 	spec := deploy.AreasFor("OPA")[0]
 	rates := faults.Profile(0.05)
 	for _, tc := range []struct {
@@ -569,7 +560,7 @@ func TestFusedDetectionMatchesBatch(t *testing.T) {
 			opts := smallOpts()
 			opts.RunScale = 0.25
 			opts.FaultRates = tc.rates
-			res := runArea(op, spec, opts)
+			res := runArea(t, spec, opts)
 			checked, loops := 0, 0
 			for _, rec := range res.Records {
 				if rec.Err != "" || rec.Timeline == nil {

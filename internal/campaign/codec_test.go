@@ -12,7 +12,6 @@ import (
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/faults"
-	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/sig"
 	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/units"
@@ -42,7 +41,7 @@ func TestCodecRealRecords(t *testing.T) {
 	rates := faults.Profile(0.08)
 	opts := Options{Seed: 42, Duration: 240 * time.Second, RunScale: 0.5, FaultRates: &rates}
 	spec := areaSpec(t, "A1")
-	res := runArea(policy.OPT(), spec, opts)
+	res := runArea(t, spec, opts)
 	if len(res.Records) == 0 {
 		t.Fatal("no records")
 	}
@@ -83,7 +82,7 @@ var (
 // a run (FinishAnalysis) or once on decoding (DecodeRecord), so reading
 // them allocates nothing.
 func TestLoopAccessorsDoNotAllocate(t *testing.T) {
-	res := runArea(policy.OPT(), areaSpec(t, "A1"), Options{Seed: 42, Duration: 120 * time.Second, RunScale: 0.1})
+	res := runArea(t, areaSpec(t, "A1"), Options{Seed: 42, Duration: 120 * time.Second, RunScale: 0.1})
 	var rec *Record
 	for _, r := range res.Records {
 		if r.HasLoop() {

@@ -51,23 +51,24 @@ func runKey(op, area string, locIdx, runIdx int, seed int64) string {
 	return fmt.Sprintf("%s/%s/%d/%d/%d", op, area, locIdx, runIdx, seed)
 }
 
-// runner is the per-study engine state shared by the areas: the
-// checkpoint journal with its replay map, the sinks, and the crash
-// fault point. The study context is not stored here — it is threaded
-// through runArea/executeJob as a parameter, so every call site states
-// which cancellation scope it runs under.
+// runner is the engine state of one study: the checkpoint journal with
+// its replay map, the study's records and the crash fault point. The
+// study context is not stored here — it is threaded through
+// executeJob as a parameter, so every call site states which
+// cancellation scope it runs under.
 type runner struct {
-	cancel context.CancelCauseFunc // nil when a test drives runArea directly
+	cancel context.CancelCauseFunc
 	opts   Options
-	sinks  []Sink
 	jr     *checkpoint.Journal
 	done   map[string]*Record // journal replay: run key → decoded record
 
 	mu          sync.Mutex
-	appended    int   // guarded by: mu — checkpoint record appends (header excluded)
-	crashed     bool  // guarded by: mu — crashAfter fired: simulate death, stop persisting
-	stopDeliver bool  // guarded by: mu — delivery fence after crash/cancel/sink error
-	failErr     error // guarded by: mu — first journal or sink error
+	recs        []*Record // guarded by: mu — the study's records by run index
+	delivered   int       // guarded by: mu — length of the prefix of recs Options.Sink has taken
+	appended    int       // guarded by: mu — checkpoint record appends (header excluded)
+	crashed     bool      // guarded by: mu — crashAfter fired: simulate death, stop persisting
+	stopDeliver bool      // guarded by: mu — delivery fence after crash/cancel/sink error
+	failErr     error     // guarded by: mu — first journal or sink error
 }
 
 // fail records the first engine error and cancels the study.
@@ -87,9 +88,7 @@ func (r *runner) failLocked(err error) {
 		r.failErr = err
 	}
 	r.stopDeliver = true
-	if r.cancel != nil {
-		r.cancel(err)
-	}
+	r.cancel(err)
 }
 
 // err returns the engine's terminal error: a journal/sink failure, the
@@ -176,26 +175,17 @@ func mustJSON(v any) string {
 	return string(b)
 }
 
-// delivery is a per-area reorder window: records complete in any order
-// on the worker pool but sinks must observe slot order.
-type delivery struct {
-	next    int
-	pending map[int]*deliveryItem
-}
-
-type deliveryItem struct {
-	key string
-	rec *Record
-}
-
-// complete files one finished run: it is checkpointed immediately (in
-// completion order — the keyed replay makes order irrelevant) and
-// delivered to the sinks in slot order through the reorder window.
+// complete files run i's record: it is checkpointed immediately (in
+// completion order — the keyed replay makes order irrelevant), stored
+// at index i, and delivered to Options.Sink in index order. recs is the
+// reorder window: the sink takes every record from the first one it
+// has not taken up to the next run still in flight.
 //
 // locks: mu
-func (r *runner) complete(d *delivery, slot int, key string, rec *Record) {
+func (r *runner) complete(i int, key string, rec *Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.recs[i] = rec
 	if rec.FailKind != FailCancelled && r.jr != nil && !r.crashed && r.failErr == nil {
 		if _, already := r.done[key]; !already {
 			if err := r.appendLocked(key, rec); err != nil {
@@ -204,33 +194,20 @@ func (r *runner) complete(d *delivery, slot int, key string, rec *Record) {
 			}
 		}
 	}
-	if r.stopDeliver || len(r.sinks) == 0 {
-		return
-	}
-	if d.pending == nil {
-		d.pending = make(map[int]*deliveryItem)
-	}
-	d.pending[slot] = &deliveryItem{key: key, rec: rec}
-	for {
-		it, ok := d.pending[d.next]
-		if !ok {
-			return
-		}
-		delete(d.pending, d.next)
-		if it.rec.FailKind == FailCancelled {
+	for r.opts.Sink != nil && !r.stopDeliver && r.delivered < len(r.recs) && r.recs[r.delivered] != nil {
+		next := r.recs[r.delivered]
+		if next.FailKind == FailCancelled {
 			// A cancelled run has no durable result; everything after
 			// it in the stream is withheld so the sink output stays a
 			// clean prefix the resumed study will regenerate.
 			r.stopDeliver = true
 			return
 		}
-		for _, s := range r.sinks {
-			if err := s.Record(it.rec); err != nil {
-				r.failLocked(fmt.Errorf("campaign: sink: %w", err))
-				return
-			}
+		if err := r.opts.Sink.Record(next); err != nil {
+			r.failLocked(fmt.Errorf("campaign: sink: %w", err))
+			return
 		}
-		d.next++
+		r.delivered++
 	}
 }
 
@@ -255,57 +232,10 @@ func (r *runner) appendLocked(key string, rec *Record) error {
 	if r.opts.crashAfter > 0 && r.appended >= r.opts.crashAfter && !r.crashed {
 		r.crashed = true
 		r.stopDeliver = true
-		if r.cancel != nil {
-			r.cancel(errInjectedCrash)
-		}
+		r.cancel(errInjectedCrash)
 		r.failErr = errInjectedCrash
 	}
 	return nil
-}
-
-// beginArea announces the area to every sink.
-//
-// locks: mu
-func (r *runner) beginArea(spec deploy.AreaSpec, dep *deploy.Deployment) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopDeliver {
-		return
-	}
-	for _, s := range r.sinks {
-		if err := s.BeginArea(spec, dep); err != nil {
-			r.failLocked(fmt.Errorf("campaign: sink: %w", err))
-			return
-		}
-	}
-}
-
-// runArea executes all runs of one area. Runs are independent (each
-// derives its own seed), so they execute on a bounded worker pool; the
-// record order — and therefore every downstream aggregate — is
-// identical to the sequential execution.
-func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.AreaSpec) *AreaResult {
-	opts := r.opts
-	dep := deploy.Build(op, spec, opts.Seed+1)
-	res := &AreaResult{Spec: spec, Dep: dep}
-	r.beginArea(spec, dep)
-	runs := int(float64(spec.Runs)*opts.RunScale + 0.5)
-	if runs < 1 {
-		runs = 1
-	}
-	res.Records = make([]*Record, len(dep.Clusters)*runs)
-	d := &delivery{}
-	n := pool(ctx, len(res.Records), opts.Workers, func(slot int) {
-		li, ri := slot/runs, slot%runs
-		key := runKey(op.Name, spec.ID, li, ri, opts.Seed)
-		rec := r.executeJob(ctx, op, dep, li, ri, key)
-		res.Records[slot] = rec
-		r.complete(d, slot, key, rec)
-	})
-	// Undispatched runs form a suffix of nil slots; trim them so a
-	// cancelled study still satisfies the non-nil record invariant.
-	res.Records = res.Records[:n]
-	return res
 }
 
 // pool calls do(i) for i = 0, 1, … n-1 on a bounded set of workers (0
@@ -343,21 +273,20 @@ dispatch:
 }
 
 // executeJob resolves one study run: from the replay map when the
-// journal already holds it, by execution otherwise. The study's run
-// counters count the runs it executes.
-func (r *runner) executeJob(ctx context.Context, op *policy.Operator, dep *deploy.Deployment,
-	locIdx, runIdx int, key string) *Record {
+// journal already holds key, by executing job otherwise. The study's
+// run counters count the runs it executes.
+func (r *runner) executeJob(ctx context.Context, job Job, key string) *Record {
 	c := r.opts.Metrics
 	if rec, ok := r.done[key]; ok {
 		if c != nil {
 			c.Add("campaign.runs.resumed", 1)
-			c.Add("campaign.runs.resumed"+metricLabel(op.Name, dep.Area.ID), 1)
+			c.Add("campaign.runs.resumed"+metricLabel(job.Op.Name, job.Area), 1)
 		}
 		return rec
 	}
-	rec := execute(ctx, StudyJob(op, dep, locIdx, runIdx, r.opts), c)
+	rec := execute(ctx, job, c)
 	if c != nil {
-		label := metricLabel(op.Name, dep.Area.ID)
+		label := metricLabel(job.Op.Name, job.Area)
 		c.Add("campaign.runs", 1)
 		c.Add("campaign.runs"+label, 1)
 		if n := int64(rec.Attempts - 1); n > 0 {
@@ -378,18 +307,30 @@ func (r *runner) executeJob(ctx context.Context, op *policy.Operator, dep *deplo
 	return rec
 }
 
-// runStudy drives the whole study through a runner: journal replay
-// (only when resume is set), area execution, sink delivery.
+// runStudy drives the whole study through a runner: it builds every
+// area's deployment, replays the journal (only when resume is set) and
+// runs the study's runs on one worker pool. The runs are numbered area
+// by area, location-major, and run i's record lands at index i, so
+// records and sink delivery keep that order at any worker count.
 func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 	resume bool) (st *Study, sal *checkpoint.Salvage, rerr error) {
 	opts = opts.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &runner{opts: opts}
-	if opts.Sink != nil {
-		r.sinks = append(r.sinks, opts.Sink)
+	// Area k's runs are the indices i with first[k] ≤ i < first[k+1].
+	st = &Study{Opts: opts, Areas: make([]*AreaResult, len(specs))}
+	first := make([]int, len(specs)+1)
+	for k, spec := range specs {
+		dep := deploy.Build(policy.ByName(spec.Operator), spec, opts.Seed+1)
+		st.Areas[k] = &AreaResult{Spec: spec, Dep: dep}
+		runs := max(int(float64(spec.Runs)*opts.RunScale+0.5), 1)
+		first[k+1] = first[k] + len(dep.Clusters)*runs
 	}
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	recs := make([]*Record, first[len(specs)])
+	r := &runner{cancel: cancel, opts: opts, recs: recs}
 	sal, err := r.openJournal(resume)
 	if err != nil {
 		return nil, nil, err
@@ -404,16 +345,29 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 			}
 		}()
 	}
-	cctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	r.cancel = cancel
-	st = &Study{Opts: opts}
-	for _, spec := range specs {
-		if r.err(cctx) != nil {
+	n := pool(cctx, len(recs), opts.Workers, func(i int) {
+		k := 0
+		for first[k+1] <= i {
+			k++
+		}
+		dep := st.Areas[k].Dep
+		runs := (first[k+1] - first[k]) / len(dep.Clusters)
+		li, ri := (i-first[k])/runs, (i-first[k])%runs
+		key := runKey(dep.Op.Name, dep.Area.ID, li, ri, opts.Seed)
+		r.complete(i, key, r.executeJob(cctx, StudyJob(dep.Op, dep, li, ri, opts), key))
+	})
+	// Undispatched runs form a suffix of nil slots. Each area keeps its
+	// dispatched span, capped so an append to it cannot reach the next
+	// area's records, and one with none is left out, so a cancelled
+	// study still satisfies the non-nil record invariant. pool has
+	// returned, so recs is read without r.mu.
+	for k, a := range st.Areas {
+		if first[k] >= n {
+			st.Areas = st.Areas[:k]
 			break
 		}
-		op := policy.ByName(spec.Operator)
-		st.Areas = append(st.Areas, r.runArea(cctx, op, spec))
+		end := min(first[k+1], n)
+		a.Records = recs[first[k]:end:end]
 	}
 	if r.jr != nil {
 		if err := r.jr.Sync(); err != nil && r.err(cctx) == nil {

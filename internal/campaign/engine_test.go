@@ -24,11 +24,15 @@ func tinyOpts() Options {
 	return Options{Seed: 42, Duration: 120 * time.Second, RunScale: MinRunScale}
 }
 
-// runArea executes all runs of one area outside a study: no journal,
-// no sinks and no study context.
-func runArea(op *policy.Operator, spec deploy.AreaSpec, opts Options) *AreaResult {
-	r := &runner{opts: opts.withDefaults()}
-	return r.runArea(context.Background(), op, spec)
+// runArea runs one area as a study of its own under a background
+// context, with no journal and no sink.
+func runArea(t *testing.T, spec deploy.AreaSpec, opts Options) *AreaResult {
+	t.Helper()
+	st, _, err := runStudy(context.Background(), opts, []deploy.AreaSpec{spec}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Areas[0]
 }
 
 // runOperator is RunContext over a single operator's areas.
@@ -54,22 +58,16 @@ func runOPT(t *testing.T, opts Options) *Study {
 	return st
 }
 
-// collectSink reassembles the delivered record stream into areas.
-type collectSink struct{ areas []*AreaResult }
-
-func (s *collectSink) BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error {
-	s.areas = append(s.areas, &AreaResult{Spec: spec, Dep: dep})
-	return nil
-}
+// collectSink keeps the delivered record stream.
+type collectSink struct{ recs []*Record }
 
 func (s *collectSink) Record(rec *Record) error {
-	a := s.areas[len(s.areas)-1]
-	a.Records = append(a.Records, rec)
+	s.recs = append(s.recs, rec)
 	return nil
 }
 
-// TestStudySinkEquivalence: the record stream reassembles into exactly
-// the study the engine returns, at several worker counts.
+// TestStudySinkEquivalence: the record stream is exactly the study's
+// records in study order, at several worker counts.
 func TestStudySinkEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := tinyOpts()
@@ -78,10 +76,10 @@ func TestStudySinkEquivalence(t *testing.T) {
 		cs := &collectSink{}
 		opts.Sink = cs
 		got := runOPT(t, opts)
-		if !reflect.DeepEqual(want.Areas, cs.areas) {
+		if !reflect.DeepEqual(want.Records(""), cs.recs) {
 			t.Fatalf("workers=%d: streamed study diverged from materialized study", workers)
 		}
-		if !reflect.DeepEqual(got.Areas, cs.areas) {
+		if !reflect.DeepEqual(got.Records(""), cs.recs) {
 			t.Fatalf("workers=%d: sink saw different records than the returned study", workers)
 		}
 	}
@@ -219,6 +217,39 @@ func TestResumeFromCrash(t *testing.T) {
 	}
 	if got := reg.Counter("campaign.runs.resumed").Value(); got != 2 {
 		t.Fatalf("resumed = %d, want 2", got)
+	}
+}
+
+// TestCrashLeavesDispatchedPrefix: a study killed by the fault point
+// inside its second area returns the runs it dispatched: the first area
+// whole, a non-empty prefix of the second with no nil record, and no
+// later area.
+func TestCrashLeavesDispatchedPrefix(t *testing.T) {
+	opts := tinyOpts()
+	opts.Workers = 1
+	opts.Checkpoint = filepath.Join(t.TempDir(), "study.ckpt")
+	a1 := deploy.AreasFor("OPT")[0].Locations // one run per location at MinRunScale
+	opts.crashAfter = a1 + 2
+	st, err := runOperator(context.Background(), policy.OPT(), opts)
+	if !errors.Is(err, errInjectedCrash) {
+		t.Fatalf("err = %v, want errInjectedCrash", err)
+	}
+	if len(st.Areas) != 2 || st.Areas[0].Spec.ID != "A1" || st.Areas[1].Spec.ID != "A2" {
+		t.Fatalf("crashed study holds %d areas, want A1 and A2", len(st.Areas))
+	}
+	if got := len(st.Areas[0].Records); got != a1 {
+		t.Fatalf("A1 holds %d records, want all %d", got, a1)
+	}
+	a2 := st.Areas[1]
+	if got := len(a2.Records); got == 0 || got >= len(a2.Dep.Clusters) {
+		t.Fatalf("A2 holds %d records, want a non-empty prefix of its %d runs", got, len(a2.Dep.Clusters))
+	}
+	for _, a := range st.Areas {
+		for i, r := range a.Records {
+			if r == nil || r.Area != a.Spec.ID || r.LocIndex != i {
+				t.Fatalf("%s record %d is not that area's run %d", a.Spec.ID, i, i)
+			}
+		}
 	}
 }
 
@@ -442,7 +473,7 @@ func TestCancelledRecordKind(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := &runner{opts: opts}
-	rec := r.executeJob(ctx, policy.OPT(), dep, 0, 0, runKey("OPT", "A1", 0, 0, opts.Seed))
+	rec := r.executeJob(ctx, StudyJob(policy.OPT(), dep, 0, 0, opts), runKey("OPT", "A1", 0, 0, opts.Seed))
 	if rec.FailKind != FailCancelled {
 		t.Fatalf("FailKind = %v, want FailCancelled", rec.FailKind)
 	}

@@ -1,28 +1,20 @@
 package campaign
 
-import (
-	"io"
-
-	"github.com/mssn/loopscope/internal/deploy"
-)
+import "io"
 
 // Sink consumes study records as they complete, so a campaign can
 // stream its results out instead of materializing them. The engine
-// guarantees deterministic delivery: areas arrive in study order, and
-// within an area records arrive in slot order (locations in order,
-// run index in order) regardless of the worker count — a completed
-// out-of-order record is held back until its predecessors are
-// delivered. Cancelled runs are never delivered; after a cancellation
-// or injected crash, delivery stops entirely and the partial output is
-// superseded by the resumed study's.
+// guarantees deterministic delivery: records arrive in study order
+// (area by area, locations in order, run index in order) regardless of
+// the worker count — a completed out-of-order record is held back
+// until its predecessors are delivered. Cancelled runs are never
+// delivered; after a cancellation or injected crash, delivery stops
+// entirely and the partial output is superseded by the resumed study's.
 //
-// Sink methods are always called from one goroutine at a time; an
-// error aborts the study.
+// Record is always called from one goroutine at a time; an error
+// aborts the study. The record is the one the returned Study holds, so
+// a sink must not modify it.
 type Sink interface {
-	// BeginArea announces the next area before any of its records.
-	BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error
-	// Record delivers one completed run record. The engine does not
-	// retain the record afterwards (streaming callers own it).
 	Record(rec *Record) error
 }
 
@@ -37,10 +29,6 @@ type JSONLSink struct {
 
 // NewJSONLSink returns a sink writing records to w.
 func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// BeginArea implements Sink; area boundaries are implicit in the
-// records' own Op/Area fields, so nothing is written.
-func (s *JSONLSink) BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error { return nil }
 
 // Record implements Sink.
 func (s *JSONLSink) Record(rec *Record) error {
