@@ -25,25 +25,18 @@ const DefaultDrainTimeout = 2 * time.Second
 //	/metrics        the registry's Snapshot as JSON (404 when reg is nil)
 //
 // It returns the bound address and a func that shuts the server down
-// gracefully with DefaultDrainTimeout (see StartDebugServerDrain).
-// The server runs on its own goroutine; it observes, it never blocks
-// the pipeline.
-func StartDebugServer(addr string, reg *Registry) (bound string, stop func() error, err error) {
-	return StartDebugServerDrain(addr, reg, DefaultDrainTimeout)
-}
-
-// StartDebugServerDrain is StartDebugServer with an explicit drain
-// budget: stop first refuses new connections and waits up to drain for
-// in-flight requests to complete, then force-closes whatever remains —
-// so a stuck profile download can delay shutdown by at most drain. A
-// non-positive drain skips the grace period and closes immediately.
+// gracefully: stop first refuses new connections and waits up to
+// DefaultDrainTimeout for in-flight requests to complete, then
+// force-closes whatever remains — so a stuck profile download can
+// delay shutdown by at most that budget. The server runs on its own
+// goroutine; it observes, it never blocks the pipeline.
 //
 // stop is idempotent — later calls return the first call's result. It
 // returns the shutdown error (if any) joined with the serve loop's
 // exit error, so an accept-loop failure that would otherwise vanish on
 // a background goroutine surfaces at the single point the caller
 // already checks.
-func StartDebugServerDrain(addr string, reg *Registry, drain time.Duration) (bound string, stop func() error, err error) {
+func StartDebugServer(addr string, reg *Registry) (bound string, stop func() error, err error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -83,15 +76,11 @@ func StartDebugServerDrain(addr string, reg *Registry, drain time.Duration) (bou
 	)
 	stop = func() error {
 		once.Do(func() {
-			if drain <= 0 {
-				stopErr = srv.Close()
-			} else {
-				ctx, cancel := context.WithTimeout(context.Background(), drain)
-				defer cancel()
-				if err := srv.Shutdown(ctx); err != nil {
-					// Drain budget exhausted: cut the stragglers loose.
-					stopErr = errors.Join(err, srv.Close())
-				}
+			ctx, cancel := context.WithTimeout(context.Background(), DefaultDrainTimeout)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				// Drain budget exhausted: cut the stragglers loose.
+				stopErr = errors.Join(err, srv.Close())
 			}
 			// Serve returns ErrServerClosed on a clean Shutdown/Close;
 			// anything else is a real accept-loop failure.

@@ -91,7 +91,7 @@ func TestDebugServerBadAddr(t *testing.T) {
 // TestDebugServerGracefulStop: with no requests in flight, stop drains
 // cleanly, returns nil, and the port is released.
 func TestDebugServerGracefulStop(t *testing.T) {
-	bound, stop, err := StartDebugServerDrain("127.0.0.1:0", NewRegistry(), time.Second)
+	bound, stop, err := StartDebugServer("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,10 @@ func TestDebugServerGracefulStop(t *testing.T) {
 }
 
 // TestDebugServerDrainBounded: a connection stuck mid-request cannot
-// stall shutdown beyond the drain budget — stop force-closes it and
+// stall shutdown beyond DefaultDrainTimeout — stop force-closes it and
 // reports the exhausted deadline.
 func TestDebugServerDrainBounded(t *testing.T) {
-	const drain = 250 * time.Millisecond
-	bound, stop, err := StartDebugServerDrain("127.0.0.1:0", nil, drain)
+	bound, stop, err := StartDebugServer("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,27 +134,12 @@ func TestDebugServerDrainBounded(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stop = %v, want context.DeadlineExceeded (drain exhausted)", err)
 	}
-	if elapsed > drain+2*time.Second {
-		t.Fatalf("stop took %v, far beyond the %v drain budget", elapsed, drain)
+	if elapsed > DefaultDrainTimeout+2*time.Second {
+		t.Fatalf("stop took %v, far beyond the %v drain budget", elapsed, DefaultDrainTimeout)
 	}
 	// The straggler was cut loose, not left hanging.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("stuck connection survived the forced close")
-	}
-}
-
-// TestDebugServerZeroDrainClosesImmediately: a non-positive drain is
-// the old hard-close behavior.
-func TestDebugServerZeroDrainClosesImmediately(t *testing.T) {
-	bound, stop, err := StartDebugServerDrain("127.0.0.1:0", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stop(); err != nil {
-		t.Fatalf("immediate stop: %v", err)
-	}
-	if _, err := http.Get("http://" + bound + "/debug/vars"); err == nil {
-		t.Fatal("server still answering after stop")
 	}
 }
