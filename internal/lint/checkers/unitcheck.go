@@ -14,13 +14,12 @@ import (
 // are what unitcheck guards:
 //
 //   - cross-unit conversions: units.DB(x) where x is a DBm (the
-//     classic dB-vs-dBm mix-up, and ms-vs-s via Millis→Seconds) —
-//     converting between units needs a physical operation (Sub, Add,
-//     Scale, MillisOf), not a cast;
+//     classic dB-vs-dBm mix-up) — converting between units needs a
+//     physical operation (Sub, Add, Scale), not a cast;
 //   - unit-stripping conversions: float64(x) (or any non-unit numeric
 //     type) applied to a unit-typed value outside a units package —
-//     the sanctioned exit is the unit's Float/Duration accessor, which
-//     keeps strips greppable and reviewable;
+//     the sanctioned exit is the unit's Float accessor, which keeps
+//     strips greppable and reviewable;
 //   - named untyped constants leaking into unit-typed positions:
 //     `const floor = -125.0` compared against a DBm value compiles via
 //     implicit conversion, silently asserting a unit the declaration
@@ -35,7 +34,7 @@ import (
 func UnitCheck() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "unitcheck",
-		Doc: "flag conversions that mix or strip physical-unit types (DBm, DB, Millis, ...) " +
+		Doc: "flag conversions that mix or strip physical-unit types (DBm, DB, ...) " +
 			"and named untyped constants leaking into unit-typed positions; units change only " +
 			"through the explicit operations internal/units defines",
 	}
@@ -104,13 +103,13 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 	if dstUnit != "" {
 		pass.Reportf(call.Pos(),
-			"cross-unit conversion %s → %s has no physical meaning; use the explicit operation the units package defines (Sub, Add, Scale, MillisOf, ...)",
+			"cross-unit conversion %s → %s has no physical meaning; use the explicit operation the units package defines (Sub, Add, Scale, ...)",
 			srcUnit, dstUnit)
 		return
 	}
 	if basic, ok := dst.Underlying().(*types.Basic); ok && basic.Info()&types.IsNumeric != 0 {
 		pass.Reportf(call.Pos(),
-			"conversion to %s strips the %s unit; call the unit's accessor (Float, Duration, MHz) at the boundary instead",
+			"conversion to %s strips the %s unit; call the unit's accessor (Float) at the boundary instead",
 			types.TypeString(dst, types.RelativeTo(pass.Pkg)), srcUnit)
 	}
 }

@@ -81,8 +81,7 @@ type Operator struct {
 	// updated measurement configuration a UE needs before it can report
 	// NR cells after losing the SCG. OPV pushes every 30 s, which is
 	// why its N2E2 OFF times cluster at multiples of 30 s (Fig. 19c).
-	// Held in the millisecond unit the 3GPP timers are specified in.
-	SCGRecoveryConfigPeriod units.Millis
+	SCGRecoveryConfigPeriod time.Duration
 
 	// LegacyA2B1, when set, reproduces the uncoordinated A2/B1
 	// thresholds reported by prior work (Zhang et al., F12): NR serving
@@ -179,7 +178,7 @@ func OPA() *Operator {
 			5815: 5145,
 		},
 		AnchorPriorityDB:        map[int]units.DB{5815: 8},
-		SCGRecoveryConfigPeriod: units.MillisOf(time.Second),
+		SCGRecoveryConfigPeriod: time.Second,
 		MedianOnMbps:            24.9,
 		MedianOffMbps:           14,
 	}
@@ -200,7 +199,7 @@ func OPV() *Operator {
 			5230: true,
 		},
 		AnchorPriorityDB:        map[int]units.DB{5230: 4},
-		SCGRecoveryConfigPeriod: units.MillisOf(30 * time.Second),
+		SCGRecoveryConfigPeriod: 30 * time.Second,
 		MedianOnMbps:            97.5,
 		MedianOffMbps:           45,
 	}

@@ -92,7 +92,7 @@ func TestOPAPolicies(t *testing.T) {
 	if op.DropSCGOnHandoverTo[5815] {
 		t.Error("OPA uses the disable policy, not the drop policy")
 	}
-	if op.SCGRecoveryConfigPeriod.Duration() > 2*time.Second {
+	if op.SCGRecoveryConfigPeriod > 2*time.Second {
 		t.Errorf("OPA recovery period = %v, want ~1s", op.SCGRecoveryConfigPeriod)
 	}
 	if op.HandoverA3.Quantity != meas.QuantityRSRQ {
@@ -110,7 +110,7 @@ func TestOPVPolicies(t *testing.T) {
 	if !op.DropSCGOnHandoverTo[5230] {
 		t.Error("5230 must drop the SCG on handover")
 	}
-	if op.SCGRecoveryConfigPeriod.Duration() != 30*time.Second {
+	if op.SCGRecoveryConfigPeriod != 30*time.Second {
 		t.Errorf("OPV recovery period = %v, want 30s", op.SCGRecoveryConfigPeriod)
 	}
 	if len(op.BlindRedirect) != 0 {

@@ -476,7 +476,7 @@ func (n *nsaEngine) changeSCG(target *cell.Cell) {
 // periodic configuration and often miss the first ones, producing the
 // 30/60/90 s OFF times of Fig. 19c (66% above 30 s in the paper).
 func (n *nsaEngine) scgRecoveryWait() time.Duration {
-	period := n.cfg.Op.SCGRecoveryConfigPeriod.Duration()
+	period := n.cfg.Op.SCGRecoveryConfigPeriod
 	if period <= time.Second {
 		return n.jitterDur(1200*time.Millisecond, 800*time.Millisecond)
 	}

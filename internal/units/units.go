@@ -1,14 +1,13 @@
 // Package units defines the typed physical quantities the paper's loop
 // mechanics hinge on: absolute power levels in dBm (RSRP, transmit
 // power, A2/A5/B1 thresholds), relative levels in dB (RSRQ, A3 offsets,
-// hysteresis, priority bonuses), timer periods in milliseconds,
-// carrier frequencies in hertz, and distances in meters.
+// hysteresis, priority bonuses) and distances in meters.
 //
 // Every type is a named float64, so values format, compare and
 // serialize exactly like the bare floats they replace — the study
 // output is byte-identical — while the compiler (and loopvet's
-// unitcheck analyzer) rejects the dB-vs-dBm and ms-vs-s mix-ups that
-// would silently corrupt loop detection in a real NSG study.
+// unitcheck analyzer) rejects the dB-vs-dBm mix-ups that would
+// silently corrupt loop detection in a real NSG study.
 //
 // The conversion discipline is log-space dimensional algebra:
 //
@@ -16,16 +15,13 @@
 //	DBm ± DB  = DBm    (shifting an absolute level)
 //	DB  ± DB  = DB
 //
-// Cross-unit conversions (DBm↔DB, Millis↔Seconds, ...) have no
-// physical meaning and are flagged by unitcheck; injections from bare
-// floats (units.DBm(x)) and the Float accessors are the sanctioned
-// boundaries to unitless code (strconv, math, encoding).
+// Cross-unit conversions (DBm↔DB, ...) have no physical meaning and
+// are flagged by unitcheck; injections from bare floats (units.DBm(x))
+// and the Float accessors are the sanctioned boundaries to unitless
+// code (strconv, math, encoding).
 package units
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // DBm is an absolute power level referenced to one milliwatt: RSRP,
 // transmit power, and the A2/A5/B1 event thresholds of TS 36.331 /
@@ -82,37 +78,6 @@ func (l Level) Float() float64 { return float64(l) }
 // Shift moves a level by a relative amount (hysteresis, offsets) —
 // valid for both quantities, since both are log-scale.
 func (l Level) Shift(d DB) Level { return Level(float64(l) + float64(d)) }
-
-// Millis is a timer period in milliseconds — the unit NSG timestamps
-// and the 3GPP procedure timers (T310-style supervision, reselection
-// and recovery cadences, §4–§5) are specified in.
-type Millis float64
-
-// MillisOf converts a time.Duration; exact for whole milliseconds.
-func MillisOf(d time.Duration) Millis {
-	return Millis(float64(d) / float64(time.Millisecond))
-}
-
-// Float unwraps the value for unitless consumers.
-func (m Millis) Float() float64 { return float64(m) }
-
-// Duration converts to time.Duration; exact for whole milliseconds.
-func (m Millis) Duration() time.Duration {
-	return time.Duration(float64(m) * float64(time.Millisecond))
-}
-
-// Hertz is a carrier frequency. The 3GPP rasters quote MHz, so the MHz
-// constructor/accessor pair is the usual boundary.
-type Hertz float64
-
-// MHz builds a frequency from the megahertz value the band tables use.
-func MHz(f float64) Hertz { return Hertz(f * 1e6) }
-
-// Float unwraps the value in hertz.
-func (h Hertz) Float() float64 { return float64(h) }
-
-// MHz returns the frequency in megahertz.
-func (h Hertz) MHz() float64 { return float64(h) / 1e6 }
 
 // Meters is a distance in the deployment's area frame (tower-to-UE
 // distances, shadowing correlation lengths).

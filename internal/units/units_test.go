@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 // The whole point of named float64 types is that they are free: the
@@ -52,28 +51,6 @@ func TestFormattingMatchesFloat64(t *testing.T) {
 	}
 	if want := `{"rsrp":-104.25,"rsrq":-17.5}`; string(got) != want {
 		t.Errorf("json = %s, want %s", got, want)
-	}
-}
-
-func TestMillisRoundTrip(t *testing.T) {
-	for _, d := range []time.Duration{0, time.Millisecond, 320 * time.Millisecond, time.Second, 30 * time.Second} {
-		m := MillisOf(d)
-		if m.Duration() != d {
-			t.Errorf("MillisOf(%v).Duration() = %v", d, m.Duration())
-		}
-	}
-	if MillisOf(time.Second).Float() != 1000 {
-		t.Errorf("MillisOf(1s) = %v ms, want 1000", MillisOf(time.Second).Float())
-	}
-}
-
-func TestHertzMHz(t *testing.T) {
-	h := MHz(3750)
-	if h.Float() != 3.75e9 {
-		t.Errorf("MHz(3750) = %v Hz", h.Float())
-	}
-	if h.MHz() != 3750 {
-		t.Errorf("round-trip MHz = %v", h.MHz())
 	}
 }
 
