@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"strconv"
 
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/campaign"
@@ -256,10 +257,10 @@ func Table5(c *Context) *Result {
 			pct(stats.Ratio(noLoopUse[ch], noLoopTotal)),
 			pct(stats.Ratio(loopUse[ch], loopTotal)),
 			pct(failRatio))
-		r.set("loop_use_"+itoa(ch), stats.Ratio(loopUse[ch], loopTotal))
-		r.set("noloop_use_"+itoa(ch), stats.Ratio(noLoopUse[ch], noLoopTotal))
-		r.set("mod_fail_"+itoa(ch), failRatio)
-		r.set("mod_attempts_"+itoa(ch), float64(attempts))
+		r.set("loop_use_"+strconv.Itoa(ch), stats.Ratio(loopUse[ch], loopTotal))
+		r.set("noloop_use_"+strconv.Itoa(ch), stats.Ratio(noLoopUse[ch], noLoopTotal))
+		r.set("mod_fail_"+strconv.Itoa(ch), failRatio)
+		r.set("mod_attempts_"+strconv.Itoa(ch), float64(attempts))
 	}
 	return r
 }
@@ -313,7 +314,7 @@ func Fig17(c *Context) *Result {
 	for _, ch := range chans {
 		med := stats.Median(p10[ch])
 		r.addf("(a) channel %-7d 10th-pct RSRP median across cells: %7.1f dBm", ch, med)
-		r.set("p10_median_"+itoa(ch), med)
+		r.set("p10_median_"+strconv.Itoa(ch), med)
 	}
 
 	// (b) median 387410 RSRP per area.
@@ -439,27 +440,4 @@ func Fig18(c *Context) *Result {
 			pct(stats.Ratio(nrN2E2[nrAnchor], sumInt(nrN2E2))), sumInt(nrN2E2))
 	}
 	return r
-}
-
-// itoa is a tiny integer-to-string helper for metric keys.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
