@@ -246,29 +246,30 @@ func BenchmarkParseReuse(b *testing.B) {
 }
 
 // BenchmarkStreamCorruptParse: the emit → corrupt → lenient parse leg
-// of a faulted campaign run, through a pipe. The injector reads the
-// emitter's whole capture at its first Read and the parser reads the
-// corrupted result. Every iteration corrupts with the same fault seed,
-// so each parses the same damaged capture and allocs/op is exactly
-// reproducible.
+// of a faulted campaign run, as campaign's runText runs it: the capture
+// renders into a reused buffer, grown before the timer starts like
+// runText's pooled one, then the injector corrupts it and the parser
+// reads the result, in turn on one goroutine. Every iteration corrupts
+// with the same fault seed, so each parses the same damaged capture.
+// The loop runs on one P, so the emitter's, injector's and parser's
+// pooled state is never rebuilt on another after a GC moves the
+// goroutine; B/op and allocs/op are then exactly reproducible.
 func BenchmarkStreamCorruptParse(b *testing.B) {
 	log := benchLog(b)
 	rates := faults.Profile(0.05)
+	var buf bytes.Buffer
+	if _, err := log.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inj := faults.New(7, rates)
-		pr, pw := io.Pipe()
-		go func() {
-			em := sig.NewEmitter(pw)
-			for _, ev := range log.Events {
-				if em.Emit(ev.At, ev.Msg) != nil {
-					break
-				}
-			}
-			pw.CloseWithError(em.Close())
-		}()
-		if _, _, err := sig.ParseLenientObserved(inj.Reader(pr), nil); err != nil {
+		buf.Reset()
+		if _, err := log.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := sig.ParseLenientObserved(faults.New(7, rates).Reader(&buf), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
