@@ -12,6 +12,7 @@ import (
 
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/cell"
+	"github.com/mssn/loopscope/internal/meas"
 	"github.com/mssn/loopscope/internal/rrc"
 	"github.com/mssn/loopscope/internal/sig"
 	"github.com/mssn/loopscope/internal/units"
@@ -239,24 +240,32 @@ type extractor struct {
 	// PendingMod, the S1E3 evidence.
 	lastMod *SCellMod
 
-	// ON-period measurement bookkeeping for S1E1/S1E2 evidence. Every
-	// cell a report names keeps its entry in meas for the builder's
-	// lifetime; a cell was seen in a report this ON period exactly when
-	// its entry carries the current period, so a new period starts with
-	// one increment.
+	// ON-period measurement bookkeeping for S1E1/S1E2 evidence: meas
+	// holds one slot per cell reported since the period began, in
+	// first-seen order, and a new period truncates it. A linear scan
+	// finds a cell's slot; RRC periods name a dozen cells or so. Once a
+	// period names more than measIndexAt cells (only hostile captures
+	// do), measIdx indexes the slots for the rest of that period, so
+	// folding stays linear in the entries.
 	reports     int
-	period      int
-	meas        map[cell.Ref]periodMeas
+	meas        []measSlot
+	measIdx     map[cell.Ref]int
 	lastSCGFail rrc.SCGFailureCause
 	scgFailAt   time.Duration
 }
 
-// periodMeas is one cell's latest measurement and the ON period it was
-// reported in.
-type periodMeas struct {
-	period int
-	last   rrc.MeasEntry
+// measSlot is one cell's latest measurement in the current ON period.
+// It holds no pointer, so storing one needs no GC write barrier and the
+// collector never scans the table; releaseEvidence reads nothing of a
+// report entry but its RSRP and RSRQ.
+type measSlot struct {
+	cell cell.Ref
+	m    meas.Measurement
 }
+
+// measIndexAt is the number of cells an ON period may name before its
+// slots get a map index.
+const measIndexAt = 32
 
 // Extract folds a signaling log into a timeline. The timeline always
 // starts with an IDLE step at t=0.
@@ -283,10 +292,7 @@ var _ sig.Sink = (*Builder)(nil)
 // NewBuilder returns a Builder whose timeline starts, like every
 // extracted timeline, with an IDLE step at t=0.
 func NewBuilder() *Builder {
-	b := &Builder{ex: extractor{
-		scellIndex: make(map[int]cell.Ref),
-		meas:       make(map[cell.Ref]periodMeas),
-	}}
+	b := &Builder{ex: extractor{scellIndex: make(map[int]cell.Ref)}}
 	b.ex.push(0, cell.Idle(), newEvidence(CauseNone))
 	return b
 }
@@ -361,8 +367,8 @@ func (ex *extractor) push(at time.Duration, s cell.Set, ev Evidence) {
 // resetONBookkeeping clears the per-ON-period measurement state.
 func (ex *extractor) resetONBookkeeping() {
 	ex.reports = 0
-	ex.period++
-	ex.scellIndex = make(map[int]cell.Ref)
+	ex.meas, ex.measIdx = ex.meas[:0], nil
+	clear(ex.scellIndex)
 	ex.hasPending = false
 	ex.lastMod = nil
 }
@@ -373,19 +379,20 @@ func (ex *extractor) releaseEvidence(kind ReleaseKind) Evidence {
 	ev.Reports = ex.reports
 	if ex.cur.MCG != nil {
 		for _, sc := range ex.cur.MCG.SCells {
-			m, ok := ex.meas[sc]
-			seen := ok && m.period == ex.period
-			if ex.reports > 0 && !seen {
-				ev.UnmeasuredSCells = append(ev.UnmeasuredSCells, sc)
+			i := ex.measSlotOf(sc)
+			if i < 0 {
+				if ex.reports > 0 {
+					ev.UnmeasuredSCells = append(ev.UnmeasuredSCells, sc)
+				}
+				continue
 			}
-			if seen {
-				// The sentinel is +Inf, so the first report always wins.
-				if m.last.Meas.RSRPDBm < ev.WorstSCellRSRP {
-					ev.WorstSCellRSRP = m.last.Meas.RSRPDBm
-				}
-				if m.last.Meas.RSRQDB <= PoorRSRQThresholdDB {
-					ev.PoorSCells = append(ev.PoorSCells, sc)
-				}
+			m := ex.meas[i].m
+			// The sentinel is +Inf, so the first report always wins.
+			if m.RSRPDBm < ev.WorstSCellRSRP {
+				ev.WorstSCellRSRP = m.RSRPDBm
+			}
+			if m.RSRQDB <= PoorRSRQThresholdDB {
+				ev.PoorSCells = append(ev.PoorSCells, sc)
 			}
 		}
 	}
@@ -393,6 +400,44 @@ func (ex *extractor) releaseEvidence(kind ReleaseKind) Evidence {
 		ev.PendingMod = ex.lastMod
 	}
 	return ev
+}
+
+// measSlotOf returns the index of c's slot in the current ON period, or
+// -1 when no report of the period has named c.
+func (ex *extractor) measSlotOf(c cell.Ref) int {
+	if ex.measIdx != nil {
+		if i, ok := ex.measIdx[c]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range ex.meas {
+		if ex.meas[i].cell == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// noteMeas stores m as cell c's latest measurement in the current ON
+// period.
+//
+//loopvet:hot
+func (ex *extractor) noteMeas(c cell.Ref, m meas.Measurement) {
+	if i := ex.measSlotOf(c); i >= 0 {
+		ex.meas[i].m = m
+		return
+	}
+	ex.meas = append(ex.meas, measSlot{cell: c, m: m})
+	switch {
+	case ex.measIdx != nil:
+		ex.measIdx[c] = len(ex.meas) - 1
+	case len(ex.meas) > measIndexAt:
+		ex.measIdx = make(map[cell.Ref]int, 2*len(ex.meas))
+		for i, s := range ex.meas {
+			ex.measIdx[s.cell] = i
+		}
+	}
 }
 
 // handle folds one message.
@@ -421,11 +466,11 @@ func (ex *extractor) handle(at time.Duration, m rrc.Message) {
 			ex.hasPending = false
 		}
 	case rrc.MeasReport:
-		// The entries are borrowed (see sig.Sink): each is copied by
-		// value into meas.
+		// The entries are borrowed (see sig.Sink): noteMeas copies the
+		// cell and measurement of each.
 		ex.reports++
-		for _, e := range v.Entries {
-			ex.meas[e.Cell] = periodMeas{period: ex.period, last: e}
+		for i := range v.Entries {
+			ex.noteMeas(v.Entries[i].Cell, v.Entries[i].Meas)
 		}
 	case rrc.SCGFailureInfo:
 		ex.lastSCGFail = v.FailureType
@@ -453,7 +498,7 @@ func (ex *extractor) applyReconfig(at time.Duration, rc rrc.Reconfig) {
 		ev.HandoverFrom = next.MCG.Primary
 		ev.HandoverTo = *rc.Mobility
 		next.MCG = cell.NewGroup(next.MCG.RAT, *rc.Mobility)
-		ex.scellIndex = make(map[int]cell.Ref)
+		clear(ex.scellIndex)
 		if next.SCG != nil && !rc.KeepsSCG() {
 			ev.Kind = CauseHandoverNoSCG
 			next.SCG = nil

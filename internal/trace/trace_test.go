@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -177,9 +179,10 @@ func TestMeasBookkeepingPerONPeriod(t *testing.T) {
 
 // TestExtractHostileCaptureStaysLinear: one ON period whose 2 000
 // reports of 100 entries name 200 000 distinct cells folds within a
-// generous bound. The bookkeeping keys each cell's latest entry by the
-// cell; a scan over the cells seen so far instead takes tens of seconds
-// on this capture.
+// generous bound. The bookkeeping scans a period's slots only until the
+// period names measIndexAt cells; past that a map index finds each
+// cell's slot. A scan over every cell seen so far instead takes tens of
+// seconds on this capture.
 func TestExtractHostileCaptureStaysLinear(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector slows extraction too much for a wall-clock bound")
@@ -488,6 +491,92 @@ func TestIndexReuseReplacesCell(t *testing.T) {
 	ev := tl.Steps[len(tl.Steps)-1].Evidence
 	if ev.Kind != CauseNone {
 		t.Errorf("benign modification misclassified: %v", ev.Kind)
+	}
+}
+
+// TestSCellIndexAbove31IsHonoured: SCells added at sCellIndex 32 and
+// 60, the release of 60 and the re-use of 32 change the MCG and
+// Evidence.Mod exactly as the same capture at indices 2 and 5 does,
+// each parsed from its text. RRC numbers SCells 1..31, but the
+// simulator's dense runs go past 31, so neither the parser nor the
+// extractor may refuse such an index yet.
+func TestSCellIndexAbove31IsHonoured(t *testing.T) {
+	pcell, a, b, c := ref("393@521310"), ref("273@387410"), ref("273@398410"), ref("371@387410")
+	extract := func(lo, hi int) *Timeline {
+		l := &sig.Log{}
+		l.Append(at(100), rrc.SetupComplete{Rat: band.RATNR, Cell: pcell})
+		for i, rc := range []rrc.Reconfig{
+			{AddSCells: []rrc.SCellEntry{{Index: lo, Cell: a}, {Index: hi, Cell: b}}},
+			{ReleaseSCells: []int{hi}},
+			{AddSCells: []rrc.SCellEntry{{Index: lo, Cell: c}}},
+		} {
+			rc.Rat, rc.Serving = band.RATNR, pcell
+			l.Append(at(1000*(i+1)), rc)
+			l.Append(at(1000*(i+1)+10), rrc.ReconfigComplete{Rat: band.RATNR})
+		}
+		l.Append(at(5000), rrc.Exception{MMState: "DEREGISTERED", Substate: "NO_CELL_AVAILABLE"})
+		tb := NewBuilder()
+		if _, err := sig.ParseTo(strings.NewReader(l.String()), false, nil, tb); err != nil {
+			t.Fatalf("indices %d and %d: %v", lo, hi, err)
+		}
+		return tb.Finish()
+	}
+	want, got := extract(2, 5), extract(32, 60)
+	wantSCells := [][]cell.Ref{nil, nil, {a, b}, {a}, {c}, nil}
+	if len(want.Steps) != len(wantSCells) {
+		t.Fatalf("indices 2 and 5: %d steps, want %d", len(want.Steps), len(wantSCells))
+	}
+	if mod := want.Steps[4].Evidence.Mod; mod == nil || *mod != (SCellMod{Released: a, Added: c}) {
+		t.Fatalf("indices 2 and 5: re-use of index 2 carries Mod %v, want %v → %v", mod, a, c)
+	}
+	if len(got.Steps) != len(want.Steps) {
+		t.Fatalf("indices 32 and 60: %d steps, want %d", len(got.Steps), len(want.Steps))
+	}
+	for i, s := range got.Steps {
+		var scells []cell.Ref
+		if s.Set.MCG != nil {
+			scells = s.Set.MCG.SCells
+		}
+		if !slices.Equal(scells, wantSCells[i]) || s.Set.Key() != want.Steps[i].Set.Key() {
+			t.Errorf("step %d: set %v, want %v", i, s.Set, want.Steps[i].Set)
+		}
+		for _, m := range [][2]*SCellMod{{s.Evidence.Mod, want.Steps[i].Evidence.Mod}, {s.Evidence.PendingMod, want.Steps[i].Evidence.PendingMod}} {
+			if (m[0] == nil) != (m[1] == nil) || m[0] != nil && *m[0] != *m[1] {
+				t.Errorf("step %d: modification %v, want %v", i, m[0], m[1])
+			}
+		}
+	}
+}
+
+// TestSCellIndicesEndWithTheirPCell: an establishment, a
+// re-establishment and a handover each free every sCellIndex, so a cell
+// added at an index that was live before is an addition, not a
+// modification.
+func TestSCellIndicesEndWithTheirPCell(t *testing.T) {
+	pcell, target, old, fresh := ref("393@521310"), ref("104@521310"), ref("273@387410"), ref("371@387410")
+	for _, tc := range []struct {
+		name     string
+		boundary []rrc.Message
+	}{
+		{"establishment", []rrc.Message{rrc.Release{Rat: band.RATNR}, rrc.SetupComplete{Rat: band.RATNR, Cell: pcell}}},
+		{"re-establishment", []rrc.Message{rrc.ReestablishmentRequest{Cause: rrc.ReestOtherFailure}, rrc.ReestablishmentComplete{Cell: pcell}}},
+		{"handover", []rrc.Message{rrc.Reconfig{Rat: band.RATNR, Serving: pcell, Mobility: &target}, rrc.ReconfigComplete{Rat: band.RATNR}}},
+	} {
+		l := &sig.Log{}
+		l.Append(at(100), rrc.SetupComplete{Rat: band.RATNR, Cell: pcell})
+		l.Append(at(200), rrc.Reconfig{Rat: band.RATNR, Serving: pcell, AddSCells: []rrc.SCellEntry{{Index: 1, Cell: old}}})
+		l.Append(at(210), rrc.ReconfigComplete{Rat: band.RATNR})
+		for i, m := range tc.boundary {
+			l.Append(at(1000+10*i), m)
+		}
+		l.Append(at(2000), rrc.Reconfig{Rat: band.RATNR, Serving: pcell, AddSCells: []rrc.SCellEntry{{Index: 1, Cell: fresh}}})
+		l.Append(at(2010), rrc.ReconfigComplete{Rat: band.RATNR})
+		tl := Extract(l)
+		last := tl.Steps[len(tl.Steps)-1]
+		if last.Evidence.Mod != nil || !slices.Equal(last.Set.MCG.SCells, []cell.Ref{fresh}) {
+			t.Errorf("%s: adding %v at index 1 gave SCells %v and Mod %v, want [%v] and none",
+				tc.name, fresh, last.Set.MCG.SCells, last.Evidence.Mod, fresh)
+		}
 	}
 }
 
