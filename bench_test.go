@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -370,18 +371,10 @@ func BenchmarkStreamDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalAppend measures the checkpoint journal's write side:
-// each iteration appends one 5-minute record of BenchmarkSimulateRun's
-// looping cluster, its wire form as a json.RawMessage, to a journal in
-// b.TempDir(). Every 1,000 appends a fresh journal starts with the
-// timer stopped, so the file stays small; its first append, which
-// grows the journal's line buffer, runs off the timer too. The loop
-// runs on one P, so encoding/json's pooled encode state is never
-// regrown on another after a write syscall moves the goroutine. Both
-// keep B/op independent of b.N, so it shows any payload-sized copy an
-// append makes.
-func BenchmarkJournalAppend(b *testing.B) {
-	const key = "OPT/A1/0/0/7"
+// benchRecordWire runs one 5-minute run of BenchmarkSimulateRun's
+// looping cluster as a study run and returns its record's wire form.
+func benchRecordWire(b *testing.B) []byte {
+	b.Helper()
 	op, dep, cl := benchRunSetup(b)
 	opts := campaign.Options{Seed: 7, Duration: 5 * time.Minute}
 	job := campaign.StudyJob(op, dep, 0, 0, opts)
@@ -394,9 +387,25 @@ func BenchmarkJournalAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return wire
+}
+
+// BenchmarkJournalAppend measures the checkpoint journal's write side:
+// each iteration appends benchRecordWire's record, its wire form as a
+// json.RawMessage, to a journal in b.TempDir(). Every 1,000 appends a
+// fresh journal starts with the timer stopped, so the file stays
+// small; its first append, which grows the journal's line buffer, runs
+// off the timer too. The loop runs on one P, so encoding/json's pooled
+// encode state is never regrown on another after a write syscall moves
+// the goroutine. Both keep B/op independent of b.N, so it shows any
+// payload-sized copy an append makes.
+func BenchmarkJournalAppend(b *testing.B) {
+	const key = "OPT/A1/0/0/7"
+	wire := benchRecordWire(b)
 	path := filepath.Join(b.TempDir(), "runs.ckpt")
 	var jr *checkpoint.Journal
 	restart := func() {
+		var err error
 		if jr != nil {
 			if err := errors.Join(jr.Close(), os.Remove(path)); err != nil {
 				b.Fatal(err)
@@ -426,6 +435,56 @@ func BenchmarkJournalAppend(b *testing.B) {
 	b.StopTimer()
 	if err := jr.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkDecodeRecord measures the journal's read side per record:
+// campaign.DecodeRecord of the record BenchmarkJournalAppend appends.
+func BenchmarkDecodeRecord(b *testing.B) {
+	wire := benchRecordWire(b)
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := campaign.DecodeRecord(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJournalOpen measures the journal's read side per file:
+// checkpoint.Open, which reads, frames and checksums every line, and
+// Close, of a journal holding BenchmarkDecodeRecord's record under 300
+// distinct keys, written off the timer.
+func BenchmarkJournalOpen(b *testing.B) {
+	const records = 300
+	wire := benchRecordWire(b)
+	path := filepath.Join(b.TempDir(), "runs.ckpt")
+	jr, _, _, err := checkpoint.Open(path)
+	for i := 0; err == nil && i < records; i++ {
+		err = jr.Append(fmt.Sprintf("OPT/A1/0/%d/7", i), json.RawMessage(wire))
+	}
+	if err == nil {
+		err = jr.Close()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jr, entries, _, err := checkpoint.Open(path)
+		if err == nil {
+			err = jr.Close()
+		}
+		if err != nil || len(entries) != records {
+			b.Fatalf("%d entries, %v", len(entries), err)
+		}
 	}
 }
 

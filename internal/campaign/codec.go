@@ -171,18 +171,27 @@ func toWire(rec *Record) (*recordWire, error) {
 }
 
 // DecodeRecord is EncodeRecord's inverse; the decoded record is
-// reflect.DeepEqual to the encoded one. Each loop derives its cycle
-// keys, fingerprint and per-cycle metrics from the decoded timeline
-// once, through core.LoopIn; on a timeline trace.Builder made they
-// equal what the stream detector computed (FuzzStreamDetectParity).
+// reflect.DeepEqual to the encoded one, and its strings are copies, so
+// it does not pin data. A record in the canonical form EncodeRecord
+// writes is read in one pass over its bytes (decodeCanonical); any
+// other input (re-indented, members reordered, upper-cased or unknown,
+// numbers that overflow their field) goes to json.Unmarshal whole.
+// Both fill the same wire value, which one code path checks and maps
+// onto the record. Each loop derives its cycle keys, fingerprint and
+// per-cycle metrics from the decoded timeline once, through
+// core.LoopIn; on a timeline trace.Builder made they equal what the
+// stream detector computed (FuzzStreamDetectParity).
 // Journals and sinks only ever hold completed or panicked runs, so any
 // other failure kind is an error, and so is an analysis that does not
 // fit its timeline (see checkAnalysis). Members this version no longer
 // has (the "speeds" of older records) are ignored.
 func DecodeRecord(data []byte) (*Record, error) {
 	var w recordWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("campaign: decoding record: %w", err)
+	if !decodeCanonical(data, &w) {
+		w = recordWire{}
+		if err := json.Unmarshal(data, &w); err != nil {
+			return nil, fmt.Errorf("campaign: decoding record: %w", err)
+		}
 	}
 	if w.FailKind != FailNone && w.FailKind != FailPanic {
 		return nil, fmt.Errorf("campaign: decoding record: fail_kind %d (%v): journals and sinks hold only completed or panicked runs",

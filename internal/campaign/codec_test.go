@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -243,19 +246,67 @@ func TestDecodeRecordRejectsLoopsOutsideTimeline(t *testing.T) {
 
 // FuzzDecodeRecord: decoding never panics, every accepted record
 // round-trips deep-equal through EncodeRecord, and every accessor the
-// experiments call on a loop runs on every accepted loop.
+// experiments call on a loop runs on every accepted loop. Whenever the
+// canonical decoder accepts an input, json.Unmarshal accepts it too and
+// fills a deep-equal wire value. The seeds are the synthetic records
+// in canonical form, one with escaped strings and a panicked run's
+// <autogenerated> frame, and variants only encoding/json reads or
+// rejects: members reordered, upper-cased, duplicated or unknown,
+// whitespace, a raw U+2028, -0, 1e2 and integers that overflow their
+// field.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, rec := range syntheticRecords() {
+	recs := syntheticRecords()
+	recs[0].Err = "panic: <nil> & \u2028 \"quoted\""
+	recs[0].Stack = "goroutine 1 [running]:\nmain.run(...)\n\t<autogenerated>:1 +0x1d\n"
+	var loop []byte
+	for i, rec := range recs {
 		b, err := EncodeRecord(rec)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
+		if i == 1 {
+			loop = b
+		}
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, loop, "", " "); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(spaced.Bytes())
+	for _, edit := range [][2]string{
+		{`"op":"OPT","area":"A1"`, `"area":"A1","op":"OPT"`},
+		{`"op":`, `"OP":`},
+		{`"attempts":1}`, `"attempts":2,"attempts":1}`},
+		{`,"meas_count":`, `,"speeds":null,"meas_count":`},
+		{`"area":"A1"`, "\"area\":\"A\u20281\""},
+		{`"loc":0`, `"loc":-0`},
+		{`"run":0`, `"run":1e2`},
+		{`"worst_scell_rsrp":-113.5`, `"worst_scell_rsrp":-1.135e2`},
+		{`"arch":0`, `"arch":256`},
+		{`"meas_count":17`, `"meas_count":9223372036854775808`},
+		{`"duration":300000000000`, `"duration":-9223372036854775808`},
+		{`"subtypes":"Ag=="`, `"subtypes":[2]`},
+	} {
+		if !bytes.Contains(loop, []byte(edit[0])) {
+			f.Fatalf("seed edit %q finds nothing to replace", edit[0])
+		}
+		f.Add(bytes.Replace(loop, []byte(edit[0]), []byte(edit[1]), 1))
 	}
 	f.Add([]byte(`{"timeline":{"steps":[{"at":0},{"at":5}],"duration":9},` +
 		`"analysis":{"loops":[{"start":100000,"cycle_len":1,"reps":2,"end":2}],"subtypes":[0]}}`))
 	f.Add([]byte(`{"analysis":{"loops":[null],"subtypes":[0]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var fast recordWire
+		if decodeCanonical(data, &fast) {
+			var slow recordWire
+			if err := json.Unmarshal(data, &slow); err != nil {
+				t.Fatalf("canonical decoder accepted a record encoding/json rejects: %v", err)
+			}
+			if !reflect.DeepEqual(fast, slow) {
+				t.Fatalf("canonical decoder and encoding/json disagree:\ncanonical %+v\n     json %+v", fast, slow)
+			}
+		}
 		rec, err := DecodeRecord(data)
 		if err != nil {
 			return
@@ -279,6 +330,62 @@ func FuzzDecodeRecord(f *testing.F) {
 			l.PreOffState()
 		}
 	})
+}
+
+// nilValueHook has a value method. Called through an interface that
+// holds a nil *nilValueHook, it panics inside the wrapper the compiler
+// generates for the pointer, so the stack shows an <autogenerated>
+// frame, as the stacks of real panics in method calls often do.
+type nilValueHook struct{}
+
+func (nilValueHook) fire() {}
+
+// firer is a package variable, so the call through it is not
+// devirtualized.
+var firer interface{ fire() } = (*nilValueHook)(nil)
+
+// TestStudyRecordsDecodeCanonically: every record of the full-scale
+// seed-42 study, clean and faulted at faults.Profile(0.05), is in the
+// canonical form decodeCanonical reads, so resuming a journal of
+// either never falls back to encoding/json. One run of each study
+// panics on every attempt through firer, so a record whose stack holds
+// escaped newlines and tabs and an <autogenerated> frame is among them.
+func TestStudyRecordsDecodeCanonically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale studies in -short mode")
+	}
+	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool {
+		if area == "A2" && locIdx == 1 && runIdx == 0 {
+			firer.fire()
+		}
+		return false
+	}
+	defer func() { testHookPanic = nil }()
+	rates := faults.Profile(0.05)
+	for _, fr := range []*faults.Rates{nil, &rates} {
+		st, err := RunContext(context.Background(), Options{Seed: 42, FaultRates: fr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, fast, autogenerated := st.Records(""), 0, 0
+		for _, rec := range recs {
+			b, err := EncodeRecord(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w recordWire
+			if decodeCanonical(b, &w) {
+				fast++
+			}
+			if strings.Contains(rec.Stack, "<autogenerated>") {
+				autogenerated++
+			}
+		}
+		if fast != len(recs) || autogenerated != 1 {
+			t.Errorf("faulted=%v: %d of %d records decode canonically and %d carry an <autogenerated> frame, want all and 1",
+				fr != nil, fast, len(recs), autogenerated)
+		}
+	}
 }
 
 // TestCodecRejectsForeignLoopTimeline: a loop that does not alias its

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -350,6 +352,78 @@ func TestResumeAcceptsOlderJournal(t *testing.T) {
 	rewriteJournal(t, path, older("3"))
 	if _, _, err := resumeOPT(t, opts, path); err == nil || !strings.Contains(err.Error(), "different study") {
 		t.Fatalf("err = %v, want a foreign-study error for max_retries 3", err)
+	}
+}
+
+// TestResumeAcceptsReserializedJournal: a journal another JSON writer
+// re-serialized resumes to the uninterrupted study, through both
+// encoding/json fallbacks. rewriteJournal moves every record's "op"
+// member to the end as "OP" and \u-escapes a byte of its device, so
+// DecodeRecord falls back for every record. One more record, of a run
+// the crash left out, is written by hand, because Append would compact
+// it: its payload spaced out, its frame members reordered and its
+// checksum recomputed, so Open falls back for that line. The resume
+// must replay that record too, not salvage the line away and run it
+// again.
+func TestResumeAcceptsReserializedJournal(t *testing.T) {
+	opts := tinyOpts()
+	want := runOPT(t, opts)
+	const k = 3
+	path := crashedJournal(t, opts, k)
+	journaled := map[string]bool{}
+	rewriteJournal(t, path, func(key, payload string) string {
+		journaled[key] = true
+		if key == metaKey {
+			return payload
+		}
+		was := payload
+		payload = strings.Replace(payload, `{"op":"OPT",`, `{`, 1)
+		payload = strings.TrimSuffix(payload, "}") + `,"OP":"OPT"}`
+		payload = strings.Replace(payload, `"device":"OnePlus 12R"`, `"device":"OnePlus\u002012R"`, 1)
+		if strings.Count(payload, `OPT"`) != 1 || !strings.Contains(payload, `\u0020`) || payload == was {
+			t.Fatalf("entry %s: edits did not apply to %s", key, was)
+		}
+		return payload
+	})
+	var rec *Record
+	for _, r := range want.Records("") {
+		if !journaled[runKey(r.Op, r.Area, r.LocIndex, r.RunIndex, opts.Seed)] {
+			rec = r
+			break
+		}
+	}
+	wire, err := EncodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, wire, "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.ReplaceAll(spaced.Bytes(), []byte("\n"), []byte(" "))
+	key := runKey(rec.Op, rec.Area, rec.LocIndex, rec.RunIndex, opts.Seed)
+	sum := crc32.ChecksumIEEE(append(append([]byte(key), 0), p...))
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err == nil {
+		_, err = fmt.Fprintf(f, "{\"p\": %s, \"k\": %q, \"c\": \"%08x\"}\n", p, key, sum)
+		err = errors.Join(err, f.Close())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	resumeOpts := opts
+	resumeOpts.Metrics = reg
+	st, sal, err := resumeOPT(t, resumeOpts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("campaign.runs.resumed").Value(); got != k+1 || !sal.Clean() {
+		t.Fatalf("resumed %d runs (%s), want the %d journaled and the hand-written one",
+			got, sal.Summary(), k)
+	}
+	if !reflect.DeepEqual(want.Areas, st.Areas) {
+		t.Fatal("resuming a re-serialized journal diverged from the uninterrupted study")
 	}
 }
 

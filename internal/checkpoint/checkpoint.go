@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"unicode/utf8"
@@ -33,7 +34,9 @@ import (
 
 // Entry is one journal record: an opaque payload filed under the
 // caller's deterministic key. Keys may repeat; replay order is file
-// order, so the last entry for a key wins.
+// order, so the last entry for a key wins. The Payload of an entry Open
+// returns may alias the buffer it read the journal into: read it, but
+// do not modify or append to it.
 type Entry struct {
 	Key     string
 	Payload json.RawMessage
@@ -64,11 +67,11 @@ func (s *Salvage) Summary() string {
 		s.Entries, s.LinesDropped, s.BytesDropped)
 }
 
-// line is the on-disk schema of one entry, as Open reads it. C is the
-// CRC-32 (IEEE) hex digest of the key, a NUL separator, and the compact
-// payload bytes. Append frames the bytes json.Marshal of a line writes
-// by hand, in this field order; FuzzJournalLineParity holds the two to
-// one layout.
+// line is the on-disk schema of one entry, as decodeLine reads it. C is
+// the CRC-32 (IEEE) hex digest of the key, a NUL separator, and the
+// compact payload bytes. Append frames the bytes json.Marshal of a line
+// writes by hand, in this field order; FuzzJournalLineParity holds the
+// two to one layout.
 type line struct {
 	C string          `json:"c"`
 	K string          `json:"k"`
@@ -117,13 +120,14 @@ const maxKeptLine = 4 << 20
 // Open opens (creating if absent) the journal at path, takes an
 // exclusive advisory lock on it, validates the existing content line
 // by line, and returns the entries of the longest valid prefix in file
-// order plus a salvage report. Open itself never mutates the file: a
-// damaged tail is only truncated away when the caller commits to the
-// journal by appending (or syncing), so a journal that is merely
-// inspected — or refused by the caller after the header check — is
-// left byte-for-byte as found. A journal already locked by another
-// process is an error, so two campaigns can never interleave appends
-// into one file.
+// order plus a salvage report. The file is read into one buffer sized
+// from its length, and the entries' payloads may alias it (see Entry).
+// Open itself never mutates the file: a damaged tail is only truncated
+// away when the caller commits to the journal by appending (or
+// syncing), so a journal that is merely inspected — or refused by the
+// caller after the header check — is left byte-for-byte as found. A
+// journal already locked by another process is an error, so two
+// campaigns can never interleave appends into one file.
 func Open(path string) (*Journal, []Entry, *Salvage, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -133,7 +137,7 @@ func Open(path string) (*Journal, []Entry, *Salvage, error) {
 		f.Close()
 		return nil, nil, nil, fmt.Errorf("checkpoint: journal %s: %w", path, err)
 	}
-	data, err := io.ReadAll(f)
+	data, err := readAll(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, nil, fmt.Errorf("checkpoint: %w", err)
@@ -145,9 +149,36 @@ func Open(path string) (*Journal, []Entry, *Salvage, error) {
 	return j, entries, sal, nil
 }
 
+// readAll reads f to EOF into one buffer sized from its length, as
+// os.ReadFile does, so a journal of any size is read without regrowing
+// the buffer; it still grows if the file does while it is read.
+func readAll(f *os.File) ([]byte, error) {
+	size := 512
+	if fi, err := f.Stat(); err == nil && fi.Size() < math.MaxInt-1 {
+		size = max(size, int(fi.Size())+1) // one byte more, to read EOF
+	}
+	data := make([]byte, 0, size)
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
 // scan walks the file content, returning the entries of the longest
 // valid prefix, the byte length of that prefix, and the salvage
-// report for the rest.
+// report for the rest. A line in the canonical frame is read by frame;
+// any other line by decodeLine, encoding/json's reading of the line
+// schema, so a journal someone re-indented or edited by hand still
+// opens. Either way the line is valid only if its checksum matches.
 func scan(data []byte) ([]Entry, int64, *Salvage) {
 	var entries []Entry
 	sal := &Salvage{}
@@ -157,23 +188,91 @@ func scan(data []byte) ([]Entry, int64, *Salvage) {
 		if nl < 0 {
 			break // torn tail without newline: invalid by construction
 		}
-		raw := data[off : off+nl]
-		var l line
-		if err := json.Unmarshal(raw, &l); err != nil {
-			break
+		e, ok := frame(data[off : off+nl])
+		if !ok {
+			if e, ok = decodeLine(data[off : off+nl]); !ok {
+				break
+			}
 		}
-		var sum [8]byte
-		checksum(&sum, l.K, l.P)
-		if l.C != string(sum[:]) {
-			break
-		}
-		entries = append(entries, Entry{Key: l.K, Payload: l.P})
+		entries = append(entries, e)
 		off += nl + 1
 	}
 	sal.Entries = len(entries)
 	sal.BytesDropped = int64(len(data) - off)
 	sal.LinesDropped = countLines(data[off:])
 	return entries, int64(off), sal
+}
+
+// maxDepth is encoding/json's nesting limit.
+const maxDepth = 10000
+
+// frame reads a line in the canonical frame Append writes,
+// {"c":"<8 hex>","k":"<key>","p":<payload>}, with a key that has no
+// escapes and no bytes encoding/json would replace, and a payload that
+// is one valid JSON value with no whitespace around it. It reports
+// whether raw is such a line with a matching checksum; the entry's
+// payload is a sub-slice of raw. On such a line decodeLine yields the
+// same entry, so frame only spares it the reflection and the copy; on
+// any other line, decodeLine is the judge.
+func frame(raw []byte) (Entry, bool) {
+	const head, mid, tail = `{"c":"`, `","k":"`, `","p":`
+	const keyAt = len(head) + 8 + len(mid)
+	if len(raw) <= keyAt || string(raw[:len(head)]) != head ||
+		string(raw[keyAt-len(mid):keyAt]) != mid || raw[len(raw)-1] != '}' {
+		return Entry{}, false
+	}
+	rest := raw[keyAt : len(raw)-1]
+	q := bytes.IndexByte(rest, '"')
+	if q < 0 || !bytes.HasPrefix(rest[q:], []byte(tail)) {
+		return Entry{}, false
+	}
+	key, p := rest[:q], rest[q+len(tail):]
+	if !plainString(key) || len(p) == 0 || isSpace(p[0]) || isSpace(p[len(p)-1]) || !json.Valid(p) {
+		return Entry{}, false
+	}
+	// The payload nests one level deeper in its line than alone, so a
+	// payload with maxDepth openers or more could be valid alone but
+	// too deep for the line; only then is the whole line checked.
+	if bytes.Count(p, []byte{'['})+bytes.Count(p, []byte{'{'}) >= maxDepth && !json.Valid(raw) {
+		return Entry{}, false
+	}
+	k := string(key)
+	var sum [8]byte
+	checksum(&sum, k, p)
+	if string(raw[len(head):len(head)+8]) != string(sum[:]) {
+		return Entry{}, false
+	}
+	return Entry{Key: k, Payload: p[:len(p):len(p)]}, true
+}
+
+// plainString reports whether s, the body of a JSON string, is one
+// encoding/json unquotes to itself: no escape, no control byte and
+// valid UTF-8.
+func plainString(s []byte) bool {
+	for _, c := range s {
+		if c == '\\' || c < 0x20 {
+			return false
+		}
+	}
+	return utf8.Valid(s)
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// decodeLine reads a line in any layout encoding/json accepts for the
+// line schema and reports whether its checksum matches.
+func decodeLine(raw []byte) (Entry, bool) {
+	var l line
+	if err := json.Unmarshal(raw, &l); err != nil {
+		return Entry{}, false
+	}
+	var sum [8]byte
+	checksum(&sum, l.K, l.P)
+	if l.C != string(sum[:]) {
+		return Entry{}, false
+	}
+	return Entry{Key: l.K, Payload: l.P}, true
 }
 
 // countLines counts the (possibly newline-less final) lines in the

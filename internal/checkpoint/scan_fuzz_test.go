@@ -10,12 +10,59 @@ import (
 	"testing"
 )
 
+// oracleScan is scan as it read every line before the canonical frame
+// was read by hand: encoding/json decodes each line into the line
+// schema, and the line is valid if its checksum matches.
+func oracleScan(data []byte) ([]Entry, int64, *Salvage) {
+	var entries []Entry
+	off := 0
+	for off < len(data) {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			break
+		}
+		var l line
+		if err := json.Unmarshal(data[off:off+nl], &l); err != nil || l.C != oracleChecksum(l.K, l.P) {
+			break
+		}
+		entries = append(entries, Entry{Key: l.K, Payload: l.P})
+		off += nl + 1
+	}
+	return entries, int64(off), &Salvage{Entries: len(entries),
+		LinesDropped: countLines(data[off:]), BytesDropped: int64(len(data) - off)}
+}
+
+// signedLine renders one journal line from a layout whose %s verbs take
+// the checksum, the key as written and the payload as written, in that
+// order, checksummed over the key and payload the line decodes to.
+func signedLine(layout, key, keyJSON, payload, payloadJSON string) string {
+	return fmt.Sprintf(layout, oracleChecksum(key, []byte(payload)), keyJSON, payloadJSON) + "\n"
+}
+
+// requireOracleScan fails unless scan reads data exactly as oracleScan
+// does: the same entries, valid prefix and salvage report.
+func requireOracleScan(t *testing.T, data []byte) {
+	t.Helper()
+	entries, valid, sal := scan(data)
+	wantEntries, wantValid, wantSal := oracleScan(data)
+	if !reflect.DeepEqual(entries, wantEntries) || valid != wantValid || *sal != *wantSal {
+		t.Fatalf("scan kept %d entries over %d bytes (%s), the oracle %d over %d (%s)\nscan   %q\noracle %q",
+			len(entries), valid, sal.Summary(), len(wantEntries), wantValid, wantSal.Summary(), entries, wantEntries)
+	}
+}
+
 // FuzzScan holds the journal's line scan to its contract on any file
 // content: it never panics, it keeps a prefix of whole lines, its
 // salvage report accounts for every byte and line past that prefix,
 // and the prefix is exactly what a rescan keeps, with nothing left to
-// salvage. The seed corpus starts from a journal written by Append,
-// which must scan back to exactly its entries.
+// salvage. It also reads every input exactly as oracleScan does, so the
+// canonical frame read by hand changes no entry, prefix or salvage
+// report. The seed corpus starts from a journal written by Append,
+// which must scan back to exactly its entries, and adds checksummed
+// lines that only encoding/json reads: frame members reordered,
+// upper-cased, duplicated or unknown, whitespace, and escaped keys; and
+// canonical lines that encoding/json reads the same, with U+2028 in the
+// key and -0, 1e2 and an integer too big for int64 as payloads.
 func FuzzScan(f *testing.F) {
 	const n = 5
 	data, err := os.ReadFile(writeEntries(f, n))
@@ -43,7 +90,24 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\n"))
 	f.Add([]byte(`{"c":"00000000","k":"","p":null}` + "\n"))
+	for _, l := range []string{
+		signedLine(`{"k":%[2]s,"c":"%[1]s","p":%[3]s}`, "k", `"k"`, `{"n":1}`, `{"n":1}`),
+		signedLine(`{"C":"%s","K":%s,"P":%s}`, "k", `"k"`, `[1,2]`, `[1,2]`),
+		signedLine(`{"c":"%s","k":%s,"p":1,"p":%s}`, "k", `"k"`, `2`, `2`),
+		signedLine(`{"c":"%s","k":%s,"p":%s,"x":{"y":[]}}`, "k", `"k"`, `"v"`, `"v"`),
+		signedLine(` { "c" : "%s" , "k" : %s , "p" : %s } `, "k", `"k"`, `{"a": [1, 2]}`, `{"a": [1, 2]}`),
+		signedLine(`{"c":"%s","k":%s,"p":%s}`, "a<b\n", `"a<b\n"`, `"<"`, `"<"`),
+		signedLine(`{"c":"%s","k":%s,"p":%s}`, "a\u2028b", "\"a\u2028b\"", "\"\u2028\"", "\"\u2028\""),
+		signedLine(`{"c":"%s","k":%s,"p":%s}`, "z", `"z"`, `-0`, `-0`),
+		signedLine(`{"c":"%s","k":%s,"p":%s}`, "e", `"e"`, `1e2`, `1e2`),
+		signedLine(`{"c":"%s","k":%s,"p":%s}`, "big", `"big"`, `99999999999999999999`, `99999999999999999999`),
+		signedLine(`{"c":"%s","k":%s,"p":%s}`, "bad\xff", "\"bad\xff\"", `0`, `0`),
+	} {
+		f.Add([]byte(l))
+		f.Add(append([]byte(l), data...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireOracleScan(t, data)
 		entries, valid, sal := scan(data)
 		if valid < 0 || valid > int64(len(data)) {
 			t.Fatalf("valid prefix %d bytes of a %d-byte input", valid, len(data))
@@ -73,4 +137,19 @@ func FuzzScan(f *testing.F) {
 			t.Fatalf("the dropped tail starts with %d valid entries", len(rest))
 		}
 	})
+}
+
+// TestScanMatchesOracleAtDepthLimit runs FuzzScan's oracle check on
+// payloads too large to seed a fuzzer with: nested to encoding/json's
+// depth limit, which a payload reaches alone but not inside its line,
+// and one level less, which fits in the line.
+func TestScanMatchesOracleAtDepthLimit(t *testing.T) {
+	for _, depth := range []int{maxDepth - 1, maxDepth} {
+		p := strings.Repeat("[", depth) + strings.Repeat("]", depth)
+		data := []byte(signedLine(`{"c":"%s","k":%s,"p":%s}`, "deep", `"deep"`, p, p))
+		requireOracleScan(t, data)
+		if entries, _, _ := scan(data); (len(entries) == 1) != (depth < maxDepth) {
+			t.Errorf("depth %d: scan kept %d entries", depth, len(entries))
+		}
+	}
 }

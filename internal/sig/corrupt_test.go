@@ -230,28 +230,65 @@ func TestOversizedLine(t *testing.T) {
 	}
 }
 
-// FuzzParseLenient asserts the salvage invariants on arbitrary input:
-// never panic, never error on string content, never keep more events
-// than a successful strict parse of the same input sees, and keep the
-// Salvage counters consistent with the returned log.
+// requireSalvageInvariants checks the salvage invariants on one input:
+// the lenient parse never errors on string content, keeps the Salvage
+// counters consistent with the returned log, and never keeps more
+// events than a successful strict parse of the same input sees.
+func requireSalvageInvariants(t *testing.T, input string) {
+	t.Helper()
+	log, sal, err := ParseLenientObserved(strings.NewReader(input), nil)
+	if err != nil {
+		t.Fatalf("lenient parse errored on string input: %v", err)
+	}
+	if sal.EventsKept != log.Len() {
+		t.Fatalf("EventsKept %d != log length %d", sal.EventsKept, log.Len())
+	}
+	if strict, err := Parse(strings.NewReader(input)); err == nil && sal.EventsKept > strict.Len() {
+		t.Fatalf("lenient kept %d events, strict parse only %d", sal.EventsKept, strict.Len())
+	}
+}
+
+// FuzzParseLenient asserts the salvage invariants on arbitrary input,
+// and that the parse never panics. Its seeds stay small, so the fuzzer
+// spends its time fuzzing rather than minimizing inputs derived from a
+// whole capture: the captures TestParseLenientLargeInputs checks whole
+// seed it only with their first 2 KB or so.
 func FuzzParseLenient(f *testing.F) {
-	f.Add(sampleLog().String())
-	clean, err := os.ReadFile("testdata/s1e3_capture.log")
-	if err == nil {
-		f.Add(faults.New(99, faults.Profile(0.10)).Corrupt(string(clean)))
+	for _, in := range lenientLargeInputs(f) {
+		f.Add(firstLines(in.input, 2048))
 	}
 	f.Add("00:00:01.000 NR5G RRC OTA Packet -- DL_DCCH / RRCReconfiguration\n  Physical Cell ID = bogus\n")
 	f.Add("garbage\n\n  indented orphan\n99:99:99.999 nonsense")
-	f.Fuzz(func(t *testing.T, input string) {
-		log, sal, err := ParseLenientObserved(strings.NewReader(input), nil)
-		if err != nil {
-			t.Fatalf("lenient parse errored on string input: %v", err)
-		}
-		if sal.EventsKept != log.Len() {
-			t.Fatalf("EventsKept %d != log length %d", sal.EventsKept, log.Len())
-		}
-		if strict, err := Parse(strings.NewReader(input)); err == nil && sal.EventsKept > strict.Len() {
-			t.Fatalf("lenient kept %d events, strict parse only %d", sal.EventsKept, strict.Len())
-		}
-	})
+	f.Fuzz(requireSalvageInvariants)
+}
+
+// lenientLargeInputs are inputs too large to seed a fuzzer with: the
+// sample capture (145 KB) and the S1E3 golden capture corrupted at
+// Profile(0.10).
+func lenientLargeInputs(t testing.TB) []struct{ name, input string } {
+	t.Helper()
+	clean, err := os.ReadFile("testdata/s1e3_capture.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct{ name, input string }{
+		{"sampleLog", sampleLog().String()},
+		{"corrupted s1e3_capture.log", faults.New(99, faults.Profile(0.10)).Corrupt(string(clean))},
+	}
+}
+
+// firstLines returns the whole lines of s that fit in n bytes.
+func firstLines(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	return s[:strings.LastIndexByte(s[:n], '\n')+1]
+}
+
+// TestParseLenientLargeInputs checks FuzzParseLenient's invariants on
+// lenientLargeInputs whole.
+func TestParseLenientLargeInputs(t *testing.T) {
+	for _, c := range lenientLargeInputs(t) {
+		t.Run(c.name, func(t *testing.T) { requireSalvageInvariants(t, c.input) })
+	}
 }

@@ -322,7 +322,10 @@ func ResumeStudy(ctx context.Context, opts StudyOptions, path string) (*Study, *
 func EncodeStudyRecord(rec *Record) ([]byte, error) { return campaign.EncodeRecord(rec) }
 
 // DecodeStudyRecord is EncodeStudyRecord's inverse; the decoded record
-// is deep-equal to the encoded one.
+// is deep-equal to the encoded one and copies every string it keeps, so
+// it does not pin data. The canonical form EncodeStudyRecord writes is
+// read in one pass; any other JSON layout of a record (re-indented,
+// members reordered) is decoded by encoding/json, with the same result.
 func DecodeStudyRecord(data []byte) (*Record, error) { return campaign.DecodeRecord(data) }
 
 // ExportStudyCSV writes the study as three CSV tables (runs, loop
