@@ -10,17 +10,17 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
 # The three simulate rows stay on the normal tolerance: each iteration
 # runs its own seed, so their allocs/op moves by a count or two with b.N.
-PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|JournalAppend|DecodeRecord|JournalOpen)$$
+PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|JournalAppend|EncodeRecord|DecodeRecord|JournalOpen)$$
 
 # Benchmarks whose allocs/op regressions fail bench-compare at ANY
 # growth: the parse rows parse one fixed capture — the corrupt-parse row
 # one capture damaged with one fixed fault seed, which pins the lenient
 # parser's fallback paths — the inject row corrupts one fixed capture
 # with one fixed fault seed, the extract and detect rows fold and scan
-# one fixed run, and the decode row decodes one fixed record, so their
-# allocation count is exactly reproducible and pins its figure with no
-# tolerance window to hide in.
-STRICT_ALLOC_BENCH = ^Benchmark(Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|DecodeRecord)$$
+# one fixed run, and the encode and decode rows encode and decode one
+# fixed record, so their allocation count is exactly reproducible and
+# pins its figure with no tolerance window to hide in.
+STRICT_ALLOC_BENCH = ^Benchmark(Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|EncodeRecord|DecodeRecord)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test bench-module crash-resume fuzz bench bench-baseline bench-compare clean
 
@@ -98,6 +98,7 @@ fuzz:
 		./internal/faults:FuzzInjectorParity \
 		./internal/faults:FuzzHeaderTime \
 		./internal/core:FuzzStreamDetectParity \
+		./internal/campaign:FuzzEncodeRecord \
 		./internal/campaign:FuzzDecodeRecord \
 		./internal/checkpoint:FuzzScan \
 		./internal/checkpoint:FuzzJournalLineParity; do \

@@ -438,6 +438,25 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeRecord measures the record encoder the journal, the
+// JSONL sink and the digests share: campaign.EncodeRecord of the record
+// benchRecordWire encodes, decoded once off the timer.
+func BenchmarkEncodeRecord(b *testing.B) {
+	wire := benchRecordWire(b)
+	rec, err := campaign.DecodeRecord(wire)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := campaign.EncodeRecord(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDecodeRecord measures the journal's read side per record:
 // campaign.DecodeRecord of the record BenchmarkJournalAppend appends.
 func BenchmarkDecodeRecord(b *testing.B) {

@@ -483,8 +483,9 @@ func runText(ctx context.Context, cfg uesim.Config, inj *faults.Injector, sink s
 // doubling on every run.
 var textPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledText caps the buffers textPool keeps, so one huge capture
-// does not pin its memory afterwards (the bound internal/faults uses).
+// maxPooledText caps the buffers textPool and encodeScratch keep, so
+// one huge capture or record does not pin its memory afterwards (the
+// bound internal/faults uses).
 const maxPooledText = 4 << 20
 
 // normalizeSalvage flattens each quarantine cause to a plain

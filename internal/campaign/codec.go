@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/mssn/loopscope/internal/cell"
@@ -26,6 +27,14 @@ import (
 // is reflect.DeepEqual to r — the property the crash-recovery byte-
 // identity guarantee stands on (tested in codec_test.go and pinned by
 // the kill-and-resume tests in crash_test.go).
+//
+// A record's canonical form is the bytes json.Marshal writes for its
+// recordWire, yet no wire value is built to write them: appendRecord
+// (encode.go) appends them straight from the Record, held to
+// json.Marshal of the wire value, the test oracle, by FuzzEncodeRecord.
+// The read side fills a recordWire: decodeCanonical (canonical.go)
+// reads the canonical form in one pass, and json.Unmarshal any other
+// layout.
 
 type recordWire struct {
 	Op        string           `json:"op"`
@@ -106,69 +115,30 @@ type parseErrWire struct {
 	Err  string `json:"err"`
 }
 
-// EncodeRecord marshals one record into its canonical wire form: the
-// json.Marshal of the record's wire value. The engine's checkpoint
-// journal encodes that same value itself, so a journaled record is
-// encoded once; TestJournalHoldsEncodeRecord holds the journal's
+// EncodeRecord returns rec's canonical wire form, the bytes json.Marshal
+// writes for the record's wire value, appended by appendRecord with no
+// wire value built. Like json.Marshal it encodes into a pooled scratch
+// buffer and returns a copy of the result's exact size. The engine's
+// checkpoint journal and JSONLSink append the same bytes into buffers
+// of their own; TestJournalHoldsEncodeRecord holds the journal's
 // payloads to EncodeRecord's bytes.
 func EncodeRecord(rec *Record) ([]byte, error) {
-	w, err := toWire(rec)
-	if err != nil {
-		return nil, err
+	scratch := encodeScratch.Get().(*[]byte)
+	b, err := appendRecord((*scratch)[:0], rec)
+	var out []byte
+	if err == nil {
+		out = append([]byte(nil), b...)
 	}
-	return json.Marshal(w)
+	if cap(b) <= maxPooledText {
+		*scratch = b
+		encodeScratch.Put(scratch)
+	}
+	return out, err
 }
 
-// toWire maps a record onto its wire schema. The wire value shares the
-// record's slices, so it is encoded, not kept.
-func toWire(rec *Record) (*recordWire, error) {
-	w := &recordWire{
-		Op:        rec.Op,
-		Area:      rec.Area,
-		City:      rec.City,
-		LocIndex:  rec.LocIndex,
-		RunIndex:  rec.RunIndex,
-		Device:    rec.Device,
-		Arch:      rec.Arch,
-		MeasCount: rec.MeasCount,
-		Err:       rec.Err,
-		Stack:     rec.Stack,
-		FailKind:  rec.FailKind,
-		Attempts:  rec.Attempts,
-	}
-	if tl := rec.Timeline; tl != nil {
-		tw := &timelineWire{Duration: tl.Duration}
-		if tl.Steps != nil {
-			tw.Steps = make([]stepWire, len(tl.Steps))
-			for i, s := range tl.Steps {
-				tw.Steps[i] = stepWire{At: s.At, Set: s.Set, Evidence: encodeEvidence(s.Evidence)}
-			}
-		}
-		w.Timeline = tw
-	}
-	if rec.Analysis.Loops != nil {
-		w.Analysis.Loops = make([]*loopWire, len(rec.Analysis.Loops))
-		for i, l := range rec.Analysis.Loops {
-			if l.Timeline != rec.Timeline {
-				return nil, fmt.Errorf("campaign: record %s/%s/%d/%d: loop %d does not alias the record timeline; codec cannot re-link it",
-					rec.Op, rec.Area, rec.LocIndex, rec.RunIndex, i)
-			}
-			w.Analysis.Loops[i] = &loopWire{Start: l.Start, CycleLen: l.CycleLen, Reps: l.Reps, End: l.End, Form: l.Form}
-		}
-	}
-	w.Analysis.Subtypes = rec.Analysis.Subtypes
-	if sal := rec.Salvage; sal != nil {
-		sw := &salvageWire{EventsKept: sal.EventsKept, RecordsDropped: sal.RecordsDropped, LinesSkipped: sal.LinesSkipped}
-		if sal.Errors != nil {
-			sw.Errors = make([]*parseErrWire, len(sal.Errors))
-			for i, pe := range sal.Errors {
-				sw.Errors[i] = &parseErrWire{Line: pe.Line, Text: pe.Text, Err: pe.Err.Error()}
-			}
-		}
-		w.Salvage = sw
-	}
-	return w, nil
-}
+// encodeScratch recycles EncodeRecord's scratch buffers, as
+// encoding/json recycles its encode state.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // DecodeRecord is EncodeRecord's inverse; the decoded record is
 // reflect.DeepEqual to the encoded one, and its strings are copies, so
@@ -277,27 +247,6 @@ func checkAnalysis(w *recordWire) error {
 		return fmt.Errorf("analysis: %d subtypes for %d loops", len(w.Analysis.Subtypes), len(w.Analysis.Loops))
 	}
 	return nil
-}
-
-// encodeEvidence maps the +Inf sentinel to null.
-func encodeEvidence(e trace.Evidence) evidenceWire {
-	w := evidenceWire{
-		Kind:             e.Kind,
-		ReestCause:       e.ReestCause,
-		SCGFailure:       e.SCGFailure,
-		PendingMod:       e.PendingMod,
-		Mod:              e.Mod,
-		UnmeasuredSCells: e.UnmeasuredSCells,
-		PoorSCells:       e.PoorSCells,
-		HandoverFrom:     e.HandoverFrom,
-		HandoverTo:       e.HandoverTo,
-		Reports:          e.Reports,
-	}
-	if e.HasSCellReport() {
-		v := e.WorstSCellRSRP.Float()
-		w.WorstSCellRSRP = &v
-	}
-	return w
 }
 
 // decodeEvidence restores the +Inf sentinel from null.

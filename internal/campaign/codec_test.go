@@ -345,7 +345,8 @@ func (nilValueHook) fire() {}
 var firer interface{ fire() } = (*nilValueHook)(nil)
 
 // TestStudyRecordsDecodeCanonically: every record of the full-scale
-// seed-42 study, clean and faulted at faults.Profile(0.05), is in the
+// seed-42 study, clean and faulted at faults.Profile(0.05), encodes to
+// the oracle's bytes (json.Marshal of its wire value) and is in the
 // canonical form decodeCanonical reads, so resuming a journal of
 // either never falls back to encoding/json. One run of each study
 // panics on every attempt through firer, so a record whose stack holds
@@ -369,6 +370,7 @@ func TestStudyRecordsDecodeCanonically(t *testing.T) {
 		}
 		recs, fast, autogenerated := st.Records(""), 0, 0
 		for _, rec := range recs {
+			requireOracleEncoding(t, rec)
 			b, err := EncodeRecord(rec)
 			if err != nil {
 				t.Fatal(err)

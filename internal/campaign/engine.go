@@ -212,17 +212,13 @@ func (r *runner) complete(i int, key string, rec *Record) {
 }
 
 // appendLocked persists one record and drives the crashAfter fault
-// point. Callers hold r.mu. The journal encodes the record's wire
-// value itself, so the entry's payload is EncodeRecord's bytes,
-// encoded once.
+// point. Callers hold r.mu. The record appends its own canonical form
+// into the journal's line (see journaled), so the entry's payload is
+// EncodeRecord's bytes, encoded once.
 //
 // requires: mu
 func (r *runner) appendLocked(key string, rec *Record) error {
-	w, err := toWire(rec)
-	if err != nil {
-		return err
-	}
-	if err := r.jr.Append(key, w); err != nil {
+	if err := r.jr.Append(key, (*journaled)(rec)); err != nil {
 		return err
 	}
 	if c := r.opts.Metrics; c != nil {

@@ -110,8 +110,9 @@ func TestJSONLSinkDeterministicOrder(t *testing.T) {
 }
 
 // TestJournalHoldsEncodeRecord: the engine hands the journal each
-// record's wire value, and every entry's payload is byte for byte what
-// EncodeRecord writes for the study's record under that key. It covers
+// record, which appends its own canonical form, and every entry's
+// payload is byte for byte what EncodeRecord writes for the study's
+// record under that key. It covers
 // clean and faulted studies (salvage reports with their errors) at 1
 // and 4 workers, each with one run that panics on every attempt, whose
 // record carries a stack.

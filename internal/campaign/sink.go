@@ -19,12 +19,15 @@ type Sink interface {
 }
 
 // JSONLSink streams each record as one line of codec JSON (see
-// EncodeRecord and docs/FORMAT.md, "Checkpoint artifacts"). Lines are
-// written with a single Write call per record and no userspace
-// buffering, so a killed campaign leaves a clean line boundary. The
-// sink does not close w; the caller owns the file's lifecycle.
+// EncodeRecord and docs/FORMAT.md, "Checkpoint artifacts"). The sink
+// appends each line into a buffer it keeps between records and writes
+// it with a single Write call and no userspace buffering, so a killed
+// campaign leaves a clean line boundary. Like any Sink it serves one
+// study at a time. The sink does not close w; the caller owns the
+// file's lifecycle.
 type JSONLSink struct {
-	w io.Writer
+	w    io.Writer
+	line []byte // the last line written, its array reused for the next
 }
 
 // NewJSONLSink returns a sink writing records to w.
@@ -32,11 +35,11 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
 // Record implements Sink.
 func (s *JSONLSink) Record(rec *Record) error {
-	b, err := EncodeRecord(rec)
+	b, err := appendRecord(s.line[:0], rec)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = s.w.Write(b)
+	s.line = append(b, '\n')
+	_, err = s.w.Write(s.line)
 	return err
 }

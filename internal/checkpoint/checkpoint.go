@@ -290,19 +290,23 @@ func countLines(tail []byte) int {
 
 // Append encodes payload and appends one checksummed entry under key.
 // The payload is encoded once, into a buffer the journal keeps between
-// appends, and the line is framed around it by hand. The line holds
-// the bytes json.Marshal of the line schema writes, plus a newline;
-// its "p" is the compact, HTML-escaped form json.Marshal(payload)
-// gives. So a json.RawMessage payload is validated and compacted once,
-// and any other value is encoded and never scanned again. A payload
-// that does not encode fails and writes nothing, and so does a key
-// that is not valid UTF-8: encoding/json would write it with U+FFFD in
-// place of the bad bytes, under a checksum of the original, and Open
-// would drop that line and every line after it. The line is written
-// with a single Write call and no userspace buffering, so a crash
-// between appends never tears an already-written entry. The first
-// append commits the journal: a damaged tail found by Open is
-// truncated away here, immediately before the new line lands.
+// appends, and the line is framed around it by hand. A payload that
+// appends its own encoding (see appender) is appended into that buffer
+// as it is, with no encoding/json pass. Any other payload, a
+// json.RawMessage included, goes through encoding/json, and the line
+// holds the bytes json.Marshal of the line schema writes, plus a
+// newline: its "p" is the compact, HTML-escaped form
+// json.Marshal(payload) gives. So a json.RawMessage payload is
+// validated and compacted once, and any other value is encoded and
+// never scanned again. A payload that does not encode fails and writes
+// nothing, and so does a key that is not valid UTF-8: encoding/json
+// would write it with U+FFFD in place of the bad bytes, under a
+// checksum of the original, and Open would drop that line and every
+// line after it. The line is written with a single Write call and no
+// userspace buffering, so a crash between appends never tears an
+// already-written entry. The first append commits the journal: a
+// damaged tail found by Open is truncated away here, immediately
+// before the new line lands.
 //
 // locks: mu
 func (j *Journal) Append(key string, payload any) error {
@@ -316,6 +320,14 @@ func (j *Journal) Append(key string, payload any) error {
 		*j.line = bytes.Buffer{}
 	}
 	return err
+}
+
+// appender is a payload that appends its own encoding to b: one compact
+// JSON value, the bytes json.Marshal would write for it. Append takes
+// those bytes as they are, straight into the line, with no encoding/json
+// pass to validate, compact or escape them.
+type appender interface {
+	AppendJSON(b []byte) ([]byte, error)
 }
 
 // appendLocked frames key's entry line in j.line and writes it at the
@@ -334,11 +346,19 @@ func (j *Journal) appendLocked(key string, payload any) error {
 	j.line.Truncate(j.line.Len() - 1) // Encode ends every value with a newline
 	j.line.WriteString(`,"p":`)
 	start := j.line.Len()
-	if err := j.enc.Encode(payload); err != nil {
+	var err error
+	if a, ok := payload.(appender); ok {
+		var p []byte
+		if p, err = a.AppendJSON(j.line.AvailableBuffer()); err == nil {
+			j.line.Write(p)
+		}
+	} else if err = j.enc.Encode(payload); err == nil {
+		j.line.Truncate(j.line.Len() - 1) // Encode ends every value with a newline
+	}
+	if err != nil {
 		return fmt.Errorf("checkpoint: encoding %q: %w", key, err)
 	}
-	end := j.line.Len() - 1
-	j.line.Truncate(end)
+	end := j.line.Len()
 	j.line.WriteString("}\n")
 	buf := j.line.Bytes()
 	checksum((*[8]byte)(buf[len(`{"c":"`):]), key, buf[start:end])

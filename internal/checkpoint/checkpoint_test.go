@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -275,6 +276,61 @@ func TestUnencodablePayload(t *testing.T) {
 	// The failed append must not have written anything.
 	if fi, _ := os.Stat(path); fi.Size() != 0 {
 		t.Fatalf("failed append wrote %d bytes", fi.Size())
+	}
+}
+
+// appendingPayload is a payload that appends its own JSON, or appends
+// junk and fails when err is set.
+type appendingPayload struct {
+	json string
+	err  error
+}
+
+func (p appendingPayload) AppendJSON(b []byte) ([]byte, error) {
+	if p.err != nil {
+		return append(b, "junk"...), p.err
+	}
+	return append(b, p.json...), nil
+}
+
+// TestAppenderPayloadWrittenAsIs: a payload that appends its own JSON
+// lands in the line byte for byte, with no pass of encoding/json (which
+// would escape the <, & and >), whether it fits the kept line buffer or
+// grows it. One that fails writes nothing, and the journal appends on.
+func TestAppenderPayloadWrittenAsIs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	j, _, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i, p := range []string{`{"n":1}`, `{"s":"` + strings.Repeat("x", 1<<16) + `"}`, `[1,"<&>"]`} {
+		key := fmt.Sprint("k", i)
+		if err := j.Append(key, appendingPayload{json: p}); err != nil {
+			t.Fatal(err)
+		}
+		want = fmt.Appendf(want, "{\"c\":\"%s\",\"k\":\"%s\",\"p\":%s}\n", oracleChecksum(key, []byte(p)), key, p)
+		if err := j.Append("bad", appendingPayload{err: errors.New("boom")}); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("failing appender: Append error %v, want its own", err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journal holds\n%.300q\nwant\n%.300q", got, want)
+	}
+	j, entries, sal, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !sal.Clean() || len(entries) != 3 || string(entries[2].Payload) != `[1,"<&>"]` {
+		t.Fatalf("reopened %s with %d entries, want 3 ending in the appended bytes", sal.Summary(), len(entries))
 	}
 }
 

@@ -317,8 +317,10 @@ func ResumeStudy(ctx context.Context, opts StudyOptions, path string) (*Study, *
 	return campaign.Resume(ctx, opts, path)
 }
 
-// EncodeStudyRecord marshals one record in the canonical wire form
-// used by checkpoint journals and JSONL sinks.
+// EncodeStudyRecord returns one record in the canonical wire form that
+// checkpoint journals and JSONL sinks hold: the bytes json.Marshal
+// writes for the record's wire schema (docs/FORMAT.md), written
+// straight from the record with no reflection.
 func EncodeStudyRecord(rec *Record) ([]byte, error) { return campaign.EncodeRecord(rec) }
 
 // DecodeStudyRecord is EncodeStudyRecord's inverse; the decoded record
