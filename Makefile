@@ -10,17 +10,18 @@ GOVULNCHECK_VERSION ?= v1.1.3
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
 # The three simulate rows stay on the normal tolerance: each iteration
 # runs its own seed, so their allocs/op moves by a count or two with b.N.
-PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|JournalAppend|EncodeRecord|DecodeRecord|JournalOpen)$$
+PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|SimulateToPipeline|Emit|Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|JournalAppend|EncodeRecord|DecodeRecord|JournalOpen|Throughput)$$
 
 # Benchmarks whose allocs/op regressions fail bench-compare at ANY
 # growth: the parse rows parse one fixed capture — the corrupt-parse row
 # one capture damaged with one fixed fault seed, which pins the lenient
 # parser's fallback paths — the inject row corrupts one fixed capture
 # with one fixed fault seed, the extract and detect rows fold and scan
-# one fixed run, and the encode and decode rows encode and decode one
-# fixed record, so their allocation count is exactly reproducible and
-# pins its figure with no tolerance window to hide in.
-STRICT_ALLOC_BENCH = ^Benchmark(Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|EncodeRecord|DecodeRecord)$$
+# one fixed run, the encode and decode rows encode and decode one
+# fixed record, and the journal-open row opens one fixed journal, so
+# their allocation count is exactly reproducible and pins its figure
+# with no tolerance window to hide in.
+STRICT_ALLOC_BENCH = ^Benchmark(Inject|StreamParse|StreamParseObserved|ParseReuse|ParseToPipeline|StreamCorruptParse|Extract|StreamDetect|EncodeRecord|DecodeRecord|JournalOpen)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test bench-module crash-resume fuzz bench bench-baseline bench-compare clean
 
@@ -101,6 +102,7 @@ fuzz:
 		./internal/campaign:FuzzEncodeRecord \
 		./internal/campaign:FuzzDecodeRecord \
 		./internal/checkpoint:FuzzScan \
+		./internal/checkpoint:FuzzValidJSON \
 		./internal/checkpoint:FuzzJournalLineParity; do \
 		pkg=$${t%:*} name=$${t#*:}; \
 		echo "$(GO) test -run=NONE -fuzz=$$name\$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=50x $$pkg"; \

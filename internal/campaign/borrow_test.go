@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/mssn/loopscope/internal/cell"
+	"github.com/mssn/loopscope/internal/checkpoint"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/meas"
@@ -130,5 +131,47 @@ func TestPipelineOnlyBorrowsEntries(t *testing.T) {
 	if simulated == 0 || parsed == 0 {
 		t.Fatalf("%d simulated runs and %d captures carry measurement evidence; the test needs both to exercise lent entries",
 			simulated, parsed)
+	}
+}
+
+// TestResumeOnlyBorrowsPayloads: a resume reads each journal entry's
+// payload only while the journal lends it. Overwriting every lent
+// payload as soon as the resume has taken it leaves the study
+// deep-equal to an untouched resume of the same journal, with a record
+// read through the encoding/json fallback from a line longer than the
+// journal's read window among them.
+func TestResumeOnlyBorrowsPayloads(t *testing.T) {
+	opts := tinyOpts()
+	want := runOPT(t, opts)
+	path, _ := journalWithLongLine(t, opts, want, 3)
+	copyPath := filepath.Join(t.TempDir(), "copy.ckpt")
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = os.WriteFile(copyPath, data, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _, err := resumeOPT(t, opts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := 0
+	testHookLent = func(e checkpoint.Entry) {
+		for i := range e.Payload {
+			e.Payload[i] = '#'
+		}
+		poisoned++
+	}
+	defer func() { testHookLent = nil }()
+	st, _, err := resumeOPT(t, opts, copyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if poisoned != 5 {
+		t.Fatalf("%d payloads poisoned, want the header and 4 records", poisoned)
+	}
+	if !reflect.DeepEqual(clean.Areas, st.Areas) || !reflect.DeepEqual(want.Areas, st.Areas) {
+		t.Fatal("poisoning lent payloads after they were replayed changed the resumed study")
 	}
 }

@@ -111,20 +111,38 @@ func (r *runner) err(ctx context.Context) error {
 // openJournal opens and replays the checkpoint journal when one is
 // configured. A journal that already holds entries is replayed only
 // when resume is set, and only under a matching options fingerprint.
+// The journal is read one line at a time: the header is checked and
+// every record decoded as its line is read, so a resume holds one line
+// and the records decoded so far, never the whole file.
 func (r *runner) openJournal(resume bool) (*checkpoint.Salvage, error) {
 	if r.opts.Checkpoint == "" {
 		return nil, nil
 	}
-	jr, entries, sal, err := checkpoint.Open(r.opts.Checkpoint)
+	fp := fingerprint(r.opts)
+	entries := 0
+	jr, sal, err := checkpoint.OpenEach(r.opts.Checkpoint, func(e checkpoint.Entry) error {
+		entries++
+		var err error
+		switch {
+		case !resume: // only counted: the journal is refused below
+		case entries == 1:
+			err = r.checkHeader(e, fp)
+		default:
+			err = r.replay(e)
+		}
+		if testHookLent != nil {
+			testHookLent(e)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	fp := fingerprint(r.opts)
 	// failClosing folds the journal's close error into the path error:
 	// a close failure on a journal we are abandoning is still a report
 	// about durability the caller must see.
 	failClosing := func(err error) error { return errors.Join(err, jr.Close()) }
-	if len(entries) == 0 {
+	if entries == 0 {
 		if err := jr.Append(metaKey, fp); err != nil {
 			return nil, failClosing(err)
 		}
@@ -133,10 +151,40 @@ func (r *runner) openJournal(resume bool) (*checkpoint.Salvage, error) {
 	}
 	if !resume {
 		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s already holds %d entries; continue it with Resume (flag -resume), or remove the file",
-			r.opts.Checkpoint, len(entries)))
+			r.opts.Checkpoint, entries))
 	}
-	if entries[0].Key != metaKey {
-		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s has no options header; refusing to resume", r.opts.Checkpoint))
+	if c := r.opts.Metrics; c != nil && !sal.Clean() {
+		c.Add("campaign.checkpoint.salvaged_lines", int64(sal.LinesDropped))
+	}
+	r.jr = jr
+	return sal, nil
+}
+
+// testHookLent, when set by a test, sees every journal entry once
+// openJournal has replayed it, while the entry is still lent; the
+// borrow test overwrites its payload there.
+var testHookLent func(checkpoint.Entry)
+
+// replay decodes a record entry of the journal into r.done while the
+// entry is lent (see checkpoint.OpenEach). Keys may repeat: the last
+// entry for a key wins, like the write order.
+func (r *runner) replay(e checkpoint.Entry) error {
+	rec, err := DecodeRecord(e.Payload)
+	if err != nil {
+		return fmt.Errorf("campaign: checkpoint journal %s: entry %q: %w", r.opts.Checkpoint, e.Key, err)
+	}
+	if r.done == nil {
+		r.done = make(map[string]*Record)
+	}
+	r.done[e.Key] = rec
+	return nil
+}
+
+// checkHeader checks the journal's first entry against fp, the header
+// this study would write.
+func (r *runner) checkHeader(e checkpoint.Entry, fp optsFingerprint) error {
+	if e.Key != metaKey {
+		return fmt.Errorf("campaign: checkpoint journal %s has no options header; refusing to resume", r.opts.Checkpoint)
 	}
 	// Older headers also carry keep_speeds, which changed no field a
 	// record still has, and max_retries, which must be the fixed budget.
@@ -144,26 +192,14 @@ func (r *runner) openJournal(resume bool) (*checkpoint.Salvage, error) {
 		optsFingerprint
 		MaxRetries *int `json:"max_retries,omitempty"`
 	}
-	if err := json.Unmarshal(entries[0].Payload, &have); err != nil {
-		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s: bad options header: %w", r.opts.Checkpoint, err))
+	if err := json.Unmarshal(e.Payload, &have); err != nil {
+		return fmt.Errorf("campaign: checkpoint journal %s: bad options header: %w", r.opts.Checkpoint, err)
 	}
 	if mustJSON(have.optsFingerprint) != mustJSON(fp) || (have.MaxRetries != nil && *have.MaxRetries != DefaultMaxRetries) {
-		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s was written by a different study (journal %s, resume %s)",
-			r.opts.Checkpoint, mustJSON(have), mustJSON(fp)))
+		return fmt.Errorf("campaign: checkpoint journal %s was written by a different study (journal %s, resume %s)",
+			r.opts.Checkpoint, mustJSON(have), mustJSON(fp))
 	}
-	r.done = make(map[string]*Record, len(entries)-1)
-	for _, e := range entries[1:] {
-		rec, err := DecodeRecord(e.Payload)
-		if err != nil {
-			return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s: entry %q: %w", r.opts.Checkpoint, e.Key, err))
-		}
-		r.done[e.Key] = rec // duplicates: last entry wins, like the write order
-	}
-	if c := r.opts.Metrics; c != nil && !sal.Clean() {
-		c.Add("campaign.checkpoint.salvaged_lines", int64(sal.LinesDropped))
-	}
-	r.jr = jr
-	return sal, nil
+	return nil
 }
 
 // mustJSON renders v for fingerprint comparison and error messages.

@@ -490,6 +490,121 @@ func TestResumeSalvagesDamagedJournal(t *testing.T) {
 	}
 }
 
+// longLine is the length of journalWithLongLine's record line: several
+// times the 64 KiB window the journal is read through.
+const longLine = 300 << 10
+
+// journalWithLongLine crashes OPT's study under opts after k appends
+// and appends by hand the record of the first run the crash left out,
+// its payload spaced out after the opening brace to a line of more
+// than longLine bytes. Spaces inside a payload still make a canonical
+// frame, and DecodeRecord reads the record through its encoding/json
+// fallback. It returns the journal's path and the line.
+func journalWithLongLine(t *testing.T, opts Options, want *Study, k int) (string, []byte) {
+	t.Helper()
+	path := crashedJournal(t, opts, k)
+	jr, entries, _, err := checkpoint.Open(path)
+	if err == nil {
+		err = jr.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := map[string]bool{}
+	for _, e := range entries {
+		journaled[e.Key] = true
+	}
+	var rec *Record
+	for _, r := range want.Records("") {
+		if !journaled[runKey(r.Op, r.Area, r.LocIndex, r.RunIndex, opts.Seed)] {
+			rec = r
+			break
+		}
+	}
+	wire, err := EncodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := append(append([]byte{'{'}, bytes.Repeat([]byte{' '}, longLine)...), wire[1:]...)
+	key := runKey(rec.Op, rec.Area, rec.LocIndex, rec.RunIndex, opts.Seed)
+	line := fmt.Appendf(nil, "{\"c\":\"%08x\",\"k\":%q,\"p\":%s}\n",
+		crc32.ChecksumIEEE(append(append([]byte(key), 0), p...)), key, p)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err == nil {
+		_, err = f.Write(line)
+		err = errors.Join(err, f.Close())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, line
+}
+
+// TestResumeReadsLineLongerThanWindow: a record whose line is several
+// times the window the journal is read through is replayed like any
+// other, and the resume is deep-equal to the uninterrupted study.
+func TestResumeReadsLineLongerThanWindow(t *testing.T) {
+	opts := tinyOpts()
+	want := runOPT(t, opts)
+	const k = 3
+	path, _ := journalWithLongLine(t, opts, want, k)
+	reg := obs.NewRegistry()
+	resumeOpts := opts
+	resumeOpts.Metrics = reg
+	st, sal, err := resumeOPT(t, resumeOpts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("campaign.runs.resumed").Value(); got != k+1 || !sal.Clean() {
+		t.Fatalf("resumed %d runs (%s), want the %d journaled and the long line's", got, sal.Summary(), k)
+	}
+	if !reflect.DeepEqual(want.Areas, st.Areas) {
+		t.Fatal("resuming a journal with a long line diverged from the uninterrupted study")
+	}
+}
+
+// TestResumeSalvagesTornTailLongerThanWindow: a torn tail longer than
+// the window the journal is read through is salvaged as one line, the
+// run it held re-executes, the study is deep-equal to an uninterrupted
+// one, and the journal reopens clean.
+func TestResumeSalvagesTornTailLongerThanWindow(t *testing.T) {
+	opts := tinyOpts()
+	want := runOPT(t, opts)
+	const k = 3
+	path, line := journalWithLongLine(t, opts, want, k)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const torn = 200 << 10
+	if err := os.Truncate(path, fi.Size()-int64(len(line))+torn); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	resumeOpts := opts
+	resumeOpts.Metrics = reg
+	st, sal, err := resumeOPT(t, resumeOpts, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("campaign.runs.resumed").Value(); got != k || sal.LinesDropped != 1 || sal.BytesDropped != torn {
+		t.Fatalf("resumed %d runs (%s), want the %d journaled and the %d-byte torn line dropped", got, sal.Summary(), k, torn)
+	}
+	if !reflect.DeepEqual(want.Areas, st.Areas) {
+		t.Fatal("salvaged resume diverged from the uninterrupted study")
+	}
+	jr, entries, sal, err := checkpoint.Open(path)
+	if err == nil {
+		err = jr.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(want.Records("")) + 1; !sal.Clean() || len(entries) != n {
+		t.Fatalf("journal after the resume: %d entries (%s), want %d, clean", len(entries), sal.Summary(), n)
+	}
+}
+
 // TestCancelDrainsGracefully: cancelling mid-study stops dispatch,
 // aborts in-flight runs between events, and reports the cause.
 func TestCancelDrainsGracefully(t *testing.T) {

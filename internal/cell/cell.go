@@ -7,9 +7,9 @@
 package cell
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -27,7 +27,17 @@ type Ref struct {
 }
 
 // String renders the paper's ID@FreqChannelNo notation, e.g. "393@521310".
-func (r Ref) String() string { return fmt.Sprintf("%d@%d", r.PCI, r.Channel) }
+func (r Ref) String() string {
+	var buf [41]byte // two 64-bit integers and the @
+	return string(r.appendTo(buf[:0]))
+}
+
+// appendTo appends r's ID@FreqChannelNo notation to b.
+func (r Ref) appendTo(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(r.PCI), 10)
+	b = append(b, '@')
+	return strconv.AppendInt(b, int64(r.Channel), 10)
+}
 
 // ParseRef parses the ID@FreqChannelNo notation.
 func ParseRef(s string) (Ref, error) {
@@ -158,29 +168,30 @@ func (g *Group) Contains(r Ref) bool {
 	return false
 }
 
-// key renders a canonical representation with sorted SCells, so that two
-// groups with the same members compare equal regardless of addition
-// order.
-func (g *Group) key() string {
+// appendKey appends a canonical representation with sorted SCells to
+// b, so that two groups with the same members compare equal regardless
+// of addition order. The SCells are sorted in a copy on the stack when
+// they fit the usual group size.
+func (g *Group) appendKey(b []byte) []byte {
 	if g == nil {
-		return "-"
+		return append(b, '-')
 	}
-	sc := append([]Ref(nil), g.SCells...)
-	sort.Slice(sc, func(i, j int) bool {
-		if sc[i].Channel != sc[j].Channel {
-			return sc[i].Channel < sc[j].Channel
+	var stack [8]Ref
+	sc := append(stack[:0], g.SCells...)
+	slices.SortFunc(sc, func(x, y Ref) int {
+		if c := cmp.Compare(x.Channel, y.Channel); c != 0 {
+			return c
 		}
-		return sc[i].PCI < sc[j].PCI
+		return cmp.Compare(x.PCI, y.PCI)
 	})
-	var b strings.Builder
-	b.WriteString(g.RAT.String())
-	b.WriteByte(':')
-	b.WriteString(g.Primary.String())
-	for _, s := range sc {
-		b.WriteByte('+')
-		b.WriteString(s.String())
+	b = append(b, g.RAT.String()...)
+	b = append(b, ':')
+	b = g.Primary.appendTo(b)
+	for _, r := range sc {
+		b = append(b, '+')
+		b = r.appendTo(b)
 	}
-	return b.String()
+	return b
 }
 
 // State is the coarse radio-access state the paper's FSMs range over.
@@ -262,7 +273,11 @@ func (s Set) Contains(r Ref) bool { return s.MCG.Contains(r) || s.SCG.Contains(r
 // sets with the same cells in the same roles share a Key. Loop detection
 // compares CS sequences with Equal, which builds no key, and renders
 // keys only for a confirmed loop's cycle, to name it.
-func (s Set) Key() string { return s.MCG.key() + "|" + s.SCG.key() }
+func (s Set) Key() string {
+	var buf [128]byte
+	b := append(s.MCG.appendKey(buf[:0]), '|')
+	return string(s.SCG.appendKey(b))
+}
 
 // String renders a readable summary such as
 // "5G SA {PCell 393@521310 +3 SCells}".

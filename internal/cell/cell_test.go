@@ -1,16 +1,72 @@
 package cell
 
 import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"github.com/mssn/loopscope/internal/band"
+	"github.com/mssn/loopscope/internal/racecheck"
 )
+
+// oracleGroupKey is a group's key as Set.Key built it before it
+// appended into one buffer: a sorted heap copy of the SCells, and every
+// ref rendered by fmt.
+func oracleGroupKey(g *Group) string {
+	if g == nil {
+		return "-"
+	}
+	sc := append([]Ref(nil), g.SCells...)
+	sort.Slice(sc, func(i, j int) bool {
+		if sc[i].Channel != sc[j].Channel {
+			return sc[i].Channel < sc[j].Channel
+		}
+		return sc[i].PCI < sc[j].PCI
+	})
+	var b strings.Builder
+	b.WriteString(g.RAT.String())
+	b.WriteByte(':')
+	fmt.Fprintf(&b, "%d@%d", g.Primary.PCI, g.Primary.Channel)
+	for _, s := range sc {
+		fmt.Fprintf(&b, "+%d@%d", s.PCI, s.Channel)
+	}
+	return b.String()
+}
+
+// oracleKey is Set.Key as it was built with fmt and sort.Slice.
+func oracleKey(s Set) string { return oracleGroupKey(s.MCG) + "|" + oracleGroupKey(s.SCG) }
 
 func TestRefString(t *testing.T) {
 	r := Ref{PCI: 393, Channel: 521310}
 	if r.String() != "393@521310" {
 		t.Errorf("String = %q", r)
+	}
+	for _, r := range []Ref{{}, {-1, -2}, {math.MaxInt, math.MinInt}, {1007, 1}} {
+		if got, want := r.String(), fmt.Sprintf("%d@%d", r.PCI, r.Channel); got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestSetKeyAllocatesOnce: a set's key, up to eight SCells a group,
+// costs one allocation, the string it returns.
+func TestSetKeyAllocatesOnce(t *testing.T) {
+	s := Set{MCG: NewGroup(band.RATNR, MustRef("393@521310")), SCG: NewGroup(band.RATLTE, MustRef("380@5145"))}
+	for _, r := range []string{"273@398410", "273@387410", "371@387410", "393@501390"} {
+		s.MCG.AddSCell(MustRef(r))
+	}
+	want := "5G:393@521310+273@387410+371@387410+273@398410+393@501390|4G:380@5145"
+	if got := s.Key(); got != want || got != oracleKey(s) {
+		t.Fatalf("Key = %q, want %q", got, want)
+	}
+	if racecheck.Enabled {
+		t.Skip("allocation counts are perturbed by race instrumentation")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Key() }); allocs != 1 {
+		t.Errorf("Key allocates %.1f times, want 1", allocs)
 	}
 }
 
@@ -113,8 +169,8 @@ func TestGroupKeyOrderInsensitive(t *testing.T) {
 	b := NewGroup(band.RATNR, MustRef("393@521310"))
 	b.AddSCell(MustRef("273@398410"))
 	b.AddSCell(MustRef("273@387410"))
-	if a.key() != b.key() {
-		t.Errorf("keys differ: %q vs %q", a.key(), b.key())
+	if ka, kb := string(a.appendKey(nil)), string(b.appendKey(nil)); ka != kb {
+		t.Errorf("keys differ: %q vs %q", ka, kb)
 	}
 }
 
@@ -185,7 +241,8 @@ func fuzzSet(data []byte) Set {
 }
 
 // FuzzSetEqual pins Equal to the key comparison it replaced: two sets
-// are Equal exactly when their Keys match. The second set is either
+// are Equal exactly when their Keys match. It also holds Key to the
+// oracle's fmt and sort.Slice rendering. The second set is either
 // decoded independently or a permuted copy of the first, so equal pairs
 // with reordered duplicate SCells come up as often as unequal ones.
 func FuzzSetEqual(f *testing.F) {
@@ -204,6 +261,11 @@ func FuzzSetEqual(f *testing.F) {
 					k := int(mode>>1) % len(g.SCells)
 					g.SCells = append(g.SCells[k:], g.SCells[:k]...)
 				}
+			}
+		}
+		for _, s := range []Set{a, b} {
+			if got, want := s.Key(), oracleKey(s); got != want {
+				t.Fatalf("Key = %q, the oracle's %q", got, want)
 			}
 		}
 		want := a.Key() == b.Key()

@@ -8,24 +8,25 @@
 // sits at the leaf of the layering table. Durability comes from the
 // format, not from fsync discipline: every line carries a CRC-32
 // (IEEE) of its key and payload, so a crash mid-append leaves at worst
-// one torn tail line that Open detects — the tail is truncated away
-// once the caller commits to the journal by appending. Salvage is
-// strictly prefix-based: the longest run of consecutively valid lines
-// survives and everything after the first damaged line is discarded,
-// because entries after a corrupt region cannot be trusted to describe
-// the same journal generation. An open journal holds an exclusive
-// advisory file lock, so a second process cannot interleave appends;
-// the kernel drops the lock when the process dies, so a killed
-// campaign never leaves a stale lock behind.
+// one torn tail line that opening the journal detects — the tail is
+// truncated away once the caller commits to the journal by appending.
+// Salvage is strictly prefix-based: the longest run of consecutively
+// valid lines survives and everything after the first damaged line is
+// discarded, because entries after a corrupt region cannot be trusted
+// to describe the same journal generation. An open journal holds an
+// exclusive advisory file lock, so a second process cannot interleave
+// appends; the kernel drops the lock when the process dies, so a
+// killed campaign never leaves a stale lock behind.
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"unicode/utf8"
@@ -34,9 +35,12 @@ import (
 
 // Entry is one journal record: an opaque payload filed under the
 // caller's deterministic key. Keys may repeat; replay order is file
-// order, so the last entry for a key wins. The Payload of an entry Open
-// returns may alias the buffer it read the journal into: read it, but
-// do not modify or append to it.
+// order, so the last entry for a key wins. OpenEach lends each entry
+// for the duration of one callback: its Payload may alias the buffer
+// the journal is read through and be overwritten once the callback
+// returns, so a caller keeps a copy of anything it needs later. Its
+// Key is a string of its own. The entries Open returns own their
+// payloads.
 type Entry struct {
 	Key     string
 	Payload json.RawMessage
@@ -117,94 +121,128 @@ type Journal struct {
 // under.
 const maxKeptLine = 4 << 20
 
-// Open opens (creating if absent) the journal at path, takes an
+// window is the size of the buffer OpenEach reads a journal through. A
+// line that does not fit is assembled in a buffer of its own, so the
+// window bounds no line, only what the scan holds for one that fits.
+const window = 64 << 10
+
+// OpenEach opens (creating if absent) the journal at path, takes an
 // exclusive advisory lock on it, validates the existing content line
-// by line, and returns the entries of the longest valid prefix in file
-// order plus a salvage report. The file is read into one buffer sized
-// from its length, and the entries' payloads may alias it (see Entry).
-// Open itself never mutates the file: a damaged tail is only truncated
-// away when the caller commits to the journal by appending (or
-// syncing), so a journal that is merely inspected — or refused by the
-// caller after the header check — is left byte-for-byte as found. A
-// journal already locked by another process is an error, so two
-// campaigns can never interleave appends into one file.
-func Open(path string) (*Journal, []Entry, *Salvage, error) {
+// by line, and lends each entry of the longest valid prefix to each,
+// in file order (see Entry: the payload is valid only during the
+// call). It returns the journal and a salvage report. The file is read
+// through a fixed window, so opening a journal of any size holds one
+// line at a time, and each entry reaches each as soon as its line is
+// read. An error from each stops the scan: the file is closed and the
+// error returned. OpenEach itself never mutates the file: a damaged
+// tail is only truncated away when the caller commits to the journal
+// by appending (or syncing), so a journal that is merely inspected —
+// or refused by the caller after the header check — is left
+// byte-for-byte as found. A journal already locked by another process
+// is an error, so two campaigns can never interleave appends into one
+// file.
+func OpenEach(path string, each func(Entry) error) (*Journal, *Salvage, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := lockFile(f); err != nil {
 		f.Close()
-		return nil, nil, nil, fmt.Errorf("checkpoint: journal %s: %w", path, err)
+		return nil, nil, fmt.Errorf("checkpoint: journal %s: %w", path, err)
 	}
-	data, err := readAll(f)
+	valid, sal, err := scan(bufio.NewReaderSize(f, window), each)
 	if err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, errors.Join(err, f.Close())
 	}
-	entries, validBytes, sal := scan(data)
 	line := new(bytes.Buffer)
-	j := &Journal{f: f, path: path, end: validBytes, tail: int64(len(data)) - validBytes,
+	j := &Journal{f: f, path: path, end: valid, tail: sal.BytesDropped,
 		line: line, enc: json.NewEncoder(line)}
+	return j, sal, nil
+}
+
+// Open is OpenEach collecting the entries of the valid prefix in file
+// order, each with a copy of its payload.
+func Open(path string) (*Journal, []Entry, *Salvage, error) {
+	var entries []Entry
+	j, sal, err := OpenEach(path, func(e Entry) error {
+		e.Payload = bytes.Clone(e.Payload)
+		entries = append(entries, e)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	return j, entries, sal, nil
 }
 
-// readAll reads f to EOF into one buffer sized from its length, as
-// os.ReadFile does, so a journal of any size is read without regrowing
-// the buffer; it still grows if the file does while it is read.
-func readAll(f *os.File) ([]byte, error) {
-	size := 512
-	if fi, err := f.Stat(); err == nil && fi.Size() < math.MaxInt-1 {
-		size = max(size, int(fi.Size())+1) // one byte more, to read EOF
-	}
-	data := make([]byte, 0, size)
-	for {
-		n, err := f.Read(data[len(data):cap(data)])
-		data = data[:len(data)+n]
-		if err == io.EOF {
-			return data, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(data) == cap(data) {
-			data = append(data, 0)[:len(data)]
-		}
-	}
-}
-
-// scan walks the file content, returning the entries of the longest
-// valid prefix, the byte length of that prefix, and the salvage
-// report for the rest. A line in the canonical frame is read by frame;
-// any other line by decodeLine, encoding/json's reading of the line
-// schema, so a journal someone re-indented or edited by hand still
-// opens. Either way the line is valid only if its checksum matches.
-func scan(data []byte) ([]Entry, int64, *Salvage) {
-	var entries []Entry
+// scan reads journal content from r and lends each entry of the
+// longest valid prefix to each, in file order. It returns the byte
+// length of that prefix and the salvage report for the rest. A line
+// that fits r's buffer is read in place; a longer one is assembled
+// first, into a buffer reused for the next. A line in the canonical
+// frame is read by frame; any other line by decodeLine, encoding/json's
+// reading of the line schema, so a journal someone re-indented or
+// edited by hand still opens. Either way the line is valid only if its
+// checksum matches. A read error is wrapped; an error from each is
+// returned as it is.
+func scan(r *bufio.Reader, each func(Entry) error) (int64, *Salvage, error) {
 	sal := &Salvage{}
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail without newline: invalid by construction
+	var valid int64
+	var long []byte
+	for {
+		raw, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], raw...)
+			for err == bufio.ErrBufferFull {
+				raw, err = r.ReadSlice('\n')
+				long = append(long, raw...)
+			}
+			raw = long
 		}
-		e, ok := frame(data[off : off+nl])
+		if err != nil && err != io.EOF {
+			return 0, nil, fmt.Errorf("checkpoint: %w", err)
+		}
+		if len(raw) == 0 {
+			return valid, sal, nil
+		}
+		if err == io.EOF {
+			// A torn tail without newline: invalid by construction.
+			return valid, sal, salvage(r, raw, sal)
+		}
+		e, ok := frame(raw[:len(raw)-1])
 		if !ok {
-			if e, ok = decodeLine(data[off : off+nl]); !ok {
-				break
+			if e, ok = decodeLine(raw[:len(raw)-1]); !ok {
+				return valid, sal, salvage(r, raw, sal)
 			}
 		}
-		entries = append(entries, e)
-		off += nl + 1
+		if err := each(e); err != nil {
+			return 0, nil, err
+		}
+		sal.Entries++
+		valid += int64(len(raw))
 	}
-	sal.Entries = len(entries)
-	sal.BytesDropped = int64(len(data) - off)
-	sal.LinesDropped = countLines(data[off:])
-	return entries, int64(off), sal
 }
 
-// maxDepth is encoding/json's nesting limit.
-const maxDepth = 10000
+// salvage counts into sal the first line past the valid prefix, raw,
+// and everything r holds after it: every byte, and every line, a final
+// one without a newline included.
+func salvage(r *bufio.Reader, raw []byte, sal *Salvage) error {
+	var last byte
+	for len(raw) > 0 {
+		sal.BytesDropped += int64(len(raw))
+		if last = raw[len(raw)-1]; last == '\n' {
+			sal.LinesDropped++
+		}
+		var err error
+		if raw, err = r.ReadSlice('\n'); err != nil && err != bufio.ErrBufferFull && err != io.EOF {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+	}
+	if last != '\n' {
+		sal.LinesDropped++
+	}
+	return nil
+}
 
 // frame reads a line in the canonical frame Append writes,
 // {"c":"<8 hex>","k":"<key>","p":<payload>}, with a key that has no
@@ -227,13 +265,11 @@ func frame(raw []byte) (Entry, bool) {
 		return Entry{}, false
 	}
 	key, p := rest[:q], rest[q+len(tail):]
-	if !plainString(key) || len(p) == 0 || isSpace(p[0]) || isSpace(p[len(p)-1]) || !json.Valid(p) {
+	if !plainString(key) || len(p) == 0 || isSpace(p[0]) || isSpace(p[len(p)-1]) {
 		return Entry{}, false
 	}
-	// The payload nests one level deeper in its line than alone, so a
-	// payload with maxDepth openers or more could be valid alone but
-	// too deep for the line; only then is the whole line checked.
-	if bytes.Count(p, []byte{'['})+bytes.Count(p, []byte{'{'}) >= maxDepth && !json.Valid(raw) {
+	// The payload nests one level deeper in its line than alone.
+	if depth, ok := validJSON(p); !ok || depth >= maxDepth {
 		return Entry{}, false
 	}
 	k := string(key)
@@ -273,19 +309,6 @@ func decodeLine(raw []byte) (Entry, bool) {
 		return Entry{}, false
 	}
 	return Entry{Key: l.K, Payload: l.P}, true
-}
-
-// countLines counts the (possibly newline-less final) lines in the
-// discarded tail.
-func countLines(tail []byte) int {
-	if len(tail) == 0 {
-		return 0
-	}
-	n := bytes.Count(tail, []byte{'\n'})
-	if tail[len(tail)-1] != '\n' {
-		n++
-	}
-	return n
 }
 
 // Append encodes payload and appends one checksummed entry under key.

@@ -292,9 +292,12 @@ func Fig17(c *Context) *Result {
 	r := &Result{ID: "fig17", Title: "RSRP of cells on channel 387410"}
 	rng := rand.New(rand.NewSource(c.Opts.Seed * 13))
 
-	// (a) 10th-percentile sampled RSRP per location, per channel.
+	// (a) 10th-percentile sampled RSRP per location, per channel. A
+	// cell's local median is fixed, so it is computed once and faded
+	// per sample, the draws and values Field.Sample gives.
 	chans := []int{387410, 398410, 501390, 521310}
 	p10 := map[int][]float64{}
+	xs := make([]float64, 120)
 	for _, a := range st.Areas {
 		if a.Spec.Operator != "OPT" {
 			continue
@@ -302,9 +305,9 @@ func Fig17(c *Context) *Result {
 		for _, cl := range a.Dep.Clusters {
 			for _, ch := range chans {
 				for _, cc := range cl.CellsOnChannel(ch) {
-					xs := make([]float64, 120)
+					med := a.Dep.Field.Median(cc, cl.Loc)
 					for i := range xs {
-						xs[i] = a.Dep.Field.Sample(cc, cl.Loc, rng).RSRPDBm.Float()
+						xs[i] = a.Dep.Field.Fade(cc, med, rng).RSRPDBm.Float()
 					}
 					p10[ch] = append(p10[ch], stats.Percentile(xs, 10))
 				}

@@ -182,18 +182,22 @@ func Fig10(c *Context) *Result {
 
 // speedStudy regenerates the speed series of each looping study record
 // from its timeline to measure per-cycle ON/OFF speeds (Fig. 11 needs
-// speeds, which study records do not carry).
+// speeds, which study records do not carry). Each record's series draws
+// from one generator reseeded per record, the stream a fresh source of
+// that seed gives.
 func speedStudy(c *Context, op string) []throughput.CycleSpeed {
 	st := c.Study()
 	var out []throughput.CycleSpeed
 	seed := c.Opts.Seed
+	pol := opByName(op)
+	rng := newRunRNG(seed)
 	for _, rec := range st.Records(op) {
 		if !rec.HasLoop() {
 			continue
 		}
 		seed++
-		pol := opByName(op)
-		samples := throughput.Generate(rec.Timeline, pol, seed)
+		rng.Seed(seed)
+		samples := throughput.Generate(rec.Timeline, pol, rng)
 		for _, loop := range rec.Analysis.Loops {
 			var cycles []throughput.Cycle
 			for _, cm := range loop.Cycles() {

@@ -33,7 +33,7 @@ func (c *Context) showcaseRun() *campaign.Record {
 // repeating every few tens of seconds).
 func Fig1b(c *Context) *Result {
 	rec := c.showcaseRun()
-	speeds := throughput.Generate(rec.Timeline, policy.OPT(), c.Opts.Seed*31+6)
+	speeds := throughput.Generate(rec.Timeline, policy.OPT(), newRunRNG(c.Opts.Seed*31+6))
 	r := &Result{ID: "fig1b", Title: "Download speed over one looping run (P16 analog)"}
 
 	var on, off []float64

@@ -33,25 +33,30 @@ const refWidthMHz = 210.0
 // OFF→ON transition.
 const rampSeconds = 2
 
-// Generate produces one speed sample per second over the timeline. The
-// same timeline and seed always produce the same series.
-func Generate(tl *trace.Timeline, op *policy.Operator, seed int64) []Sample {
-	rng := rand.New(rand.NewSource(seed))
+// Generate produces one speed sample per second over the timeline,
+// drawing its variation from rng. The same timeline and the same rng
+// stream always produce the same series; its samples ascend in At.
+func Generate(tl *trace.Timeline, op *policy.Operator, rng *rand.Rand) []Sample {
 	n := int(tl.Duration / time.Second)
 	out := make([]Sample, 0, n)
-	stepIdx := 0
+	stepIdx := -1
+	onMedian := 0.0 // the 5G-ON median of the step in force
 	onStreak := 0
 	for s := 0; s < n; s++ {
 		at := time.Duration(s) * time.Second
-		for stepIdx+1 < len(tl.Steps) && tl.Steps[stepIdx+1].At <= at {
-			stepIdx++
+		i := max(stepIdx, 0)
+		for i+1 < len(tl.Steps) && tl.Steps[i+1].At <= at {
+			i++
 		}
-		set := tl.Steps[stepIdx].Set
+		set := tl.Steps[i].Set
+		if i != stepIdx {
+			stepIdx, onMedian = i, onMedianMbps(set, op)
+		}
 		mbps := 0.0
 		switch {
 		case set.Uses5G():
 			onStreak++
-			mbps = onSpeed(set, op, rng)
+			mbps = lognorm(onMedian, 0.25, rng)
 			if onStreak <= rampSeconds {
 				mbps *= 0.3 + 0.35*float64(onStreak)
 			}
@@ -67,33 +72,33 @@ func Generate(tl *trace.Timeline, op *policy.Operator, seed int64) []Sample {
 	return out
 }
 
-// onSpeed is the 5G-ON speed: the operator median scaled sublinearly by
-// the aggregate NR width in use (carrier aggregation helps, with
-// diminishing returns), with lognormal run-to-run variation.
-func onSpeed(set cell.Set, op *policy.Operator, rng *rand.Rand) float64 {
+// onMedianMbps is the median 5G-ON speed over set: the operator median
+// scaled sublinearly by the aggregate NR width in use (carrier
+// aggregation helps, with diminishing returns). Generate draws each
+// second's lognormal run-to-run variation around it.
+func onMedianMbps(set cell.Set, op *policy.Operator) float64 {
 	width := aggregateNRWidth(set)
-	factor := math.Pow(width/refWidthMHz, 0.6)
 	if op.Mode == policy.ModeNSA {
 		// NSA anchors carry signaling on 4G; the NR leg dominates the
 		// rate, already captured by the operator median.
-		factor = math.Pow(width/60.0, 0.4)
+		return op.MedianOnMbps * math.Pow(width/60.0, 0.4)
 	}
-	return lognorm(op.MedianOnMbps*factor, 0.25, rng)
+	return op.MedianOnMbps * math.Pow(width/refWidthMHz, 0.6)
 }
 
-// aggregateNRWidth sums the channel widths of all serving NR cells.
+// aggregateNRWidth sums the channel widths of all serving NR cells,
+// primary then SCells, MCG then SCG.
 func aggregateNRWidth(set cell.Set) float64 {
 	var sum float64
-	add := func(g *cell.Group) {
+	for _, g := range [...]*cell.Group{set.MCG, set.SCG} {
 		if g == nil || g.RAT != band.RATNR {
-			return
+			continue
 		}
-		for _, ref := range g.Cells() {
+		sum += band.DefaultWidthMHz(band.RATNR, g.Primary.Channel)
+		for _, ref := range g.SCells {
 			sum += band.DefaultWidthMHz(band.RATNR, ref.Channel)
 		}
 	}
-	add(set.MCG)
-	add(set.SCG)
 	if sum <= 0 {
 		sum = 20 // no aggregated carriers: assume one 20 MHz LTE channel
 	}
@@ -119,16 +124,17 @@ type CycleSpeed struct {
 func (c CycleSpeed) Loss() float64 { return c.OnMedian - c.OffMedian }
 
 // CycleSpeeds computes per-cycle ON/OFF medians over a timeline given
-// the cycle boundaries (start, onDur, total). Cycles without samples in
-// a window are skipped.
+// the cycle boundaries (start, onDur, total). The samples must ascend
+// in At, as Generate's do: each cycle's are found by binary search.
+// Cycles without samples in a window are skipped.
 func CycleSpeeds(samples []Sample, tl *trace.Timeline, cycles []Cycle) []CycleSpeed {
 	var out []CycleSpeed
+	var on, off []float64
 	for _, c := range cycles {
-		var on, off []float64
-		for _, s := range samples {
-			if s.At < c.Start || s.At >= c.Start+c.Total {
-				continue
-			}
+		lo := sort.Search(len(samples), func(i int) bool { return samples[i].At >= c.Start })
+		hi := lo + sort.Search(len(samples)-lo, func(i int) bool { return samples[lo+i].At >= c.Start+c.Total })
+		on, off = on[:0], off[:0]
+		for _, s := range samples[lo:hi] {
 			// Attribute the sample by the 5G state at its time.
 			if in5G(tl, s.At) {
 				on = append(on, s.Mbps)

@@ -1,11 +1,15 @@
 package throughput
 
 import (
+	"context"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/mssn/loopscope/internal/band"
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/cell"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/rrc"
@@ -13,6 +17,145 @@ import (
 	"github.com/mssn/loopscope/internal/stats"
 	"github.com/mssn/loopscope/internal/trace"
 )
+
+// gen is Generate over a fresh generator seeded with seed.
+func gen(tl *trace.Timeline, op *policy.Operator, seed int64) []Sample {
+	return Generate(tl, op, rand.New(rand.NewSource(seed)))
+}
+
+// oracleGenerate is Generate as it was before it computed a step's ON
+// median once per step: every second of a 5G step recomputes the
+// aggregate width and its power, and the series draws from a fresh
+// source of seed.
+func oracleGenerate(tl *trace.Timeline, op *policy.Operator, seed int64) []Sample {
+	rng := rand.New(rand.NewSource(seed))
+	n := int(tl.Duration / time.Second)
+	out := make([]Sample, 0, n)
+	stepIdx := 0
+	onStreak := 0
+	for s := 0; s < n; s++ {
+		at := time.Duration(s) * time.Second
+		for stepIdx+1 < len(tl.Steps) && tl.Steps[stepIdx+1].At <= at {
+			stepIdx++
+		}
+		set := tl.Steps[stepIdx].Set
+		mbps := 0.0
+		switch {
+		case set.Uses5G():
+			onStreak++
+			mbps = oracleOnSpeed(set, op, rng)
+			if onStreak <= rampSeconds {
+				mbps *= 0.3 + 0.35*float64(onStreak)
+			}
+		case set.IsIdle():
+			onStreak = 0
+			mbps = 0
+		default: // 4G only
+			onStreak = 0
+			mbps = lognorm(op.MedianOffMbps, 0.30, rng)
+		}
+		out = append(out, Sample{At: at, Mbps: mbps})
+	}
+	return out
+}
+
+// oracleOnSpeed is the 5G-ON speed of one second as oracleGenerate drew
+// it.
+func oracleOnSpeed(set cell.Set, op *policy.Operator, rng *rand.Rand) float64 {
+	width := oracleAggregateNRWidth(set)
+	factor := math.Pow(width/refWidthMHz, 0.6)
+	if op.Mode == policy.ModeNSA {
+		factor = math.Pow(width/60.0, 0.4)
+	}
+	return lognorm(op.MedianOnMbps*factor, 0.25, rng)
+}
+
+// oracleAggregateNRWidth is aggregateNRWidth as it was, over each
+// group's Cells slice.
+func oracleAggregateNRWidth(set cell.Set) float64 {
+	var sum float64
+	add := func(g *cell.Group) {
+		if g == nil || g.RAT != band.RATNR {
+			return
+		}
+		for _, ref := range g.Cells() {
+			sum += band.DefaultWidthMHz(band.RATNR, ref.Channel)
+		}
+	}
+	add(set.MCG)
+	add(set.SCG)
+	if sum <= 0 {
+		sum = 20 // no aggregated carriers: assume one 20 MHz LTE channel
+	}
+	return sum
+}
+
+// oracleCycleSpeeds is CycleSpeeds as it was before it found a cycle's
+// samples by binary search: every cycle scans every sample.
+func oracleCycleSpeeds(samples []Sample, tl *trace.Timeline, cycles []Cycle) []CycleSpeed {
+	var out []CycleSpeed
+	for _, c := range cycles {
+		var on, off []float64
+		for _, s := range samples {
+			if s.At < c.Start || s.At >= c.Start+c.Total {
+				continue
+			}
+			if in5G(tl, s.At) {
+				on = append(on, s.Mbps)
+			} else {
+				off = append(off, s.Mbps)
+			}
+		}
+		if len(on) == 0 || len(off) == 0 {
+			continue
+		}
+		out = append(out, CycleSpeed{OnMedian: stats.Median(on), OffMedian: stats.Median(off)})
+	}
+	return out
+}
+
+// TestGenerateMatchesOracle: over every looping record of the
+// full-scale seed-42 study, the series Generate draws from one
+// generator reseeded per record, as Fig. 11 draws them, and the cycle
+// speeds of every loop are bit for bit the oracles'.
+func TestGenerateMatchesOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale study in -short mode")
+	}
+	st, err := campaign.RunContext(context.Background(), campaign.Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(0))
+	looping, cycles := 0, 0
+	for i, rec := range st.Records("") {
+		if !rec.HasLoop() {
+			continue
+		}
+		looping++
+		op := policy.ByName(rec.Op)
+		seed := int64(42 + i)
+		rng.Seed(seed)
+		got, want := Generate(rec.Timeline, op, rng), oracleGenerate(rec.Timeline, op, seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/%s/%d/%d: series differs from the oracle's", rec.Op, rec.Area, rec.LocIndex, rec.RunIndex)
+		}
+		for _, loop := range rec.Analysis.Loops {
+			var cs []Cycle
+			for _, cm := range loop.Cycles() {
+				cs = append(cs, Cycle{Start: cm.Start, Total: cm.Cycle()})
+			}
+			cycles += len(cs)
+			if got, want := CycleSpeeds(got, rec.Timeline, cs), oracleCycleSpeeds(want, rec.Timeline, cs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s/%d/%d: cycle speeds %v, the oracle's %v", rec.Op, rec.Area, rec.LocIndex, rec.RunIndex, got, want)
+			}
+		}
+	}
+	if looping == 0 || cycles == 0 {
+		t.Fatalf("%d looping records with %d cycles; the test needs both", looping, cycles)
+	}
+	t.Logf("%d looping records, %d cycles", looping, cycles)
+}
 
 func ref(s string) cell.Ref { return cell.MustRef(s) }
 
@@ -52,7 +195,7 @@ func nsaTimeline() *trace.Timeline {
 func TestGenerateShapesSA(t *testing.T) {
 	tl := saLoopTimeline()
 	op := policy.OPT()
-	samples := Generate(tl, op, 1)
+	samples := gen(tl, op, 1)
 	if len(samples) != 60 {
 		t.Fatalf("samples = %d, want 60", len(samples))
 	}
@@ -78,7 +221,7 @@ func TestGenerateShapesSA(t *testing.T) {
 func TestGenerateShapesNSA(t *testing.T) {
 	tl := nsaTimeline()
 	op := policy.OPA()
-	samples := Generate(tl, op, 2)
+	samples := gen(tl, op, 2)
 	var on, lte []float64
 	for _, s := range samples {
 		if s.At >= 3*time.Second && s.At < 19*time.Second {
@@ -99,14 +242,14 @@ func TestGenerateShapesNSA(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	tl := saLoopTimeline()
-	a := Generate(tl, policy.OPT(), 5)
-	b := Generate(tl, policy.OPT(), 5)
+	a := gen(tl, policy.OPT(), 5)
+	b := gen(tl, policy.OPT(), 5)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed should reproduce the series")
 		}
 	}
-	c := Generate(tl, policy.OPT(), 6)
+	c := gen(tl, policy.OPT(), 6)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -120,7 +263,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestRampAfterRecovery(t *testing.T) {
 	tl := saLoopTimeline()
-	samples := Generate(tl, policy.OPT(), 3)
+	samples := gen(tl, policy.OPT(), 3)
 	// The first ON second after the 10 s IDLE must be slower than the
 	// steady state a few seconds later (TCP refill).
 	var first, steady float64
@@ -151,11 +294,17 @@ func TestAggregateWidthScales(t *testing.T) {
 	if aggregateNRWidth(idle) != 20 {
 		t.Errorf("idle fallback width = %v", aggregateNRWidth(idle))
 	}
+	nsa := cell.Set{MCG: cell.NewGroup(band.RATLTE, ref("380@5145")), SCG: full.MCG.Clone()}
+	for _, set := range []cell.Set{single, full, idle, nsa} {
+		if got, want := aggregateNRWidth(set), oracleAggregateNRWidth(set); got != want {
+			t.Errorf("%v: width %v, the oracle's %v", set, got, want)
+		}
+	}
 }
 
 func TestCycleSpeeds(t *testing.T) {
 	tl := saLoopTimeline()
-	samples := Generate(tl, policy.OPT(), 9)
+	samples := gen(tl, policy.OPT(), 9)
 	cycles := []Cycle{{Start: 0, Total: 30 * time.Second}}
 	cs := CycleSpeeds(samples, tl, cycles)
 	if len(cs) != 1 {
@@ -217,7 +366,7 @@ func TestIn5GMatchesLinearScan(t *testing.T) {
 // optimizes: every sample of every cycle queries the timeline.
 func BenchmarkCycleSpeeds(b *testing.B) {
 	tl := saLoopTimeline()
-	samples := Generate(tl, policy.OPT(), 9)
+	samples := gen(tl, policy.OPT(), 9)
 	cycles := []Cycle{
 		{Start: 0, Total: 30 * time.Second},
 		{Start: 30 * time.Second, Total: 30 * time.Second},
@@ -234,7 +383,7 @@ func BenchmarkCycleSpeeds(b *testing.B) {
 func TestLognormZeroMedian(t *testing.T) {
 	tl := saLoopTimeline()
 	// OPT's OFF median is 0: the generator must not emit negatives.
-	for _, s := range Generate(tl, policy.OPT(), 11) {
+	for _, s := range gen(tl, policy.OPT(), 11) {
 		if s.Mbps < 0 {
 			t.Fatalf("negative speed %v", s.Mbps)
 		}

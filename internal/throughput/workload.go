@@ -52,7 +52,7 @@ const (
 // GenerateWorkload produces the per-second rate series of an
 // application running over the run's radio timeline.
 func GenerateWorkload(tl *trace.Timeline, op *policy.Operator, seed int64, w Workload) []Sample {
-	base := Generate(tl, op, seed)
+	base := Generate(tl, op, rand.New(rand.NewSource(seed)))
 	if w == WorkloadBulkDownload {
 		return base
 	}

@@ -29,6 +29,7 @@ package loopscope
 import (
 	"context"
 	"io"
+	"math/rand"
 
 	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/cell"
@@ -352,9 +353,10 @@ func ExportStudyCSV(st *Study, runs, loops, locations io.Writer) error {
 	return nil
 }
 
-// GenerateThroughput models the download-speed series of a run.
+// GenerateThroughput models the download-speed series of a run. The
+// same timeline and seed always produce the same series.
 func GenerateThroughput(tl *Timeline, op *Operator, seed int64) []ThroughputSample {
-	return throughput.Generate(tl, op, seed)
+	return throughput.Generate(tl, op, rand.New(rand.NewSource(seed)))
 }
 
 // FitModel trains the §6 loop-probability model by MSE minimization.
